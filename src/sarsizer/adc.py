@@ -180,24 +180,25 @@ def build_model(
 
 def sample_input(
     model: AdcModel,
-    v_in: float,
-    v_prev: float = 0.0,
-    rng_key: NoiseKey | None = None,
-) -> float:
-    """Track-and-hold output for one sample.
+    v_in: float | np.ndarray,
+    v_prev: float | np.ndarray = 0.0,
+    rng_key: NoiseKey | tuple[int, np.ndarray] | None = None,
+) -> float | np.ndarray:
+    """Track-and-hold output for one sample, or elementwise for arrays.
 
     The held voltage settles from v_prev toward v_in with time constant
-    r_sw * c_tot over the sampling window; with a noise key, a kT/C draw
-    is added on top.  Overrange inputs are allowed (they clip later, in
-    the conversion).
+    r_sw * c_tot over the sampling window; with a noise key (seed, index
+    or index array), the kT/C draw of each index is added on top.
+    Overrange inputs are allowed (they clip later, in the conversion).
     """
     settled = v_in - (v_in - v_prev) * math.exp(
         -model.design.t_sample / model.tau_smp
     )
     if rng_key is None:
         return settled
-    draw, _ = conversion_noise(rng_key, model.cfg.n_bits)
-    return settled + model.kt_c_sigma * draw
+    seed, index = rng_key
+    draw = noise_matrix(seed, np.reshape(index, -1), 0)[:, 0]
+    return settled + model.kt_c_sigma * draw.reshape(np.shape(index))
 
 
 def _delay(model: AdcModel, residue_mag: float) -> float:
@@ -340,15 +341,18 @@ def convert_batch(
     Sample m draws its noise from the stream keyed by (seed, indices[m]),
     matching scalar convert() bit for bit.  seed=None disables noise.
     """
+    v = np.asarray(v_sampled, dtype=float)
+    if seed is None:
+        return _convert_draws(model, v, np.zeros((len(v), model.cfg.n_bits)))
+    if indices is None:
+        indices = np.arange(len(v))
+    return _convert_draws(model, v, noise_matrix(seed, indices, model.cfg.n_bits)[:, 1:])
+
+
+def _convert_draws(model: AdcModel, v: np.ndarray, cmp_draws: np.ndarray):
+    """convert_batch's per-bit loop, given one comparator draw per sample and bit."""
     n = model.cfg.n_bits
     d = model.design
-    v = np.asarray(v_sampled, dtype=float)
-    if seed is not None:
-        if indices is None:
-            indices = np.arange(len(v))
-        draws = noise_matrix(seed, indices, n)[:, 1:]
-    else:
-        draws = np.zeros((len(v), n))
 
     t_d0 = d.t_d0
     t_max = model.t_cmp_max
@@ -375,7 +379,7 @@ def convert_batch(
                 1.0 - np.exp(-(d.t_dff + t_est) / model.tau_step[j - 1])
             )
             residue = np.where(alive, residue - sign_prev * step, residue)
-        noisy = residue + d.sigma_cmp * draws[:, j - 1]
+        noisy = residue + d.sigma_cmp * cmp_draws[:, j - 1]
         bit = (noisy >= 0.0) & alive
         bits[:, j - 1] = bit
         t_bit = delay(np.abs(noisy)) + d.t_dff

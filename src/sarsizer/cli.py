@@ -49,7 +49,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     if args.workers is not None:
         cfg.workers = args.workers
     if args.out is not None:

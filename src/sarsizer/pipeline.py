@@ -25,6 +25,7 @@ from .errors import ConfigError
 from .global_opt import GlobalParams, OptimizerState, Problem, run_global
 from .local_opt import LocalParams, LocalResult, run_local
 from .problem import CheapObjective, CoarseProblem, ExpensiveObjective, bounds_array
+from .rng import is_seed
 from .sndr import (
     SpectrumReport,
     enob_from_sndr,
@@ -81,6 +82,10 @@ class RunConfig:
     out_dir: str | None = None
     workers: int | None = None
     defaults_applied: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not is_seed(self.seed):
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     def effective_dict(self) -> dict:
         return {
@@ -266,7 +271,7 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
         global_params=global_params,
         local_params=local_params,
         harness=harness,
-        seed=int(seed),
+        seed=seed,
         out_dir=raw.get("out"),
         workers=raw.get("workers"),
         defaults_applied=applied,

@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adc import AdcModel, convert_batch
+from .adc import AdcModel, _convert_draws, sample_input
 from .errors import MetricsError, PlanError
-from .rng import noise_matrix
+from .rng import is_seed, noise_matrix
 
 ENOB_OFFSET_DB = 1.76
 ENOB_SLOPE_DB = 6.02
@@ -52,6 +52,8 @@ class TestPlan:
             )
         if self.f_s <= 0 or self.amplitude <= 0:
             raise PlanError("f_s and amplitude must be positive")
+        if not is_seed(self.seed):
+            raise PlanError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property
     def f_in(self) -> float:
@@ -114,14 +116,14 @@ def _convert_segment(
     # input value.  Reconstructing it analytically (rather than chaining
     # conversions) keeps segments independent of each other.
     v_prev = plan.amplitude * np.sin(omega * (idx - 1) * t_s)
-    settle = math.exp(-model.design.t_sample / model.tau_smp)
-    sampled = v_now - (v_now - v_prev) * settle
+    sampled = sample_input(model, v_now, v_prev)
     if noise:
+        # One draw per segment: column 0 is kT/C, columns 1..n the comparator.
         draws = noise_matrix(plan.seed, idx, model.cfg.n_bits)
         sampled = sampled + model.kt_c_sigma * draws[:, 0]
-        codes, ok = convert_batch(model, sampled, seed=plan.seed, indices=idx)
     else:
-        codes, ok = convert_batch(model, sampled, seed=None)
+        draws = np.zeros((len(idx), model.cfg.n_bits + 1))
+    codes, ok = _convert_draws(model, sampled, draws[:, 1:])
     return idx, codes, ok
 
 

@@ -86,9 +86,7 @@ class TestSampleInput:
     def test_kt_c_noise_std(self):
         cfg = AdcConfig(n_bits=12, f_s=1e6, v_dd=1.0, temp_k=300.0)
         m = build_model(design_with(c_unit=1e-12 / 2**11, r_sw=1e-30), cfg)
-        draws = np.array(
-            [sample_input(m, 0.0, rng_key=(11, i)) for i in range(100_000)]
-        )
+        draws = sample_input(m, np.zeros(100_000), rng_key=(11, np.arange(100_000)))
         expected = math.sqrt(2 * BOLTZMANN * 300.0 / 1e-12)
         assert expected == pytest.approx(91.0e-6, abs=0.1e-6)
         assert draws.std() == pytest.approx(expected, rel=0.02)

@@ -79,6 +79,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config("{N: 12, fs: [unclosed", is_text=True)
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "true", "7.0", "'7'"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(f"{{N: 8, fs: 1e6, V_DD: 1, seed: {seed}}}", is_text=True)
+
+    def test_largest_seed_accepted(self):
+        cfg = load_config("{N: 8, fs: 1e6, V_DD: 1, seed: 18446744073709551615}", is_text=True)
+        assert cfg.seed == 2**64 - 1
+
     def test_local_lambda_inf(self):
         cfg = load_config(
             "{N: 8, fs: 1e6, V_DD: 1, local: {lambda: inf}}", is_text=True
@@ -303,6 +312,15 @@ class TestCli:
         assert "SNDR" in out
         assert (export / "capture.csv").exists()
         assert (export / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_seed_override_fails_before_evaluation(self, cfg_file, seed, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("pipeline started")
+
+        monkeypatch.setattr("sarsizer.cli.run_pipeline", no_run)
+        with pytest.raises(ConfigError, match="seed"):
+            cli_main(["run", str(cfg_file), "--seed", seed])
 
     def test_eval_exit_code_on_infeasible(self, tmp_path, cfg_file, capsys):
         bad = dict(

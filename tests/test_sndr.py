@@ -90,6 +90,11 @@ class TestPlanTest:
         with pytest.raises(PlanError):
             TestPlan(k_points=64, j_cycles=3, m_segments=5, f_s=1e6, amplitude=0.4)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 7.0])
+    def test_seed_outside_key_range_rejected(self, seed):
+        with pytest.raises(PlanError, match="seed"):
+            TestPlan(k_points=64, j_cycles=3, m_segments=4, f_s=1e6, amplitude=0.4, seed=seed)
+
 
 class TestSegments:
     def test_interleave_covers_every_index_once(self):
@@ -171,6 +176,21 @@ class TestSegments:
             )
             trace = convert(sane_model_12, sampled, rng_key=(plan.seed, m))
             assert trace.code == codes[m], m
+
+    def test_one_noise_draw_per_segment(self, sane_model_12, monkeypatch):
+        import sarsizer.adc
+        import sarsizer.sndr
+
+        calls = []
+
+        def counted(seed, indices, n_bits):
+            calls.append(len(indices))
+            return noise_matrix(seed, indices, n_bits)
+
+        monkeypatch.setattr(sarsizer.sndr, "noise_matrix", counted)
+        monkeypatch.setattr(sarsizer.adc, "noise_matrix", counted)
+        run_segments(sane_model_12, make_plan(k_points=256, m_segments=4, seed=3))
+        assert calls == [64] * 4
 
     def test_worker_pool_matches_serial(self, sane_model_12):
         plan = make_plan(k_points=256, m_segments=4, seed=2)
