@@ -19,8 +19,6 @@ sampling-switch driver term.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, fields
 
@@ -390,37 +388,3 @@ def _convert_draws(model: AdcModel, v: np.ndarray, cmp_draws: np.ndarray):
     codes = bits @ (2 ** np.arange(n - 1, -1, -1))
     timing_ok = (fired == n) & (elapsed <= model.cfg.t_conv)
     return codes, timing_ok
-
-
-def trace_rows(trace: ConversionTrace) -> list[tuple]:
-    """One row per bit: index, decision, applied_step, t_bit, delta_q."""
-    return [
-        (
-            i + 1,
-            int(trace.bits[i]),
-            float(trace.applied_step[i]),
-            float(trace.t_bit[i]),
-            float(trace.delta_q[i]),
-        )
-        for i in range(len(trace.bits))
-    ]
-
-
-def write_trace_csv(trace: ConversionTrace, path_or_buf) -> None:
-    """Line-oriented debug export of a single conversion."""
-    own = isinstance(path_or_buf, (str, bytes))
-    buf = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["bit", "decision", "applied_step", "t_bit", "delta_q"])
-        for row in trace_rows(trace):
-            writer.writerow(row)
-    finally:
-        if own:
-            buf.close()
-
-
-def trace_csv_string(trace: ConversionTrace) -> str:
-    buf = io.StringIO()
-    write_trace_csv(trace, buf)
-    return buf.getvalue()

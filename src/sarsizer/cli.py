@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands:
-  run     execute the full sizing pipeline from a YAML config
+  run     execute the full sizing pipeline from a YAML config; exit 1 when
+          the final design violates a coarse constraint
   eval    coarse-evaluate a specific design against derived budgets
   sndr    run the coherent sine test on a specific design
   report  regenerate and audit the report files of a finished run
@@ -42,7 +43,6 @@ from .specs import DerivedSpecs
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--workers", type=int, default=None, help="worker pool size")
     parser.add_argument("--out", type=str, default=None, help="output directory")
 
 
@@ -50,8 +50,6 @@ def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg
@@ -70,7 +68,7 @@ def cmd_run(args) -> int:
     result = run_pipeline(cfg, out_dir=out)
     print(summary_text(result))
     print(f"artifacts written to {out}")
-    return 0
+    return 0 if result.coarse.feasible else 1
 
 
 def cmd_eval(args) -> int:
@@ -99,9 +97,7 @@ def cmd_sndr(args) -> int:
     if args.segments is not None:
         harness = replace(harness, m_segments=args.segments)
     plan = optimization_plan(cfg.adc.f_s, cfg.adc.v_dd, harness, cfg.seed)
-    codes, ok = run_segments_detailed(
-        model, plan, noise=harness.noise, workers=cfg.workers
-    )
+    codes, ok = run_segments_detailed(model, plan, noise=harness.noise)
     power = power_estimate(model)
     report = spectrum_metrics(codes, plan, power, cfg.adc.n_bits)
     print(f"capture         = {plan.k_points} points, {plan.m_segments} segments")

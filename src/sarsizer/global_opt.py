@@ -1,22 +1,21 @@
 """Surrogate-assisted constrained differential evolution.
 
-Generational DE/rand/1/bin over cheap evaluations.  A pluggable surrogate
-ranks each generation's offspring and only the most promising few are
-actually evaluated (infill); survivor selection is one-to-one against the
-parent under feasibility dominance.  The phase ends once enough variables
-have collapsed to a small fraction of their range, handing the rest to
-the local optimizer.
+Generational DE/rand/1/bin over cheap evaluations.  An inverse-distance
+surrogate ranks each generation's offspring and only the most promising
+few are actually evaluated (infill); survivor selection is one-to-one
+against the parent under feasibility dominance.  The phase ends once
+enough variables have collapsed to a small fraction of their range,
+handing the rest to the local optimizer.
 """
 
 from __future__ import annotations
 
-import csv
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import ConfigError
 
 
@@ -78,21 +77,8 @@ class Problem:
         )
 
 
-class Surrogate(Protocol):
-    """Minimal contract for offspring ranking models."""
-
-    def train(self, x: np.ndarray, objective: np.ndarray, slack: np.ndarray) -> None: ...
-    def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
-    @property
-    def trained(self) -> bool: ...
-
-
 class IdwSurrogate:
-    """Inverse-distance-weighted k-nearest regression in normalized space.
-
-    Deliberately simple default; anything implementing the Surrogate
-    protocol can be dropped in instead.
-    """
+    """Inverse-distance-weighted k-nearest regression in normalized space."""
 
     def __init__(self, bounds: np.ndarray, k: int = 5, min_points: int | None = None):
         self.bounds = np.asarray(bounds, dtype=float)
@@ -143,7 +129,6 @@ class GlobalParams:
     n_conv_target: int | None = None     # default ceil(0.7*d)
     max_evals: int = 5000
     seed: int = 0
-    workers: int | None = None
 
     def resolved(self, dim: int) -> "GlobalParams":
         pop = self.pop_size if self.pop_size is not None else 10 * dim
@@ -153,17 +138,7 @@ class GlobalParams:
             if self.n_conv_target is not None
             else int(np.ceil(0.7 * dim))
         )
-        return GlobalParams(
-            pop_size=pop,
-            f_weight=self.f_weight,
-            cr=self.cr,
-            k_infill=infill,
-            theta_conv=self.theta_conv,
-            n_conv_target=target,
-            max_evals=self.max_evals,
-            seed=self.seed,
-            workers=self.workers,
-        )
+        return replace(self, pop_size=pop, k_infill=infill, n_conv_target=target)
 
 
 @dataclass
@@ -219,7 +194,7 @@ def de_offspring(
 
 
 def surrogate_rank(
-    surrogate: Surrogate | None,
+    surrogate: IdwSurrogate | None,
     candidates: np.ndarray,
     k_infill: int,
 ) -> np.ndarray:
@@ -260,32 +235,9 @@ def detect_convergence(
     return pop.std(axis=0) / span < theta_conv
 
 
-def _evaluate_many(
-    problem: Problem, xs: list[np.ndarray], pool: ProcessPoolExecutor | None
-) -> list[EvalRecord]:
-    if pool is not None and len(xs) > 1:
-        return list(pool.map(problem.run, xs))
-    return [problem.run(x) for x in xs]
-
-
 def run_global(problem: Problem, params: GlobalParams) -> OptimizerState:
-    """Full global phase; deterministic in the seed, worker-count invariant."""
+    """Full global phase; deterministic in the seed."""
     params = params.resolved(problem.dim)
-    pool = (
-        ProcessPoolExecutor(max_workers=params.workers)
-        if params.workers and params.workers > 1
-        else None
-    )
-    try:
-        return _run_global(problem, params, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
-def _run_global(
-    problem: Problem, params: GlobalParams, pool: ProcessPoolExecutor | None
-) -> OptimizerState:
     rng = np.random.default_rng(params.seed)
     bounds = problem.bounds
 
@@ -305,7 +257,7 @@ def _run_global(
         return state
 
     n_init = min(params.pop_size, budget)
-    records = _evaluate_many(problem, [pop_x[i] for i in range(n_init)], pool)
+    records = [problem.run(pop_x[i]) for i in range(n_init)]
     state.population = records
     state.archive.extend(records)
     state.evals = n_init
@@ -341,7 +293,7 @@ def _run_global(
         chosen = surrogate_rank(surrogate, offspring, params.k_infill)
         chosen = chosen[: params.max_evals - state.evals]
 
-        records = _evaluate_many(problem, [offspring[i] for i in chosen], pool)
+        records = [problem.run(offspring[i]) for i in chosen]
         state.evals += len(records)
         for idx, rec in zip(chosen, records):
             state.archive.append(rec)
@@ -363,23 +315,5 @@ def _run_global(
 
 def write_history_csv(history: list[dict], path_or_buf) -> None:
     """Per-generation trace supporting convergence plots."""
-    own = isinstance(path_or_buf, (str, bytes))
-    buf = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["generation", "evals", "best_objective", "best_violation", "n_converged"]
-        )
-        for row in history:
-            writer.writerow(
-                [
-                    row["generation"],
-                    row["evals"],
-                    row["best_objective"],
-                    row["best_violation"],
-                    row["n_converged"],
-                ]
-            )
-    finally:
-        if own:
-            buf.close()
+    columns = ["generation", "evals", "best_objective", "best_violation", "n_converged"]
+    write_csv(path_or_buf, columns, ([row[c] for c in columns] for row in history))

@@ -10,13 +10,13 @@ raising the blend weight.  Frozen coordinates are never touched.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import ConfigError
 
 SHRINK = 0.5
@@ -256,24 +256,18 @@ def run_local(
 
 def write_history_csv(history: list[dict], path_or_buf) -> None:
     """Per-iteration trace of the local phase."""
-    own = isinstance(path_or_buf, (str, bytes))
-    buf = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["iteration", "f_cheap", "f_expensive", "w", "delta_norm", "rollback"]
-        )
-        for row in history:
-            writer.writerow(
-                [
-                    row["iteration"],
-                    row["f_cheap"],
-                    "" if row["f_expensive"] is None else row["f_expensive"],
-                    row["w"],
-                    row["delta_norm"],
-                    int(row["rollback"]),
-                ]
-            )
-    finally:
-        if own:
-            buf.close()
+    write_csv(
+        path_or_buf,
+        ["iteration", "f_cheap", "f_expensive", "w", "delta_norm", "rollback"],
+        (
+            [
+                row["iteration"],
+                row["f_cheap"],
+                "" if row["f_expensive"] is None else row["f_expensive"],
+                row["w"],
+                row["delta_norm"],
+                int(row["rollback"]),
+            ]
+            for row in history
+        ),
+    )

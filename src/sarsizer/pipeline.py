@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ import yaml
 from . import global_opt, local_opt
 from .adc import DESIGN_FIELDS, AdcConfig, DesignPoint, build_model
 from .coarse import CoarseReport, evaluate_coarse
+from .csvio import write_csv
 from .errors import ConfigError
 from .global_opt import GlobalParams, OptimizerState, Problem, run_global
 from .local_opt import LocalParams, LocalResult, run_local
@@ -80,7 +81,6 @@ class RunConfig:
     harness: HarnessConfig
     seed: int
     out_dir: str | None = None
-    workers: int | None = None
     defaults_applied: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -138,7 +138,6 @@ _KNOWN_TOP_KEYS = {
     "N", "n_bits", "fs", "f_s", "V_DD", "v_dd", "T", "temp_k",
     "kappa_cmp", "kappa_sw", "e_dff", "r_drv_cap", "v_floor",
     "alpha", "bounds", "global", "local", "harness", "seed", "out",
-    "workers",
 }
 
 
@@ -273,7 +272,6 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
         harness=harness,
         seed=seed,
         out_dir=raw.get("out"),
-        workers=raw.get("workers"),
         defaults_applied=applied,
     )
 
@@ -360,6 +358,8 @@ def verification_plan(f_s: float, v_dd: float, h: HarnessConfig, seed: int):
 def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     """Derive budgets, explore globally, freeze, refine locally, verify.
 
+    Both sine-test plans are built before any evaluation, so a harness
+    setting no coherent plan satisfies fails at once with PlanError.
     The final design is the local end point when it meets every coarse
     constraint; otherwise the best coarse-feasible point seen during the
     local phase; otherwise the least-violating point with a warning.
@@ -369,30 +369,20 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
 
     t0 = time.perf_counter()
     specs = DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha)
+    plan = optimization_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
+    verify_plan = verification_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
     coarse_problem = CoarseProblem(cfg=cfg.adc, specs=specs, bounds=cfg.bounds)
     problem = Problem(bounds=bounds_array(cfg.bounds), evaluate=coarse_problem)
     timings["derive"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    gparams = GlobalParams(
-        pop_size=cfg.global_params.pop_size,
-        f_weight=cfg.global_params.f_weight,
-        cr=cfg.global_params.cr,
-        k_infill=cfg.global_params.k_infill,
-        theta_conv=cfg.global_params.theta_conv,
-        n_conv_target=cfg.global_params.n_conv_target,
-        max_evals=cfg.global_params.max_evals,
-        seed=cfg.seed,
-        workers=cfg.workers,
-    )
-    gstate = run_global(problem, gparams)
+    gstate = run_global(problem, replace(cfg.global_params, seed=cfg.seed))
     if gstate.warning:
         warning_parts.append(f"global: {gstate.warning}")
     timings["global"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     x_start = gstate.best_x.copy()
-    plan = optimization_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
     local_result: LocalResult | None = None
     x_final = x_start
     if gstate.best is not None:
@@ -426,10 +416,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
     design = DesignPoint.from_vector(x_final)
     model = build_model(design, cfg.adc, cfg.bounds)
     final_coarse = evaluate_coarse(model, specs)
-    verify_plan = verification_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
-    codes = run_segments(
-        model, verify_plan, noise=cfg.harness.noise, workers=cfg.workers
-    )
+    codes = run_segments(model, verify_plan, noise=cfg.harness.noise)
     spectrum = spectrum_metrics(codes, verify_plan, final_coarse.power, cfg.adc.n_bits)
     timings["verify"] = time.perf_counter() - t0
 
@@ -471,20 +458,17 @@ class _FeasibleTracker:
 
 def write_eval_log_csv(archive, n_constraints: int, path: str) -> None:
     """Per-candidate log of the global phase: id, variables, slacks, power."""
-    import csv as _csv
-
-    with open(path, "w", newline="") as buf:
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["candidate"]
-            + list(DESIGN_FIELDS)
-            + [f"slack_{i}" for i in range(n_constraints)]
-            + ["power"]
-        )
-        for cid, rec in enumerate(archive):
-            writer.writerow(
-                [cid] + rec.x.tolist() + rec.slack.tolist() + [rec.objective]
-            )
+    write_csv(
+        path,
+        ["candidate"]
+        + list(DESIGN_FIELDS)
+        + [f"slack_{i}" for i in range(n_constraints)]
+        + ["power"],
+        (
+            [cid] + rec.x.tolist() + rec.slack.tolist() + [rec.objective]
+            for cid, rec in enumerate(archive)
+        ),
+    )
 
 
 def persist_run(result: RunResult, out: Path, plan, codes) -> None:
@@ -591,18 +575,17 @@ def summary_text(result: RunResult) -> str:
 
 def emit_report(record: dict, out: Path) -> dict[str, str]:
     """Write the human-readable summary and the flat metrics table."""
-    import csv as _csv
-
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.txt").write_text(summary_from_record(record))
-    with open(out / "metrics.csv", "w", newline="") as buf:
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        writer.writerow(["power_w", record["coarse"]["power"]])
-        for key in ("sndr_db", "sfdr_db", "enob", "fom_w", "fom_s"):
-            writer.writerow([key, record["spectrum"][key]])
-        writer.writerow(["coarse_feasible", record["coarse"]["feasible"]])
+    spectrum_keys = ("sndr_db", "sfdr_db", "enob", "fom_w", "fom_s")
+    write_csv(
+        out / "metrics.csv",
+        ["metric", "value"],
+        [["power_w", record["coarse"]["power"]]]
+        + [[key, record["spectrum"][key]] for key in spectrum_keys]
+        + [["coarse_feasible", record["coarse"]["feasible"]]],
+    )
     return {"summary": "summary.txt", "metrics": "metrics.csv"}
 
 

@@ -1,7 +1,6 @@
 """Adapters exposing the behavioral ADC as optimization objectives.
 
-All classes here are plain picklable objects so evaluations can run on a
-process pool; determinism is carried entirely by their constructor state.
+Determinism is carried entirely by each adapter's constructor state.
 """
 
 from __future__ import annotations

@@ -12,14 +12,13 @@ dividing K.
 
 from __future__ import annotations
 
-import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .adc import AdcModel, _convert_draws, sample_input
+from .csvio import write_csv
 from .errors import MetricsError, PlanError
 from .rng import is_seed, noise_matrix
 
@@ -127,40 +126,21 @@ def _convert_segment(
     return idx, codes, ok
 
 
-def run_segments(
-    model: AdcModel,
-    plan: TestPlan,
-    noise: bool = True,
-    workers: int | None = None,
-) -> np.ndarray:
+def run_segments(model: AdcModel, plan: TestPlan, noise: bool = True) -> np.ndarray:
     """Merged capture codes, index m holds conversion m of the schedule."""
-    codes, _ = run_segments_detailed(model, plan, noise=noise, workers=workers)
+    codes, _ = run_segments_detailed(model, plan, noise=noise)
     return codes
 
 
 def run_segments_detailed(
-    model: AdcModel,
-    plan: TestPlan,
-    noise: bool = True,
-    workers: int | None = None,
+    model: AdcModel, plan: TestPlan, noise: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merged (codes, timing_ok); per-sample timing failures are recorded,
-    never fatal."""
+    never fatal.  Segments run one after another in this process."""
     codes = np.zeros(plan.k_points, dtype=np.int64)
     ok = np.zeros(plan.k_points, dtype=bool)
-    if workers and workers > 1 and plan.m_segments > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_convert_segment, model, plan, k, noise)
-                for k in range(plan.m_segments)
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _convert_segment(model, plan, k, noise)
-            for k in range(plan.m_segments)
-        ]
-    for idx, seg_codes, seg_ok in results:
+    for k in range(plan.m_segments):
+        idx, seg_codes, seg_ok = _convert_segment(model, plan, k, noise)
         codes[idx] = seg_codes
         ok[idx] = seg_ok
     return codes, ok
@@ -267,26 +247,11 @@ def capture_inputs(plan: TestPlan) -> np.ndarray:
 
 
 def write_capture_csv(plan: TestPlan, codes: np.ndarray, path_or_buf) -> None:
-    own = isinstance(path_or_buf, (str, bytes))
-    buf = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "input", "code"])
-        for i, (v, c) in enumerate(zip(capture_inputs(plan), codes)):
-            writer.writerow([i, float(v), int(c)])
-    finally:
-        if own:
-            buf.close()
+    inputs = capture_inputs(plan)
+    rows = ([i, float(v), int(c)] for i, (v, c) in enumerate(zip(inputs, codes)))
+    write_csv(path_or_buf, ["index", "input", "code"], rows)
 
 
 def write_spectrum_csv(report: SpectrumReport, path_or_buf) -> None:
-    own = isinstance(path_or_buf, (str, bytes))
-    buf = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["bin", "power_db"])
-        for b, p in enumerate(report.bin_power_db):
-            writer.writerow([b, float(p)])
-    finally:
-        if own:
-            buf.close()
+    rows = ([b, float(p)] for b, p in enumerate(report.bin_power_db))
+    write_csv(path_or_buf, ["bin", "power_db"], rows)

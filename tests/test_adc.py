@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from sarsizer.adc import (
     convert,
     convert_batch,
     sample_input,
-    trace_csv_string,
 )
 from sarsizer.errors import BoundsError
 from sarsizer.rng import conversion_noise
@@ -275,22 +273,6 @@ class TestEnergy:
         e_sw = cfg.kappa_sw / m.design.r_sw
         assert min(e_dac, e_cmp, e_logic, e_sw) >= 0.0
         assert trace.e_total == pytest.approx(e_dac + e_cmp + e_logic + e_sw, rel=1e-12)
-
-
-class TestTraceExport:
-    def test_csv_round_trip_full_precision(self, sane_model_12):
-        trace = convert(sane_model_12, 0.271828, rng_key=(1, 2))
-        text = trace_csv_string(trace)
-        lines = text.strip().split("\n")
-        assert lines[0] == "bit,decision,applied_step,t_bit,delta_q"
-        assert len(lines) == 1 + 12
-        for i, line in enumerate(lines[1:]):
-            bit, dec, step, t_bit, dq = line.split(",")
-            assert int(bit) == i + 1
-            assert int(dec) == trace.bits[i]
-            assert float(step) == trace.applied_step[i]
-            assert float(t_bit) == trace.t_bit[i]
-            assert float(dq) == trace.delta_q[i]
 
 
 class TestNoiseStreams:

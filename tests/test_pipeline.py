@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sarsizer.cli import main as cli_main
-from sarsizer.errors import ConfigError
+from sarsizer.errors import ConfigError, PlanError
 from sarsizer.pipeline import (
     audit_run,
     default_bounds,
@@ -57,9 +57,10 @@ class TestLoadConfig:
             load_config("{N: 8, fs: 1e6, V_DD: 1, alpha: -1}", is_text=True)
 
     def test_unknown_key_warns_not_fatal(self):
-        with pytest.warns(UserWarning, match="frobnicate"):
+        # `workers` was a config key while process pools existed.
+        with pytest.warns(UserWarning, match=r"\['frobnicate', 'workers'\]"):
             cfg = load_config(
-                "{N: 8, fs: 1e6, V_DD: 1, frobnicate: true}", is_text=True
+                "{N: 8, fs: 1e6, V_DD: 1, frobnicate: true, workers: 4}", is_text=True
             )
         assert cfg.adc.n_bits == 8
 
@@ -114,16 +115,6 @@ class TestRunPipeline:
             rerun_dir / "run_record.json"
         ).read_bytes()
 
-    def test_worker_count_invariance(self, small_run, tmp_path):
-        _, _, out = small_run
-        cfg = load_config(SMALL_RUN, is_text=True)
-        cfg.workers = 2
-        wdir = tmp_path / "workers2"
-        run_pipeline(cfg, out_dir=wdir)
-        assert (out / "run_record.json").read_bytes() == (
-            wdir / "run_record.json"
-        ).read_bytes()
-
     def test_artifacts_written(self, small_run):
         _, result, out = small_run
         for name in result.trace_files.values():
@@ -161,6 +152,20 @@ class TestRunPipeline:
         plan = verification_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
         rows = (out / "capture.csv").read_text().strip().split("\n")
         assert len(rows) - 1 == plan.k_points == 256 * 4
+
+    @pytest.mark.parametrize(
+        "harness", ["{K: 500}", "{verify_scale: 3}"], ids=["k_points", "verify_scale"]
+    )
+    def test_bad_harness_fails_before_evaluation(self, harness, monkeypatch):
+        def no_eval(*args, **kwargs):
+            raise AssertionError("evaluation started")
+
+        monkeypatch.setattr("sarsizer.pipeline.run_global", no_eval)
+        monkeypatch.setattr("sarsizer.pipeline.evaluate_coarse", no_eval)
+        monkeypatch.setattr("sarsizer.problem.evaluate_coarse", no_eval)
+        cfg = load_config(f"{{N: 8, fs: 1e6, V_DD: 1, harness: {harness}}}", is_text=True)
+        with pytest.raises(PlanError):
+            run_pipeline(cfg)
 
     def test_zero_budget_returns_initial_with_warning(self, tmp_path):
         cfg = load_config(
@@ -291,6 +296,18 @@ class TestCli:
         rc = cli_main(["report", str(out)])
         assert rc == 0
         assert "checks passed" in capsys.readouterr().out
+
+    def test_run_exit_code_on_infeasible(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg12.yaml"
+        cfg_file.write_text(
+            "{N: 12, fs: 20.0e6, V_DD: 1.0, seed: 7, global: {pop_size: 10, max_evals: 10},"
+            " local: {max_iter: 5}, harness: {K: 256, M: 4}}"
+        )
+        out = tmp_path / "cli-infeasible"
+        rc = cli_main(["run", str(cfg_file), "--out", str(out)])
+        assert rc == 1
+        assert "all feasible   = False" in capsys.readouterr().out
+        assert (out / "run_record.json").exists()
 
     def test_eval_and_sndr(self, tmp_path, cfg_file, small_run, capsys):
         _, result, _ = small_run

@@ -192,12 +192,6 @@ class TestSegments:
         run_segments(sane_model_12, make_plan(k_points=256, m_segments=4, seed=3))
         assert calls == [64] * 4
 
-    def test_worker_pool_matches_serial(self, sane_model_12):
-        plan = make_plan(k_points=256, m_segments=4, seed=2)
-        serial = run_segments(sane_model_12, plan, noise=True, workers=None)
-        pooled = run_segments(sane_model_12, plan, noise=True, workers=4)
-        np.testing.assert_array_equal(serial, pooled)
-
     def test_timing_failures_recorded_not_fatal(self):
         from sarsizer.adc import DesignPoint
 
