@@ -15,17 +15,23 @@ Energy is tallied per conversion from event-level charge accounting on a
 common-mode-referenced switched capacitor array, a comparator term that
 scales inversely with its noise power, per-cycle logic energy, and a
 sampling-switch driver term.
+
+One kernel, ``convert_rows``, runs every conversion: its rows may belong
+to different designs, so a whole generation's coarse tests are one call
+and a capture segment is another.  The traced scalar ``convert`` and
+``convert_batch`` are thin wrappers around it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import BoundsError, ConfigError
-from .rng import NoiseKey, conversion_noise, noise_matrix
+from .rng import NoiseKey, noise_matrix
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -98,9 +104,6 @@ class DesignPoint:
                     raise BoundsError(
                         f"{f.name}={value} outside bounds [{lo}, {hi}]"
                     )
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in DESIGN_FIELDS])
 
     @classmethod
     def from_vector(cls, x: np.ndarray) -> "DesignPoint":
@@ -199,21 +202,36 @@ def sample_input(
     return settled + model.kt_c_sigma * draw.reshape(np.shape(index))
 
 
-def _delay(model: AdcModel, residue_mag: float) -> float:
-    """Regeneration delay for one decision: grows as the residue shrinks."""
-    d = model.design
-    raw = d.t_d0 + d.tau_reg * math.log(
-        model.cfg.v_dd / max(residue_mag, model.cfg.v_floor)
-    )
-    return min(max(raw, d.t_d0), model.t_cmp_max)
+@dataclass
+class Conversions:
+    """The kernel's output: one conversion per row."""
+
+    bits: np.ndarray          # (rows, n) 0/1, MSB first
+    applied_step: np.ndarray  # (rows, n) realized step entering each decision, V
+    t_bit: np.ndarray         # (rows, n) comparator + logic time per fired bit cycle, s
+    t_total: np.ndarray       # (rows,) sampling window + fired bit cycles, s
+    n_fired: np.ndarray       # (rows,)
+    timing_ok: np.ndarray     # (rows,)
+    delta_q: np.ndarray | None = None  # (rows, n) reference charge per switch event, C
+    e_total: np.ndarray | None = None  # (rows,) conversion energy, J
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self.bits @ (2 ** np.arange(self.bits.shape[1])[::-1])
 
 
-def convert(
-    model: AdcModel,
-    v_sampled: float,
-    rng_key: NoiseKey | None = None,
-) -> ConversionTrace:
-    """Run one asynchronous successive-approximation conversion.
+def convert_rows(
+    models: Sequence[AdcModel],
+    v_sampled: np.ndarray,
+    cmp_draws: np.ndarray | None = None,
+    owner: np.ndarray | None = None,
+    charge: bool = False,
+) -> Conversions:
+    """The conversion kernel: row m converts v_sampled[m] on models[owner[m]].
+
+    With owner=None every row converts on models[0].  All models share
+    one AdcConfig.  cmp_draws holds one standard-normal comparator draw
+    per row and bit; None disables noise.
 
     Bit 1 compares the sampled voltage directly (top-plate sampling).
     Each later decision i sees the previous residue minus/plus a step of
@@ -227,105 +245,133 @@ def convert(
 
     Timing failures are never exceptions: once the elapsed time passes the
     conversion period, remaining bits resolve to 0 and timing_ok is False.
+    charge=True adds the switch charges and energies in a post-pass over
+    the bits, which captures skip.  Every step is elementwise over rows,
+    so a row's result does not depend on the rest of the batch.
     """
-    n = model.cfg.n_bits
-    d = model.design
-    _, cmp_draws = conversion_noise(rng_key, n)
+    cfg = models[0].cfg
+    if any(m.cfg != cfg for m in models):
+        raise ConfigError("one kernel call converts on a single AdcConfig")
+    # Design constants per row, or scalars (numpy's faster path) for one model.
+    consts = np.array([[m.design.t_sample, m.design.t_dff, m.design.t_d0, m.design.tau_reg,
+                        m.design.sigma_cmp, m.design.r_sw, m.design.c_unit, m.c_tot,
+                        m.t_cmp_max] for m in models])
+    tau_step = np.array([m.tau_step for m in models])
+    pick = 0 if owner is None else owner
+    consts, tau_step = consts[pick], tau_step[pick]
+    t_sample, t_dff, t_d0, tau_reg, sigma_cmp, r_sw, c_unit, c_tot, t_cmp_max = consts.T
 
-    bits = np.zeros(n, dtype=np.int64)
-    applied = np.zeros(n)
-    t_bit = np.zeros(n)
-    delta_q = np.zeros(n)
+    def delay(mag: np.ndarray) -> np.ndarray:
+        """Regeneration delay per decision: grows as the residue shrinks."""
+        raw = t_d0 + tau_reg * np.log(cfg.v_dd / np.maximum(mag, cfg.v_floor))
+        return np.minimum(np.maximum(raw, t_d0), t_cmp_max)
 
-    # Charge-accounting state, one side each: capacitance currently tied
-    # to the supply rail, in farads.  Event bookkeeping below mirrors a
-    # common-mode-referenced switch scheme: after decision i the cap
-    # weighted 2**(n-1-i) units moves from mid-rail to a rail on each
-    # side, in opposite directions.
-    c_vdd_p = 0.0
-    c_vdd_n = 0.0
-    half_rail = model.cfg.v_dd / 2.0
+    n = cfg.n_bits
+    amp = models[0].step_amp
+    residue = np.asarray(v_sampled, dtype=float)
+    rows = len(residue)
+    sign_prev = np.zeros(rows)  # 0 before bit 1, so its step is recorded, not applied
+    elapsed = t_sample + np.zeros(rows)
+    alive = np.ones(rows, dtype=bool)
+    n_fired = np.zeros(rows, dtype=np.int64)
+    # Bit-major while filling: one contiguous row per decision.
+    bits = np.zeros((n, rows), dtype=np.int64)
+    applied = np.zeros((n, rows))
+    t_bit = np.zeros((n, rows))
+    for j in range(n):
+        alive &= elapsed < cfg.t_conv
+        live = alive.astype(float)  # masks a dead row's step and time to 0.0
+        t_est = delay(np.abs(residue - sign_prev * amp[j]))
+        step = live * amp[j] * (1.0 - np.exp(-(t_dff + t_est) / tau_step[..., j]))
+        residue = residue - sign_prev * step
+        noisy = residue if cmp_draws is None else residue + sigma_cmp * cmp_draws[:, j]
+        bits[j] = (noisy >= 0.0) & alive
+        t_bit[j] = live * (delay(np.abs(noisy)) + t_dff)
+        applied[j] = step
+        elapsed = elapsed + t_bit[j]
+        n_fired += alive
+        sign_prev = 2.0 * bits[j] - 1.0
 
-    elapsed = d.t_sample
-    residue = v_sampled
-    sign_prev = 0.0
-    n_fired = 0
-
-    for j in range(1, n + 1):
-        if elapsed >= model.cfg.t_conv:
-            break
-        if j == 1:
-            t_est = _delay(model, abs(v_sampled))
-            applied[0] = model.step_amp[0] * (
-                1.0 - math.exp(-(d.t_dff + t_est) / model.tau_step[0])
-            )
-        else:
-            r_ideal = residue - sign_prev * model.step_amp[j - 1]
-            t_est = _delay(model, abs(r_ideal))
-            step = model.step_amp[j - 1] * (
-                1.0 - math.exp(-(d.t_dff + t_est) / model.tau_step[j - 1])
-            )
-            applied[j - 1] = step
-            residue = residue - sign_prev * step
-
-        noisy = residue + d.sigma_cmp * cmp_draws[j - 1]
-        bit = 1 if noisy >= 0.0 else 0
-        bits[j - 1] = bit
-        t_cmp = _delay(model, abs(noisy))
-        t_bit[j - 1] = t_cmp + d.t_dff
-        elapsed += t_bit[j - 1]
-        n_fired = j
-        sign_prev = 1.0 if bit else -1.0
-
-        if j <= n - 1:
-            # Switch event triggered by decision j: weight 2**(n-1-j) units.
-            c_sw = 2.0 ** (n - 1 - j) * d.c_unit
-            dv_top = half_rail * c_sw / model.c_tot
-            if bit:
-                dv_p, dv_n = -dv_top, dv_top
-                dq_n = c_sw * (half_rail - dv_n) - c_vdd_n * dv_n
-                dq_p = -c_vdd_p * dv_p
-                c_vdd_n += c_sw
-            else:
-                dv_p, dv_n = dv_top, -dv_top
-                dq_p = c_sw * (half_rail - dv_p) - c_vdd_p * dv_p
-                dq_n = -c_vdd_n * dv_n
-                c_vdd_p += c_sw
-            delta_q[j - 1] = dq_p + dq_n
-
-    code = int(np.sum(bits * 2 ** np.arange(n - 1, -1, -1)))
-    t_total = d.t_sample + float(t_bit.sum())
-    trace = ConversionTrace(
-        code=code,
-        bits=bits,
-        applied_step=applied,
-        t_bit=t_bit,
-        delta_q=delta_q,
-        t_total=t_total,
-        q_ref=float(delta_q.sum()),
-        e_total=0.0,
-        timing_ok=(n_fired == n) and (t_total <= model.cfg.t_conv),
-        n_fired=n_fired,
-    )
-    trace.e_total = conversion_energy(trace, model)
-    return trace
+    t_bit = np.ascontiguousarray(t_bit.T)  # rows sum in the order a lone row's would
+    t_total = t_sample + t_bit.sum(axis=1)
+    out = Conversions(bits.T, applied.T, t_bit, t_total, n_fired,
+                      timing_ok=(n_fired == n) & (t_total <= cfg.t_conv))
+    if charge:
+        out.delta_q = _switch_charge(cfg.v_dd, c_unit, c_tot, out.bits, n_fired)
+        out.e_total = _energy(cfg, sigma_cmp, r_sw, out.delta_q.sum(axis=1), n_fired)
+    return out
 
 
-def conversion_energy(trace: ConversionTrace, model: AdcModel) -> float:
-    """Total conversion energy from a trace.
+def _switch_charge(v_dd: float, c_unit: np.ndarray, c_tot: np.ndarray,
+                   bits: np.ndarray, n_fired: np.ndarray) -> np.ndarray:
+    """Reference charge drawn by the switch event after each fired decision.
+
+    Common-mode-referenced switching: after decision j the cap weighted
+    2**(n-1-j) units moves from mid-rail to a rail on each side, in
+    opposite directions (a 1 takes the n side's cap to the supply, a 0
+    the p side's).  c_vdd_* is the capacitance each side already ties to
+    the supply rail.
+    """
+    rows, n = bits.shape
+    half_rail = v_dd / 2.0
+    c_vdd_p = np.zeros(rows)
+    c_vdd_n = np.zeros(rows)
+    delta_q = np.zeros((rows, n))
+    for j in range(n - 1):
+        c_sw = 2.0 ** (n - 2 - j) * c_unit
+        dv_top = half_rail * c_sw / c_tot
+        up = bits[:, j] == 1
+        fired = n_fired > j
+        c_rising = np.where(up, c_vdd_n, c_vdd_p)  # side whose cap joins the rail
+        c_other = np.where(up, c_vdd_p, c_vdd_n)
+        dq = (c_sw * (half_rail - dv_top) - c_rising * dv_top) + c_other * dv_top
+        delta_q[:, j] = dq * fired
+        c_vdd_n = c_vdd_n + c_sw * (fired & up)
+        c_vdd_p = c_vdd_p + c_sw * (fired & ~up)
+    return delta_q
+
+
+def _energy(cfg: AdcConfig, sigma_cmp: np.ndarray, r_sw: np.ndarray,
+            q_ref: np.ndarray, n_fired: np.ndarray) -> np.ndarray:
+    """Conversion energy per row.
 
     DAC term: supply voltage times the reference charge of every switch
     event.  Comparator term: kappa_cmp / sigma_cmp^2 per firing, coupling
     noise and power so lower noise is never free.  Logic term: e_dff per
     fired bit cycle.  Switch-driver term: kappa_sw / r_sw per sample.
     """
-    cfg = model.cfg
-    d = model.design
-    e_dac = cfg.v_dd * float(trace.delta_q.sum())
-    e_cmp = (cfg.kappa_cmp / d.sigma_cmp**2) * trace.n_fired
-    e_logic = cfg.e_dff * trace.n_fired
-    e_sw = cfg.kappa_sw / d.r_sw
+    e_dac = cfg.v_dd * q_ref
+    e_cmp = (cfg.kappa_cmp / (sigma_cmp * sigma_cmp)) * n_fired
+    e_logic = cfg.e_dff * n_fired
+    e_sw = cfg.kappa_sw / r_sw
     return e_dac + e_cmp + e_logic + e_sw
+
+
+def convert(
+    model: AdcModel,
+    v_sampled: float,
+    rng_key: NoiseKey | None = None,
+) -> ConversionTrace:
+    """One conversion, traced: the kernel (convert_rows) as a batch of one.
+
+    The comparator draws come from the stream keyed by rng_key; None
+    disables noise.
+    """
+    draws = None
+    if rng_key is not None:
+        seed, index = rng_key
+        draws = noise_matrix(seed, np.array([index]), model.cfg.n_bits)[:, 1:]
+    c = convert_rows([model], np.array([v_sampled], dtype=float), draws, charge=True)
+    row = {f.name: getattr(c, f.name)[0] for f in fields(c)}
+    return ConversionTrace(code=int(c.codes[0]), q_ref=float(row["delta_q"].sum()),
+                           **{k: v.item() if v.ndim == 0 else v for k, v in row.items()})
+
+
+def conversion_energy(trace: ConversionTrace, model: AdcModel) -> float:
+    """Total conversion energy of a trace, by the kernel's energy law."""
+    d = model.design
+    row = (np.array([v]) for v in (d.sigma_cmp, d.r_sw, trace.q_ref, trace.n_fired))
+    return float(_energy(model.cfg, *row)[0])
 
 
 def convert_batch(
@@ -340,51 +386,10 @@ def convert_batch(
     matching scalar convert() bit for bit.  seed=None disables noise.
     """
     v = np.asarray(v_sampled, dtype=float)
-    if seed is None:
-        return _convert_draws(model, v, np.zeros((len(v), model.cfg.n_bits)))
-    if indices is None:
-        indices = np.arange(len(v))
-    return _convert_draws(model, v, noise_matrix(seed, indices, model.cfg.n_bits)[:, 1:])
-
-
-def _convert_draws(model: AdcModel, v: np.ndarray, cmp_draws: np.ndarray):
-    """convert_batch's per-bit loop, given one comparator draw per sample and bit."""
-    n = model.cfg.n_bits
-    d = model.design
-
-    t_d0 = d.t_d0
-    t_max = model.t_cmp_max
-    v_dd = model.cfg.v_dd
-    v_floor = model.cfg.v_floor
-
-    def delay(mag):
-        raw = t_d0 + d.tau_reg * np.log(v_dd / np.maximum(mag, v_floor))
-        return np.clip(raw, t_d0, t_max)
-
-    residue = v.copy()
-    sign_prev = np.zeros_like(v)
-    elapsed = np.full_like(v, d.t_sample)
-    alive = np.ones(len(v), dtype=bool)
-    bits = np.zeros((len(v), n), dtype=np.int64)
-    fired = np.zeros(len(v), dtype=np.int64)
-
-    for j in range(1, n + 1):
-        alive = alive & (elapsed < model.cfg.t_conv)
-        if j > 1:
-            r_ideal = residue - sign_prev * model.step_amp[j - 1]
-            t_est = delay(np.abs(r_ideal))
-            step = model.step_amp[j - 1] * (
-                1.0 - np.exp(-(d.t_dff + t_est) / model.tau_step[j - 1])
-            )
-            residue = np.where(alive, residue - sign_prev * step, residue)
-        noisy = residue + d.sigma_cmp * cmp_draws[:, j - 1]
-        bit = (noisy >= 0.0) & alive
-        bits[:, j - 1] = bit
-        t_bit = delay(np.abs(noisy)) + d.t_dff
-        elapsed = np.where(alive, elapsed + t_bit, elapsed)
-        fired = np.where(alive, j, fired)
-        sign_prev = np.where(alive, np.where(bit, 1.0, -1.0), sign_prev)
-
-    codes = bits @ (2 ** np.arange(n - 1, -1, -1))
-    timing_ok = (fired == n) & (elapsed <= model.cfg.t_conv)
-    return codes, timing_ok
+    draws = None
+    if seed is not None:
+        if indices is None:
+            indices = np.arange(len(v))
+        draws = noise_matrix(seed, indices, model.cfg.n_bits)[:, 1:]
+    c = convert_rows([model], v, draws)
+    return c.codes, c.timing_ok

@@ -10,11 +10,12 @@ so optimizers always get a continuous feasibility signal.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adc import AdcModel, convert, conversion_energy, sample_input
+from .adc import AdcModel, convert_rows, sample_input
 from .errors import SpecError
 from .specs import DerivedSpecs
 
@@ -23,6 +24,7 @@ from .specs import DerivedSpecs
 SSRE_INVALID = 1e9
 
 POWER_GRID_POINTS = 8
+ROWS = 1 + POWER_GRID_POINTS  # kernel rows per candidate: single point + grid
 
 
 @dataclass
@@ -40,24 +42,34 @@ class CoarseReport:
     def feasible(self) -> bool:
         return bool(np.all(self.slack >= 0.0))
 
-    @property
-    def violation(self) -> float:
-        return float(np.sum(np.maximum(0.0, -self.slack)))
-
 
 def step_ratio_errors(steps: np.ndarray) -> np.ndarray:
-    """|step_i / step_{i+1} - 2| for adjacent applied steps.
+    """|step_i / step_{i+1} - 2| for adjacent applied steps (along the last axis).
 
     Pairs involving a missing step (typically a timing-dead bit) get the
     finite SSRE_INVALID sentinel instead of inf/nan.
     """
     steps = np.asarray(steps, dtype=float)
-    out = np.full(len(steps) - 1, SSRE_INVALID)
+    out = np.full(steps[..., 1:].shape, SSRE_INVALID)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = steps[:-1] / steps[1:]
-    valid = (steps[:-1] > 0) & (steps[1:] > 0)
+        ratio = steps[..., :-1] / steps[..., 1:]
+    valid = (steps[..., :-1] > 0) & (steps[..., 1:] > 0)
     out[valid] = np.abs(ratio[valid] - 2.0)
     return out
+
+
+def _measure(models: Sequence[AdcModel]):
+    """Per-candidate sampling error, step-ratio errors, timing flag and
+    average power, from one noise-free kernel call.  Candidate c owns rows
+    c*ROWS .. c*ROWS+ROWS-1: the input at the supply, then the power grid."""
+    v_in = np.array([[m.cfg.v_dd, *power_grid(m)] for m in models])
+    sampled = np.array([sample_input(m, v, v_prev=0.0) for m, v in zip(models, v_in)])
+    owner = np.repeat(np.arange(len(models)), ROWS)
+    conv = convert_rows(models, sampled.ravel(), owner=owner, charge=True)
+    power = conv.e_total.reshape(-1, ROWS)[:, 1:].mean(axis=1) * models[0].cfg.f_s
+    single = slice(None, None, ROWS)
+    return (np.abs(v_in - sampled)[:, 0], step_ratio_errors(conv.applied_step[single]),
+            conv.timing_ok[single], power)
 
 
 def single_point_test(model: AdcModel) -> tuple[float, np.ndarray, bool]:
@@ -67,11 +79,8 @@ def single_point_test(model: AdcModel) -> tuple[float, np.ndarray, bool]:
     one direction.  Returns the sampling error, the step-ratio errors of
     adjacent applied steps, and the timing flag.
     """
-    v_in = model.cfg.v_dd
-    sampled = sample_input(model, v_in, v_prev=0.0, rng_key=None)
-    sampling_error = abs(v_in - sampled)
-    trace = convert(model, sampled, rng_key=None)
-    return sampling_error, step_ratio_errors(trace.applied_step), trace.timing_ok
+    error, ssre, timing_ok, _ = _measure([model])
+    return float(error[0]), ssre[0], bool(timing_ok[0])
 
 
 def thermal_noise_estimate(model: AdcModel) -> float:
@@ -87,41 +96,34 @@ def power_grid(model: AdcModel) -> np.ndarray:
 
 def power_estimate(model: AdcModel) -> float:
     """Average supply power over the deterministic input grid."""
-    energies = []
-    for v_in in power_grid(model):
-        sampled = sample_input(model, float(v_in), v_prev=0.0, rng_key=None)
-        trace = convert(model, sampled, rng_key=None)
-        energies.append(conversion_energy(trace, model))
-    return float(np.mean(energies)) * model.cfg.f_s
+    return float(_measure([model])[3][0])
 
 
-def evaluate_coarse(model: AdcModel, specs: DerivedSpecs) -> CoarseReport:
+def evaluate_coarse(
+    model: AdcModel | Sequence[AdcModel], specs: DerivedSpecs
+) -> CoarseReport | list[CoarseReport]:
     """All three measurements plus the signed constraint-margin vector.
+
+    A sequence of models (one AdcConfig) runs in one kernel call and gives
+    one report per model, each equal to the model's own batch-of-one report.
 
     Slack layout matches specs.constraint_labels(): N-1 step-ratio margins,
     sampling, noise, then timing mapped to +1/-1.
     """
-    if specs.n_bits != model.cfg.n_bits:
-        raise SpecError(
-            f"spec resolution {specs.n_bits} != model resolution {model.cfg.n_bits}"
-        )
-    sampling_error, ssre, timing_ok = single_point_test(model)
-    noise_rms = thermal_noise_estimate(model)
-    power = power_estimate(model)
-
-    slack = np.concatenate(
-        [
-            specs.ssre_bound - ssre,
-            [specs.sampling_bound - sampling_error],
-            [specs.noise_bound - noise_rms],
-            [1.0 if timing_ok else -1.0],
-        ]
-    )
-    return CoarseReport(
-        sampling_error=sampling_error,
-        ssre=ssre,
-        noise_rms=noise_rms,
-        power=power,
-        timing_ok=timing_ok,
-        slack=slack,
-    )
+    models = [model] if isinstance(model, AdcModel) else list(model)
+    if any(m.cfg.n_bits != specs.n_bits for m in models):
+        raise SpecError(f"specs for {specs.n_bits} bits, model has {models[0].cfg.n_bits}")
+    error, ssre, timing_ok, power = _measure(models)
+    noise = np.array([thermal_noise_estimate(m) for m in models])
+    slack = np.column_stack([
+        specs.ssre_bound - ssre,
+        specs.sampling_bound - error,
+        specs.noise_bound - noise,
+        np.where(timing_ok, 1.0, -1.0),
+    ])
+    reports = [
+        CoarseReport(float(error[c]), ssre[c], float(noise[c]), float(power[c]),
+                     bool(timing_ok[c]), slack[c])
+        for c in range(len(models))
+    ]
+    return reports[0] if isinstance(model, AdcModel) else reports

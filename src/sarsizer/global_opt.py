@@ -3,9 +3,11 @@
 Generational DE/rand/1/bin over cheap evaluations.  An inverse-distance
 surrogate ranks each generation's offspring and only the most promising
 few are actually evaluated (infill); survivor selection is one-to-one
-against the parent under feasibility dominance.  The phase ends once
-enough variables have collapsed to a small fraction of their range,
-handing the rest to the local optimizer.
+against the parent under feasibility dominance.  A generation's infill
+is chosen before any of it is evaluated, so it is evaluated as one batch.
+The phase ends once a feasible best exists and enough variables have
+collapsed to a small fraction of their range, handing the rest to the
+local optimizer.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 
 from .csvio import write_csv
 from .errors import ConfigError
+
+PREDICT_BLOCK = 8  # surrogate query rows per neighbour selection
 
 
 @dataclass(frozen=True)
@@ -42,13 +46,15 @@ class Problem:
 
     ``objective`` and ``constraints`` may be given separately, or a fused
     ``evaluate`` returning (objective, slack) supplied to avoid duplicate
-    work when both come from one simulation.
+    work when both come from one simulation.  ``evaluate_batch``, preferred
+    when given, maps an (n, d) array to objectives (n,) and slacks (n, m).
     """
 
     bounds: np.ndarray  # shape (d, 2)
     objective: Callable[[np.ndarray], float] | None = None
     constraints: Callable[[np.ndarray], np.ndarray] | None = None
     evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
+    evaluate_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self) -> None:
         self.bounds = np.asarray(self.bounds, dtype=float)
@@ -56,25 +62,24 @@ class Problem:
             raise ConfigError("bounds must have shape (d, 2)")
         if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
             raise ConfigError("each bound must satisfy lo < hi")
-        if self.evaluate is None and (self.objective is None or self.constraints is None):
-            raise ConfigError("need either evaluate or objective+constraints")
+        single = self.evaluate is not None or None not in (self.objective, self.constraints)
+        if not single and self.evaluate_batch is None:
+            raise ConfigError("need evaluate, evaluate_batch or objective+constraints")
 
     @property
     def dim(self) -> int:
         return self.bounds.shape[0]
 
-    def run(self, x: np.ndarray) -> EvalRecord:
-        if self.evaluate is not None:
-            obj, slack = self.evaluate(x)
+    def run_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objectives (n,) and slacks (n, m) of the rows of xs."""
+        if self.evaluate_batch is not None:
+            obj, slack = self.evaluate_batch(xs)
+        elif self.evaluate is not None:
+            obj, slack = zip(*map(self.evaluate, xs))
         else:
-            obj = self.objective(x)
-            slack = self.constraints(x)
-        # Copy: the caller may hand in a row view of a mutable population.
-        return EvalRecord(
-            x=np.array(x, dtype=float, copy=True),
-            objective=float(obj),
-            slack=np.atleast_1d(np.array(slack, dtype=float, copy=True)),
-        )
+            obj, slack = list(map(self.objective, xs)), list(map(self.constraints, xs))
+        n = len(xs)
+        return np.asarray(obj, float).reshape(n), np.asarray(slack, float).reshape(n, -1)
 
 
 class IdwSurrogate:
@@ -99,22 +104,41 @@ class IdwSurrogate:
         self._slack = np.asarray(slack, dtype=float)
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted k-nearest predictions, PREDICT_BLOCK query rows at a time."""
         if not self.trained:
             raise ConfigError("surrogate queried before training")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         xn = (x - self.bounds[:, 0]) / self.span
         an = (self._x - self.bounds[:, 0]) / self.span
-        obj = np.empty(len(x))
-        slack = np.empty((len(x), self._slack.shape[1]))
         k = min(self.k, len(an))
-        for row, point in enumerate(xn):
-            dist = np.linalg.norm(an - point, axis=1)
-            nearest = np.argsort(dist, kind="stable")[:k]
-            w = 1.0 / (dist[nearest] + 1e-12)
-            w = w / w.sum()
-            obj[row] = w @ self._obj[nearest]
-            slack[row] = w @ self._slack[nearest]
+        nearest = np.empty((len(x), k), dtype=np.intp)
+        dist = np.empty((len(x), k))
+        for start in range(0, len(x), PREDICT_BLOCK):
+            rows = slice(start, start + PREDICT_BLOCK)
+            # The Euclidean norm as np.linalg.norm computes it, one query row
+            # at a time so no temporary grows with the block.
+            block = np.array([np.sqrt(np.square(an - q).sum(axis=1)) for q in xn[rows]])
+            nearest[rows] = _k_nearest(block, k)
+            dist[rows] = np.take_along_axis(block, nearest[rows], axis=1)
+        w = 1.0 / (dist + 1e-12)
+        w = w / w.sum(axis=1, keepdims=True)
+        obj = (w[:, None, :] @ self._obj[nearest][:, :, None])[:, 0, 0]
+        slack = (w[:, None, :] @ self._slack[nearest])[:, 0, :]
         return obj, slack
+
+
+def _k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each row's k smallest entries, ordered by (distance,
+    index): the first k of a stable argsort."""
+    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    near = np.take_along_axis(dist, part, axis=1)
+    idx = np.take_along_axis(part, np.lexsort((part, near), axis=1), axis=1)
+    # Entries tied with the k-th distance may have been left outside the
+    # partition in place of a lower index; such rows take the full sort.
+    tied = np.count_nonzero(dist <= near.max(axis=1, keepdims=True), axis=1) > k
+    for r in np.flatnonzero(tied):
+        idx[r] = np.argsort(dist[r], kind="stable")[:k]
+    return idx
 
 
 @dataclass(frozen=True)
@@ -133,6 +157,8 @@ class GlobalParams:
     def resolved(self, dim: int) -> "GlobalParams":
         pop = self.pop_size if self.pop_size is not None else 10 * dim
         infill = self.k_infill if self.k_infill is not None else max(2, pop // 5)
+        if infill < 1:  # no infill would never spend the budget
+            raise ConfigError(f"k_infill must be >= 1, got {infill}")
         target = (
             self.n_conv_target
             if self.n_conv_target is not None
@@ -236,7 +262,8 @@ def detect_convergence(
 
 
 def run_global(problem: Problem, params: GlobalParams) -> OptimizerState:
-    """Full global phase; deterministic in the seed."""
+    """Full global phase; deterministic in the seed.  The initial population
+    and each generation's infill set are one ``problem.run_batch`` call each."""
     params = params.resolved(problem.dim)
     rng = np.random.default_rng(params.seed)
     bounds = problem.bounds
@@ -256,13 +283,22 @@ def run_global(problem: Problem, params: GlobalParams) -> OptimizerState:
         state.warning = "evaluation budget exhausted before any evaluation"
         return state
 
+    arrays: list[np.ndarray] = []  # archive x, objective, slack, grown batch by batch
+
+    def evaluate(xs: np.ndarray) -> list[EvalRecord]:
+        nonlocal arrays
+        x = np.array(xs, dtype=float)  # a copy: xs may view the population
+        batch = (x, *problem.run_batch(x))
+        arrays = [np.concatenate(pair) for pair in zip(arrays, batch)] if arrays else list(batch)
+        records = [EvalRecord(*row) for row in zip(x, batch[1].tolist(), batch[2])]
+        state.archive.extend(records)
+        state.evals = len(state.archive)
+        return records
+
     n_init = min(params.pop_size, budget)
-    records = [problem.run(pop_x[i]) for i in range(n_init)]
-    state.population = records
-    state.archive.extend(records)
-    state.evals = n_init
     pop_x = pop_x[:n_init]
-    for rec in records:
+    state.population = evaluate(pop_x)
+    for rec in state.population:
         if state.best is None or feasibility_better(rec, state.best):
             state.best = rec
     state.best_x = state.best.x.copy()
@@ -283,20 +319,15 @@ def run_global(problem: Problem, params: GlobalParams) -> OptimizerState:
     state.mask = detect_convergence(pop_x, bounds, params.theta_conv)
     log_generation()
 
-    while int(state.mask.sum()) < params.n_conv_target and state.evals < params.max_evals:
-        arch_x = np.array([r.x for r in state.archive])
-        arch_obj = np.array([r.objective for r in state.archive])
-        arch_slack = np.array([r.slack for r in state.archive])
-        surrogate.train(arch_x, arch_obj, arch_slack)
-
+    while state.evals < params.max_evals and not (
+        state.best.feasible and int(state.mask.sum()) >= params.n_conv_target
+    ):
+        surrogate.train(*arrays)
         offspring = de_offspring(pop_x, params.f_weight, params.cr, rng, bounds)
         chosen = surrogate_rank(surrogate, offspring, params.k_infill)
         chosen = chosen[: params.max_evals - state.evals]
 
-        records = [problem.run(offspring[i]) for i in chosen]
-        state.evals += len(records)
-        for idx, rec in zip(chosen, records):
-            state.archive.append(rec)
+        for idx, rec in zip(chosen, evaluate(offspring[chosen])):
             if feasibility_better(rec, state.population[idx]):
                 state.population[idx] = rec
                 pop_x[idx] = rec.x

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,47 +88,15 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     def effective_dict(self) -> dict:
+        global_params = asdict(self.global_params)
+        del global_params["seed"]  # the run's seed is recorded once, below
         return {
-            "adc": {
-                "n_bits": self.adc.n_bits,
-                "f_s": self.adc.f_s,
-                "v_dd": self.adc.v_dd,
-                "temp_k": self.adc.temp_k,
-                "kappa_cmp": self.adc.kappa_cmp,
-                "kappa_sw": self.adc.kappa_sw,
-                "e_dff": self.adc.e_dff,
-                "r_drv_cap": self.adc.r_drv_cap,
-                "v_floor": self.adc.v_floor,
-            },
+            "adc": asdict(self.adc),
             "alpha": self.alpha,
             "bounds": {k: list(v) for k, v in self.bounds.items()},
-            "global": {
-                "pop_size": self.global_params.pop_size,
-                "f_weight": self.global_params.f_weight,
-                "cr": self.global_params.cr,
-                "k_infill": self.global_params.k_infill,
-                "theta_conv": self.global_params.theta_conv,
-                "n_conv_target": self.global_params.n_conv_target,
-                "max_evals": self.global_params.max_evals,
-            },
-            "local": {
-                "delta_init": self.local_params.delta_init,
-                "expensive_every": self.local_params.expensive_every,
-                "penalty_scale": self.local_params.penalty_scale,
-                "delta_w": self.local_params.delta_w,
-                "eps": self.local_params.eps,
-                "w0": self.local_params.w0,
-                "max_iter": self.local_params.max_iter,
-                "blend_at": self.local_params.blend_at,
-            },
-            "harness": {
-                "k_points": self.harness.k_points,
-                "m_segments": self.harness.m_segments,
-                "f_target_frac": self.harness.f_target_frac,
-                "amplitude_frac": self.harness.amplitude_frac,
-                "noise": self.harness.noise,
-                "verify_scale": self.harness.verify_scale,
-            },
+            "global": global_params,
+            "local": asdict(self.local_params),
+            "harness": asdict(self.harness),
             "seed": self.seed,
             "defaults_applied": self.defaults_applied,
         }
@@ -148,6 +116,16 @@ def _pick(raw: dict, *names, default=None, applied=None, label=None):
     if applied is not None:
         applied[label or names[-1]] = default
     return default
+
+
+def _integer(value, name: str, where: str, minimum: int = 0, optional: bool = False):
+    """An integer config value: an int or integral float, never a bool."""
+    if optional and value is None:
+        return None
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ConfigError(f"{where}: {name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
@@ -183,7 +161,7 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
             raise ConfigError(f"{where}: missing required key {name}")
 
     adc = AdcConfig(
-        n_bits=int(n_bits),
+        n_bits=_integer(n_bits, "n_bits", where, 2),
         f_s=float(f_s),
         v_dd=float(v_dd),
         temp_k=float(_pick(raw, "T", "temp_k", default=300.0,
@@ -220,13 +198,14 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
 
     g = raw.get("global") or {}
     global_params = GlobalParams(
-        pop_size=g.get("pop_size"),
+        pop_size=_integer(g.get("pop_size"), "global.pop_size", where, 5, optional=True),
         f_weight=float(g.get("F", g.get("f_weight", 0.5))),
         cr=float(g.get("CR", g.get("cr", 0.9))),
-        k_infill=g.get("k_infill"),
+        k_infill=_integer(g.get("k_infill"), "global.k_infill", where, 1, optional=True),
         theta_conv=float(g.get("theta_conv", 0.02)),
-        n_conv_target=g.get("n_conv_target"),
-        max_evals=int(g.get("max_evals", 5000)),
+        n_conv_target=_integer(g.get("n_conv_target"), "global.n_conv_target", where,
+                               optional=True),
+        max_evals=_integer(g.get("max_evals", 5000), "global.max_evals", where),
     )
     if not g:
         applied["global"] = "defaults"
@@ -248,12 +227,12 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
 
     h = raw.get("harness") or {}
     harness = HarnessConfig(
-        k_points=int(h.get("K", h.get("k_points", 1024))),
-        m_segments=int(h.get("M", h.get("m_segments", 4))),
+        k_points=_integer(h.get("K", h.get("k_points", 1024)), "harness.K", where, 1),
+        m_segments=_integer(h.get("M", h.get("m_segments", 4)), "harness.M", where, 1),
         f_target_frac=float(h.get("f_target_frac", 0.097)),
         amplitude_frac=float(h.get("amplitude_frac", 0.95)),
         noise=bool(h.get("noise", True)),
-        verify_scale=int(h.get("verify_scale", 4)),
+        verify_scale=_integer(h.get("verify_scale", 4), "harness.verify_scale", where, 1),
     )
     if not h:
         applied["harness"] = "defaults"
@@ -297,12 +276,7 @@ class RunResult:
             "design": self.design.to_dict(),
             "specs": self.specs.to_dict(),
             "coarse": {
-                "sampling_error": self.coarse.sampling_error,
-                "ssre": self.coarse.ssre.tolist(),
-                "noise_rms": self.coarse.noise_rms,
-                "power": self.coarse.power,
-                "timing_ok": self.coarse.timing_ok,
-                "slack": self.coarse.slack.tolist(),
+                **{k: np.asarray(v).tolist() for k, v in asdict(self.coarse).items()},
                 "feasible": self.coarse.feasible,
             },
             "spectrum": self.spectrum.to_dict(),
@@ -315,13 +289,9 @@ class RunResult:
             },
             "local": None
             if self.local_result is None
-            else {
-                "iterations": self.local_result.iterations,
-                "rollbacks": self.local_result.rollbacks,
-                "n_cheap": self.local_result.n_cheap,
-                "n_expensive": self.local_result.n_expensive,
-                "f_cheap": self.local_result.f_cheap,
-                "f_expensive": self.local_result.f_expensive,
+            else {  # the scalar results; the trajectory has its own CSV
+                k: v for k, v in asdict(self.local_result).items()
+                if k not in ("x_best", "history")
             },
             "warning": self.warning,
             "trace_files": self.trace_files,
@@ -372,7 +342,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
     plan = optimization_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
     verify_plan = verification_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
     coarse_problem = CoarseProblem(cfg=cfg.adc, specs=specs, bounds=cfg.bounds)
-    problem = Problem(bounds=bounds_array(cfg.bounds), evaluate=coarse_problem)
+    problem = Problem(
+        bounds=bounds_array(cfg.bounds), evaluate_batch=coarse_problem.evaluate_batch
+    )
     timings["derive"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -606,11 +578,7 @@ def audit_run(run_dir: str | Path) -> dict:
     run_dir = Path(run_dir)
     record = json.loads((run_dir / RECORD_NAME).read_text())
     cfg_dict = record["config"]
-    adc = AdcConfig(**{
-        key: cfg_dict["adc"][key]
-        for key in ("n_bits", "f_s", "v_dd", "temp_k", "kappa_cmp",
-                    "kappa_sw", "e_dff", "r_drv_cap", "v_floor")
-    })
+    adc = AdcConfig(**cfg_dict["adc"])
     specs = DerivedSpecs.derive(adc.n_bits, adc.v_dd, cfg_dict["alpha"])
     bounds = {k: tuple(v) for k, v in cfg_dict["bounds"].items()}
     design = load_design(run_dir / record["trace_files"]["design"])

@@ -33,14 +33,21 @@ class CoarseProblem:
     specs: DerivedSpecs
     bounds: dict[str, tuple[float, float]]
 
+    def _model(self, x: np.ndarray):
+        return build_model(DesignPoint.from_vector(x), self.cfg, self.bounds)
+
     def report(self, x: np.ndarray) -> CoarseReport:
-        design = DesignPoint.from_vector(x)
-        model = build_model(design, self.cfg, self.bounds)
-        return evaluate_coarse(model, self.specs)
+        return evaluate_coarse(self._model(x), self.specs)
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         rep = self.report(x)
         return rep.power, rep.slack
+
+    def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Powers (n,) and slacks (n, m) of the rows of xs, from one
+        kernel call; each row's result equals its own __call__'s."""
+        reports = evaluate_coarse([self._model(x) for x in xs], self.specs)
+        return np.array([r.power for r in reports]), np.array([r.slack for r in reports])
 
     def slack_scales(self) -> np.ndarray:
         """Per-constraint magnitudes used to normalize violations."""

@@ -13,11 +13,11 @@ dividing K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .adc import AdcModel, _convert_draws, sample_input
+from .adc import AdcModel, convert_rows, sample_input
 from .csvio import write_csv
 from .errors import MetricsError, PlanError
 from .rng import is_seed, noise_matrix
@@ -116,14 +116,14 @@ def _convert_segment(
     # conversions) keeps segments independent of each other.
     v_prev = plan.amplitude * np.sin(omega * (idx - 1) * t_s)
     sampled = sample_input(model, v_now, v_prev)
+    cmp_draws = None
     if noise:
         # One draw per segment: column 0 is kT/C, columns 1..n the comparator.
         draws = noise_matrix(plan.seed, idx, model.cfg.n_bits)
         sampled = sampled + model.kt_c_sigma * draws[:, 0]
-    else:
-        draws = np.zeros((len(idx), model.cfg.n_bits + 1))
-    codes, ok = _convert_draws(model, sampled, draws[:, 1:])
-    return idx, codes, ok
+        cmp_draws = draws[:, 1:]
+    conv = convert_rows([model], sampled, cmp_draws)
+    return idx, conv.codes, conv.timing_ok
 
 
 def run_segments(model: AdcModel, plan: TestPlan, noise: bool = True) -> np.ndarray:
@@ -169,13 +169,8 @@ class SpectrumReport:
     bin_power_db: np.ndarray  # one-sided, bins 0..K/2-1, dB re full scale
 
     def to_dict(self) -> dict:
-        return {
-            "sndr_db": self.sndr_db,
-            "sfdr_db": self.sfdr_db,
-            "enob": self.enob,
-            "fom_w": self.fom_w,
-            "fom_s": self.fom_s,
-        }
+        """The scalar metrics; the spectrum itself has its own CSV."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "bin_power_db"}
 
 
 def enob_from_sndr(sndr_db: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -102,16 +102,7 @@ class DerivedSpecs:
         return labels + ["sampling_error", "thermal_noise", "timing"]
 
     def to_dict(self) -> dict:
-        return {
-            "n_bits": self.n_bits,
-            "v_dd": self.v_dd,
-            "alpha": self.alpha,
-            "lsb": self.lsb,
-            "ssre_bound": self.ssre_bound.tolist(),
-            "sampling_bound": self.sampling_bound,
-            "noise_bound": self.noise_bound,
-            "sndr_ceiling": self.sndr_ceiling,
-        }
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)

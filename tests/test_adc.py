@@ -10,10 +10,11 @@ from sarsizer.adc import (
     conversion_energy,
     convert,
     convert_batch,
+    convert_rows,
     sample_input,
 )
-from sarsizer.errors import BoundsError
-from sarsizer.rng import conversion_noise
+from sarsizer.errors import BoundsError, ConfigError
+from sarsizer.rng import conversion_noise, noise_matrix
 
 from conftest import binary_search_oracle, ideal_design, ideal_quantizer, sane_design
 
@@ -286,3 +287,95 @@ class TestNoiseStreams:
         smp, cmp_draws = conversion_noise(None, 8)
         assert smp == 0.0
         assert not cmp_draws.any()
+
+
+def reference_convert(model, v, cmp_draws):
+    """Scalar per-bit reference with libm exp/log: (applied steps, t_bit,
+    delta_q, e_total, timing_ok), written out from the model equations."""
+    n, d, cfg = model.cfg.n_bits, model.design, model.cfg
+
+    def delay(mag):
+        raw = d.t_d0 + d.tau_reg * math.log(cfg.v_dd / max(mag, cfg.v_floor))
+        return min(max(raw, d.t_d0), model.t_cmp_max)
+
+    def settled(j, t_est):
+        return model.step_amp[j] * (1.0 - math.exp(-(d.t_dff + t_est) / model.tau_step[j]))
+
+    applied, t_bit, delta_q = np.zeros(n), np.zeros(n), np.zeros(n)
+    c_rail = {"p": 0.0, "n": 0.0}
+    half = cfg.v_dd / 2.0
+    elapsed, residue, sign, fired = d.t_sample, v, 0.0, 0
+    for j in range(n):
+        if elapsed >= cfg.t_conv:
+            break
+        if j == 0:
+            applied[0] = settled(0, delay(abs(v)))
+        else:
+            applied[j] = settled(j, delay(abs(residue - sign * model.step_amp[j])))
+            residue -= sign * applied[j]
+        noisy = residue + d.sigma_cmp * cmp_draws[j]
+        t_bit[j] = delay(abs(noisy)) + d.t_dff
+        elapsed += t_bit[j]
+        fired = j + 1
+        sign = 1.0 if noisy >= 0.0 else -1.0
+        if j < n - 1:
+            c_sw = 2.0 ** (n - 2 - j) * d.c_unit
+            dv = half * c_sw / model.c_tot
+            rising, other = ("n", "p") if sign > 0 else ("p", "n")
+            delta_q[j] = c_sw * (half - dv) - c_rail[rising] * dv + c_rail[other] * dv
+            c_rail[rising] += c_sw
+    e_total = (cfg.v_dd * delta_q.sum() + cfg.kappa_cmp / d.sigma_cmp**2 * fired
+               + cfg.e_dff * fired + cfg.kappa_sw / d.r_sw)
+    t_total = d.t_sample + t_bit.sum()
+    return applied, t_bit, delta_q, e_total, fired == n and t_total <= cfg.t_conv
+
+
+class TestKernel:
+    CASES = {
+        # partially settled DAC steps, comparator noise, every bit fires
+        "settling": (AdcConfig(n_bits=10, f_s=2e6, v_dd=1.0, kappa_cmp=1e-25,
+                               kappa_sw=1e-13, e_dff=1e-15),
+                     design_with(r_drv_msb=400.0, c_unit=2e-15), 0.1234, (4, 9)),
+        # metastable decisions run out of time: dead trailing bits
+        "timing_failure": (AdcConfig(n_bits=10, f_s=20e6, v_dd=1.0, kappa_cmp=1e-25),
+                           design_with(t_d0=4e-9, tau_reg=2e-9, t_dff=4e-9), 1e-7, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batch_of_one_matches_hand_reference(self, case):
+        cfg, design, v, key = self.CASES[case]
+        m = build_model(design, cfg)
+        trace = convert(m, v, rng_key=key)
+        draws = conversion_noise(key, cfg.n_bits)[1]
+        applied, t_bit, delta_q, e_total, timing_ok = reference_convert(m, v, draws)
+        np.testing.assert_allclose(trace.applied_step, applied, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace.t_bit, t_bit, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace.delta_q, delta_q, rtol=1e-12, atol=0)
+        assert trace.e_total == pytest.approx(e_total, rel=1e-12)
+        assert trace.timing_ok == timing_ok
+        assert trace.timing_ok == (case == "settling")
+
+    def test_row_result_independent_of_batch(self):
+        cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0, kappa_cmp=1e-25, e_dff=1e-15)
+        rng = np.random.default_rng(5)
+        models = [
+            build_model(design_with(c_unit=c, r_drv_msb=r, t_d0=t), cfg)
+            for c, r, t in zip(10 ** rng.uniform(-15.3, -13.5, 5),
+                               10 ** rng.uniform(2, 4, 5), 10 ** rng.uniform(-10, -7, 5))
+        ]
+        owner = np.repeat(np.arange(5), 7)
+        v = rng.uniform(-0.6, 0.6, len(owner))
+        draws = noise_matrix(2, np.arange(len(owner)), cfg.n_bits)[:, 1:]
+        many = convert_rows(models, v, draws, owner=owner, charge=True)
+        for row, c in enumerate(owner):
+            one = convert_rows([models[c]], v[row:row + 1], draws[row:row + 1], charge=True)
+            for name in ("bits", "applied_step", "t_bit", "delta_q"):
+                np.testing.assert_array_equal(getattr(many, name)[row], getattr(one, name)[0])
+            for name in ("t_total", "n_fired", "timing_ok", "e_total"):
+                assert getattr(many, name)[row] == getattr(one, name)[0], name
+
+    def test_one_config_per_call(self):
+        a = build_model(sane_design(), AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0))
+        b = build_model(sane_design(), AdcConfig(n_bits=8, f_s=2e6, v_dd=1.0))
+        with pytest.raises(ConfigError):
+            convert_rows([a, b], np.zeros(2), owner=np.arange(2))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert, sample_input
 from sarsizer.coarse import (
@@ -14,6 +15,7 @@ from sarsizer.coarse import (
     thermal_noise_estimate,
 )
 from sarsizer.errors import SpecError
+from sarsizer.pipeline import default_bounds
 from sarsizer.specs import DerivedSpecs
 
 from conftest import ideal_design, sane_design
@@ -188,3 +190,43 @@ class TestEvaluateCoarse:
             assert (rep.slack[7] > 0) == (rep.sampling_error < specs.sampling_bound)
             assert (rep.slack[8] > 0) == (rep.noise_rms < specs.noise_bound)
             assert (rep.slack[9] > 0) == rep.timing_ok
+
+
+class TestBatchedEvaluation:
+    CONFIGS = {
+        4: AdcConfig(n_bits=4, f_s=1e6, v_dd=1.0, kappa_cmp=1e-25, kappa_sw=1e-13, e_dff=1e-15),
+        8: AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0, kappa_cmp=1e-25, kappa_sw=1e-13, e_dff=1e-15),
+        12: AdcConfig(n_bits=12, f_s=20e6, v_dd=1.0, kappa_cmp=1e-25, kappa_sw=1e-13,
+                      e_dff=1e-15, r_drv_cap=150.0),
+    }
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_bits=st.sampled_from(sorted(CONFIGS)),
+        unit=st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8), min_size=1, max_size=6
+        ),
+    )
+    def test_many_candidates_equal_batches_of_one(self, n_bits, unit):
+        """Each report of a many-candidate call equals its own batch-of-one
+        report bit for bit: rows never interact in the kernel."""
+        cfg = self.CONFIGS[n_bits]
+        bounds = default_bounds(cfg)
+        models = [
+            build_model(DesignPoint(**{
+                name: lo * (hi / lo) ** u for (name, (lo, hi)), u in zip(bounds.items(), row)
+            }), cfg)
+            for row in unit
+        ]
+        specs = DerivedSpecs.derive(n_bits, cfg.v_dd, 1.0)
+        many = evaluate_coarse(models, specs)
+        assert len(many) == len(models)
+        for m, rep in zip(models, many):
+            one = evaluate_coarse(m, specs)
+            assert rep.power == one.power
+            assert rep.sampling_error == one.sampling_error
+            assert rep.timing_ok == one.timing_ok
+            np.testing.assert_array_equal(rep.ssre, one.ssre)
+            np.testing.assert_array_equal(rep.slack, one.slack)
+            assert one.power == power_estimate(m)
+            assert (one.sampling_error, one.timing_ok) == single_point_test(m)[::2]

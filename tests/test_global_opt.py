@@ -195,6 +195,41 @@ class TestSurrogate:
         assert pred_obj[0] == pytest.approx(float(w @ obj), rel=1e-12)
         assert pred_slack[0, 0] == pytest.approx(float(w @ slack[:, 0]), rel=1e-12)
 
+    def test_kth_distance_tie_keeps_lower_index(self):
+        # Queried at 0, fifteen archive points tie at distance 1/4.  k=5
+        # takes the five lowest of their indices, as a stable sort does
+        # (a plain partition of this row picks index 13 instead of 8).
+        dist = [0.25, 0.25, 0.75, 0.75, 0.25, 0.5, 0.25, 0.5, 0.25, 0.25, 0.75, 0.25,
+                0.5, 0.25, 0.75, 0.5, 0.25, 0.75, 0.25, 0.25, 0.25, 0.25, 0.5, 0.25,
+                0.25, 0.25, 0.25]
+        x = np.array(dist)[:, None]
+        obj = np.arange(len(x), dtype=float) ** 2
+        sur = IdwSurrogate(np.array([[0.0, 1.0]]), k=5, min_points=2)
+        sur.train(x, obj, obj[:, None])
+        pred_obj, pred_slack = sur.predict(np.array([[0.0]]))
+        assert pred_obj[0] == pytest.approx(np.mean(obj[[0, 1, 4, 6, 8]]), rel=1e-15)
+        assert pred_slack[0, 0] == pred_obj[0]
+
+    def test_matches_per_row_reference_on_large_archive(self):
+        rng = np.random.default_rng(11)
+        bounds = np.array([[0.0, 2.0]] * 8)
+        x = rng.random((2000, 8)) * 2.0
+        x[1000:1010] = x[:10]  # exact duplicates tie at every distance
+        obj = rng.random(2000)
+        slack = rng.standard_normal((2000, 10))
+        sur = IdwSurrogate(bounds)
+        sur.train(x, obj, slack)
+        queries = np.vstack([rng.random((37, 8)) * 2.0, x[:3]])
+        pred_obj, pred_slack = sur.predict(queries)
+        an, qn = x / 2.0, queries / 2.0
+        for row, q in enumerate(qn):
+            dist = np.linalg.norm(an - q, axis=1)
+            nearest = np.argsort(dist, kind="stable")[:5]
+            w = 1.0 / (dist[nearest] + 1e-12)
+            w = w / w.sum()
+            np.testing.assert_allclose(pred_obj[row], w @ obj[nearest], rtol=1e-12)
+            np.testing.assert_allclose(pred_slack[row], w @ slack[nearest], rtol=1e-12)
+
     def test_candidate_near_feasible_cluster_ranks_first(self):
         sur = IdwSurrogate(np.array([[0, 1], [0, 1]]), min_points=3)
         sur.train(*self.archive())
@@ -274,6 +309,48 @@ class TestRunGlobal:
         state = run_global(problem, GlobalParams(max_evals=800, seed=2))
         assert state.best.violation == 0.0
         assert state.best.objective < 0.30
+
+    def test_one_batch_evaluation_per_generation(self):
+        calls = []
+
+        def evaluate_batch(xs):
+            calls.append(len(xs))
+            return np.sum(xs**2, axis=1), xs[:, :1] - 0.5
+
+        problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
+        params = GlobalParams(max_evals=300, seed=8, k_infill=7, n_conv_target=4)
+        state = run_global(problem, params)
+        assert len(calls) == state.generation + 1
+        assert calls[0] == 30 and set(calls[1:-1]) == {7}
+        assert sum(calls) == state.evals == 300
+
+    def test_batch_and_scalar_evaluators_agree(self):
+        def evaluate_batch(xs):
+            return np.sum(xs**2, axis=1), xs[:, :1] - 0.5
+
+        params = GlobalParams(max_evals=400, seed=3)
+        a = run_global(sphere_problem(), params)
+        b = run_global(Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch), params)
+        assert len(a.archive) == len(b.archive)
+        for ra, rb in zip(a.archive, b.archive):
+            np.testing.assert_array_equal(ra.x, rb.x)
+            np.testing.assert_array_equal(ra.slack, rb.slack)
+            assert ra.objective == rb.objective
+
+    def test_no_convergence_handoff_while_infeasible(self):
+        def evaluate(x):
+            return float(np.sum(x)), np.array([-1.0 - x[0]])  # never feasible
+
+        problem = Problem(bounds=UNIT3.copy(), evaluate=evaluate)
+        state = run_global(problem, GlobalParams(max_evals=200, seed=1, theta_conv=1.0,
+                                                 n_conv_target=1))
+        assert state.mask.sum() >= 1
+        assert state.evals == 200
+        assert state.warning == "no feasible point found; returning least-violating"
+
+    def test_zero_infill_rejected(self):
+        with pytest.raises(ConfigError, match="k_infill"):
+            run_global(sphere_problem(), GlobalParams(max_evals=100, k_infill=0))
 
     def test_problem_requires_some_evaluator(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -89,6 +90,40 @@ class TestLoadConfig:
         cfg = load_config("{N: 8, fs: 1e6, V_DD: 1, seed: 18446744073709551615}", is_text=True)
         assert cfg.seed == 2**64 - 1
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("global", "pop_size", "'40'"),
+        ("global", "pop_size", "true"),
+        ("global", "pop_size", "40.5"),
+        ("global", "pop_size", "4"),
+        ("global", "k_infill", "2.5"),
+        ("global", "k_infill", "0"),
+        ("global", "k_infill", "false"),
+        ("global", "n_conv_target", "'9'"),
+        ("global", "n_conv_target", "-1"),
+        ("global", "max_evals", "2.5"),
+        ("global", "max_evals", "true"),
+        ("global", "max_evals", "[50]"),
+        ("harness", "K", "256.5"),
+        ("harness", "K", "'256'"),
+        ("harness", "M", "true"),
+        ("harness", "verify_scale", "1.5"),
+    ])
+    def test_non_integer_counts_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            load_config(f"{{N: 8, fs: 1e6, V_DD: 1, {section}: {{{key}: {value}}}}}",
+                        is_text=True)
+
+    def test_integral_counts_accepted(self):
+        cfg = load_config(
+            "{N: 8, fs: 1e6, V_DD: 1, global: {pop_size: 40.0, max_evals: 2000, "
+            "n_conv_target: 9, k_infill: 3}, harness: {K: 256, M: 4.0, verify_scale: 2}}",
+            is_text=True,
+        )
+        g = cfg.global_params
+        assert (g.pop_size, g.max_evals, g.n_conv_target, g.k_infill) == (40, 2000, 9, 3)
+        assert type(g.pop_size) is int and type(cfg.harness.m_segments) is int
+        assert (cfg.harness.k_points, cfg.harness.verify_scale) == (256, 2)
+
     def test_local_lambda_inf(self):
         cfg = load_config(
             "{N: 8, fs: 1e6, V_DD: 1, local: {lambda: inf}}", is_text=True
@@ -129,6 +164,11 @@ class TestRunPipeline:
         assert "phase_timings" not in json.dumps(record)
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings) == {"derive", "global", "local", "verify"}
+
+    def test_record_adc_block_is_the_whole_config(self, small_run):
+        cfg, _, out = small_run
+        record = json.loads((out / "run_record.json").read_text())
+        assert record["config"]["adc"] == dataclasses.asdict(cfg.adc)
 
     def test_audit_recomputes_identically(self, small_run):
         _, _, out = small_run
