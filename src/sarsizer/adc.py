@@ -314,21 +314,20 @@ def _switch_charge(v_dd: float, c_unit: np.ndarray, c_tot: np.ndarray,
     """
     rows, n = bits.shape
     half_rail = v_dd / 2.0
-    c_vdd_p = np.zeros(rows)
-    c_vdd_n = np.zeros(rows)
-    delta_q = np.zeros((rows, n))
-    for j in range(n - 1):
-        c_sw = 2.0 ** (n - 2 - j) * c_unit
-        dv_top = half_rail * c_sw / c_tot
-        up = bits[:, j] == 1
-        fired = n_fired > j
-        c_rising = np.where(up, c_vdd_n, c_vdd_p)  # side whose cap joins the rail
-        c_other = np.where(up, c_vdd_p, c_vdd_n)
-        dq = (c_sw * (half_rail - dv_top) - c_rising * dv_top) + c_other * dv_top
-        delta_q[:, j] = dq * fired
-        c_vdd_n = c_vdd_n + c_sw * (fired & up)
-        c_vdd_p = c_vdd_p + c_sw * (fired & ~up)
-    return delta_q
+    # (rows or 1, n-1): column j is the switch event after decision j.
+    c_sw = np.reshape(c_unit, (-1, 1)) * 2.0 ** np.arange(n - 2, -1, -1)
+    dv_top = half_rail * c_sw / np.reshape(c_tot, (-1, 1))
+    up = bits[:, :-1] == 1
+    fired = n_fired[:, None] > np.arange(n - 1)
+    # Supply-tied capacitance before each event: exclusive running sums,
+    # added in event order (accumulate is sequential, like a loop).
+    before = np.zeros((rows, 1))
+    c_vdd_n = np.cumsum(np.hstack([before, (c_sw * (fired & up))[:, :-1]]), axis=1)
+    c_vdd_p = np.cumsum(np.hstack([before, (c_sw * (fired & ~up))[:, :-1]]), axis=1)
+    c_rising = np.where(up, c_vdd_n, c_vdd_p)  # side whose cap joins the rail
+    c_other = np.where(up, c_vdd_p, c_vdd_n)
+    dq = (c_sw * (half_rail - dv_top) - c_rising * dv_top) + c_other * dv_top
+    return np.hstack([dq * fired, np.zeros((rows, 1))])
 
 
 def _energy(cfg: AdcConfig, sigma_cmp: np.ndarray, r_sw: np.ndarray,

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .csvio import write_csv
-from .errors import ConfigError
+from .errors import ConfigError, SarSizerError
 
 SHRINK = 0.5
 MAX_EXTRAPOLATIONS = 8
@@ -54,6 +54,7 @@ class LocalResult:
     rollbacks: int
     n_cheap: int
     n_expensive: int
+    n_expensive_failed: int   # expensive evaluations that raised a toolkit or FP error
     history: list[dict] = field(default_factory=list)
 
 
@@ -128,9 +129,10 @@ def run_local(
     """Refine the free coordinates of x0; frozen ones pass through untouched.
 
     The cheap objective should be normalized nonnegative, otherwise the
-    rollback test degenerates.  An expensive evaluator that raises or
-    returns a non-finite value counts as +inf, which forces the rollback
-    path rather than aborting the run.
+    rollback test degenerates.  An expensive evaluator that raises a
+    SarSizerError or FloatingPointError, or returns a non-finite value,
+    counts as +inf, which forces the rollback path rather than aborting
+    the run.  Any other exception is a bug and propagates.
     """
     x0 = np.asarray(x0, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
@@ -140,7 +142,7 @@ def run_local(
     if bounds.shape != (d, 2):
         raise ConfigError("bounds shape must match x0")
 
-    counts = {"cheap": 0, "expensive": 0}
+    counts = {"cheap": 0, "expensive": 0, "failed": 0}
 
     def cheap(x: np.ndarray) -> float:
         counts["cheap"] += 1
@@ -150,7 +152,8 @@ def run_local(
         counts["expensive"] += 1
         try:
             val = float(f_expensive(x))
-        except Exception:
+        except (SarSizerError, FloatingPointError):
+            counts["failed"] += 1
             return math.inf
         return val if math.isfinite(val) else math.inf
 
@@ -250,6 +253,7 @@ def run_local(
         rollbacks=rollbacks,
         n_cheap=counts["cheap"],
         n_expensive=counts["expensive"],
+        n_expensive_failed=counts["failed"],
         history=history,
     )
 

@@ -39,7 +39,7 @@ from .sndr import (
 from .specs import DerivedSpecs
 
 RECORD_NAME = "run_record.json"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def default_bounds(cfg: AdcConfig) -> dict[str, tuple[float, float]]:

@@ -6,13 +6,14 @@ Determinism is carried entirely by each adapter's constructor state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .adc import DESIGN_FIELDS, AdcConfig, DesignPoint, build_model
 from .coarse import CoarseReport, evaluate_coarse, power_estimate
 from .errors import MetricsError
-from .sndr import TestPlan, run_segments, spectrum_metrics
+from .sndr import TestPlan, run_segments, segment_stimulus, spectrum_metrics
 from .specs import DerivedSpecs
 
 # Fallback anchor when the starting design draws no power at all.
@@ -101,10 +102,17 @@ class ExpensiveObjective:
     bounds: dict[str, tuple[float, float]]
     noise: bool = True
 
+    @cached_property
+    def stimuli(self) -> tuple:
+        """Every segment's stimulus, built on the first call: it depends on
+        (plan, N, noise) only, so each capture of this objective reuses it."""
+        return tuple(segment_stimulus(self.plan, k, self.cfg.n_bits, self.noise)
+                     for k in range(self.plan.m_segments))
+
     def __call__(self, x: np.ndarray) -> float:
         design = DesignPoint.from_vector(x)
         model = build_model(design, self.cfg, self.bounds)
-        codes = run_segments(model, self.plan, noise=self.noise)
+        codes = run_segments(model, self.plan, noise=self.noise, stimuli=self.stimuli)
         power = power_estimate(model)
         try:
             report = spectrum_metrics(codes, self.plan, power, self.cfg.n_bits)

@@ -13,6 +13,7 @@ dividing K.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -103,10 +104,12 @@ def segment_indices(plan: TestPlan, k: int) -> np.ndarray:
     return np.arange(plan.k_points // plan.m_segments) * plan.m_segments + k
 
 
-def _convert_segment(
-    model: AdcModel, plan: TestPlan, k: int, noise: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one segment; returns (indices, codes, timing_ok)."""
+def segment_stimulus(
+    plan: TestPlan, k: int, n_bits: int, noise: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The design-independent part of segment k: (indices, input, previous
+    input, noise draws or None).  It depends on (plan, n_bits, noise) only,
+    so callers that run one plan on many designs may build it once."""
     idx = segment_indices(plan, k)
     t_s = 1.0 / plan.f_s
     omega = 2.0 * math.pi * plan.f_in
@@ -115,32 +118,47 @@ def _convert_segment(
     # input value.  Reconstructing it analytically (rather than chaining
     # conversions) keeps segments independent of each other.
     v_prev = plan.amplitude * np.sin(omega * (idx - 1) * t_s)
+    # One draw per segment: column 0 is kT/C, columns 1..n the comparator.
+    draws = noise_matrix(plan.seed, idx, n_bits) if noise else None
+    return idx, v_now, v_prev, draws
+
+
+def _convert_segment(model: AdcModel, stimulus: tuple) -> tuple[np.ndarray, ...]:
+    """Run one segment's stimulus on model; returns (indices, codes, timing_ok)."""
+    idx, v_now, v_prev, draws = stimulus
     sampled = sample_input(model, v_now, v_prev)
     cmp_draws = None
-    if noise:
-        # One draw per segment: column 0 is kT/C, columns 1..n the comparator.
-        draws = noise_matrix(plan.seed, idx, model.cfg.n_bits)
+    if draws is not None:
         sampled = sampled + model.kt_c_sigma * draws[:, 0]
         cmp_draws = draws[:, 1:]
     conv = convert_rows([model], sampled, cmp_draws)
     return idx, conv.codes, conv.timing_ok
 
 
-def run_segments(model: AdcModel, plan: TestPlan, noise: bool = True) -> np.ndarray:
+def run_segments(
+    model: AdcModel, plan: TestPlan, noise: bool = True, stimuli: Sequence | None = None
+) -> np.ndarray:
     """Merged capture codes, index m holds conversion m of the schedule."""
-    codes, _ = run_segments_detailed(model, plan, noise=noise)
+    codes, _ = run_segments_detailed(model, plan, noise=noise, stimuli=stimuli)
     return codes
 
 
 def run_segments_detailed(
-    model: AdcModel, plan: TestPlan, noise: bool = True
+    model: AdcModel, plan: TestPlan, noise: bool = True, stimuli: Sequence | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merged (codes, timing_ok); per-sample timing failures are recorded,
-    never fatal.  Segments run one after another in this process."""
+    never fatal.  Segments run one after another in this process, each
+    building, using and dropping its segment_stimulus, unless stimuli
+    holds every segment's (built for this plan, N and noise).
+    """
     codes = np.zeros(plan.k_points, dtype=np.int64)
     ok = np.zeros(plan.k_points, dtype=bool)
     for k in range(plan.m_segments):
-        idx, seg_codes, seg_ok = _convert_segment(model, plan, k, noise)
+        idx, seg_codes, seg_ok = _convert_segment(
+            model,
+            stimuli[k] if stimuli is not None
+            else segment_stimulus(plan, k, model.cfg.n_bits, noise),
+        )
         codes[idx] = seg_codes
         ok[idx] = seg_ok
     return codes, ok

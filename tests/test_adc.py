@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sarsizer.adc import (
     AdcConfig,
@@ -13,6 +14,7 @@ from sarsizer.adc import (
     convert_rows,
     sample_input,
 )
+from sarsizer.adc import _switch_charge
 from sarsizer.errors import BoundsError, ConfigError
 from sarsizer.rng import conversion_noise, noise_matrix
 
@@ -379,3 +381,51 @@ class TestKernel:
         b = build_model(sane_design(), AdcConfig(n_bits=8, f_s=2e6, v_dd=1.0))
         with pytest.raises(ConfigError):
             convert_rows([a, b], np.zeros(2), owner=np.arange(2))
+
+
+def loop_switch_charge(v_dd, c_unit, c_tot, bits, n_fired):
+    """The per-bit loop that adc._switch_charge replaced, kept as its reference."""
+    rows, n = bits.shape
+    half_rail = v_dd / 2.0
+    c_vdd_p = np.zeros(rows)
+    c_vdd_n = np.zeros(rows)
+    delta_q = np.zeros((rows, n))
+    for j in range(n - 1):
+        c_sw = 2.0 ** (n - 2 - j) * c_unit
+        dv_top = half_rail * c_sw / c_tot
+        up = bits[:, j] == 1
+        fired = n_fired > j
+        c_rising = np.where(up, c_vdd_n, c_vdd_p)
+        c_other = np.where(up, c_vdd_p, c_vdd_n)
+        dq = (c_sw * (half_rail - dv_top) - c_rising * dv_top) + c_other * dv_top
+        delta_q[:, j] = dq * fired
+        c_vdd_n = c_vdd_n + c_sw * (fired & up)
+        c_vdd_p = c_vdd_p + c_sw * (fired & ~up)
+    return delta_q
+
+
+class TestSwitchCharge:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 14),
+        rows=st.integers(1, 40),
+        per_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop_bit_for_bit(self, n, rows, per_row, seed):
+        """Random bits, rows that stopped early (n_fired < n), and one
+        c_unit for all rows (a numpy scalar, as the kernel passes it for a
+        single model) or one per row."""
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, (rows, n))
+        n_fired = rng.integers(0, n + 1, rows)
+        c_unit = 10.0 ** rng.uniform(-15.5, -13.0, rows if per_row else None)
+        if not per_row:
+            c_unit = np.float64(c_unit)
+        c_tot = 2.0 ** (n - 1) * c_unit
+        v_dd = float(rng.uniform(0.5, 1.5))
+        got = _switch_charge(v_dd, c_unit, c_tot, bits, n_fired)
+        want = loop_switch_charge(v_dd, c_unit, c_tot, bits, n_fired)
+        assert got.shape == (rows, n)
+        np.testing.assert_array_equal(got, want)
+        assert (got[n_fired[:, None] <= np.arange(n)] == 0.0).all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sarsizer.errors import ConfigError
+from sarsizer.errors import ConfigError, MetricsError
 from sarsizer.local_opt import (
     LocalParams,
     blend_decision,
@@ -206,7 +206,7 @@ class TestRunLocal:
         bounds = np.array([[0.0, 1.0]] * 2)
 
         def broken(x):
-            raise RuntimeError("capture failed")
+            raise MetricsError("capture failed")
 
         res = run_local(
             np.array([0.9, 0.9]), np.zeros(2, bool), quad([0.1, 0.1]), broken,
@@ -214,6 +214,30 @@ class TestRunLocal:
         )
         assert res.rollbacks >= 1
         assert res.f_expensive == math.inf
+        assert res.n_expensive_failed >= 1
+        assert res.n_expensive_failed == res.n_expensive
+
+    def test_programming_error_in_expensive_evaluator_propagates(self):
+        """A bug is never turned into a rollback."""
+        bounds = np.array([[0.0, 1.0]] * 2)
+
+        def buggy(x):
+            raise RuntimeError("not an optimizer signal")
+
+        with pytest.raises(RuntimeError, match="not an optimizer signal"):
+            run_local(
+                np.array([0.9, 0.9]), np.zeros(2, bool), quad([0.1, 0.1]), buggy,
+                LocalParams(expensive_every=1, max_iter=5), bounds,
+            )
+
+    def test_no_failures_counted_for_a_working_evaluator(self):
+        bounds = np.array([[0.0, 1.0]] * 2)
+        res = run_local(
+            np.array([0.9, 0.9]), np.zeros(2, bool), quad([0.1, 0.1]), quad([0.2, 0.2]),
+            LocalParams(expensive_every=1, max_iter=5), bounds,
+        )
+        assert res.n_expensive >= 1
+        assert res.n_expensive_failed == 0
 
     def test_delta_shrinks_on_rollback(self):
         bounds = np.array([[0.0, 1.0]] * 2)

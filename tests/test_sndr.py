@@ -3,10 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sarsizer.adc import AdcConfig, build_model, convert_batch
+from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert_batch
+from sarsizer.coarse import power_estimate
 from sarsizer.errors import MetricsError, PlanError
+from sarsizer.pipeline import default_bounds
+from sarsizer.problem import ExpensiveObjective, bounds_array
 from sarsizer.rng import noise_matrix
 from sarsizer.sndr import (
     TestPlan,
@@ -203,6 +206,95 @@ class TestSegments:
         codes, ok = run_segments_detailed(model, plan, noise=False)
         assert len(codes) == 64
         assert not ok.all()
+
+
+STIMULUS_CONFIGS = {
+    8: AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0, kappa_cmp=1e-25, kappa_sw=1e-13, e_dff=1e-15),
+    12: AdcConfig(n_bits=12, f_s=20e6, v_dd=1.0, kappa_cmp=1e-25, kappa_sw=1e-13,
+                  e_dff=1e-15, r_drv_cap=150.0),
+}
+# Every variable at its upper bound: slow comparator and logic, long
+# sampling window; at 12 bits and 20 MS/s many conversions run out of time.
+TIMING_FAIL_UNIT = [1.0] * 8
+
+
+def design_vector(bounds, unit):
+    """Log-uniform point of the bounds box, in design-vector order."""
+    lo, hi = bounds_array(bounds).T
+    return np.clip(lo * (hi / lo) ** np.asarray(unit), lo, hi)
+
+
+def expensive_value_by_default_path(cfg, plan, bounds, noise, x):
+    """ExpensiveObjective's value computed with a capture that draws its
+    own stimulus, one segment at a time."""
+    model = build_model(DesignPoint.from_vector(x), cfg, bounds)
+    codes = run_segments(model, plan, noise=noise)
+    try:
+        report = spectrum_metrics(codes, plan, power_estimate(model), cfg.n_bits)
+    except MetricsError:
+        return math.inf
+    return -report.fom_s
+
+
+class TestReusedStimulus:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_bits=st.sampled_from(sorted(STIMULUS_CONFIGS)),
+        units=st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8), min_size=1, max_size=3
+        ),
+        noise=st.booleans(),
+        m=st.sampled_from([1, 4]),
+    )
+    @example(n_bits=12, units=[TIMING_FAIL_UNIT], noise=True, m=4)
+    @example(n_bits=12, units=[TIMING_FAIL_UNIT], noise=False, m=1)
+    def test_reused_stimulus_matches_default_capture(self, n_bits, units, noise, m):
+        """One objective's stimulus, built on its first call and reused for
+        every later design, gives the codes and the value that a capture
+        drawing its own stimulus gives."""
+        cfg = STIMULUS_CONFIGS[n_bits]
+        bounds = default_bounds(cfg)
+        plan = plan_test(cfg.f_s, 256, m, 0.097 * cfg.f_s, 0.475, seed=5)
+        objective = ExpensiveObjective(cfg=cfg, plan=plan, bounds=bounds, noise=noise)
+        for unit in units:
+            x = design_vector(bounds, unit)
+            model = build_model(DesignPoint.from_vector(x), cfg, bounds)
+            reused = run_segments_detailed(model, plan, noise=noise, stimuli=objective.stimuli)
+            drawn = run_segments_detailed(model, plan, noise=noise)
+            np.testing.assert_array_equal(reused[0], drawn[0])
+            np.testing.assert_array_equal(reused[1], drawn[1])
+            assert objective(x) == expensive_value_by_default_path(cfg, plan, bounds, noise, x)
+
+    def test_timing_fail_example_fails_timing(self):
+        cfg = STIMULUS_CONFIGS[12]
+        bounds = default_bounds(cfg)
+        model = build_model(
+            DesignPoint.from_vector(design_vector(bounds, TIMING_FAIL_UNIT)), cfg, bounds
+        )
+        plan = plan_test(cfg.f_s, 256, 4, 0.097 * cfg.f_s, 0.475, seed=5)
+        _, ok = run_segments_detailed(model, plan, noise=True)
+        assert not ok.all()
+
+    def test_one_noise_draw_per_segment_per_objective(self, monkeypatch):
+        import sarsizer.adc
+        import sarsizer.sndr
+
+        calls = []
+
+        def counted(seed, indices, n_bits):
+            calls.append(len(indices))
+            return noise_matrix(seed, indices, n_bits)
+
+        monkeypatch.setattr(sarsizer.sndr, "noise_matrix", counted)
+        monkeypatch.setattr(sarsizer.adc, "noise_matrix", counted)
+        cfg = STIMULUS_CONFIGS[12]
+        bounds = default_bounds(cfg)
+        objective = ExpensiveObjective(
+            cfg=cfg, plan=make_plan(k_points=256, m_segments=4, seed=3), bounds=bounds
+        )
+        for u in (0.2, 0.5, 0.8):
+            objective(design_vector(bounds, [u] * 8))
+        assert calls == [64] * 4
 
 
 class TestSpectrumMetrics:
