@@ -11,15 +11,13 @@ from .adc import (
     DESIGN_FIELDS,
     AdcConfig,
     AdcModel,
-    ConversionTrace,
+    Conversions,
     DesignPoint,
     build_model,
-    convert,
-    convert_batch,
-    conversion_energy,
+    convert_rows,
     sample_input,
 )
-from .coarse import CoarseReport, evaluate_coarse, power_estimate, single_point_test, thermal_noise_estimate
+from .coarse import CoarseReport, evaluate_coarse, power_estimate, thermal_noise_estimate
 from .errors import BoundsError, ConfigError, MetricsError, PlanError, SpecError
 from .global_opt import (
     GlobalParams,

@@ -7,19 +7,19 @@ delay.  Two distortion mechanisms are modeled: incomplete charge transfer
 during the sampling window (RC settling toward the input) and incomplete
 DAC settling in the asynchronous time available before each comparator
 decision.  Thermal noise enters as a sampled kT/C term plus the
-comparator's input-referred noise, both drawn from counter-based streams
-keyed by the global sample index so parallel captures reproduce full-rate
-runs exactly.
+comparator's input-referred noise; the caller supplies both as standard
+normal draws (``rng.noise_matrix``, keyed by the global sample index), so
+this module draws nothing itself.
 
 Energy is tallied per conversion from event-level charge accounting on a
 common-mode-referenced switched capacitor array, a comparator term that
 scales inversely with its noise power, per-cycle logic energy, and a
 sampling-switch driver term.
 
-One kernel, ``convert_rows``, runs every conversion: its rows may belong
-to different designs, so a whole generation's coarse tests are one call
-and a capture segment is another.  The traced scalar ``convert`` and
-``convert_batch`` are thin wrappers around it.
+One kernel, ``convert_rows``, runs every conversion and returns one
+``Conversions`` row per input: its rows may belong to different designs,
+so a whole generation's coarse tests are one call and a capture segment
+is another.  A single conversion is a batch of one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import BoundsError, ConfigError
-from .rng import NoiseKey, noise_matrix
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -153,22 +152,6 @@ class AdcModel:
         return math.sqrt(2.0 * BOLTZMANN * self.cfg.temp_k / self.c_tot)
 
 
-@dataclass
-class ConversionTrace:
-    """Everything observable from a single conversion."""
-
-    code: int
-    bits: np.ndarray          # 0/1 per bit, MSB first
-    applied_step: np.ndarray  # realized differential step entering each decision, V
-    t_bit: np.ndarray         # comparator + logic time per fired bit cycle, s
-    delta_q: np.ndarray       # reference charge drawn by the switch event after each bit, C
-    t_total: float            # sampling window + fired bit cycles, s
-    q_ref: float              # total reference charge, C
-    e_total: float            # conversion energy, J
-    timing_ok: bool
-    n_fired: int
-
-
 def build_model(
     design: DesignPoint,
     cfg: AdcConfig,
@@ -183,23 +166,14 @@ def sample_input(
     model: AdcModel,
     v_in: float | np.ndarray,
     v_prev: float | np.ndarray = 0.0,
-    rng_key: NoiseKey | tuple[int, np.ndarray] | None = None,
 ) -> float | np.ndarray:
-    """Track-and-hold output for one sample, or elementwise for arrays.
+    """Noise-free track-and-hold output for one sample, or elementwise for arrays.
 
     The held voltage settles from v_prev toward v_in with time constant
-    r_sw * c_tot over the sampling window; with a noise key (seed, index
-    or index array), the kT/C draw of each index is added on top.
-    Overrange inputs are allowed (they clip later, in the conversion).
+    r_sw * c_tot over the sampling window.  Overrange inputs are allowed
+    (they clip later, in the conversion).
     """
-    settled = v_in - (v_in - v_prev) * math.exp(
-        -model.design.t_sample / model.tau_smp
-    )
-    if rng_key is None:
-        return settled
-    seed, index = rng_key
-    draw = noise_matrix(seed, np.reshape(index, -1), 0)[:, 0]
-    return settled + model.kt_c_sigma * draw.reshape(np.shape(index))
+    return v_in - (v_in - v_prev) * math.exp(-model.design.t_sample / model.tau_smp)
 
 
 @dataclass
@@ -344,51 +318,3 @@ def _energy(cfg: AdcConfig, sigma_cmp: np.ndarray, r_sw: np.ndarray,
     e_logic = cfg.e_dff * n_fired
     e_sw = cfg.kappa_sw / r_sw
     return e_dac + e_cmp + e_logic + e_sw
-
-
-def convert(
-    model: AdcModel,
-    v_sampled: float,
-    rng_key: NoiseKey | None = None,
-) -> ConversionTrace:
-    """One conversion, traced: the kernel (convert_rows) as a batch of one.
-
-    The comparator draws come from the stream keyed by rng_key; None
-    disables noise.
-    """
-    draws = None
-    if rng_key is not None:
-        seed, index = rng_key
-        draws = noise_matrix(seed, np.array([index]), model.cfg.n_bits)[:, 1:]
-    c = convert_rows([model], np.array([v_sampled], dtype=float), draws, charge=True)
-    row = {f.name: getattr(c, f.name)[0] for f in fields(c)}
-    return ConversionTrace(code=int(c.codes[0]), q_ref=float(row["delta_q"].sum()),
-                           **{k: v.item() if v.ndim == 0 else v for k, v in row.items()})
-
-
-def conversion_energy(trace: ConversionTrace, model: AdcModel) -> float:
-    """Total conversion energy of a trace, by the kernel's energy law."""
-    d = model.design
-    row = (np.array([v]) for v in (d.sigma_cmp, d.r_sw, trace.q_ref, trace.n_fired))
-    return float(_energy(model.cfg, *row)[0])
-
-
-def convert_batch(
-    model: AdcModel,
-    v_sampled: np.ndarray,
-    seed: int | None = None,
-    indices: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized conversions; returns (codes, timing_ok).
-
-    Sample m draws its noise from the stream keyed by (seed, indices[m]),
-    matching scalar convert() bit for bit.  seed=None disables noise.
-    """
-    v = np.asarray(v_sampled, dtype=float)
-    draws = None
-    if seed is not None:
-        if indices is None:
-            indices = np.arange(len(v))
-        draws = noise_matrix(seed, indices, model.cfg.n_bits)[:, 1:]
-    c = convert_rows([model], v, draws)
-    return c.codes, c.timing_ok

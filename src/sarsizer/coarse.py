@@ -72,17 +72,6 @@ def _measure(models: Sequence[AdcModel]):
             conv.timing_ok[single], power)
 
 
-def single_point_test(model: AdcModel) -> tuple[float, np.ndarray, bool]:
-    """One noise-free conversion with the differential input at the supply.
-
-    Every decision goes the same way, so all DAC steps are exercised in
-    one direction.  Returns the sampling error, the step-ratio errors of
-    adjacent applied steps, and the timing flag.
-    """
-    error, ssre, timing_ok, _ = _measure([model])
-    return float(error[0]), ssre[0], bool(timing_ok[0])
-
-
 def thermal_noise_estimate(model: AdcModel) -> float:
     """Total rms noise: sampled kT/C plus comparator input-referred noise."""
     return math.sqrt(model.kt_c_sigma**2 + model.design.sigma_cmp**2)

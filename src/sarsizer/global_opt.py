@@ -44,16 +44,11 @@ class EvalRecord:
 class Problem:
     """Bounded minimization with signed constraint margins.
 
-    ``objective`` and ``constraints`` may be given separately, or a fused
-    ``evaluate`` returning (objective, slack) supplied to avoid duplicate
-    work when both come from one simulation.  ``evaluate_batch``, preferred
-    when given, maps an (n, d) array to objectives (n,) and slacks (n, m).
+    ``evaluate_batch`` maps an (n, d) array to objectives (n,) and slacks
+    (n, m), so a whole generation's infill is one call.
     """
 
     bounds: np.ndarray  # shape (d, 2)
-    objective: Callable[[np.ndarray], float] | None = None
-    constraints: Callable[[np.ndarray], np.ndarray] | None = None
-    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
     evaluate_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self) -> None:
@@ -62,9 +57,8 @@ class Problem:
             raise ConfigError("bounds must have shape (d, 2)")
         if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
             raise ConfigError("each bound must satisfy lo < hi")
-        single = self.evaluate is not None or None not in (self.objective, self.constraints)
-        if not single and self.evaluate_batch is None:
-            raise ConfigError("need evaluate, evaluate_batch or objective+constraints")
+        if self.evaluate_batch is None:
+            raise ConfigError("need evaluate_batch")
 
     @property
     def dim(self) -> int:
@@ -72,12 +66,7 @@ class Problem:
 
     def run_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Objectives (n,) and slacks (n, m) of the rows of xs."""
-        if self.evaluate_batch is not None:
-            obj, slack = self.evaluate_batch(xs)
-        elif self.evaluate is not None:
-            obj, slack = zip(*map(self.evaluate, xs))
-        else:
-            obj, slack = list(map(self.objective, xs)), list(map(self.constraints, xs))
+        obj, slack = self.evaluate_batch(xs)
         n = len(xs)
         return np.asarray(obj, float).reshape(n), np.asarray(slack, float).reshape(n, -1)
 

@@ -9,7 +9,9 @@ spectrum CSVs, and the final design as a standalone JSON file.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -128,6 +130,26 @@ def _integer(value, name: str, where: str, minimum: int = 0, optional: bool = Fa
     return int(value)
 
 
+def _number(value, name: str, where: str) -> float:
+    """A finite real config value: an int, a float or a numeric string
+    (PyYAML reads 1.0e6 as a string), never a bool."""
+    number = math.nan
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):
+            number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: {name} must be a finite number, got {value!r}")
+    return number
+
+
+def _block(raw: dict, name: str, where: str) -> dict:
+    """A nested config mapping; absent or null is empty."""
+    block = raw.get(name)
+    if not isinstance(block, (dict, type(None))):
+        raise ConfigError(f"{where}: {name} must be a mapping, got {block!r}")
+    return block or {}
+
+
 def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
     """Parse and validate a YAML run configuration.
 
@@ -160,49 +182,47 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
         if value is None:
             raise ConfigError(f"{where}: missing required key {name}")
 
+    def optional(*names, default):
+        value = _pick(raw, *names, default=default, applied=applied)
+        return _number(value, names[-1], where)
+
     adc = AdcConfig(
         n_bits=_integer(n_bits, "n_bits", where, 2),
-        f_s=float(f_s),
-        v_dd=float(v_dd),
-        temp_k=float(_pick(raw, "T", "temp_k", default=300.0,
-                           applied=applied, label="temp_k")),
-        kappa_cmp=float(_pick(raw, "kappa_cmp", default=1e-25,
-                              applied=applied, label="kappa_cmp")),
-        kappa_sw=float(_pick(raw, "kappa_sw", default=1e-13,
-                             applied=applied, label="kappa_sw")),
-        e_dff=float(_pick(raw, "e_dff", default=1e-15,
-                          applied=applied, label="e_dff")),
-        r_drv_cap=float(_pick(raw, "r_drv_cap", default=100e3,
-                              applied=applied, label="r_drv_cap")),
-        v_floor=float(_pick(raw, "v_floor", default=1e-6,
-                            applied=applied, label="v_floor")),
+        f_s=_number(f_s, "f_s", where),
+        v_dd=_number(v_dd, "v_dd", where),
+        temp_k=optional("T", "temp_k", default=300.0),
+        kappa_cmp=optional("kappa_cmp", default=1e-25),
+        kappa_sw=optional("kappa_sw", default=1e-13),
+        e_dff=optional("e_dff", default=1e-15),
+        r_drv_cap=optional("r_drv_cap", default=100e3),
+        v_floor=optional("v_floor", default=1e-6),
     )
 
-    alpha = float(_pick(raw, "alpha", default=1.0, applied=applied, label="alpha"))
+    alpha = optional("alpha", default=1.0)
     if alpha <= 0:
         raise ConfigError(f"{where}: alpha must be positive, got {alpha}")
 
     bounds = default_bounds(adc)
-    user_bounds = raw.get("bounds") or {}
-    if not isinstance(user_bounds, dict):
-        raise ConfigError(f"{where}: bounds must be a mapping")
+    user_bounds = _block(raw, "bounds", where)
     for key, pair in user_bounds.items():
         if key not in DESIGN_FIELDS:
             raise ConfigError(f"{where}: unknown design variable {key!r} in bounds")
-        lo, hi = float(pair[0]), float(pair[1])
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{where}: bounds for {key} must be a [lo, hi] pair")
+        lo, hi = (_number(v, f"bounds.{key}", where) for v in pair)
         if not 0 < lo < hi:
             raise ConfigError(f"{where}: bounds for {key} need 0 < lo < hi")
         bounds[key] = (lo, hi)
     if not user_bounds:
         applied["bounds"] = "default sizing box"
 
-    g = raw.get("global") or {}
+    g = _block(raw, "global", where)
     global_params = GlobalParams(
         pop_size=_integer(g.get("pop_size"), "global.pop_size", where, 5, optional=True),
-        f_weight=float(g.get("F", g.get("f_weight", 0.5))),
-        cr=float(g.get("CR", g.get("cr", 0.9))),
+        f_weight=_number(g.get("F", g.get("f_weight", 0.5)), "global.F", where),
+        cr=_number(g.get("CR", g.get("cr", 0.9)), "global.CR", where),
         k_infill=_integer(g.get("k_infill"), "global.k_infill", where, 1, optional=True),
-        theta_conv=float(g.get("theta_conv", 0.02)),
+        theta_conv=_number(g.get("theta_conv", 0.02), "global.theta_conv", where),
         n_conv_target=_integer(g.get("n_conv_target"), "global.n_conv_target", where,
                                optional=True),
         max_evals=_integer(g.get("max_evals", 5000), "global.max_evals", where),
@@ -210,28 +230,32 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
     if not g:
         applied["global"] = "defaults"
 
-    lo = raw.get("local") or {}
+    lo = _block(raw, "local", where)
     lam = lo.get("lambda", lo.get("expensive_every", 5))
     local_params = LocalParams(
-        delta_init=float(lo.get("delta_init", 0.1)),
-        expensive_every=float("inf") if lam in ("inf", None) else float(lam),
-        penalty_scale=float(lo.get("a", lo.get("penalty_scale", 1.0))),
-        delta_w=float(lo.get("delta_w", 0.1)),
-        eps=float(lo.get("eps", 1e-3)),
-        w0=float(lo.get("w0", 0.5)),
-        max_iter=int(lo.get("max_iter", 200)),
-        blend_at=str(lo.get("blend_at", "candidate")),
+        delta_init=_number(lo.get("delta_init", 0.1), "local.delta_init", where),
+        expensive_every=math.inf if lam in ("inf", None, math.inf)
+        else float(_integer(lam, "local.lambda", where, 1)),
+        penalty_scale=_number(lo.get("a", lo.get("penalty_scale", 1.0)), "local.a", where),
+        delta_w=_number(lo.get("delta_w", 0.1), "local.delta_w", where),
+        eps=_number(lo.get("eps", 1e-3), "local.eps", where),
+        w0=_number(lo.get("w0", 0.5), "local.w0", where),
+        max_iter=_integer(lo.get("max_iter", 200), "local.max_iter", where),
+        blend_at=lo.get("blend_at", "candidate"),
     )
     if not lo:
         applied["local"] = "defaults"
 
-    h = raw.get("harness") or {}
+    h = _block(raw, "harness", where)
+    noise = h.get("noise", True)
+    if not isinstance(noise, bool):
+        raise ConfigError(f"{where}: harness.noise must be true or false, got {noise!r}")
     harness = HarnessConfig(
         k_points=_integer(h.get("K", h.get("k_points", 1024)), "harness.K", where, 1),
         m_segments=_integer(h.get("M", h.get("m_segments", 4)), "harness.M", where, 1),
-        f_target_frac=float(h.get("f_target_frac", 0.097)),
-        amplitude_frac=float(h.get("amplitude_frac", 0.95)),
-        noise=bool(h.get("noise", True)),
+        f_target_frac=_number(h.get("f_target_frac", 0.097), "harness.f_target_frac", where),
+        amplitude_frac=_number(h.get("amplitude_frac", 0.95), "harness.amplitude_frac", where),
+        noise=noise,
         verify_scale=_integer(h.get("verify_scale", 4), "harness.verify_scale", where, 1),
     )
     if not h:
@@ -241,6 +265,8 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
     if seed is None:
         applied["seed"] = 0
         seed = 0
+    if not isinstance(raw.get("out"), (str, type(None))):
+        raise ConfigError(f"{where}: out must be a directory name, got {raw['out']!r}")
 
     return RunConfig(
         adc=adc,
@@ -563,10 +589,10 @@ def emit_report(record: dict, out: Path) -> dict[str, str]:
 
 def load_design(path: str | Path) -> DesignPoint:
     raw = json.loads(Path(path).read_text())
-    missing = [name for name in DESIGN_FIELDS if name not in raw]
+    missing = [name for name in DESIGN_FIELDS if not isinstance(raw, dict) or name not in raw]
     if missing:
         raise ConfigError(f"design file missing fields: {missing}")
-    return DesignPoint(**{name: float(raw[name]) for name in DESIGN_FIELDS})
+    return DesignPoint(**{name: _number(raw[name], name, str(path)) for name in DESIGN_FIELDS})
 
 
 def audit_run(run_dir: str | Path) -> dict:
@@ -608,7 +634,7 @@ def audit_run(run_dir: str | Path) -> dict:
     bad = {
         name: pair
         for name, pair in checks.items()
-        if not np.isclose(pair[0], pair[1], rtol=1e-12, atol=1e-12)
+        if not np.isclose(pair[0], pair[1], rtol=1e-12, atol=0)
     }
     if bad:
         raise ConfigError(f"audit mismatches: {bad}")

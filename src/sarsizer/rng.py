@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-NoiseKey = tuple[int, int]  # (seed, global sample index)
-
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # round multipliers
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # key bumps
 
@@ -63,15 +61,3 @@ def noise_matrix(seed: int, indices: np.ndarray, n_bits: int) -> np.ndarray:
     angle = 2.0 * math.pi * u[:, 1::2]
     draws = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
     return draws.reshape(len(words), -1)[:, : n_bits + 1]
-
-
-def conversion_noise(key: NoiseKey | None, n_bits: int) -> tuple[float, np.ndarray]:
-    """Standard-normal draws for one conversion: the kernel's row for key.
-
-    Returns (sampling draw, per-bit comparator draws).  A ``None`` key
-    disables noise and returns zeros.
-    """
-    if key is None:
-        return 0.0, np.zeros(n_bits)
-    draws = noise_matrix(key[0], np.array([key[1]]), n_bits)[0]
-    return float(draws[0]), draws[1:]

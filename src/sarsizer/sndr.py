@@ -104,6 +104,11 @@ def segment_indices(plan: TestPlan, k: int) -> np.ndarray:
     return np.arange(plan.k_points // plan.m_segments) * plan.m_segments + k
 
 
+def _sine(plan: TestPlan, idx: np.ndarray) -> np.ndarray:
+    """The planned input at full-rate sample instants idx."""
+    return plan.amplitude * np.sin(2.0 * math.pi * plan.f_in * idx * (1.0 / plan.f_s))
+
+
 def segment_stimulus(
     plan: TestPlan, k: int, n_bits: int, noise: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
@@ -111,13 +116,10 @@ def segment_stimulus(
     input, noise draws or None).  It depends on (plan, n_bits, noise) only,
     so callers that run one plan on many designs may build it once."""
     idx = segment_indices(plan, k)
-    t_s = 1.0 / plan.f_s
-    omega = 2.0 * math.pi * plan.f_in
-    v_now = plan.amplitude * np.sin(omega * idx * t_s)
     # Hold history: the array last held the previous full-rate sample's
     # input value.  Reconstructing it analytically (rather than chaining
     # conversions) keeps segments independent of each other.
-    v_prev = plan.amplitude * np.sin(omega * (idx - 1) * t_s)
+    v_now, v_prev = _sine(plan, idx), _sine(plan, idx - 1)
     # One draw per segment: column 0 is kT/C, columns 1..n the comparator.
     draws = noise_matrix(plan.seed, idx, n_bits) if noise else None
     return idx, v_now, v_prev, draws
@@ -254,9 +256,9 @@ def spectrum_metrics(
 
 
 def capture_inputs(plan: TestPlan) -> np.ndarray:
-    """Ideal input value at each sample instant of the schedule."""
-    m = np.arange(plan.k_points)
-    return plan.amplitude * np.sin(2.0 * math.pi * plan.f_in * m / plan.f_s)
+    """Ideal input value at each sample instant of the schedule: the
+    input each segment's stimulus converts, merged."""
+    return _sine(plan, np.arange(plan.k_points))
 
 
 def write_capture_csv(plan: TestPlan, codes: np.ndarray, path_or_buf) -> None:

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from sarsizer.adc import AdcConfig, DesignPoint, build_model
+from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert_rows
+from sarsizer.rng import noise_matrix
 
 
 def ideal_design(t_sample=10e-9):
@@ -68,3 +71,10 @@ def binary_search_oracle(v, n_bits, v_fs):
             code <<= 1
             hi = mid
     return code
+
+
+def convert_one(model, v, key=None):
+    """Row 0 of the kernel run as a batch of one with charges; key = (seed, index) adds noise."""
+    draws = None if key is None else noise_matrix(key[0], [key[1]], model.cfg.n_bits)[:, 1:]
+    c = convert_rows([model], np.array([v], dtype=float), draws, charge=True)
+    return SimpleNamespace(code=int(c.codes[0]), **{k: col[0] for k, col in vars(c).items()})

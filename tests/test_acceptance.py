@@ -135,10 +135,10 @@ def test_criterion_6_local_optimizer():
 
 def test_criterion_7_global_optimizer():
     with _Clock(60.0, "criterion 7: constrained sphere over 10 seeds"):
-        def evaluate(x):
-            return float(np.sum(x**2)), np.array([x[0] - 0.5])
+        def evaluate_batch(xs):
+            return np.sum(xs**2, axis=1), xs[:, :1] - 0.5
 
-        problem = Problem(bounds=np.array([[0.0, 1.0]] * 3), evaluate=evaluate)
+        problem = Problem(bounds=np.array([[0.0, 1.0]] * 3), evaluate_batch=evaluate_batch)
         objectives, violations = [], []
         for seed in range(10):
             state = run_global(problem, GlobalParams(max_evals=3000, seed=seed))

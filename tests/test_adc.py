@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sarsizer.adc import (
-    AdcConfig,
-    DesignPoint,
-    build_model,
-    conversion_energy,
-    convert,
-    convert_batch,
-    convert_rows,
-    sample_input,
-)
+from sarsizer import sndr
+from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert_rows, sample_input
 from sarsizer.adc import _switch_charge
 from sarsizer.errors import BoundsError, ConfigError
-from sarsizer.rng import conversion_noise, noise_matrix
+from sarsizer.rng import noise_matrix
 
-from conftest import binary_search_oracle, ideal_design, ideal_quantizer, sane_design
+from conftest import (
+    binary_search_oracle,
+    convert_one,
+    ideal_design,
+    ideal_quantizer,
+    sane_design,
+)
 
 BOLTZMANN = 1.380649e-23
 
@@ -84,10 +82,20 @@ class TestSampleInput:
         assert error == pytest.approx(math.exp(-5.0), rel=1e-12)
         assert sampled == pytest.approx(0.99326, abs=5e-6)
 
-    def test_kt_c_noise_std(self):
+    def test_kt_c_noise_std(self, monkeypatch):
+        # the kT/C column the capture adds to the held input before converting
         cfg = AdcConfig(n_bits=12, f_s=1e6, v_dd=1.0, temp_k=300.0)
         m = build_model(design_with(c_unit=1e-12 / 2**11, r_sw=1e-30), cfg)
-        draws = sample_input(m, np.zeros(100_000), rng_key=(11, np.arange(100_000)))
+        held = []
+
+        def recording(models, v_sampled, *args):
+            held.append(v_sampled)
+            return convert_rows(models, v_sampled, *args)
+
+        monkeypatch.setattr(sndr, "convert_rows", recording)
+        idx, zeros = np.arange(100_000), np.zeros(100_000)
+        sndr._convert_segment(m, (idx, zeros, zeros, noise_matrix(11, idx, cfg.n_bits)))
+        draws = held[0]
         expected = math.sqrt(2 * BOLTZMANN * 300.0 / 1e-12)
         assert expected == pytest.approx(91.0e-6, abs=0.1e-6)
         assert draws.std() == pytest.approx(expected, rel=0.02)
@@ -106,14 +114,14 @@ class TestConvert:
     def test_midscale_ties_high(self):
         cfg = AdcConfig(n_bits=4, f_s=1e6, v_dd=2.0)
         m = build_model(ideal_design(), cfg)
-        assert convert(m, 0.0).code == 8
+        assert convert_one(m, 0.0).code == 8
 
     def test_binary_search_oracle_value(self):
         cfg = AdcConfig(n_bits=4, f_s=1e6, v_dd=2.0)
         m = build_model(ideal_design(), cfg)
         v = 0.3 * 2.0
         assert binary_search_oracle(v, 4, 2.0) == 12
-        assert convert(m, v).code == 12
+        assert convert_one(m, v).code == 12
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_ideal_limit_matches_quantizer_exhaustively(self, n):
@@ -121,22 +129,22 @@ class TestConvert:
         m = build_model(ideal_design(), cfg)
         # hit every code plus both overrange sides and exact boundaries
         grid = np.linspace(-0.6, 0.6, 2**n * 4 + 1)
-        got = np.array([convert(m, float(v)).code for v in grid])
+        got = convert_rows([m], grid).codes
         np.testing.assert_array_equal(got, ideal_quantizer(grid, n, 1.0))
 
     def test_overrange_clips_to_extremes(self):
         cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
         m = build_model(ideal_design(), cfg)
-        assert convert(m, 5.0).code == 255
-        assert convert(m, -5.0).code == 0
+        assert convert_one(m, 5.0).code == 255
+        assert convert_one(m, -5.0).code == 0
 
     def test_monotone_in_input_without_noise(self, sane_model_12):
         grid = np.linspace(-0.55, 0.55, 2**12)
-        codes, _ = convert_batch(sane_model_12, grid, seed=None)
+        codes = convert_rows([sane_model_12], grid).codes
         assert np.all(np.diff(codes) >= 0)
 
     def test_ideal_steps_ratio_exact(self, ideal_model_12):
-        trace = convert(ideal_model_12, ideal_model_12.cfg.v_dd)
+        trace = convert_one(ideal_model_12, ideal_model_12.cfg.v_dd)
         np.testing.assert_array_equal(
             trace.applied_step[:-1] / trace.applied_step[1:], 2.0
         )
@@ -146,21 +154,21 @@ class TestConvert:
         # conversion period
         cfg = AdcConfig(n_bits=10, f_s=20e6, v_dd=1.0)
         m = build_model(design_with(t_d0=4e-9, tau_reg=2e-9, t_dff=4e-9), cfg)
-        trace = convert(m, 1e-7)
+        trace = convert_one(m, 1e-7)
         assert not trace.timing_ok
         assert trace.n_fired < 10
         assert np.all(trace.bits[trace.n_fired:] == 0)
         assert np.all(trace.t_bit[trace.n_fired:] == 0.0)
 
     def test_time_accounting_identity(self, sane_model_12):
-        trace = convert(sane_model_12, 0.21)
+        trace = convert_one(sane_model_12, 0.21)
         assert trace.t_total == sane_model_12.design.t_sample + trace.t_bit.sum()
         if trace.timing_ok:
             assert trace.t_total <= sane_model_12.cfg.t_conv
 
     def test_determinism_bit_identical(self, sane_model_12):
-        a = convert(sane_model_12, 0.123, rng_key=(5, 77))
-        b = convert(sane_model_12, 0.123, rng_key=(5, 77))
+        a = convert_one(sane_model_12, 0.123, (5, 77))
+        b = convert_one(sane_model_12, 0.123, (5, 77))
         assert a.code == b.code
         np.testing.assert_array_equal(a.applied_step, b.applied_step)
         np.testing.assert_array_equal(a.t_bit, b.t_bit)
@@ -168,17 +176,8 @@ class TestConvert:
         assert a.e_total == b.e_total
 
     def test_different_key_changes_noise(self, sane_model_12):
-        vals = {convert(sane_model_12, 0.123, rng_key=(5, i)).code for i in range(20)}
+        vals = {convert_one(sane_model_12, 0.123, (5, i)).code for i in range(20)}
         assert len(vals) > 1
-
-    def test_batch_matches_scalar_path(self, sane_model_12):
-        grid = np.linspace(-0.4, 0.4, 257)
-        batch_codes, batch_ok = convert_batch(sane_model_12, grid, seed=3)
-        scalar = [
-            convert(sane_model_12, float(v), rng_key=(3, i)) for i, v in enumerate(grid)
-        ]
-        np.testing.assert_array_equal(batch_codes, [t.code for t in scalar])
-        np.testing.assert_array_equal(batch_ok, [t.timing_ok for t in scalar])
 
 
 def charge_oracle(model, bits):
@@ -229,15 +228,15 @@ class TestEnergy:
 
     def test_dac_only_when_coefficients_zero(self):
         m = build_model(ideal_design(), self.cfg())
-        trace = convert(m, 0.2)
+        trace = convert_one(m, 0.2)
         assert trace.e_total == m.cfg.v_dd * trace.delta_q.sum()
 
     def test_comparator_term_scales_inverse_square(self):
         base = design_with(sigma_cmp=2e-4)
         halved = design_with(sigma_cmp=1e-4)
         cfg = self.cfg(kappa_cmp=1e-24)
-        t1 = convert(build_model(base, cfg), 0.2)
-        t2 = convert(build_model(halved, cfg), 0.2)
+        t1 = convert_one(build_model(base, cfg), 0.2)
+        t2 = convert_one(build_model(halved, cfg), 0.2)
         term1 = cfg.kappa_cmp / base.sigma_cmp**2 * t1.n_fired
         term2 = cfg.kappa_cmp / halved.sigma_cmp**2 * t2.n_fired
         assert term2 == pytest.approx(4.0 * term1, rel=1e-12)
@@ -250,7 +249,7 @@ class TestEnergy:
         # charges per event with 1 fF unit and 1 V supply
         m = build_model(ideal_design(), self.cfg())
         assert m.design.c_unit == 1e-15
-        trace = convert(m, 0.0)
+        trace = convert_one(m, 0.0)
         assert trace.code == 8
         np.testing.assert_allclose(
             trace.delta_q[:3], [1.0e-15, 1.25e-15, 0.5625e-15], rtol=1e-12
@@ -261,34 +260,20 @@ class TestEnergy:
     def test_charge_conservation_oracle(self, v):
         cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
         m = build_model(sane_design(), cfg)
-        trace = convert(m, v)
+        trace = convert_one(m, v)
         oracle = charge_oracle(m, trace.bits)
         np.testing.assert_allclose(trace.delta_q[:-1], oracle, rtol=1e-12)
-        assert conversion_energy(trace, m) == trace.e_total
 
     def test_energy_nonnegative_and_additive(self):
         cfg = self.cfg(kappa_cmp=1e-25, kappa_sw=1e-13, e_dff=1e-15)
         m = build_model(sane_design(), cfg)
-        trace = convert(m, -0.11)
+        trace = convert_one(m, -0.11)
         e_dac = cfg.v_dd * trace.delta_q.sum()
         e_cmp = cfg.kappa_cmp / m.design.sigma_cmp**2 * trace.n_fired
         e_logic = cfg.e_dff * trace.n_fired
         e_sw = cfg.kappa_sw / m.design.r_sw
         assert min(e_dac, e_cmp, e_logic, e_sw) >= 0.0
         assert trace.e_total == pytest.approx(e_dac + e_cmp + e_logic + e_sw, rel=1e-12)
-
-
-class TestNoiseStreams:
-    def test_conversion_noise_deterministic(self):
-        a = conversion_noise((9, 4), 12)
-        b = conversion_noise((9, 4), 12)
-        assert a[0] == b[0]
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_none_key_is_silent(self):
-        smp, cmp_draws = conversion_noise(None, 8)
-        assert smp == 0.0
-        assert not cmp_draws.any()
 
 
 def reference_convert(model, v, cmp_draws):
@@ -347,8 +332,8 @@ class TestKernel:
     def test_batch_of_one_matches_hand_reference(self, case):
         cfg, design, v, key = self.CASES[case]
         m = build_model(design, cfg)
-        trace = convert(m, v, rng_key=key)
-        draws = conversion_noise(key, cfg.n_bits)[1]
+        trace = convert_one(m, v, key)
+        draws = np.zeros(cfg.n_bits) if key is None else noise_matrix(key[0], [key[1]], cfg.n_bits)[0, 1:]
         applied, t_bit, delta_q, e_total, timing_ok = reference_convert(m, v, draws)
         np.testing.assert_allclose(trace.applied_step, applied, rtol=1e-12, atol=0)
         np.testing.assert_allclose(trace.t_bit, t_bit, rtol=1e-12, atol=0)

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert, sample_input
+from sarsizer.adc import AdcConfig, DesignPoint, build_model, sample_input
 from sarsizer.coarse import (
     POWER_GRID_POINTS,
     evaluate_coarse,
     power_estimate,
     power_grid,
-    single_point_test,
     step_ratio_errors,
     thermal_noise_estimate,
 )
@@ -18,7 +17,7 @@ from sarsizer.errors import SpecError
 from sarsizer.pipeline import default_bounds
 from sarsizer.specs import DerivedSpecs
 
-from conftest import ideal_design, sane_design
+from conftest import convert_one, ideal_design, sane_design
 
 BOLTZMANN = 1.380649e-23
 
@@ -30,13 +29,16 @@ def design_with(**overrides):
 
 
 class TestSinglePoint:
+    """The single-point fields of the coarse report: the noise-free
+    conversion with the differential input at the supply."""
+
     def test_ideal_model_is_error_free(self):
         cfg = AdcConfig(n_bits=10, f_s=1e6, v_dd=1.0)
         m = build_model(ideal_design(), cfg)
-        err, ssre, ok = single_point_test(m)
-        assert err == 0.0
-        assert np.all(ssre == 0.0)
-        assert ok
+        rep = evaluate_coarse(m, DerivedSpecs.derive(10, 1.0, 1.0))
+        assert rep.sampling_error == 0.0
+        assert np.all(rep.ssre == 0.0)
+        assert rep.timing_ok
 
     def test_step_ratio_error_hand_values(self):
         # adjacent relative step errors of 1% and 0%
@@ -50,8 +52,8 @@ class TestSinglePoint:
     def test_ssre_matches_relative_error_form(self):
         cfg = AdcConfig(n_bits=12, f_s=20e6, v_dd=1.0, r_drv_cap=150.0)
         m = build_model(sane_design(), cfg)
-        _, ssre, _ = single_point_test(m)
-        trace = convert(m, sample_input(m, 1.0))
+        ssre = evaluate_coarse(m, DerivedSpecs.derive(12, 1.0, 1.0)).ssre
+        trace = convert_one(m, sample_input(m, 1.0))
         delta = trace.applied_step / m.step_amp - 1.0
         expected = np.abs(2.0 * (1.0 + delta[:-1]) / (1.0 + delta[1:]) - 2.0)
         np.testing.assert_allclose(ssre, expected, rtol=1e-12)
@@ -59,10 +61,11 @@ class TestSinglePoint:
     def test_repeated_calls_identical(self):
         cfg = AdcConfig(n_bits=12, f_s=20e6, v_dd=1.0, r_drv_cap=150.0)
         m = build_model(sane_design(), cfg)
-        a = single_point_test(m)
-        b = single_point_test(m)
-        assert a[0] == b[0]
-        np.testing.assert_array_equal(a[1], b[1])
+        specs = DerivedSpecs.derive(12, 1.0, 1.0)
+        a = evaluate_coarse(m, specs)
+        b = evaluate_coarse(m, specs)
+        assert a.sampling_error == b.sampling_error
+        np.testing.assert_array_equal(a.ssre, b.ssre)
 
     def test_dead_steps_get_finite_sentinel(self):
         steps = np.array([1.0, 0.0, 0.25])
@@ -229,4 +232,6 @@ class TestBatchedEvaluation:
             np.testing.assert_array_equal(rep.ssre, one.ssre)
             np.testing.assert_array_equal(rep.slack, one.slack)
             assert one.power == power_estimate(m)
-            assert (one.sampling_error, one.timing_ok) == single_point_test(m)[::2]
+            sampled = sample_input(m, cfg.v_dd)
+            assert one.sampling_error == abs(cfg.v_dd - sampled)
+            assert one.timing_ok == convert_one(m, sampled).timing_ok

@@ -24,11 +24,13 @@ def record(x, obj, slack):
                       slack=np.atleast_1d(np.asarray(slack, float)))
 
 
-def sphere_problem():
-    def evaluate(x):
-        return float(np.sum(x**2)), np.array([x[0] - 0.5])
+def sphere_batch(xs):
+    """Sphere objective with the constraint x0 >= 0.5, one row per candidate."""
+    return np.sum(xs**2, axis=1), xs[:, :1] - 0.5
 
-    return Problem(bounds=UNIT3.copy(), evaluate=evaluate)
+
+def sphere_problem():
+    return Problem(bounds=UNIT3.copy(), evaluate_batch=sphere_batch)
 
 
 class TestInitPopulation:
@@ -300,22 +302,12 @@ class TestRunGlobal:
         assert state.evals <= 137
         assert len(state.archive) == state.evals
 
-    def test_separate_objective_and_constraint_callables(self):
-        problem = Problem(
-            bounds=UNIT3.copy(),
-            objective=lambda x: float(np.sum(x**2)),
-            constraints=lambda x: np.array([x[0] - 0.5]),
-        )
-        state = run_global(problem, GlobalParams(max_evals=800, seed=2))
-        assert state.best.violation == 0.0
-        assert state.best.objective < 0.30
-
     def test_one_batch_evaluation_per_generation(self):
         calls = []
 
         def evaluate_batch(xs):
             calls.append(len(xs))
-            return np.sum(xs**2, axis=1), xs[:, :1] - 0.5
+            return sphere_batch(xs)
 
         problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
         params = GlobalParams(max_evals=300, seed=8, k_infill=7, n_conv_target=4)
@@ -324,24 +316,11 @@ class TestRunGlobal:
         assert calls[0] == 30 and set(calls[1:-1]) == {7}
         assert sum(calls) == state.evals == 300
 
-    def test_batch_and_scalar_evaluators_agree(self):
-        def evaluate_batch(xs):
-            return np.sum(xs**2, axis=1), xs[:, :1] - 0.5
-
-        params = GlobalParams(max_evals=400, seed=3)
-        a = run_global(sphere_problem(), params)
-        b = run_global(Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch), params)
-        assert len(a.archive) == len(b.archive)
-        for ra, rb in zip(a.archive, b.archive):
-            np.testing.assert_array_equal(ra.x, rb.x)
-            np.testing.assert_array_equal(ra.slack, rb.slack)
-            assert ra.objective == rb.objective
-
     def test_no_convergence_handoff_while_infeasible(self):
-        def evaluate(x):
-            return float(np.sum(x)), np.array([-1.0 - x[0]])  # never feasible
+        def evaluate_batch(xs):
+            return np.sum(xs, axis=1), -1.0 - xs[:, :1]  # never feasible
 
-        problem = Problem(bounds=UNIT3.copy(), evaluate=evaluate)
+        problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
         state = run_global(problem, GlobalParams(max_evals=200, seed=1, theta_conv=1.0,
                                                  n_conv_target=1))
         assert state.mask.sum() >= 1

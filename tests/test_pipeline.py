@@ -1,14 +1,21 @@
 import dataclasses
 import json
 import math
+import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
+from sarsizer.adc import DESIGN_FIELDS
 from sarsizer.cli import main as cli_main
 from sarsizer.errors import ConfigError, PlanError
 from sarsizer.pipeline import (
+    _KNOWN_TOP_KEYS,
+    RunConfig,
     audit_run,
     default_bounds,
     emit_report,
@@ -131,6 +138,65 @@ class TestLoadConfig:
         assert math.isinf(cfg.local_params.expensive_every)
 
 
+    @pytest.mark.parametrize("override, name", [
+        ({"bounds": {"c_unit": 5}}, "c_unit"),
+        ({"bounds": {"c_unit": [1e-15, 2e-15, 3e-15]}}, "c_unit"),
+        ({"bounds": {"c_unit": [1e-15, math.inf]}}, "c_unit"),
+        ({"bounds": [1e-15, 2e-15]}, "bounds"),
+        ({"fs": "abc"}, "f_s"),
+        ({"fs": math.nan}, "f_s"),
+        ({"V_DD": math.inf}, "v_dd"),
+        ({"global": {"F": "abc"}}, "global.F"),
+        ({"global": [1, 2]}, "global"),
+        ({"local": "abc"}, "local"),
+        ({"local": {"max_iter": 2.5}}, "local.max_iter"),
+        ({"local": {"max_iter": True}}, "local.max_iter"),
+        ({"local": {"max_iter": "7"}}, "local.max_iter"),
+        ({"local": {"lambda": 2.5}}, "local.lambda"),
+        ({"local": {"lambda": 0}}, "local.lambda"),
+        ({"harness": {"noise": "false"}}, "harness.noise"),
+        ({"out": 5}, "out"),
+    ])
+    def test_malformed_values_rejected(self, override, name):
+        text = yaml.safe_dump({"N": 8, "fs": 1e6, "V_DD": 1.0, **override})
+        with pytest.raises(ConfigError, match=name):
+            load_config(text, is_text=True)
+
+    def test_numeric_strings_and_integral_lambda_accepted(self):
+        # PyYAML reads 1.0e6 as a string; lambda stays a float in the record
+        cfg = load_config("{N: 8, fs: 1.0e6, V_DD: '1', local: {lambda: 3}}", is_text=True)
+        assert (cfg.adc.f_s, cfg.adc.v_dd) == (1e6, 1.0)
+        assert type(cfg.local_params.expensive_every) is float
+        assert cfg.local_params.expensive_every == 3.0
+
+
+NESTED_KEYS = DESIGN_FIELDS + (
+    "pop_size", "F", "f_weight", "CR", "cr", "k_infill", "theta_conv", "n_conv_target",
+    "max_evals", "lambda", "expensive_every", "delta_init", "a", "penalty_scale", "delta_w",
+    "eps", "w0", "max_iter", "blend_at", "K", "k_points", "M", "m_segments",
+    "f_target_frac", "amplitude_frac", "noise", "verify_scale",
+)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.text("0123456789.e-+inaftrucdl", max_size=6))
+LEAVES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
+VALUES = st.one_of(LEAVES, st.dictionaries(
+    st.one_of(st.sampled_from(NESTED_KEYS), st.text("abc", max_size=3)), LEAVES, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(sorted(_KNOWN_TOP_KEYS)), VALUES, max_size=6))
+def test_load_config_returns_config_or_config_error(overrides):
+    """Any mapping over the known keys loads or raises ConfigError, nothing else."""
+    text = yaml.safe_dump({"N": 8, "fs": 1e6, "V_DD": 1.0, **overrides})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            cfg = load_config(text, is_text=True)
+        except ConfigError:
+            return
+    assert isinstance(cfg, RunConfig)
+
+
 class TestRunPipeline:
     def test_final_design_meets_every_coarse_constraint(self, small_run):
         _, result, _ = small_run
@@ -174,6 +240,20 @@ class TestRunPipeline:
         _, _, out = small_run
         checks = audit_run(out)
         assert len(checks) >= 9
+
+    @pytest.mark.parametrize("block, key, factor", [
+        ("spectrum", "fom_w", 10.0),
+        ("coarse", "power", 1.0 + 1e-9),
+    ])
+    def test_audit_catches_tampered_figures(self, small_run, tmp_path, block, key, factor):
+        run_dir = shutil.copytree(small_run[2], tmp_path / "run")
+        audit_run(run_dir)
+        path = run_dir / "run_record.json"
+        record = json.loads(path.read_text())
+        record[block][key] *= factor
+        path.write_text(json.dumps(record))
+        with pytest.raises(ConfigError, match=key):
+            audit_run(run_dir)
 
     def test_summary_cross_checks_metrics(self, small_run):
         _, result, _ = small_run
@@ -317,6 +397,12 @@ class TestDesignFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"c_unit": 1e-15}))
         with pytest.raises(ConfigError, match="missing"):
+            load_design(path)
+
+    def test_string_value_rejected(self, tmp_path, small_run):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**small_run[1].design.to_dict(), "r_sw": "abc"}))
+        with pytest.raises(ConfigError, match="r_sw"):
             load_design(path)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sarsizer.rng import conversion_noise, is_seed, noise_matrix, philox4x64
+from sarsizer.rng import is_seed, noise_matrix, philox4x64
 
 
 @pytest.mark.parametrize(
@@ -33,13 +33,6 @@ def test_rows_independent_of_partition_and_order(seed, indices, n_bits, data):
         if part:
             rows = noise_matrix(seed, np.array(indices)[part], n_bits)
             np.testing.assert_array_equal(rows, full[part])
-
-
-def test_conversion_noise_is_row_zero():
-    row = noise_matrix(9, np.array([4]), 12)[0]
-    smp, cmp_draws = conversion_noise((9, 4), 12)
-    assert smp == row[0]
-    np.testing.assert_array_equal(cmp_draws, row[1:])
 
 
 def test_moments_of_a_million_draws():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert_batch
+from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert_rows, sample_input
 from sarsizer.coarse import power_estimate
 from sarsizer.errors import MetricsError, PlanError
 from sarsizer.pipeline import default_bounds
@@ -22,12 +22,13 @@ from sarsizer.sndr import (
     run_segments,
     run_segments_detailed,
     segment_indices,
+    segment_stimulus,
     spectrum_metrics,
     write_capture_csv,
     write_spectrum_csv,
 )
 
-from conftest import ideal_design, ideal_quantizer, sane_design
+from conftest import convert_one, ideal_design, ideal_quantizer, sane_design
 
 
 def make_plan(**kw):
@@ -156,16 +157,16 @@ class TestSegments:
             v_prev = plan.amplitude * np.sin(omega * (idx - 1) * t_s)
             settle = math.exp(-model.design.t_sample / model.tau_smp)
             sampled = v_now - (v_now - v_prev) * settle
-            sampled += model.kt_c_sigma * noise_matrix(plan.seed, local, 12)[:, 0]
-            merged[idx], _ = convert_batch(model, sampled, seed=plan.seed, indices=local)
+            draws = noise_matrix(plan.seed, local, 12)
+            sampled += model.kt_c_sigma * draws[:, 0]
+            merged[idx] = convert_rows([model], sampled, draws[:, 1:]).codes
         full = run_segments(model, plan, noise=True)
         assert not np.array_equal(merged, full)
 
     def test_capture_matches_scalar_sample_and_convert(self, sane_model_12):
         # the harness's vectorized sampling must be the same computation
-        # as sample_input followed by convert, sample by sample
-        from sarsizer.adc import convert, sample_input
-
+        # as sample_input, the sample's kT/C draw and a batch-of-one
+        # conversion, sample by sample
         plan = make_plan(k_points=32, m_segments=4, seed=23)
         codes = run_segments(sane_model_12, plan, noise=True)
         u = capture_inputs(plan)
@@ -174,14 +175,13 @@ class TestSegments:
             v_prev = plan.amplitude * math.sin(
                 2 * math.pi * plan.f_in * (m - 1) * t_s
             )
-            sampled = sample_input(
-                sane_model_12, float(u[m]), v_prev=v_prev, rng_key=(plan.seed, m)
-            )
-            trace = convert(sane_model_12, sampled, rng_key=(plan.seed, m))
+            kt_c = noise_matrix(plan.seed, [m], 0)[0, 0]
+            sampled = sample_input(sane_model_12, float(u[m]), v_prev=v_prev)
+            sampled += sane_model_12.kt_c_sigma * kt_c
+            trace = convert_one(sane_model_12, sampled, (plan.seed, m))
             assert trace.code == codes[m], m
 
     def test_one_noise_draw_per_segment(self, sane_model_12, monkeypatch):
-        import sarsizer.adc
         import sarsizer.sndr
 
         calls = []
@@ -191,7 +191,6 @@ class TestSegments:
             return noise_matrix(seed, indices, n_bits)
 
         monkeypatch.setattr(sarsizer.sndr, "noise_matrix", counted)
-        monkeypatch.setattr(sarsizer.adc, "noise_matrix", counted)
         run_segments(sane_model_12, make_plan(k_points=256, m_segments=4, seed=3))
         assert calls == [64] * 4
 
@@ -276,7 +275,6 @@ class TestReusedStimulus:
         assert not ok.all()
 
     def test_one_noise_draw_per_segment_per_objective(self, monkeypatch):
-        import sarsizer.adc
         import sarsizer.sndr
 
         calls = []
@@ -286,7 +284,6 @@ class TestReusedStimulus:
             return noise_matrix(seed, indices, n_bits)
 
         monkeypatch.setattr(sarsizer.sndr, "noise_matrix", counted)
-        monkeypatch.setattr(sarsizer.adc, "noise_matrix", counted)
         cfg = STIMULUS_CONFIGS[12]
         bounds = default_bounds(cfg)
         objective = ExpensiveObjective(
@@ -361,6 +358,18 @@ class TestExports:
         idx, value, code = lines[1].split(",")
         assert (int(idx), int(code)) == (0, int(codes[0]))
         assert float(value) == capture_inputs(plan)[0]
+
+    def test_capture_input_is_the_converted_input(self, tmp_path):
+        # the input column holds, bit for bit, the input each segment converted
+        plan = make_plan(k_points=256, m_segments=8, seed=1)
+        path = tmp_path / "capture.csv"
+        write_capture_csv(plan, np.zeros(plan.k_points, dtype=int), str(path))
+        column = [float(line.split(",")[1]) for line in path.read_text().split()[1:]]
+        merged = np.zeros(plan.k_points)
+        for k in range(plan.m_segments):
+            idx, v_now, _, _ = segment_stimulus(plan, k, 8, noise=False)
+            merged[idx] = v_now
+        np.testing.assert_array_equal(column, merged)
 
     def test_spectrum_csv(self, tmp_path):
         plan = plan_test(20e6, 256, 1, 2e6, amplitude=0.5)
