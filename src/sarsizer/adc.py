@@ -61,7 +61,6 @@ class AdcConfig:
     e_dff: float = 0.0             # logic energy per latched bit cycle, J
     r_drv_cap: float = 100e3       # driver scaling stops at this resistance, Ohm
     v_floor: float = 1e-6          # residue magnitude floor in the delay law, V
-    t_cmp_max: float | None = None # comparator delay clamp; None = floor-implied
 
     def __post_init__(self) -> None:
         if self.n_bits < 2:
@@ -124,7 +123,7 @@ class AdcModel:
     step_amp: np.ndarray = field(init=False) # ideal step amplitudes, index i-1 -> v_fs/2**i
     r_drv: np.ndarray = field(init=False)    # per-step driver resistance, Ohm
     tau_step: np.ndarray = field(init=False) # per-step settling constants, s
-    t_cmp_max: float = field(init=False)
+    t_cmp_max: float = field(init=False)     # delay clamp: the delay law at v_floor
 
     def __post_init__(self) -> None:
         n = self.cfg.n_bits
@@ -133,11 +132,7 @@ class AdcModel:
         # Driver strength halves per bit until the minimum-size device;
         # its resistance is the growth limit for the geometric scaling.
         r_drv = np.minimum(self.design.r_drv_msb * 2.0 ** (i - 1), self.cfg.r_drv_cap)
-        t_max = self.cfg.t_cmp_max
-        if t_max is None:
-            t_max = self.design.t_d0 + self.design.tau_reg * math.log(
-                self.cfg.v_dd / self.cfg.v_floor
-            )
+        t_max = self.design.t_d0 + self.design.tau_reg * math.log(self.cfg.v_dd / self.cfg.v_floor)
         object.__setattr__(self, "c_tot", c_tot)
         object.__setattr__(self, "tau_smp", self.design.r_sw * c_tot)
         object.__setattr__(self, "v_fs", self.cfg.v_dd)

@@ -23,3 +23,9 @@ class MetricsError(SarSizerError):
 
 class ConfigError(SarSizerError):
     """Invalid run configuration or optimizer parameters."""
+
+
+def require(ok: bool, name: str, rule: str, value) -> None:
+    """Raise ConfigError naming a parameter whose value breaks its rule."""
+    if not ok:
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .csvio import write_csv
-from .errors import ConfigError
+from .errors import ConfigError, require
 
 PREDICT_BLOCK = 8  # surrogate query rows per neighbour selection
 
@@ -143,11 +143,17 @@ class GlobalParams:
     max_evals: int = 5000
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # F and CR as in Storn & Price (1997); zero infill never spends the budget.
+        require(self.pop_size is None or self.pop_size >= 5, "pop_size", ">= 5", self.pop_size)
+        require(self.k_infill is None or self.k_infill >= 1, "k_infill", ">= 1", self.k_infill)
+        require(0.0 < self.f_weight <= 2.0, "f_weight", "in (0, 2]", self.f_weight)
+        require(0.0 <= self.cr <= 1.0, "cr", "in [0, 1]", self.cr)
+        require(self.theta_conv > 0.0, "theta_conv", "positive", self.theta_conv)
+
     def resolved(self, dim: int) -> "GlobalParams":
         pop = self.pop_size if self.pop_size is not None else 10 * dim
         infill = self.k_infill if self.k_infill is not None else max(2, pop // 5)
-        if infill < 1:  # no infill would never spend the budget
-            raise ConfigError(f"k_infill must be >= 1, got {infill}")
         target = (
             self.n_conv_target
             if self.n_conv_target is not None

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .csvio import write_csv
-from .errors import ConfigError, SarSizerError
+from .errors import ConfigError, SarSizerError, require
 
 SHRINK = 0.5
 MAX_EXTRAPOLATIONS = 8
@@ -26,23 +26,23 @@ MAX_EXTRAPOLATIONS = 8
 @dataclass(frozen=True)
 class LocalParams:
     delta_init: float = 0.1        # initial step, fraction of each variable's range
-    expensive_every: float = 5     # accepted moves between expensive checks; inf = never
+    expensive_every: float = 5.0   # accepted moves between expensive checks; inf = never
     penalty_scale: float = 1.0     # multiplies expensive regression in the penalty
     delta_w: float = 0.1           # blend-weight increment after each rollback
     eps: float = 1e-3              # terminate when ||delta[free]|| drops below this
-    w0: float = 0.5
+    w0: float = 0.5                # initial blend weight
     max_iter: int = 200
     blend_at: str = "candidate"    # cheap value used in the blend: candidate | backup
 
     def __post_init__(self) -> None:
-        if self.expensive_every < 1:
-            raise ConfigError("expensive_every must be >= 1")
-        if self.penalty_scale <= 0 or self.eps <= 0:
-            raise ConfigError("penalty_scale and eps must be positive")
-        if not 0.0 < self.delta_w <= 1.0:
-            raise ConfigError("delta_w must be in (0, 1]")
-        if self.blend_at not in ("candidate", "backup"):
-            raise ConfigError(f"unknown blend_at {self.blend_at!r}")
+        require(self.expensive_every >= 1, "expensive_every", ">= 1", self.expensive_every)
+        require(self.penalty_scale > 0, "penalty_scale", "positive", self.penalty_scale)
+        require(self.eps > 0, "eps", "positive", self.eps)
+        require(0.0 < self.delta_init <= 1.0, "delta_init", "in (0, 1]", self.delta_init)
+        require(0.0 < self.delta_w <= 1.0, "delta_w", "in (0, 1]", self.delta_w)
+        require(0.0 <= self.w0 <= 1.0, "w0", "in [0, 1]", self.w0)
+        require(self.blend_at in ("candidate", "backup"), "blend_at", "candidate or backup",
+                self.blend_at)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import global_opt, local_opt
 from .adc import DESIGN_FIELDS, AdcConfig, DesignPoint, build_model
 from .coarse import CoarseReport, evaluate_coarse
 from .csvio import write_csv
-from .errors import ConfigError
+from .errors import ConfigError, PlanError, require
 from .global_opt import GlobalParams, OptimizerState, Problem, run_global
 from .local_opt import LocalParams, LocalResult, run_local
 from .problem import CheapObjective, CoarseProblem, ExpensiveObjective, bounds_array
@@ -41,7 +41,7 @@ from .sndr import (
 from .specs import DerivedSpecs
 
 RECORD_NAME = "run_record.json"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def default_bounds(cfg: AdcConfig) -> dict[str, tuple[float, float]]:
@@ -71,6 +71,9 @@ class HarnessConfig:
     amplitude_frac: float = 0.95    # of full-scale half-range
     noise: bool = True
     verify_scale: int = 4
+
+    def __post_init__(self) -> None:
+        require(0.0 < self.amplitude_frac <= 1.0, "amplitude_frac", "in (0, 1]", self.amplitude_frac)
 
 
 @dataclass
@@ -104,26 +107,33 @@ class RunConfig:
         }
 
 
-_KNOWN_TOP_KEYS = {
-    "N", "n_bits", "fs", "f_s", "V_DD", "v_dd", "T", "temp_k",
-    "kappa_cmp", "kappa_sw", "e_dff", "r_drv_cap", "v_floor",
-    "alpha", "bounds", "global", "local", "harness", "seed", "out",
+# Config keys the paper spells its own way.  Both spellings load; the
+# paper's wins when both are given.
+_ALIASES = {
+    "n_bits": "N", "f_s": "fs", "v_dd": "V_DD", "temp_k": "T", "f_weight": "F", "cr": "CR",
+    "penalty_scale": "a", "expensive_every": "lambda", "k_points": "K", "m_segments": "M",
+}
+# AdcConfig leaves the energy terms at zero; a config file prices them.
+_FILE_DEFAULTS = {"kappa_cmp": 1e-25, "kappa_sw": 1e-13, "e_dff": 1e-15}
+# Config block -> (RunConfig field, dataclass).
+_BLOCKS = {"global": ("global_params", GlobalParams), "local": ("local_params", LocalParams),
+           "harness": ("harness", HarnessConfig)}
+
+
+def _schema(cls) -> list[tuple[Field, tuple[str, ...]]]:
+    """The config fields of a dataclass, each with its spellings, alias
+    first.  GlobalParams.seed is not one: the run's seed is."""
+    return [(f, tuple(k for k in (_ALIASES.get(f.name), f.name) if k))
+            for f in fields(cls) if f.name != "seed"]
+
+
+_KNOWN_TOP_KEYS = {k for _, keys in _schema(AdcConfig) for k in keys} | {
+    "alpha", "bounds", "seed", "out", *_BLOCKS
 }
 
 
-def _pick(raw: dict, *names, default=None, applied=None, label=None):
-    for name in names:
-        if name in raw:
-            return raw[name]
-    if applied is not None:
-        applied[label or names[-1]] = default
-    return default
-
-
-def _integer(value, name: str, where: str, minimum: int = 0, optional: bool = False):
+def _integer(value, name: str, where: str, minimum: int = 0) -> int:
     """An integer config value: an int or integral float, never a bool."""
-    if optional and value is None:
-        return None
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral or value < minimum:
         raise ConfigError(f"{where}: {name} must be an integer >= {minimum}, got {value!r}")
@@ -150,12 +160,48 @@ def _block(raw: dict, name: str, where: str) -> dict:
     return block or {}
 
 
+def _from_mapping(cls, raw: dict, where: str, block: str = ""):
+    """Build a config dataclass from a mapping: each field from its first
+    spelling present, converted by its declared type (annotations are
+    postponed, so a string), or its default; the dataclass checks ranges."""
+    schema, values = _schema(cls), {}
+    known = {k for _, keys in schema for k in keys} if block else _KNOWN_TOP_KEYS
+    if unknown := sorted(set(raw) - known):
+        kind = f"{block} " if block else ""
+        warnings.warn(f"{where}: ignoring unknown {kind}keys {unknown}", stacklevel=3)
+    prefix = f"{block}." if block else ""
+    for f, keys in schema:
+        key = next((k for k in keys if k in raw), None)
+        if key is None:
+            if f.default is MISSING:
+                raise ConfigError(f"{where}: missing required key {f.name}")
+            values[f.name] = _FILE_DEFAULTS.get(f.name, f.default)
+            continue
+        value, name = raw[key], prefix + (key if key == f.name else f"{key} ({f.name})")
+        if f.name == "expensive_every":  # lambda: an integer >= 1, or inf (never)
+            value = math.inf if value in ("inf", None, math.inf) else float(
+                _integer(value, name, where, 1))
+        elif f.type == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{where}: {name} must be true or false, got {value!r}")
+        elif f.type == "int" or f.type == "int | None" and value is not None:
+            value = _integer(value, name, where)
+        elif f.type == "float":
+            value = _number(value, name, where)
+        values[f.name] = value
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {prefix}{exc}") from exc
+
+
 def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
     """Parse and validate a YAML run configuration.
 
     Minimal configs need only resolution, sampling rate, and supply;
     everything else defaults, and each applied default is echoed into the
-    run record.  Unknown top-level keys warn but do not fail.
+    run record.  Unknown keys warn but do not fail.  Every range rule is
+    the dataclasses' own, and both sine-test plans are built here, so a
+    bad value fails with ConfigError before any evaluation.
     """
     if is_text:
         text = str(path_or_text)
@@ -170,35 +216,12 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: top level must be a mapping")
 
-    unknown = sorted(set(raw) - _KNOWN_TOP_KEYS)
-    if unknown:
-        warnings.warn(f"{where}: ignoring unknown keys {unknown}", stacklevel=2)
-
-    applied: dict = {}
-    n_bits = _pick(raw, "N", "n_bits", label="n_bits")
-    f_s = _pick(raw, "fs", "f_s", label="f_s")
-    v_dd = _pick(raw, "V_DD", "v_dd", label="v_dd")
-    for name, value in (("n_bits", n_bits), ("f_s", f_s), ("v_dd", v_dd)):
-        if value is None:
-            raise ConfigError(f"{where}: missing required key {name}")
-
-    def optional(*names, default):
-        value = _pick(raw, *names, default=default, applied=applied)
-        return _number(value, names[-1], where)
-
-    adc = AdcConfig(
-        n_bits=_integer(n_bits, "n_bits", where, 2),
-        f_s=_number(f_s, "f_s", where),
-        v_dd=_number(v_dd, "v_dd", where),
-        temp_k=optional("T", "temp_k", default=300.0),
-        kappa_cmp=optional("kappa_cmp", default=1e-25),
-        kappa_sw=optional("kappa_sw", default=1e-13),
-        e_dff=optional("e_dff", default=1e-15),
-        r_drv_cap=optional("r_drv_cap", default=100e3),
-        v_floor=optional("v_floor", default=1e-6),
-    )
-
-    alpha = optional("alpha", default=1.0)
+    adc = _from_mapping(AdcConfig, raw, where)
+    applied = {f.name: getattr(adc, f.name) for f, keys in _schema(AdcConfig)
+               if not raw.keys() & set(keys)}
+    if "alpha" not in raw:
+        applied["alpha"] = 1.0
+    alpha = _number(raw.get("alpha", 1.0), "alpha", where)
     if alpha <= 0:
         raise ConfigError(f"{where}: alpha must be positive, got {alpha}")
 
@@ -216,50 +239,12 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
     if not user_bounds:
         applied["bounds"] = "default sizing box"
 
-    g = _block(raw, "global", where)
-    global_params = GlobalParams(
-        pop_size=_integer(g.get("pop_size"), "global.pop_size", where, 5, optional=True),
-        f_weight=_number(g.get("F", g.get("f_weight", 0.5)), "global.F", where),
-        cr=_number(g.get("CR", g.get("cr", 0.9)), "global.CR", where),
-        k_infill=_integer(g.get("k_infill"), "global.k_infill", where, 1, optional=True),
-        theta_conv=_number(g.get("theta_conv", 0.02), "global.theta_conv", where),
-        n_conv_target=_integer(g.get("n_conv_target"), "global.n_conv_target", where,
-                               optional=True),
-        max_evals=_integer(g.get("max_evals", 5000), "global.max_evals", where),
-    )
-    if not g:
-        applied["global"] = "defaults"
-
-    lo = _block(raw, "local", where)
-    lam = lo.get("lambda", lo.get("expensive_every", 5))
-    local_params = LocalParams(
-        delta_init=_number(lo.get("delta_init", 0.1), "local.delta_init", where),
-        expensive_every=math.inf if lam in ("inf", None, math.inf)
-        else float(_integer(lam, "local.lambda", where, 1)),
-        penalty_scale=_number(lo.get("a", lo.get("penalty_scale", 1.0)), "local.a", where),
-        delta_w=_number(lo.get("delta_w", 0.1), "local.delta_w", where),
-        eps=_number(lo.get("eps", 1e-3), "local.eps", where),
-        w0=_number(lo.get("w0", 0.5), "local.w0", where),
-        max_iter=_integer(lo.get("max_iter", 200), "local.max_iter", where),
-        blend_at=lo.get("blend_at", "candidate"),
-    )
-    if not lo:
-        applied["local"] = "defaults"
-
-    h = _block(raw, "harness", where)
-    noise = h.get("noise", True)
-    if not isinstance(noise, bool):
-        raise ConfigError(f"{where}: harness.noise must be true or false, got {noise!r}")
-    harness = HarnessConfig(
-        k_points=_integer(h.get("K", h.get("k_points", 1024)), "harness.K", where, 1),
-        m_segments=_integer(h.get("M", h.get("m_segments", 4)), "harness.M", where, 1),
-        f_target_frac=_number(h.get("f_target_frac", 0.097), "harness.f_target_frac", where),
-        amplitude_frac=_number(h.get("amplitude_frac", 0.95), "harness.amplitude_frac", where),
-        noise=noise,
-        verify_scale=_integer(h.get("verify_scale", 4), "harness.verify_scale", where, 1),
-    )
-    if not h:
-        applied["harness"] = "defaults"
+    params = {}
+    for name, (attr, cls) in _BLOCKS.items():
+        block = _block(raw, name, where)
+        params[attr] = _from_mapping(cls, block, where, name)
+        if not block:
+            applied[name] = "defaults"
 
     seed = raw.get("seed")
     if seed is None:
@@ -268,17 +253,13 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
     if not isinstance(raw.get("out"), (str, type(None))):
         raise ConfigError(f"{where}: out must be a directory name, got {raw['out']!r}")
 
-    return RunConfig(
-        adc=adc,
-        alpha=alpha,
-        bounds=bounds,
-        global_params=global_params,
-        local_params=local_params,
-        harness=harness,
-        seed=seed,
-        out_dir=raw.get("out"),
-        defaults_applied=applied,
-    )
+    cfg = RunConfig(adc=adc, alpha=alpha, bounds=bounds, seed=seed, out_dir=raw.get("out"),
+                    defaults_applied=applied, **params)
+    try:
+        verification_plan(adc.f_s, adc.v_dd, cfg.harness, seed)
+    except PlanError as exc:
+        raise ConfigError(f"{where}: harness: {exc}") from exc
+    return cfg
 
 
 @dataclass
@@ -599,12 +580,19 @@ def audit_run(run_dir: str | Path) -> dict:
     """Recompute every summary number from the persisted raw artifacts.
 
     Returns a dict of checks, each mapping to (recorded, recomputed).
-    Raises ConfigError when any check disagrees.
+    Raises ConfigError when any check disagrees, or when the record is of
+    another schema version or its config does not rebuild.
     """
     run_dir = Path(run_dir)
-    record = json.loads((run_dir / RECORD_NAME).read_text())
-    cfg_dict = record["config"]
-    adc = AdcConfig(**cfg_dict["adc"])
+    path = run_dir / RECORD_NAME
+    record = json.loads(path.read_text())
+    if (version := record.get("schema_version")) != SCHEMA_VERSION:
+        raise ConfigError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")
+    try:
+        cfg_dict = record["config"]
+        adc, harness = AdcConfig(**cfg_dict["adc"]), HarnessConfig(**cfg_dict["harness"])
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: cannot rebuild the recorded config: {exc!r}") from exc
     specs = DerivedSpecs.derive(adc.n_bits, adc.v_dd, cfg_dict["alpha"])
     bounds = {k: tuple(v) for k, v in cfg_dict["bounds"].items()}
     design = load_design(run_dir / record["trace_files"]["design"])
@@ -613,7 +601,6 @@ def audit_run(run_dir: str | Path) -> dict:
 
     rows = (run_dir / record["trace_files"]["capture"]).read_text().splitlines()[1:]
     codes = np.array([int(r.split(",")[2]) for r in rows])
-    harness = HarnessConfig(**cfg_dict["harness"])
     verify_plan = verification_plan(adc.f_s, adc.v_dd, harness, cfg_dict["seed"])
     spectrum = spectrum_metrics(codes, verify_plan, coarse.power, adc.n_bits)
 

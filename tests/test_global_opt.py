@@ -330,6 +330,8 @@ class TestRunGlobal:
     def test_zero_infill_rejected(self):
         with pytest.raises(ConfigError, match="k_infill"):
             run_global(sphere_problem(), GlobalParams(max_evals=100, k_infill=0))
+        with pytest.raises(ConfigError, match="cr"):
+            GlobalParams(cr=5)
 
     def test_problem_requires_some_evaluator(self):
         with pytest.raises(ConfigError):

@@ -268,6 +268,8 @@ class TestRunLocal:
             LocalParams(delta_w=0.0)
         with pytest.raises(ConfigError):
             LocalParams(blend_at="midpoint")
+        with pytest.raises(ConfigError):
+            LocalParams(w0=7)
 
     def test_backup_blend_reading_selectable(self):
         # with the backup reading, the rollback test compares the penalty

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -10,11 +11,13 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from sarsizer.adc import DESIGN_FIELDS
+from sarsizer.adc import DESIGN_FIELDS, AdcConfig
 from sarsizer.cli import main as cli_main
 from sarsizer.errors import ConfigError, PlanError
 from sarsizer.pipeline import (
+    _BLOCKS,
     _KNOWN_TOP_KEYS,
+    _schema,
     RunConfig,
     audit_run,
     default_bounds,
@@ -71,6 +74,11 @@ class TestLoadConfig:
                 "{N: 8, fs: 1e6, V_DD: 1, frobnicate: true, workers: 4}", is_text=True
             )
         assert cfg.adc.n_bits == 8
+
+    def test_unknown_block_key_warns_not_fatal(self):
+        with pytest.warns(UserWarning, match=r"unknown global keys \['max_eval'\]"):
+            cfg = load_config("{N: 8, fs: 1e6, V_DD: 1, global: {max_eval: 100}}", is_text=True)
+        assert cfg.global_params.max_evals == 5000
 
     def test_bad_bounds_name_field(self):
         with pytest.raises(ConfigError, match="r_sw"):
@@ -156,6 +164,14 @@ class TestLoadConfig:
         ({"local": {"lambda": 0}}, "local.lambda"),
         ({"harness": {"noise": "false"}}, "harness.noise"),
         ({"out": 5}, "out"),
+        ({"global": {"F": -3}}, "global.f_weight"),
+        ({"global": {"CR": 5}}, "global.cr"),
+        ({"global": {"theta_conv": -1}}, "global.theta_conv"),
+        ({"local": {"delta_init": 0}}, "local.delta_init"),
+        ({"local": {"delta_init": -0.5}}, "local.delta_init"),
+        ({"local": {"w0": 7}}, "local.w0"),
+        ({"harness": {"amplitude_frac": 1.5}}, "harness.amplitude_frac"),
+        ({"harness": {"f_target_frac": 0.6}}, "harness"),
     ])
     def test_malformed_values_rejected(self, override, name):
         text = yaml.safe_dump({"N": 8, "fs": 1e6, "V_DD": 1.0, **override})
@@ -168,6 +184,24 @@ class TestLoadConfig:
         assert (cfg.adc.f_s, cfg.adc.v_dd) == (1e6, 1.0)
         assert type(cfg.local_params.expensive_every) is float
         assert cfg.local_params.expensive_every == 3.0
+
+
+def test_readme_example_sets_and_names_every_key():
+    """The README's config example loads without a warning, sets every key
+    and names both spellings of each aliased one."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        load_config(example, is_text=True)
+    raw = yaml.safe_load(example)
+    words = set(re.findall(r"\w+", example))
+    assert sorted(_KNOWN_TOP_KEYS - words) == []
+    assert {"alpha", "bounds", "seed", "out", *_BLOCKS} <= set(raw)
+    for block, cls in [(raw, AdcConfig)] + [(raw[k], cls) for k, (_, cls) in _BLOCKS.items()]:
+        schema = _schema(cls)
+        assert sorted({key for _, keys in schema for key in keys} - words) == []
+        assert [f.name for f, keys in schema if not set(keys) & set(block)] == []
 
 
 NESTED_KEYS = DESIGN_FIELDS + (
@@ -255,6 +289,20 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=key):
             audit_run(run_dir)
 
+    @pytest.mark.parametrize("tamper", [
+        lambda record: record.update(schema_version=99),
+        lambda record: record["config"]["adc"].update(frobnicate=1.0),
+        lambda record: record["config"].pop("harness"),
+    ], ids=["schema_version", "unknown_adc_key", "missing_harness"])
+    def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper):
+        run_dir = shutil.copytree(small_run[2], tmp_path / "run")
+        path = run_dir / "run_record.json"
+        record = json.loads(path.read_text())
+        tamper(record)
+        path.write_text(json.dumps(record))
+        with pytest.raises(ConfigError, match="run_record.json"):
+            audit_run(run_dir)
+
     def test_summary_cross_checks_metrics(self, small_run):
         _, result, _ = small_run
         text = summary_text(result)
@@ -273,17 +321,22 @@ class TestRunPipeline:
         rows = (out / "capture.csv").read_text().strip().split("\n")
         assert len(rows) - 1 == plan.k_points == 256 * 4
 
-    @pytest.mark.parametrize(
-        "harness", ["{K: 500}", "{verify_scale: 3}"], ids=["k_points", "verify_scale"]
-    )
-    def test_bad_harness_fails_before_evaluation(self, harness, monkeypatch):
+    @pytest.mark.parametrize("harness, override", [
+        ("{K: 500}", {"k_points": 500}),
+        ("{verify_scale: 3}", {"verify_scale": 3}),
+    ], ids=["k_points", "verify_scale"])
+    def test_bad_harness_fails_before_evaluation(self, harness, override, monkeypatch):
         def no_eval(*args, **kwargs):
             raise AssertionError("evaluation started")
 
         monkeypatch.setattr("sarsizer.pipeline.run_global", no_eval)
         monkeypatch.setattr("sarsizer.pipeline.evaluate_coarse", no_eval)
         monkeypatch.setattr("sarsizer.problem.evaluate_coarse", no_eval)
-        cfg = load_config(f"{{N: 8, fs: 1e6, V_DD: 1, harness: {harness}}}", is_text=True)
+        with pytest.raises(ConfigError, match="harness"):
+            load_config(f"{{N: 8, fs: 1e6, V_DD: 1, harness: {harness}}}", is_text=True)
+        # A harness set after loading still fails before any evaluation.
+        cfg = load_config("{N: 8, fs: 1e6, V_DD: 1}", is_text=True)
+        cfg = dataclasses.replace(cfg, harness=dataclasses.replace(cfg.harness, **override))
         with pytest.raises(PlanError):
             run_pipeline(cfg)
 
