@@ -6,6 +6,8 @@ Subcommands:
   eval    coarse-evaluate a specific design against derived budgets
   sndr    run the coherent sine test on a specific design
   report  regenerate and audit the report files of a finished run
+
+Errors print as one line and exit 2.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .adc import build_model
 from .coarse import evaluate_coarse, power_estimate
+from .errors import SarSizerError
 from .pipeline import (
     RECORD_NAME,
     RunConfig,
@@ -167,5 +170,14 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def console_main(argv: list[str] | None = None) -> int:
+    """main, with a toolkit or file error printed as one line, exit 2."""
+    try:
+        return main(argv)
+    except (SarSizerError, OSError) as exc:
+        print(f"sarsizer: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

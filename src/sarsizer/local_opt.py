@@ -32,7 +32,6 @@ class LocalParams:
     eps: float = 1e-3              # terminate when ||delta[free]|| drops below this
     w0: float = 0.5                # initial blend weight
     max_iter: int = 200
-    blend_at: str = "candidate"    # cheap value used in the blend: candidate | backup
 
     def __post_init__(self) -> None:
         require(self.expensive_every >= 1, "expensive_every", ">= 1", self.expensive_every)
@@ -41,8 +40,6 @@ class LocalParams:
         require(0.0 < self.delta_init <= 1.0, "delta_init", "in (0, 1]", self.delta_init)
         require(0.0 < self.delta_w <= 1.0, "delta_w", "in (0, 1]", self.delta_w)
         require(0.0 <= self.w0 <= 1.0, "w0", "in [0, 1]", self.w0)
-        require(self.blend_at in ("candidate", "backup"), "blend_at", "candidate or backup",
-                self.blend_at)
 
 
 @dataclass
@@ -167,13 +164,7 @@ def run_local(
 
     f_cheap_best = cheap(x_best)
     f_cheap_backup = f_cheap_best
-    f_exp_best: float | None = None
-    last_exp: tuple[np.ndarray, float] | None = None
-    f_backup = 0.0
-    if f_expensive is not None:
-        f_exp_best = expensive(x_best)
-        f_backup = f_exp_best
-        last_exp = (x_best.copy(), f_exp_best)
+    f_backup = 0.0 if f_expensive is None else expensive(x_best)
 
     lam = params.expensive_every
     iteration = 0
@@ -204,11 +195,8 @@ def run_local(
             if f_expensive is not None and math.isfinite(lam) and c % int(lam) == 0:
                 f_exp = expensive(x_best)
                 sampled_exp = f_exp
-                cheap_ref = (
-                    f_cheap_best if params.blend_at == "candidate" else f_cheap_backup
-                )
                 _, rollback = blend_decision(
-                    cheap_ref, f_exp, f_backup, w, params.penalty_scale
+                    f_cheap_best, f_exp, f_backup, w, params.penalty_scale
                 )
                 if rollback:
                     x_best = x_backup.copy()
@@ -221,7 +209,6 @@ def run_local(
                     x_backup = x_best.copy()
                     f_backup = f_exp
                     f_cheap_backup = f_cheap_best
-                    last_exp = (x_best.copy(), f_exp)
         else:
             delta[free] *= SHRINK
 
@@ -239,11 +226,9 @@ def run_local(
         if norm < params.eps:
             break
 
+    f_exp_best = None
     if f_expensive is not None:
-        if last_exp is not None and np.array_equal(last_exp[0], x_best):
-            f_exp_best = last_exp[1]
-        else:
-            f_exp_best = expensive(x_best)
+        f_exp_best = f_backup if np.array_equal(x_backup, x_best) else expensive(x_best)
 
     return LocalResult(
         x_best=x_best,

@@ -41,7 +41,7 @@ from .sndr import (
 from .specs import DerivedSpecs
 
 RECORD_NAME = "run_record.json"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def default_bounds(cfg: AdcConfig) -> dict[str, tuple[float, float]]:
@@ -369,18 +369,17 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
         expensive = ExpensiveObjective(
             cfg=cfg.adc, plan=plan, bounds=cfg.bounds, noise=cfg.harness.noise
         )
-        feasible_tracker = _FeasibleTracker(cheap)
         local_result = run_local(
             x_start,
             gstate.mask,
-            feasible_tracker,
+            cheap,
             expensive,
             cfg.local_params,
             bounds_array(cfg.bounds),
         )
         x_final = local_result.x_best
         if not coarse_problem.report(x_final).feasible:
-            fallback = feasible_tracker.best_feasible_x
+            fallback = cheap.best_feasible_x
             if fallback is not None:
                 x_final = fallback
                 warning_parts.append(
@@ -414,25 +413,6 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
     if out_dir is not None:
         persist_run(result, Path(out_dir), verify_plan, codes)
     return result
-
-
-class _FeasibleTracker:
-    """Wrap the cheap objective, remembering the best coarse-feasible point
-    visited, so the pipeline can fall back to it if the local end point
-    trades a small violation for power."""
-
-    def __init__(self, cheap: CheapObjective):
-        self.cheap = cheap
-        self.best_feasible_x: np.ndarray | None = None
-        self._best_val = float("inf")
-
-    def __call__(self, x: np.ndarray) -> float:
-        power, slack = self.cheap.problem(x)
-        value = self.cheap.value_from(power, slack)
-        if np.all(slack >= 0.0) and value < self._best_val:
-            self._best_val = value
-            self.best_feasible_x = np.asarray(x, dtype=float).copy()
-        return value
 
 
 def write_eval_log_csv(archive, n_constraints: int, path: str) -> None:

@@ -5,14 +5,13 @@ Determinism is carried entirely by each adapter's constructor state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .adc import DESIGN_FIELDS, AdcConfig, DesignPoint, build_model
 from .coarse import CoarseReport, evaluate_coarse, power_estimate
-from .errors import MetricsError
 from .sndr import TestPlan, run_segments, segment_stimulus, spectrum_metrics
 from .specs import DerivedSpecs
 
@@ -40,52 +39,43 @@ class CoarseProblem:
     def report(self, x: np.ndarray) -> CoarseReport:
         return evaluate_coarse(self._model(x), self.specs)
 
-    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        rep = self.report(x)
-        return rep.power, rep.slack
-
     def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Powers (n,) and slacks (n, m) of the rows of xs, from one
-        kernel call; each row's result equals its own __call__'s."""
+        kernel call; each row's result equals its own report's."""
         reports = evaluate_coarse([self._model(x) for x in xs], self.specs)
         return np.array([r.power for r in reports]), np.array([r.slack for r in reports])
 
-    def slack_scales(self) -> np.ndarray:
-        """Per-constraint magnitudes used to normalize violations."""
-        s = self.specs
-        return np.concatenate(
-            [s.ssre_bound, [s.sampling_bound], [s.noise_bound], [1.0]]
-        )
 
-
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class CheapObjective:
     """Scalar nonnegative target for the local phase.
 
     Power normalized by the phase's starting power plus a weighted sum of
     normalized constraint violations; zero only for a feasible zero-power
-    design, so the rollback comparison stays meaningful.
+    design, so the rollback comparison stays meaningful.  Remembers the
+    lowest-valued coarse-feasible point it scores: one instance per local run.
     """
 
     problem: CoarseProblem
     power_scale: float
     slack_scale: np.ndarray
+    best_feasible_x: np.ndarray | None = field(default=None, init=False)
+    best_feasible_value: float = field(default=np.inf, init=False)
 
     @classmethod
     def anchored_at(cls, problem: CoarseProblem, x0: np.ndarray) -> "CheapObjective":
-        power, _ = problem(x0)
-        return cls(
-            problem=problem,
-            power_scale=max(power, MIN_POWER_SCALE),
-            slack_scale=problem.slack_scales(),
-        )
-
-    def value_from(self, power: float, slack: np.ndarray) -> float:
-        violation = np.maximum(0.0, -slack) / self.slack_scale
-        return power / self.power_scale + VIOLATION_WEIGHT * float(violation.sum())
+        s = problem.specs  # each violation is measured against its own bound
+        scales = np.concatenate([s.ssre_bound, [s.sampling_bound, s.noise_bound, 1.0]])
+        return cls(problem, max(problem.report(x0).power, MIN_POWER_SCALE), scales)
 
     def __call__(self, x: np.ndarray) -> float:
-        return self.value_from(*self.problem(x))
+        rep = self.problem.report(x)
+        violation = np.maximum(0.0, -rep.slack) / self.slack_scale
+        value = rep.power / self.power_scale + VIOLATION_WEIGHT * float(violation.sum())
+        if value < self.best_feasible_value and rep.feasible:
+            self.best_feasible_value = value
+            self.best_feasible_x = np.asarray(x, dtype=float).copy()
+        return value
 
 
 @dataclass(frozen=True)
@@ -94,7 +84,8 @@ class ExpensiveObjective:
 
     FoM_S folds measured SNDR and estimated power into one figure, so the
     expensive checkpoints guard exactly what the coarse tests approximate.
-    Unusable captures (e.g. every conversion timing-dead) surface as +inf.
+    An unusable capture (e.g. every conversion timing-dead) raises
+    MetricsError, which run_local scores as +inf and counts as failed.
     """
 
     cfg: AdcConfig
@@ -113,9 +104,5 @@ class ExpensiveObjective:
         design = DesignPoint.from_vector(x)
         model = build_model(design, self.cfg, self.bounds)
         codes = run_segments(model, self.plan, noise=self.noise, stimuli=self.stimuli)
-        power = power_estimate(model)
-        try:
-            report = spectrum_metrics(codes, self.plan, power, self.cfg.n_bits)
-        except MetricsError:
-            return float("inf")
+        report = spectrum_metrics(codes, self.plan, power_estimate(model), self.cfg.n_bits)
         return -report.fom_s

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sarsizer.adc import AdcConfig
+from sarsizer.coarse import CoarseReport
 from sarsizer.errors import ConfigError, MetricsError
 from sarsizer.local_opt import (
     LocalParams,
@@ -11,6 +13,9 @@ from sarsizer.local_opt import (
     exploratory_search,
     run_local,
 )
+from sarsizer.pipeline import default_bounds
+from sarsizer.problem import CheapObjective, ExpensiveObjective, bounds_array
+from sarsizer.sndr import plan_test
 
 
 def reference_pattern_search(f, x0, bounds, delta_init=0.1, eps=1e-3,
@@ -267,34 +272,55 @@ class TestRunLocal:
         with pytest.raises(ConfigError):
             LocalParams(delta_w=0.0)
         with pytest.raises(ConfigError):
-            LocalParams(blend_at="midpoint")
-        with pytest.raises(ConfigError):
             LocalParams(w0=7)
 
-    def test_backup_blend_reading_selectable(self):
-        # with the backup reading, the rollback test compares the penalty
-        # against the cheap value at the verified point instead of the
-        # candidate; a mild expensive regression that would not outweigh
-        # the candidate's large cheap value can outweigh the backup's
-        bounds = np.array([[0.0, 1.0]] * 1)
-        x0 = np.array([0.9])
-        cheap = quad([0.2])
+    def test_sine_test_metrics_error_counted_as_failed(self, monkeypatch):
+        """A real sine-test objective lets MetricsError reach run_local,
+        which counts it in n_expensive_failed."""
 
-        def drifting(x):
-            return float(abs(x[0] - 0.9))  # any move looks worse
+        def unusable(*args, **kwargs):
+            raise MetricsError("unusable capture")
 
-        candidate = run_local(
-            x0, np.zeros(1, bool), cheap, drifting,
-            LocalParams(expensive_every=1, max_iter=4, blend_at="candidate"),
-            bounds,
+        monkeypatch.setattr("sarsizer.problem.spectrum_metrics", unusable)
+        cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
+        bounds = default_bounds(cfg)
+        plan = plan_test(cfg.f_s, 256, 4, 0.097 * cfg.f_s, 0.475, seed=5)
+        box = bounds_array(bounds)
+        res = run_local(
+            box.mean(axis=1), np.zeros(len(box), bool), quad(box[:, 0]),
+            ExpensiveObjective(cfg=cfg, plan=plan, bounds=bounds),
+            LocalParams(expensive_every=1, max_iter=3), box,
         )
-        backup = run_local(
-            x0, np.zeros(1, bool), cheap, drifting,
-            LocalParams(expensive_every=1, max_iter=4, blend_at="backup"),
-            bounds,
-        )
-        assert backup.rollbacks >= candidate.rollbacks
-        assert backup.rollbacks >= 1
+        assert res.n_expensive >= 2
+        assert res.n_expensive_failed == res.n_expensive
+        assert res.f_expensive == math.inf
+
+
+class TestCheapObjective:
+    class ToyProblem:
+        """report(x): power x[0], one slack x[1]."""
+
+        def report(self, x):
+            return CoarseReport(sampling_error=0.0, ssre=np.zeros(0), noise_rms=0.0,
+                                power=float(x[0]), timing_ok=True, slack=np.array([x[1]]))
+
+    def objective(self):
+        return CheapObjective(problem=self.ToyProblem(), power_scale=1.0,
+                              slack_scale=np.ones(1))
+
+    def test_remembers_lowest_valued_feasible_point(self):
+        f = self.objective()
+        assert f(np.array([2.0, 1.0])) == 2.0
+        assert f(np.array([1.0, 0.5])) == 1.0
+        # lower-valued but infeasible, then feasible but higher: neither replaces it
+        assert f(np.array([0.1, -0.01])) == pytest.approx(0.2)
+        assert f(np.array([3.0, 0.0])) == 3.0
+        np.testing.assert_array_equal(f.best_feasible_x, [1.0, 0.5])
+
+    def test_none_when_nothing_feasible_scored(self):
+        f = self.objective()
+        f(np.array([0.1, -0.01]))
+        assert f.best_feasible_x is None
 
 
 FUNCTIONS = {

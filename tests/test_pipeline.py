@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,9 +14,11 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from sarsizer.adc import DESIGN_FIELDS, AdcConfig
+import sarsizer
+from sarsizer.adc import DESIGN_FIELDS, AdcConfig, DesignPoint
 from sarsizer.cli import main as cli_main
 from sarsizer.errors import ConfigError, PlanError
+from sarsizer.local_opt import LocalResult
 from sarsizer.pipeline import (
     _BLOCKS,
     _KNOWN_TOP_KEYS,
@@ -459,6 +464,49 @@ class TestDesignFiles:
             load_design(path)
 
 
+# Violates a coarse constraint under SMALL_RUN's config.
+INFEASIBLE = DesignPoint(
+    c_unit=1e-15, r_sw=5e3, t_sample=60e-9, sigma_cmp=4e-3,
+    t_d0=1e-9, tau_reg=1e-9, r_drv_msb=9e3, t_dff=5e-9,
+)
+
+
+def design_x(design):
+    return np.array([getattr(design, name) for name in DESIGN_FIELDS])
+
+
+class TestLocalFallback:
+    """The final design when the local end point violates a coarse constraint."""
+
+    def run_with_local_scoring(self, small_run, monkeypatch, scored):
+        """run_pipeline whose local phase scores the designs `scored` through
+        the cheap objective it is given, then ends on INFEASIBLE."""
+
+        def fake_run_local(x0, mask, f_cheap, f_expensive, params, bounds):
+            for design in scored:
+                f_cheap(design_x(design))
+            return LocalResult(x_best=design_x(INFEASIBLE), f_cheap=0.0, f_expensive=None,
+                               iterations=1, rollbacks=0, n_cheap=len(scored),
+                               n_expensive=0, n_expensive_failed=0)
+
+        monkeypatch.setattr("sarsizer.pipeline.run_local", fake_run_local)
+        return run_pipeline(small_run[0])
+
+    def test_keeps_best_feasible_point(self, small_run, monkeypatch):
+        feasible = small_run[1].design
+        assert small_run[1].coarse.feasible
+        result = self.run_with_local_scoring(small_run, monkeypatch, [INFEASIBLE, feasible])
+        assert result.design == feasible
+        assert result.coarse.feasible
+        assert "kept best feasible point" in result.warning
+
+    def test_warns_when_nothing_feasible_scored(self, small_run, monkeypatch):
+        result = self.run_with_local_scoring(small_run, monkeypatch, [INFEASIBLE])
+        assert result.design == INFEASIBLE
+        assert not result.coarse.feasible
+        assert "no coarse-feasible point found" in result.warning
+
+
 class TestCli:
     @pytest.fixture()
     def cfg_file(self, tmp_path):
@@ -517,6 +565,20 @@ class TestCli:
         monkeypatch.setattr("sarsizer.cli.run_pipeline", no_run)
         with pytest.raises(ConfigError, match="seed"):
             cli_main(["run", str(cfg_file), "--seed", seed])
+
+    @pytest.mark.parametrize("args", [
+        ["run", "{cfg}", "--seed", "-1"],
+        ["eval", "{cfg}", "--design", "{tmp}/missing.json"],
+    ], ids=["bad_seed", "missing_design"])
+    def test_console_errors_are_one_line_exit_2(self, tmp_path, cfg_file, args):
+        argv = [a.format(cfg=cfg_file, tmp=tmp_path) for a in args]
+        env = {**os.environ, "PYTHONPATH": str(Path(sarsizer.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "sarsizer.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("sarsizer: error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
 
     def test_eval_exit_code_on_infeasible(self, tmp_path, cfg_file, capsys):
         bad = dict(

@@ -228,11 +228,7 @@ def expensive_value_by_default_path(cfg, plan, bounds, noise, x):
     own stimulus, one segment at a time."""
     model = build_model(DesignPoint.from_vector(x), cfg, bounds)
     codes = run_segments(model, plan, noise=noise)
-    try:
-        report = spectrum_metrics(codes, plan, power_estimate(model), cfg.n_bits)
-    except MetricsError:
-        return math.inf
-    return -report.fom_s
+    return -spectrum_metrics(codes, plan, power_estimate(model), cfg.n_bits).fom_s
 
 
 class TestReusedStimulus:
