@@ -5,7 +5,8 @@ Subcommands:
           the final design violates a coarse constraint
   eval    coarse-evaluate a specific design against derived budgets
   sndr    run the coherent sine test on a specific design
-  report  regenerate and audit the report files of a finished run
+  report  audit a finished run, regenerate its report files and print
+          its summary
 
 Errors print as one line and exit 2.
 """
@@ -13,7 +14,6 @@ Errors print as one line and exit 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import replace
@@ -32,7 +32,9 @@ from .pipeline import (
     load_config,
     load_design,
     optimization_plan,
+    read_json,
     run_pipeline,
+    summary_from_record,
     summary_text,
 )
 from .sndr import (
@@ -125,8 +127,9 @@ def cmd_report(args) -> int:
     print(f"audit of {args.run_dir}: {len(checks)} checks passed")
     for name, (recorded, recomputed) in checks.items():
         print(f"  {name:<16} recorded={recorded!r} recomputed={recomputed!r}")
-    record = json.loads((Path(args.run_dir) / RECORD_NAME).read_text())
+    record = read_json(Path(args.run_dir) / RECORD_NAME)
     files = emit_report(record, Path(args.run_dir))
+    print(summary_from_record(record))
     print(f"report files regenerated: {', '.join(sorted(files.values()))}")
     return 0
 

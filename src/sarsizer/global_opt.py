@@ -5,9 +5,18 @@ surrogate ranks each generation's offspring and only the most promising
 few are actually evaluated (infill); survivor selection is one-to-one
 against the parent under feasibility dominance.  A generation's infill
 is chosen before any of it is evaluated, so it is evaluated as one batch.
-The phase ends once a feasible best exists and enough variables have
-collapsed to a small fraction of their range, handing the rest to the
-local optimizer.
+The phase ends, and ``OptimizerState.stop_reason`` says why, at the first
+of these checks to hold before a generation:
+
+* ``converged``: a feasible best exists and enough variables have
+  collapsed to a small fraction of their range, handing the rest to the
+  local optimizer;
+* ``stalled``: the best point is feasible, was already feasible
+  ``stall_generations`` generations ago, and its objective has improved
+  by at most ``stall_rtol`` (relative) since (an improvement-based stop
+  as in Zielinski & Laur 2008); it never fires while the best point is
+  infeasible;
+* ``budget``: ``max_evals`` evaluations have been spent.
 """
 
 from __future__ import annotations
@@ -141,6 +150,8 @@ class GlobalParams:
     theta_conv: float = 0.02
     n_conv_target: int | None = None     # default ceil(0.7*d)
     max_evals: int = 5000
+    stall_generations: int | None = 20   # None: never stop on a stall
+    stall_rtol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -150,6 +161,9 @@ class GlobalParams:
         require(0.0 < self.f_weight <= 2.0, "f_weight", "in (0, 2]", self.f_weight)
         require(0.0 <= self.cr <= 1.0, "cr", "in [0, 1]", self.cr)
         require(self.theta_conv > 0.0, "theta_conv", "positive", self.theta_conv)
+        require(self.stall_generations is None or self.stall_generations >= 1,
+                "stall_generations", "null or >= 1", self.stall_generations)
+        require(self.stall_rtol >= 0.0, "stall_rtol", ">= 0", self.stall_rtol)
 
     def resolved(self, dim: int) -> "GlobalParams":
         pop = self.pop_size if self.pop_size is not None else 10 * dim
@@ -173,6 +187,7 @@ class OptimizerState:
     mask: np.ndarray          # True where a variable has converged
     generation: int
     evals: int
+    stop_reason: str = "budget"  # "converged", "stalled" or "budget"
     warning: str | None = None
     history: list[dict] = field(default_factory=list)
 
@@ -311,12 +326,27 @@ def run_global(problem: Problem, params: GlobalParams) -> OptimizerState:
             }
         )
 
+    def stalled() -> bool:
+        back = params.stall_generations
+        if back is None or len(state.history) <= back:
+            return False
+        then = state.history[-1 - back]  # feasible then: feasible now (Deb's rules)
+        return then["best_violation"] == 0.0 and (
+            then["best_objective"] - state.best.objective
+            <= params.stall_rtol * abs(then["best_objective"])
+        )
+
+    def stop_reason() -> str | None:
+        if state.best.feasible and int(state.mask.sum()) >= params.n_conv_target:
+            return "converged"
+        if stalled():
+            return "stalled"
+        return "budget" if state.evals >= params.max_evals else None
+
     state.mask = detect_convergence(pop_x, bounds, params.theta_conv)
     log_generation()
 
-    while state.evals < params.max_evals and not (
-        state.best.feasible and int(state.mask.sum()) >= params.n_conv_target
-    ):
+    while (reason := stop_reason()) is None:
         surrogate.train(*arrays)
         offspring = de_offspring(pop_x, params.f_weight, params.cr, rng, bounds)
         chosen = surrogate_rank(surrogate, offspring, params.k_infill)
@@ -334,6 +364,7 @@ def run_global(problem: Problem, params: GlobalParams) -> OptimizerState:
         state.mask = detect_convergence(pop_x, bounds, params.theta_conv)
         log_generation()
 
+    state.stop_reason = reason
     if state.best is not None and not state.best.feasible:
         state.warning = "no feasible point found; returning least-violating"
     return state

@@ -41,7 +41,7 @@ from .sndr import (
 from .specs import DerivedSpecs
 
 RECORD_NAME = "run_record.json"
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def default_bounds(cfg: AdcConfig) -> dict[str, tuple[float, float]]:
@@ -292,6 +292,7 @@ class RunResult:
                 "evals": self.global_state.evals,
                 "n_converged": int(self.global_state.mask.sum()),
                 "mask": self.global_state.mask.tolist(),
+                "stop_reason": self.global_state.stop_reason,
                 "warning": self.global_state.warning,
             },
             "local": None
@@ -520,7 +521,7 @@ def summary_from_record(record: dict) -> str:
     g = record["global"]
     lines.append(
         f"global phase: {g['generations']} generations, {g['evals']} evaluations, "
-        f"{g['n_converged']} variables converged"
+        f"{g['n_converged']} variables converged, stop reason: {g['stop_reason']}"
     )
     if record["warning"]:
         lines.append(f"warning: {record['warning']}")
@@ -548,8 +549,17 @@ def emit_report(record: dict, out: Path) -> dict[str, str]:
     return {"summary": "summary.txt", "metrics": "metrics.csv"}
 
 
+def read_json(path: str | Path):
+    """A JSON file's content; malformed JSON (or text that is not UTF-8) is
+    a ConfigError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
+
+
 def load_design(path: str | Path) -> DesignPoint:
-    raw = json.loads(Path(path).read_text())
+    raw = read_json(path)
     missing = [name for name in DESIGN_FIELDS if not isinstance(raw, dict) or name not in raw]
     if missing:
         raise ConfigError(f"design file missing fields: {missing}")
@@ -565,8 +575,9 @@ def audit_run(run_dir: str | Path) -> dict:
     """
     run_dir = Path(run_dir)
     path = run_dir / RECORD_NAME
-    record = json.loads(path.read_text())
-    if (version := record.get("schema_version")) != SCHEMA_VERSION:
+    record = read_json(path)
+    version = record.get("schema_version") if isinstance(record, dict) else None
+    if version != SCHEMA_VERSION:
         raise ConfigError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")
     try:
         cfg_dict = record["config"]

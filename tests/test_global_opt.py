@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +18,9 @@ from sarsizer.global_opt import (
     run_global,
     surrogate_rank,
 )
+from sarsizer.pipeline import load_config, run_pipeline
+
+from test_acceptance import DESK_CONFIG
 
 UNIT3 = np.array([[0.0, 1.0]] * 3)
 
@@ -261,6 +267,7 @@ class TestRunGlobal:
                                                           n_conv_target=0))
         assert state.generation == 0
         assert state.evals == 30  # just the initial population
+        assert state.stop_reason == "converged"
 
     def test_zero_budget_returns_initial_point_with_warning(self):
         state = run_global(sphere_problem(), GlobalParams(max_evals=0, seed=4))
@@ -268,6 +275,7 @@ class TestRunGlobal:
         assert state.best is None
         assert state.best_x.shape == (3,)
         assert len(state.archive) == 0
+        assert state.stop_reason == "budget"
 
     def test_all_evaluations_within_bounds(self):
         state = run_global(sphere_problem(), GlobalParams(max_evals=400, seed=5))
@@ -326,6 +334,53 @@ class TestRunGlobal:
         assert state.mask.sum() >= 1
         assert state.evals == 200
         assert state.warning == "no feasible point found; returning least-violating"
+        assert state.stop_reason == "budget"
+
+    def test_constant_feasible_objective_stalls(self):
+        def evaluate_batch(xs):
+            return np.ones(len(xs)), np.ones((len(xs), 1))  # flat and feasible
+
+        problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
+        params = GlobalParams(max_evals=5000, seed=3, n_conv_target=4, stall_generations=7)
+        state = run_global(problem, params)
+        assert state.stop_reason == "stalled"
+        assert state.generation == 7
+        assert state.evals == 30 + 7 * 6  # pop_size + stall_generations * k_infill
+
+    def test_infeasible_everywhere_never_stalls(self):
+        def evaluate_batch(xs):
+            return np.ones(len(xs)), -np.ones((len(xs), 1))  # flat, never feasible
+
+        problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
+        state = run_global(problem, GlobalParams(max_evals=300, seed=3, stall_generations=1))
+        assert state.stop_reason == "budget"
+        assert state.evals == 300
+
+    def test_stall_rule_off_adds_no_second_path(self):
+        params = GlobalParams(max_evals=600, seed=9, n_conv_target=4, stall_generations=None)
+        off = run_global(sphere_problem(), params)
+        # 600 evaluations allow (600 - 30) / 6 = 95 generations
+        never = run_global(sphere_problem(), replace(params, stall_generations=96))
+        assert off.stop_reason == never.stop_reason == "budget"
+        assert off.history == never.history
+        assert len(off.archive) == len(never.archive) == 600
+        for ra, rb in zip(off.archive, never.archive):
+            assert ra.x.tobytes() == rb.x.tobytes()
+            assert ra.slack.tobytes() == rb.slack.tobytes()
+            assert ra.objective == rb.objective
+
+    def test_desk_run_stalls_near_the_full_budget_best(self, tmp_path):
+        stalled = run_pipeline(load_config(DESK_CONFIG, is_text=True), out_dir=tmp_path)
+        full = run_pipeline(load_config(DESK_CONFIG.replace(
+            "max_evals: 2000", "max_evals: 2000, stall_generations: null"), is_text=True)
+        ).global_state
+        g = stalled.global_state
+        assert g.stop_reason == "stalled" and g.evals < full.evals
+        assert g.best.objective == pytest.approx(full.best.objective, rel=1e-6)
+        assert stalled.coarse.feasible
+        assert stalled.spectrum.enob >= 8 - 1.5
+        record = json.loads((tmp_path / "run_record.json").read_text())
+        assert record["global"]["stop_reason"] == "stalled"
 
     def test_zero_infill_rejected(self):
         with pytest.raises(ConfigError, match="k_infill"):

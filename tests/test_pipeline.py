@@ -177,6 +177,9 @@ class TestLoadConfig:
         ({"local": {"w0": 7}}, "local.w0"),
         ({"harness": {"amplitude_frac": 1.5}}, "harness.amplitude_frac"),
         ({"harness": {"f_target_frac": 0.6}}, "harness"),
+        ({"global": {"stall_generations": 0}}, "global.stall_generations"),
+        ({"global": {"stall_generations": "20"}}, "global.stall_generations"),
+        ({"global": {"stall_rtol": -1}}, "global.stall_rtol"),
     ])
     def test_malformed_values_rejected(self, override, name):
         text = yaml.safe_dump({"N": 8, "fs": 1e6, "V_DD": 1.0, **override})
@@ -415,7 +418,8 @@ class TestEmitReport:
                 "fom_s": fom_schreier(power, f_s, sndr),
             },
             "local": {"iterations": 42, "rollbacks": 1},
-            "global": {"generations": 10, "evals": 500, "n_converged": 6},
+            "global": {"generations": 10, "evals": 500, "n_converged": 6,
+                       "stop_reason": "stalled"},
             "warning": None,
         }
 
@@ -569,8 +573,19 @@ class TestCli:
     @pytest.mark.parametrize("args", [
         ["run", "{cfg}", "--seed", "-1"],
         ["eval", "{cfg}", "--design", "{tmp}/missing.json"],
-    ], ids=["bad_seed", "missing_design"])
+        ["eval", "{cfg}", "--design", "{tmp}/bad.json"],
+        ["eval", "{cfg}", "--design", "{tmp}/latin1.json"],
+        ["report", "{tmp}/bad-run"],
+        ["report", "{tmp}/list-run"],
+    ], ids=["bad_seed", "missing_design", "malformed_design", "non_utf8_design",
+            "malformed_record", "non_object_record"])
     def test_console_errors_are_one_line_exit_2(self, tmp_path, cfg_file, args):
+        (tmp_path / "bad.json").write_text("{bad")
+        (tmp_path / "latin1.json").write_bytes(b'{"c_unit": "\xb5"}')
+        (tmp_path / "bad-run").mkdir()
+        (tmp_path / "bad-run" / "run_record.json").write_text("{bad")
+        (tmp_path / "list-run").mkdir()
+        (tmp_path / "list-run" / "run_record.json").write_text("[]")
         argv = [a.format(cfg=cfg_file, tmp=tmp_path) for a in args]
         env = {**os.environ, "PYTHONPATH": str(Path(sarsizer.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "sarsizer.cli", *argv],
