@@ -13,7 +13,7 @@ of these checks to hold before a generation:
   local optimizer;
 * ``stalled``: the best point is feasible, was already feasible
   ``stall_generations`` generations ago, and its objective has improved
-  by at most ``stall_rtol`` (relative) since (an improvement-based stop
+  by at most ``STALL_RTOL`` (relative) since (an improvement-based stop
   as in Zielinski & Laur 2008); it never fires while the best point is
   infeasible;
 * ``budget``: ``max_evals`` evaluations have been spent.
@@ -30,6 +30,7 @@ from .csvio import write_csv
 from .errors import ConfigError, require
 
 PREDICT_BLOCK = 8  # surrogate query rows per neighbour selection
+STALL_RTOL = 1e-6  # relative improvement over stall_generations that counts as none
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,6 @@ class GlobalParams:
     n_conv_target: int | None = None     # default ceil(0.7*d)
     max_evals: int = 5000
     stall_generations: int | None = 20   # None: never stop on a stall
-    stall_rtol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -163,7 +163,6 @@ class GlobalParams:
         require(self.theta_conv > 0.0, "theta_conv", "positive", self.theta_conv)
         require(self.stall_generations is None or self.stall_generations >= 1,
                 "stall_generations", "null or >= 1", self.stall_generations)
-        require(self.stall_rtol >= 0.0, "stall_rtol", ">= 0", self.stall_rtol)
 
     def resolved(self, dim: int) -> "GlobalParams":
         pop = self.pop_size if self.pop_size is not None else 10 * dim
@@ -333,7 +332,7 @@ def run_global(problem: Problem, params: GlobalParams) -> OptimizerState:
         then = state.history[-1 - back]  # feasible then: feasible now (Deb's rules)
         return then["best_violation"] == 0.0 and (
             then["best_objective"] - state.best.objective
-            <= params.stall_rtol * abs(then["best_objective"])
+            <= STALL_RTOL * abs(then["best_objective"])
         )
 
     def stop_reason() -> str | None:

@@ -182,6 +182,15 @@ def test_criterion_8_end_to_end_desk_run(tmp_path):
         main_rec = (tmp_path / "main" / "run_record.json").read_bytes()
         assert main_rec == (tmp_path / "rerun" / "run_record.json").read_bytes()
 
+        # the stall rule ends the global phase early, near the full-budget best
+        g = result.global_state
+        full = run_pipeline(load_config(DESK_CONFIG.replace(
+            "max_evals: 2000}", "max_evals: 2000, stall_generations: null}"), is_text=True)
+        ).global_state
+        assert g.stop_reason == "stalled" and g.evals < full.evals
+        assert g.best.objective == pytest.approx(full.best.objective, rel=1e-6)
+        assert json.loads(main_rec)["global"]["stop_reason"] == "stalled"
+
 
 def test_criterion_9_pattern_search_degeneration():
     with _Clock(30.0, "criterion 9: plain pattern search recovered at lambda=inf"):

@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +17,6 @@ from sarsizer.global_opt import (
     run_global,
     surrogate_rank,
 )
-from sarsizer.pipeline import load_config, run_pipeline
-
-from test_acceptance import DESK_CONFIG
 
 UNIT3 = np.array([[0.0, 1.0]] * 3)
 
@@ -368,19 +364,6 @@ class TestRunGlobal:
             assert ra.x.tobytes() == rb.x.tobytes()
             assert ra.slack.tobytes() == rb.slack.tobytes()
             assert ra.objective == rb.objective
-
-    def test_desk_run_stalls_near_the_full_budget_best(self, tmp_path):
-        stalled = run_pipeline(load_config(DESK_CONFIG, is_text=True), out_dir=tmp_path)
-        full = run_pipeline(load_config(DESK_CONFIG.replace(
-            "max_evals: 2000", "max_evals: 2000, stall_generations: null"), is_text=True)
-        ).global_state
-        g = stalled.global_state
-        assert g.stop_reason == "stalled" and g.evals < full.evals
-        assert g.best.objective == pytest.approx(full.best.objective, rel=1e-6)
-        assert stalled.coarse.feasible
-        assert stalled.spectrum.enob >= 8 - 1.5
-        record = json.loads((tmp_path / "run_record.json").read_text())
-        assert record["global"]["stop_reason"] == "stalled"
 
     def test_zero_infill_rejected(self):
         with pytest.raises(ConfigError, match="k_infill"):

@@ -179,7 +179,6 @@ class TestLoadConfig:
         ({"harness": {"f_target_frac": 0.6}}, "harness"),
         ({"global": {"stall_generations": 0}}, "global.stall_generations"),
         ({"global": {"stall_generations": "20"}}, "global.stall_generations"),
-        ({"global": {"stall_rtol": -1}}, "global.stall_rtol"),
     ])
     def test_malformed_values_rejected(self, override, name):
         text = yaml.safe_dump({"N": 8, "fs": 1e6, "V_DD": 1.0, **override})
