@@ -83,49 +83,60 @@ def exploratory_search(
     x: np.ndarray,
     delta: np.ndarray,
     mask: np.ndarray,
-    f_cheap: Callable[[np.ndarray], float],
+    f_cheap: Callable[[np.ndarray], np.ndarray],
     bounds: np.ndarray,
-    f_at_x: float | None = None,
+    f_at_x: float,
 ) -> tuple[np.ndarray, float] | None:
     """Coordinate probe around x, skipping frozen dims.
 
-    Per free dim, try +delta then -delta (in range units), accepting
-    greedily; probes clip to bounds.  Returns the improved point and its
-    value, or None if no probe improved.
+    Per free dim, try +delta then -delta (in range units), accepting the
+    first probe that improves and moving on to the next dim; probes clip to
+    bounds, and one clipped onto the current value is skipped.  The probes
+    of every remaining dim are scored around the current point in one
+    batch, walked in that order, and re-batched for the dims after an
+    accepted one, so the accepted moves are the one-probe-at-a-time
+    sweep's.  Returns the improved point and its value, or None if no probe
+    improved.
     """
-    x = np.asarray(x, dtype=float)
     span = bounds[:, 1] - bounds[:, 0]
-    current = x.copy()
-    f_cur = f_cheap(current) if f_at_x is None else f_at_x
+    current, f_cur = np.asarray(x, dtype=float).copy(), f_at_x
     improved = False
-    for j in range(len(x)):
-        if mask[j]:
-            continue
-        step = delta[j] * span[j]
-        for direction in (1.0, -1.0):
-            cand = current.copy()
-            cand[j] = min(max(current[j] + direction * step, bounds[j, 0]), bounds[j, 1])
-            if cand[j] == current[j]:
-                continue
-            f_cand = f_cheap(cand)
+    remaining = list(np.flatnonzero(~mask))
+    while remaining:
+        probes, dims = [], []
+        for j in remaining:
+            step = delta[j] * span[j]
+            for direction in (1.0, -1.0):
+                cand = current.copy()
+                cand[j] = min(max(current[j] + direction * step, bounds[j, 0]), bounds[j, 1])
+                if cand[j] != current[j]:
+                    probes.append(cand)
+                    dims.append(j)
+        if not probes:
+            break
+        for cand, j, f_cand in zip(probes, dims, f_cheap(np.array(probes))):
             if f_cand < f_cur:
                 current, f_cur = cand, f_cand
                 improved = True
+                remaining = remaining[remaining.index(j) + 1:]
                 break
+        else:
+            break
     return (current, f_cur) if improved else None
 
 
 def run_local(
     x0: np.ndarray,
     mask: np.ndarray,
-    f_cheap: Callable[[np.ndarray], float],
+    f_cheap: Callable[[np.ndarray], np.ndarray],
     f_expensive: Callable[[np.ndarray], float] | None,
     params: LocalParams,
     bounds: np.ndarray,
 ) -> LocalResult:
     """Refine the free coordinates of x0; frozen ones pass through untouched.
 
-    The cheap objective should be normalized nonnegative, otherwise the
+    f_cheap scores a batch: (n, d) rows in, (n,) values out; n_cheap counts
+    rows.  The cheap objective should be normalized nonnegative, otherwise the
     rollback test degenerates.  An expensive evaluator that raises a
     SarSizerError or FloatingPointError, or returns a non-finite value,
     counts as +inf, which forces the rollback path rather than aborting
@@ -141,9 +152,9 @@ def run_local(
 
     counts = {"cheap": 0, "expensive": 0, "failed": 0}
 
-    def cheap(x: np.ndarray) -> float:
-        counts["cheap"] += 1
-        return float(f_cheap(x))
+    def cheap(xs: np.ndarray) -> list[float]:
+        counts["cheap"] += len(xs)
+        return np.asarray(f_cheap(xs), dtype=float).tolist()
 
     def expensive(x: np.ndarray) -> float:
         counts["expensive"] += 1
@@ -162,7 +173,7 @@ def run_local(
     rollbacks = 0
     history: list[dict] = []
 
-    f_cheap_best = cheap(x_best)
+    [f_cheap_best] = cheap(x_best[None])
     f_cheap_backup = f_cheap_best
     f_backup = 0.0 if f_expensive is None else expensive(x_best)
 
@@ -176,21 +187,23 @@ def run_local(
         )
         if found is not None:
             x_new, f_new = found
-            # Pattern move: keep extrapolating along the accepted direction
-            # while it improves, doubling the stride, capped.
+            # Pattern move: extrapolate along the accepted direction,
+            # doubling the stride, capped; the whole chain is scored in one
+            # batch and its longest improving prefix accepted.
             step = x_new - x_best
-            x_curr, f_curr = x_new, f_new
+            chain = [x_new]
             for _ in range(MAX_EXTRAPOLATIONS):
-                x_try = np.clip(x_curr + step, bounds[:, 0], bounds[:, 1])
-                if np.array_equal(x_try, x_curr):
+                x_try = np.clip(chain[-1] + step, bounds[:, 0], bounds[:, 1])
+                if np.array_equal(x_try, chain[-1]):
                     break
-                f_try = cheap(x_try)
-                if f_try < f_curr:
-                    x_curr, f_curr = x_try, f_try
-                    step = step * 2.0
-                else:
-                    break
-            x_best, f_cheap_best = x_curr, f_curr
+                chain.append(x_try)
+                step = step * 2.0
+            x_best, f_cheap_best = x_new, f_new
+            if len(chain) > 1:
+                for x_try, f_try in zip(chain[1:], cheap(np.array(chain[1:]))):
+                    if not f_try < f_cheap_best:
+                        break
+                    x_best, f_cheap_best = x_try, f_try
             c += 1
             if f_expensive is not None and math.isfinite(lam) and c % int(lam) == 0:
                 f_exp = expensive(x_best)

@@ -207,8 +207,11 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
         text = str(path_or_text)
         where = "<string>"
     else:
-        text = Path(path_or_text).read_text()
         where = str(path_or_text)
+        try:
+            text = Path(path_or_text).read_text()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read {where}: not UTF-8 text: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

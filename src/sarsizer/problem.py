@@ -48,12 +48,13 @@ class CoarseProblem:
 
 @dataclass(eq=False)
 class CheapObjective:
-    """Scalar nonnegative target for the local phase.
+    """Scalar nonnegative target for the local phase, scored in batches.
 
     Power normalized by the phase's starting power plus a weighted sum of
     normalized constraint violations; zero only for a feasible zero-power
     design, so the rollback comparison stays meaningful.  Remembers the
-    lowest-valued coarse-feasible point it scores: one instance per local run.
+    lowest-valued coarse-feasible point it scores, taking a batch's rows in
+    order: one instance per local run.
     """
 
     problem: CoarseProblem
@@ -68,14 +69,16 @@ class CheapObjective:
         scales = np.concatenate([s.ssre_bound, [s.sampling_bound, s.noise_bound, 1.0]])
         return cls(problem, max(problem.report(x0).power, MIN_POWER_SCALE), scales)
 
-    def __call__(self, x: np.ndarray) -> float:
-        rep = self.problem.report(x)
-        violation = np.maximum(0.0, -rep.slack) / self.slack_scale
-        value = rep.power / self.power_scale + VIOLATION_WEIGHT * float(violation.sum())
-        if value < self.best_feasible_value and rep.feasible:
-            self.best_feasible_value = value
-            self.best_feasible_x = np.asarray(x, dtype=float).copy()
-        return value
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        """Values (n,) of the rows of xs, from one kernel call."""
+        powers, slacks = self.problem.evaluate_batch(xs)
+        violation = np.maximum(0.0, -slacks) / self.slack_scale
+        values = powers / self.power_scale + VIOLATION_WEIGHT * violation.sum(axis=1)
+        for x, value, feasible in zip(xs, values, np.all(slacks >= 0.0, axis=1)):
+            if value < self.best_feasible_value and feasible:
+                self.best_feasible_value = value
+                self.best_feasible_x = np.asarray(x, dtype=float).copy()
+        return values
 
 
 @dataclass(frozen=True)

@@ -78,3 +78,8 @@ def convert_one(model, v, key=None):
     draws = None if key is None else noise_matrix(key[0], [key[1]], model.cfg.n_bits)[:, 1:]
     c = convert_rows([model], np.array([v], dtype=float), draws, charge=True)
     return SimpleNamespace(code=int(c.codes[0]), **{k: col[0] for k, col in vars(c).items()})
+
+
+def rowwise(f):
+    """A batched objective, (n, d) rows -> (n,) values, from the point-wise f."""
+    return lambda xs: np.array([f(x) for x in xs], dtype=float)

@@ -24,8 +24,8 @@ from sarsizer.specs import (
     per_bit_error_budget,
 )
 
-from conftest import ideal_design
-from test_local_opt import FUNCTIONS, reference_pattern_search
+from conftest import ideal_design, rowwise
+from test_local_opt import FUNCTIONS, assert_degenerates
 
 
 class _Clock:
@@ -122,7 +122,7 @@ def test_criterion_6_local_optimizer():
         mask = np.zeros(d, bool)
         mask[5:] = True
         x0 = np.full(d, 0.95)
-        res = run_local(x0, mask, f, None, LocalParams(eps=1e-3), bounds)
+        res = run_local(x0, mask, rowwise(f), None, LocalParams(eps=1e-3), bounds)
         assert res.iterations <= 60
         assert np.max(np.abs(res.x_best[:5] - target[:5])) < 1e-3
         np.testing.assert_array_equal(res.x_best[5:], x0[5:])
@@ -196,28 +196,5 @@ def test_criterion_9_pattern_search_degeneration():
     with _Clock(30.0, "criterion 9: plain pattern search recovered at lambda=inf"):
         for name in sorted(FUNCTIONS):
             f, bounds, x0 = FUNCTIONS[name]
-            mine, ref = [], []
-
-            def logged(log, fn):
-                def wrapped(x):
-                    log.append(np.asarray(x, float).copy())
-                    return fn(x)
-
-                return wrapped
-
-            res = run_local(
-                x0.copy(),
-                np.zeros(len(x0), bool),
-                logged(mine, f),
-                None,
-                LocalParams(expensive_every=math.inf, max_iter=150),
-                bounds,
-            )
-            ref_x, ref_f, _ = reference_pattern_search(
-                logged(ref, f), x0.copy(), bounds, max_iter=150
-            )
-            assert len(mine) == len(ref), name
-            for a, b in zip(mine, ref):
-                assert np.array_equal(a, b), name
-            assert np.array_equal(res.x_best, ref_x), name
-            assert res.f_cheap == ref_f, name
+            # scored rows, accepted bases, end point and value, exactly
+            assert_degenerates(f, x0, bounds, label=name)

@@ -1,11 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import rowwise
 from sarsizer.adc import AdcConfig
-from sarsizer.coarse import CoarseReport
 from sarsizer.errors import ConfigError, MetricsError
 from sarsizer.local_opt import (
     LocalParams,
@@ -14,8 +15,9 @@ from sarsizer.local_opt import (
     run_local,
 )
 from sarsizer.pipeline import default_bounds
-from sarsizer.problem import CheapObjective, ExpensiveObjective, bounds_array
+from sarsizer.problem import CheapObjective, CoarseProblem, ExpensiveObjective, bounds_array
 from sarsizer.sndr import plan_test
+from sarsizer.specs import DerivedSpecs
 
 
 def reference_pattern_search(f, x0, bounds, delta_init=0.1, eps=1e-3,
@@ -24,8 +26,11 @@ def reference_pattern_search(f, x0, bounds, delta_init=0.1, eps=1e-3,
 
     Coordinate probes +step then -step per dim with greedy acceptance,
     pattern extrapolation doubling while improving, global step shrink on
-    a failed pass, termination on the step norm.  Returns the trajectory
-    of accepted bases.
+    a failed pass, termination on the step norm.  Returns the end point,
+    its value, the trajectory of accepted bases, and the events a batched
+    search expands into the rows it scores: ("sweep", base, (p, delta))
+    each time the sweep (re)starts at dim p, ("pattern", start, move) for
+    each pattern move.
     """
     x = np.asarray(x0, dtype=float).copy()
     lo, hi = bounds[:, 0], bounds[:, 1]
@@ -33,10 +38,12 @@ def reference_pattern_search(f, x0, bounds, delta_init=0.1, eps=1e-3,
     delta = np.full(len(x), delta_init)
     f_x = f(x)
     accepted = [x.copy()]
+    events = []
     for _ in range(max_iter):
         # exploratory pass
         base, f_base = x.copy(), f_x
         improved = False
+        events.append(("sweep", base, (0, delta.copy())))
         for j in range(len(x)):
             step = delta[j] * span[j]
             for sign in (1.0, -1.0):
@@ -48,9 +55,11 @@ def reference_pattern_search(f, x0, bounds, delta_init=0.1, eps=1e-3,
                 if f_c < f_base:
                     base, f_base = cand, f_c
                     improved = True
+                    events.append(("sweep", base, (j + 1, delta.copy())))
                     break
         if improved:
             move = base - x
+            events.append(("pattern", base, move))
             cur, f_cur = base, f_base
             for _ in range(max_extrap):
                 trial = np.clip(cur + move, lo, hi)
@@ -68,7 +77,81 @@ def reference_pattern_search(f, x0, bounds, delta_init=0.1, eps=1e-3,
             delta *= shrink
         if np.linalg.norm(delta) < eps:
             break
-    return x, f_x, accepted
+    return x, f_x, accepted, events
+
+
+def batched_rows(x0, events, bounds, max_extrap=8):
+    """The rows a batched search scores for a textbook run's events: x0;
+    per sweep (re)start at dim p around base b, every unclipped probe of
+    dims >= p around b; per pattern move, its whole extrapolation chain."""
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    span = hi - lo
+    rows = [np.asarray(x0, dtype=float)]
+    for kind, base, arg in events:
+        if kind == "sweep":
+            p, delta = arg
+            for j in range(p, len(base)):
+                for sign in (1.0, -1.0):
+                    cand = base.copy()
+                    cand[j] = min(max(base[j] + sign * (delta[j] * span[j]), lo[j]), hi[j])
+                    if cand[j] != base[j]:
+                        rows.append(cand)
+        else:
+            cur, move = base, arg
+            for _ in range(max_extrap):
+                trial = np.clip(cur + move, lo, hi)
+                if np.array_equal(trial, cur):
+                    break
+                rows.append(trial)
+                cur, move = trial, move * 2.0
+    return rows
+
+
+def assert_degenerates(f, x0, bounds, mask=None, max_iter=150, label=""):
+    """run_local at lambda = inf scores exactly the rows that batching the
+    textbook run gives, and moves through the same bases to the same end
+    point with the same value.  Frozen dims are left out of the textbook
+    run: it searches f over the free dims with the frozen ones held at x0."""
+    x0 = np.asarray(x0, dtype=float)
+    free = ~(np.zeros(len(x0), bool) if mask is None else mask)
+
+    def embed(z):
+        x = x0.copy()
+        x[free] = z
+        return x
+
+    rows, probes = [], []
+
+    def scored(xs):
+        rows.extend(np.array(xs, dtype=float))
+        return rowwise(f)(xs)
+
+    def textbook(z):
+        probes.append(embed(z))
+        return f(probes[-1])
+
+    params = LocalParams(expensive_every=math.inf, max_iter=max_iter)
+    with mock.patch("sarsizer.local_opt.exploratory_search", wraps=exploratory_search) as sweep:
+        res = run_local(x0.copy(), ~free, scored, None, params, bounds)
+    ref_z, ref_f, ref_accepted, events = reference_pattern_search(
+        textbook, x0[free], bounds[free], max_iter=max_iter
+    )
+
+    expected = [embed(z) for z in batched_rows(x0[free], events, bounds[free])]
+    assert len(rows) == len(expected), label
+    for a, b in zip(rows, expected):
+        assert np.array_equal(a, b), label
+    remaining = iter(rows)  # every textbook probe is among them, in order
+    assert all(any(np.array_equal(p, r) for r in remaining) for p in probes), label
+    assert res.n_cheap == len(rows), label
+
+    starts = [call.args[0] for call in sweep.call_args_list] + [res.x_best]
+    bases = [b for i, b in enumerate(starts) if i == 0 or not np.array_equal(b, starts[i - 1])]
+    assert len(bases) == len(ref_accepted), label
+    for a, b in zip(bases, ref_accepted):
+        assert np.array_equal(a, embed(b)), label
+    assert np.array_equal(res.x_best, embed(ref_z)), label
+    assert res.f_cheap == ref_f, label
 
 
 def quad(center, weights=None):
@@ -120,15 +203,16 @@ class TestExploratorySearch:
     def test_no_probe_improves_at_optimum(self):
         f = quad([0.0, 0.0])
         out = exploratory_search(
-            np.zeros(2), np.array([0.1, 0.1]), np.zeros(2, bool), f, self.BOUNDS
+            np.zeros(2), np.array([0.1, 0.1]), np.zeros(2, bool), rowwise(f), self.BOUNDS,
+            f_at_x=f(np.zeros(2)),
         )
         assert out is None
 
     def test_linear_descent_probes_negative(self):
         f = lambda x: float(x[0])
         out = exploratory_search(
-            np.zeros(1), np.array([0.05]), np.zeros(1, bool), f,
-            np.array([[-1.0, 1.0]])
+            np.zeros(1), np.array([0.05]), np.zeros(1, bool), rowwise(f),
+            np.array([[-1.0, 1.0]]), f_at_x=0.0,
         )
         assert out is not None
         x, val = out
@@ -138,10 +222,43 @@ class TestExploratorySearch:
     def test_improvement_behind_frozen_dim_is_unreachable(self):
         f = lambda x: float(x[1])  # depends only on the frozen dim
         out = exploratory_search(
-            np.zeros(2), np.array([0.1, 0.1]), np.array([False, True]), f,
-            self.BOUNDS
+            np.zeros(2), np.array([0.1, 0.1]), np.array([False, True]), rowwise(f),
+            self.BOUNDS, f_at_x=0.0,
         )
         assert out is None
+
+    def test_rebatches_the_dims_after_an_acceptance(self):
+        """One batch per sweep segment: all remaining probes around the
+        current point, then only the dims after the accepted one."""
+        batches = []
+
+        def f(xs):
+            batches.append(np.array(xs))
+            return xs.sum(axis=1)
+
+        x, val = exploratory_search(
+            np.zeros(3), np.full(3, 0.05), np.zeros(3, bool), f,
+            np.array([[-1.0, 1.0]] * 3), f_at_x=0.0,
+        )
+        assert [len(b) for b in batches] == [6, 4, 2]
+        np.testing.assert_array_equal(batches[1][0], [-0.1, 0.1, 0.0])  # around the accepted point
+        np.testing.assert_array_equal(x, [-0.1, -0.1, -0.1])
+        assert val == pytest.approx(-0.3)
+
+    def test_clipped_probes_are_not_scored(self):
+        batches = []
+
+        def f(xs):
+            batches.append(np.array(xs))
+            return np.ones(len(xs))
+
+        out = exploratory_search(
+            np.array([1.0, 0.0]), np.full(2, 0.25), np.zeros(2, bool), f, self.BOUNDS,
+            f_at_x=0.0,
+        )
+        assert out is None
+        assert len(batches) == 1
+        np.testing.assert_array_equal(batches[0], [[0.5, 0.0], [1.0, 0.5], [1.0, -0.5]])
 
 
 class TestRunLocal:
@@ -149,7 +266,7 @@ class TestRunLocal:
         bounds = np.array([[0.0, 1.0]] * 2)
         x0 = np.array([1.0, 1.0]) * 0.77
         mask = np.array([False, True])
-        res = run_local(x0, mask, quad([0.0, 0.0]), None, LocalParams(), bounds)
+        res = run_local(x0, mask, rowwise(quad([0.0, 0.0])), None, LocalParams(), bounds)
         assert abs(res.x_best[0]) < 1e-3
         assert res.x_best[1] == x0[1]
 
@@ -161,7 +278,7 @@ class TestRunLocal:
         mask = np.zeros(d, bool)
         mask[5:] = True
         x0 = np.full(d, 0.9)
-        res = run_local(x0, mask, quad(target), None, LocalParams(), bounds)
+        res = run_local(x0, mask, rowwise(quad(target)), None, LocalParams(), bounds)
         assert res.iterations <= 60
         assert np.max(np.abs(res.x_best[:5] - target[:5])) < 1e-3
         np.testing.assert_array_equal(res.x_best[5:], x0[5:])
@@ -170,7 +287,7 @@ class TestRunLocal:
         bounds = np.array([[0.0, 1.0]] * 3)
         f = quad([0.3, 0.5, 0.7])
         res = run_local(
-            np.array([0.9, 0.9, 0.9]), np.zeros(3, bool), f, f,
+            np.array([0.9, 0.9, 0.9]), np.zeros(3, bool), rowwise(f), f,
             LocalParams(expensive_every=1), bounds,
         )
         assert res.rollbacks == 0
@@ -179,7 +296,7 @@ class TestRunLocal:
     def test_cheap_value_nonincreasing_without_rollbacks(self):
         bounds = np.array([[0.0, 1.0]] * 4)
         res = run_local(
-            np.full(4, 0.88), np.zeros(4, bool), quad([0.4] * 4), None,
+            np.full(4, 0.88), np.zeros(4, bool), rowwise(quad([0.4] * 4)), None,
             LocalParams(), bounds,
         )
         vals = [row["f_cheap"] for row in res.history]
@@ -190,7 +307,7 @@ class TestRunLocal:
         # first checkpoint must roll back to it
         bounds = np.array([[0.0, 1.0]] * 2)
         x0 = np.array([0.8, 0.8])
-        cheap = quad([0.2, 0.2])
+        cheap = rowwise(quad([0.2, 0.2]))
 
         def hostile(x):
             return 0.0 if np.array_equal(x, x0) else 1e6
@@ -214,7 +331,7 @@ class TestRunLocal:
             raise MetricsError("capture failed")
 
         res = run_local(
-            np.array([0.9, 0.9]), np.zeros(2, bool), quad([0.1, 0.1]), broken,
+            np.array([0.9, 0.9]), np.zeros(2, bool), rowwise(quad([0.1, 0.1])), broken,
             LocalParams(expensive_every=1, max_iter=5), bounds,
         )
         assert res.rollbacks >= 1
@@ -231,14 +348,14 @@ class TestRunLocal:
 
         with pytest.raises(RuntimeError, match="not an optimizer signal"):
             run_local(
-                np.array([0.9, 0.9]), np.zeros(2, bool), quad([0.1, 0.1]), buggy,
+                np.array([0.9, 0.9]), np.zeros(2, bool), rowwise(quad([0.1, 0.1])), buggy,
                 LocalParams(expensive_every=1, max_iter=5), bounds,
             )
 
     def test_no_failures_counted_for_a_working_evaluator(self):
         bounds = np.array([[0.0, 1.0]] * 2)
         res = run_local(
-            np.array([0.9, 0.9]), np.zeros(2, bool), quad([0.1, 0.1]), quad([0.2, 0.2]),
+            np.array([0.9, 0.9]), np.zeros(2, bool), rowwise(quad([0.1, 0.1])), quad([0.2, 0.2]),
             LocalParams(expensive_every=1, max_iter=5), bounds,
         )
         assert res.n_expensive >= 1
@@ -252,16 +369,27 @@ class TestRunLocal:
             return 0.0 if np.array_equal(x, x0) else 1e6
 
         res = run_local(
-            x0, np.zeros(2, bool), quad([0.2, 0.2]), hostile,
+            x0, np.zeros(2, bool), rowwise(quad([0.2, 0.2])), hostile,
             LocalParams(expensive_every=1, max_iter=2), bounds,
         )
         norms = [r["delta_norm"] for r in res.history]
         assert norms[0] < np.linalg.norm([0.1, 0.1])
 
+    def test_n_cheap_counts_scored_rows(self):
+        rows = []
+
+        def f(xs):
+            rows.extend(xs)
+            return rowwise(quad([0.3, 0.6]))(xs)
+
+        res = run_local(np.array([0.9, 0.1]), np.zeros(2, bool), f, None, LocalParams(),
+                        np.array([[0.0, 1.0]] * 2))
+        assert res.n_cheap == len(rows) > res.iterations
+
     def test_all_frozen_terminates_immediately(self):
         bounds = np.array([[0.0, 1.0]] * 2)
         x0 = np.array([0.5, 0.5])
-        res = run_local(x0, np.ones(2, bool), quad([0.0, 0.0]), None,
+        res = run_local(x0, np.ones(2, bool), rowwise(quad([0.0, 0.0])), None,
                         LocalParams(), bounds)
         assert res.iterations == 1
         np.testing.assert_array_equal(res.x_best, x0)
@@ -287,7 +415,7 @@ class TestRunLocal:
         plan = plan_test(cfg.f_s, 256, 4, 0.097 * cfg.f_s, 0.475, seed=5)
         box = bounds_array(bounds)
         res = run_local(
-            box.mean(axis=1), np.zeros(len(box), bool), quad(box[:, 0]),
+            box.mean(axis=1), np.zeros(len(box), bool), rowwise(quad(box[:, 0])),
             ExpensiveObjective(cfg=cfg, plan=plan, bounds=bounds),
             LocalParams(expensive_every=1, max_iter=3), box,
         )
@@ -298,11 +426,10 @@ class TestRunLocal:
 
 class TestCheapObjective:
     class ToyProblem:
-        """report(x): power x[0], one slack x[1]."""
+        """evaluate_batch(xs): power x[0], one slack x[1], per row."""
 
-        def report(self, x):
-            return CoarseReport(sampling_error=0.0, ssre=np.zeros(0), noise_rms=0.0,
-                                power=float(x[0]), timing_ok=True, slack=np.array([x[1]]))
+        def evaluate_batch(self, xs):
+            return xs[:, 0].copy(), xs[:, 1:2].copy()
 
     def objective(self):
         return CheapObjective(problem=self.ToyProblem(), power_scale=1.0,
@@ -310,17 +437,70 @@ class TestCheapObjective:
 
     def test_remembers_lowest_valued_feasible_point(self):
         f = self.objective()
-        assert f(np.array([2.0, 1.0])) == 2.0
-        assert f(np.array([1.0, 0.5])) == 1.0
-        # lower-valued but infeasible, then feasible but higher: neither replaces it
-        assert f(np.array([0.1, -0.01])) == pytest.approx(0.2)
-        assert f(np.array([3.0, 0.0])) == 3.0
+        values = f(np.array([[2.0, 1.0], [1.0, 0.5],
+                             # lower-valued but infeasible, then feasible but
+                             # higher: neither replaces it
+                             [0.1, -0.01], [3.0, 0.0]]))
+        assert values[0] == 2.0
+        assert values[1] == 1.0
+        assert values[2] == pytest.approx(0.2)
+        assert values[3] == 3.0
         np.testing.assert_array_equal(f.best_feasible_x, [1.0, 0.5])
 
     def test_none_when_nothing_feasible_scored(self):
         f = self.objective()
-        f(np.array([0.1, -0.01]))
+        f(np.array([[0.1, -0.01]]))
         assert f.best_feasible_x is None
+
+    def test_equal_values_keep_the_first_row(self):
+        f = self.objective()
+        f(np.array([[1.0, 0.5], [1.0, 0.25]]))
+        np.testing.assert_array_equal(f.best_feasible_x, [1.0, 0.5])
+
+
+DESK8 = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
+DESK8_PROBLEM = CoarseProblem(DESK8, DerivedSpecs.derive(8, 1.0, 1.0), default_bounds(DESK8))
+DESK8_BOX = bounds_array(DESK8_PROBLEM.bounds)
+# A coarse-feasible design: random in-bounds designs almost never are, so
+# the rows below keep each of its coordinates or redraw it in bounds.
+DESK8_FEASIBLE = np.array([5e-16, 2e4, 2.1e-7, 5e-6, 2e-8, 1e-8, 50.0, 2e-8])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.none(), st.floats(0.0, 1.0)), min_size=len(DESK8_BOX),
+                         max_size=len(DESK8_BOX)), min_size=1, max_size=6))
+def test_cheap_objective_batch_equals_rows_alone(rows):
+    """Scoring a batch gives each row's own value, bit for bit, and the
+    same best feasible point as scoring the rows one at a time."""
+    lo, hi = DESK8_BOX[:, 0], DESK8_BOX[:, 1]
+    xs = np.array([[x if u is None else lo[j] + u * (hi[j] - lo[j])
+                    for j, (u, x) in enumerate(zip(row, DESK8_FEASIBLE))] for row in rows])
+    batched = CheapObjective.anchored_at(DESK8_PROBLEM, xs[0])
+    alone = CheapObjective.anchored_at(DESK8_PROBLEM, xs[0])
+    values = batched(xs)
+    one_by_one = np.concatenate([alone(x[None]) for x in xs])
+    assert values.tobytes() == one_by_one.tobytes()
+    if alone.best_feasible_x is None:
+        assert batched.best_feasible_x is None
+    else:
+        assert batched.best_feasible_x.tobytes() == alone.best_feasible_x.tobytes()
+
+
+def test_cheap_objective_anchor_is_feasible():
+    assert DESK8_PROBLEM.report(DESK8_FEASIBLE).feasible
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d),    # center
+    st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d),   # weights
+    st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d),    # start
+    st.lists(st.booleans(), min_size=d, max_size=d),          # frozen
+)))
+def test_random_quadratic_degenerates_to_reference(case):
+    center, weights, x0, frozen = (np.array(v) for v in case)
+    assert_degenerates(quad(center, weights), x0, np.array([[0.0, 1.0]] * len(x0)),
+                       mask=frozen.astype(bool))
 
 
 FUNCTIONS = {
@@ -355,28 +535,8 @@ FUNCTIONS = {
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_degenerates_to_reference_pattern_search(name):
-    """With expensive evaluation disabled, probe and accept sequences must
-    match an independently written plain pattern search exactly."""
+    """With expensive evaluation disabled, the scored rows, accepted bases
+    and end point must match an independently written plain pattern
+    search exactly, once its sweeps and pattern moves are batched."""
     f, bounds, x0 = FUNCTIONS[name]
-
-    mine_points, ref_points = [], []
-
-    def instrument(log):
-        def wrapped(x):
-            log.append(np.asarray(x, float).copy())
-            return f(x)
-
-        return wrapped
-
-    params = LocalParams(expensive_every=math.inf, max_iter=150)
-    res = run_local(x0.copy(), np.zeros(len(x0), bool), instrument(mine_points),
-                    None, params, bounds)
-    ref_x, ref_f, ref_accepted = reference_pattern_search(
-        instrument(ref_points), x0.copy(), bounds, max_iter=150
-    )
-
-    assert len(mine_points) == len(ref_points)
-    for a, b in zip(mine_points, ref_points):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(res.x_best, ref_x)
-    assert res.f_cheap == ref_f
+    assert_degenerates(f, x0, bounds)

@@ -101,6 +101,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config("{N: 12, fs: [unclosed", is_text=True)
 
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "bin.yaml"
+        path.write_bytes(b"\xff\xfeN: 8\n")
+        with pytest.raises(ConfigError, match="bin.yaml.*UTF-8"):
+            load_config(path)
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "true", "7.0", "'7'"])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed"):
@@ -486,8 +492,7 @@ class TestLocalFallback:
         the cheap objective it is given, then ends on INFEASIBLE."""
 
         def fake_run_local(x0, mask, f_cheap, f_expensive, params, bounds):
-            for design in scored:
-                f_cheap(design_x(design))
+            f_cheap(np.array([design_x(design) for design in scored]))
             return LocalResult(x_best=design_x(INFEASIBLE), f_cheap=0.0, f_expensive=None,
                                iterations=1, rollbacks=0, n_cheap=len(scored),
                                n_expensive=0, n_expensive_failed=0)
@@ -571,14 +576,16 @@ class TestCli:
 
     @pytest.mark.parametrize("args", [
         ["run", "{cfg}", "--seed", "-1"],
+        ["run", "{tmp}/bin.yaml"],
         ["eval", "{cfg}", "--design", "{tmp}/missing.json"],
         ["eval", "{cfg}", "--design", "{tmp}/bad.json"],
         ["eval", "{cfg}", "--design", "{tmp}/latin1.json"],
         ["report", "{tmp}/bad-run"],
         ["report", "{tmp}/list-run"],
-    ], ids=["bad_seed", "missing_design", "malformed_design", "non_utf8_design",
-            "malformed_record", "non_object_record"])
+    ], ids=["bad_seed", "non_utf8_config", "missing_design", "malformed_design",
+            "non_utf8_design", "malformed_record", "non_object_record"])
     def test_console_errors_are_one_line_exit_2(self, tmp_path, cfg_file, args):
+        (tmp_path / "bin.yaml").write_bytes(b"\xff\xfeN: 8\n")
         (tmp_path / "bad.json").write_text("{bad")
         (tmp_path / "latin1.json").write_bytes(b'{"c_unit": "\xb5"}')
         (tmp_path / "bad-run").mkdir()
