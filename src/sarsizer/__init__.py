@@ -35,7 +35,6 @@ from .pipeline import RunConfig, RunResult, audit_run, load_config, run_pipeline
 from .sndr import (
     SpectrumReport,
     TestPlan,
-    equivalence_check,
     plan_test,
     run_segments,
     spectrum_metrics,

@@ -34,20 +34,6 @@ from .errors import BoundsError, ConfigError
 
 BOLTZMANN = 1.380649e-23  # J/K
 
-# Vector layout used by the optimizers; order matters and is part of the
-# design-file schema.
-DESIGN_FIELDS = (
-    "c_unit",
-    "r_sw",
-    "t_sample",
-    "sigma_cmp",
-    "t_d0",
-    "tau_reg",
-    "r_drv_msb",
-    "t_dff",
-)
-
-
 @dataclass(frozen=True)
 class AdcConfig:
     """Fixed converter-level parameters (not searched by the optimizer)."""
@@ -109,6 +95,11 @@ class DesignPoint:
 
     def to_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in DESIGN_FIELDS}
+
+
+# Vector layout used by the optimizers: DesignPoint's field order, which
+# matters and is part of the design-file schema.
+DESIGN_FIELDS = tuple(f.name for f in fields(DesignPoint))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ of these checks to hold before a generation:
   collapsed to a small fraction of their range, handing the rest to the
   local optimizer;
 * ``stalled``: the best point is feasible, was already feasible
-  ``stall_generations`` generations ago, and its objective has improved
+  ``STALL_GENERATIONS`` generations ago, and its objective has improved
   by at most ``STALL_RTOL`` (relative) since (an improvement-based stop
   as in Zielinski & Laur 2008); it never fires while the best point is
   infeasible;
@@ -30,7 +30,8 @@ from .csvio import write_csv
 from .errors import ConfigError, require
 
 PREDICT_BLOCK = 8  # surrogate query rows per neighbour selection
-STALL_RTOL = 1e-6  # relative improvement over stall_generations that counts as none
+STALL_GENERATIONS = 20  # generations the stall test looks back
+STALL_RTOL = 1e-6  # relative improvement over STALL_GENERATIONS that counts as none
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class Problem:
     """
 
     bounds: np.ndarray  # shape (d, 2)
-    evaluate_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    evaluate_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self) -> None:
         self.bounds = np.asarray(self.bounds, dtype=float)
@@ -67,8 +68,6 @@ class Problem:
             raise ConfigError("bounds must have shape (d, 2)")
         if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
             raise ConfigError("each bound must satisfy lo < hi")
-        if self.evaluate_batch is None:
-            raise ConfigError("need evaluate_batch")
 
     @property
     def dim(self) -> int:
@@ -151,18 +150,15 @@ class GlobalParams:
     theta_conv: float = 0.02
     n_conv_target: int | None = None     # default ceil(0.7*d)
     max_evals: int = 5000
-    stall_generations: int | None = 20   # None: never stop on a stall
-    seed: int = 0
 
     def __post_init__(self) -> None:
         # F and CR as in Storn & Price (1997); zero infill never spends the budget.
         require(self.pop_size is None or self.pop_size >= 5, "pop_size", ">= 5", self.pop_size)
         require(self.k_infill is None or self.k_infill >= 1, "k_infill", ">= 1", self.k_infill)
+        require(self.max_evals >= 1, "max_evals", ">= 1", self.max_evals)
         require(0.0 < self.f_weight <= 2.0, "f_weight", "in (0, 2]", self.f_weight)
         require(0.0 <= self.cr <= 1.0, "cr", "in [0, 1]", self.cr)
         require(self.theta_conv > 0.0, "theta_conv", "positive", self.theta_conv)
-        require(self.stall_generations is None or self.stall_generations >= 1,
-                "stall_generations", "null or >= 1", self.stall_generations)
 
     def resolved(self, dim: int) -> "GlobalParams":
         pop = self.pop_size if self.pop_size is not None else 10 * dim
@@ -182,7 +178,6 @@ class OptimizerState:
     population: list[EvalRecord]
     archive: list[EvalRecord]
     best: EvalRecord | None
-    best_x: np.ndarray
     mask: np.ndarray          # True where a variable has converged
     generation: int
     evals: int
@@ -229,19 +224,18 @@ def de_offspring(
 
 
 def surrogate_rank(
-    surrogate: IdwSurrogate | None,
+    surrogate: IdwSurrogate,
     candidates: np.ndarray,
     k_infill: int,
 ) -> np.ndarray:
     """Indices of candidates to truly evaluate, best predicted first.
 
-    Untrained (or absent) surrogate passes every candidate through in
-    order.  Otherwise candidates sort by predicted total violation, then
-    predicted objective.
+    An untrained surrogate passes every candidate through in order.
+    Otherwise candidates sort by predicted total violation, then predicted
+    objective.
     """
-    n = len(candidates)
-    if surrogate is None or not surrogate.trained:
-        return np.arange(n)
+    if not surrogate.trained:
+        return np.arange(len(candidates))
     obj, slack = surrogate.predict(candidates)
     violation = np.sum(np.maximum(0.0, -slack), axis=1)
     order = np.lexsort((obj, violation))
@@ -270,27 +264,22 @@ def detect_convergence(
     return pop.std(axis=0) / span < theta_conv
 
 
-def run_global(problem: Problem, params: GlobalParams) -> OptimizerState:
+def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerState:
     """Full global phase; deterministic in the seed.  The initial population
     and each generation's infill set are one ``problem.run_batch`` call each."""
     params = params.resolved(problem.dim)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     bounds = problem.bounds
 
-    pop_x = init_population(bounds, params.pop_size, params.seed)
-    budget = params.max_evals
+    pop_x = init_population(bounds, params.pop_size, seed)
     state = OptimizerState(
         population=[],
         archive=[],
         best=None,
-        best_x=pop_x[0].copy(),
         mask=detect_convergence(pop_x, bounds, params.theta_conv),
         generation=0,
         evals=0,
     )
-    if budget <= 0:
-        state.warning = "evaluation budget exhausted before any evaluation"
-        return state
 
     arrays: list[np.ndarray] = []  # archive x, objective, slack, grown batch by batch
 
@@ -304,13 +293,11 @@ def run_global(problem: Problem, params: GlobalParams) -> OptimizerState:
         state.evals = len(state.archive)
         return records
 
-    n_init = min(params.pop_size, budget)
-    pop_x = pop_x[:n_init]
+    pop_x = pop_x[: params.max_evals]
     state.population = evaluate(pop_x)
     for rec in state.population:
         if state.best is None or feasibility_better(rec, state.best):
             state.best = rec
-    state.best_x = state.best.x.copy()
 
     surrogate = IdwSurrogate(bounds)
 
@@ -326,10 +313,9 @@ def run_global(problem: Problem, params: GlobalParams) -> OptimizerState:
         )
 
     def stalled() -> bool:
-        back = params.stall_generations
-        if back is None or len(state.history) <= back:
+        if len(state.history) <= STALL_GENERATIONS:
             return False
-        then = state.history[-1 - back]  # feasible then: feasible now (Deb's rules)
+        then = state.history[-1 - STALL_GENERATIONS]  # feasible then: feasible now (Deb's rules)
         return then["best_violation"] == 0.0 and (
             then["best_objective"] - state.best.objective
             <= STALL_RTOL * abs(then["best_objective"])
@@ -357,14 +343,13 @@ def run_global(problem: Problem, params: GlobalParams) -> OptimizerState:
                 pop_x[idx] = rec.x
             if feasibility_better(rec, state.best):
                 state.best = rec
-                state.best_x = rec.x.copy()
 
         state.generation += 1
         state.mask = detect_convergence(pop_x, bounds, params.theta_conv)
         log_generation()
 
     state.stop_reason = reason
-    if state.best is not None and not state.best.feasible:
+    if not state.best.feasible:
         state.warning = "no feasible point found; returning least-violating"
     return state
 

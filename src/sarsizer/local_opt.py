@@ -129,7 +129,7 @@ def run_local(
     x0: np.ndarray,
     mask: np.ndarray,
     f_cheap: Callable[[np.ndarray], np.ndarray],
-    f_expensive: Callable[[np.ndarray], float] | None,
+    f_expensive: Callable[[np.ndarray], float],
     params: LocalParams,
     bounds: np.ndarray,
 ) -> LocalResult:
@@ -137,7 +137,10 @@ def run_local(
 
     f_cheap scores a batch: (n, d) rows in, (n,) values out; n_cheap counts
     rows.  The cheap objective should be normalized nonnegative, otherwise the
-    rollback test degenerates.  An expensive evaluator that raises a
+    rollback test degenerates.  f_expensive runs at the start point, every
+    params.expensive_every accepted moves and at the end point; at
+    expensive_every = inf it never runs, and the result's f_expensive is
+    None.  An expensive evaluator that raises a
     SarSizerError or FloatingPointError, or returns a non-finite value,
     counts as +inf, which forces the rollback path rather than aborting
     the run.  Any other exception is a bug and propagates.
@@ -173,11 +176,11 @@ def run_local(
     rollbacks = 0
     history: list[dict] = []
 
+    lam = params.expensive_every
     [f_cheap_best] = cheap(x_best[None])
     f_cheap_backup = f_cheap_best
-    f_backup = 0.0 if f_expensive is None else expensive(x_best)
+    f_backup = expensive(x_best) if math.isfinite(lam) else 0.0
 
-    lam = params.expensive_every
     iteration = 0
     for iteration in range(1, params.max_iter + 1):
         sampled_exp: float | None = None
@@ -205,7 +208,7 @@ def run_local(
                         break
                     x_best, f_cheap_best = x_try, f_try
             c += 1
-            if f_expensive is not None and math.isfinite(lam) and c % int(lam) == 0:
+            if math.isfinite(lam) and c % int(lam) == 0:
                 f_exp = expensive(x_best)
                 sampled_exp = f_exp
                 _, rollback = blend_decision(
@@ -240,7 +243,7 @@ def run_local(
             break
 
     f_exp_best = None
-    if f_expensive is not None:
+    if math.isfinite(lam):
         f_exp_best = f_backup if np.array_equal(x_backup, x_best) else expensive(x_best)
 
     return LocalResult(

@@ -14,7 +14,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,7 @@ from .sndr import (
 from .specs import DerivedSpecs
 
 RECORD_NAME = "run_record.json"
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def default_bounds(cfg: AdcConfig) -> dict[str, tuple[float, float]]:
@@ -93,13 +93,11 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     def effective_dict(self) -> dict:
-        global_params = asdict(self.global_params)
-        del global_params["seed"]  # the run's seed is recorded once, below
         return {
             "adc": asdict(self.adc),
             "alpha": self.alpha,
             "bounds": {k: list(v) for k, v in self.bounds.items()},
-            "global": global_params,
+            "global": asdict(self.global_params),
             "local": asdict(self.local_params),
             "harness": asdict(self.harness),
             "seed": self.seed,
@@ -122,9 +120,8 @@ _BLOCKS = {"global": ("global_params", GlobalParams), "local": ("local_params", 
 
 def _schema(cls) -> list[tuple[Field, tuple[str, ...]]]:
     """The config fields of a dataclass, each with its spellings, alias
-    first.  GlobalParams.seed is not one: the run's seed is."""
-    return [(f, tuple(k for k in (_ALIASES.get(f.name), f.name) if k))
-            for f in fields(cls) if f.name != "seed"]
+    first."""
+    return [(f, tuple(k for k in (_ALIASES.get(f.name), f.name) if k)) for f in fields(cls)]
 
 
 _KNOWN_TOP_KEYS = {k for _, keys in _schema(AdcConfig) for k in keys} | {
@@ -273,7 +270,7 @@ class RunResult:
     coarse: CoarseReport
     spectrum: SpectrumReport
     global_state: OptimizerState
-    local_result: LocalResult | None
+    local_result: LocalResult
     warning: str | None
     phase_timings: dict[str, float]
     trace_files: dict[str, str]
@@ -298,9 +295,7 @@ class RunResult:
                 "stop_reason": self.global_state.stop_reason,
                 "warning": self.global_state.warning,
             },
-            "local": None
-            if self.local_result is None
-            else {  # the scalar results; the trajectory has its own CSV
+            "local": {  # the scalar results; the trajectory has its own CSV
                 k: v for k, v in asdict(self.local_result).items()
                 if k not in ("x_best", "history")
             },
@@ -359,45 +354,42 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
     timings["derive"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    gstate = run_global(problem, replace(cfg.global_params, seed=cfg.seed))
+    gstate = run_global(problem, cfg.global_params, cfg.seed)
     if gstate.warning:
         warning_parts.append(f"global: {gstate.warning}")
     timings["global"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    x_start = gstate.best_x.copy()
-    local_result: LocalResult | None = None
-    x_final = x_start
-    if gstate.best is not None:
-        cheap = CheapObjective.anchored_at(coarse_problem, x_start)
-        expensive = ExpensiveObjective(
-            cfg=cfg.adc, plan=plan, bounds=cfg.bounds, noise=cfg.harness.noise
-        )
-        local_result = run_local(
-            x_start,
-            gstate.mask,
-            cheap,
-            expensive,
-            cfg.local_params,
-            bounds_array(cfg.bounds),
-        )
-        x_final = local_result.x_best
-        if not coarse_problem.report(x_final).feasible:
-            fallback = cheap.best_feasible_x
-            if fallback is not None:
-                x_final = fallback
-                warning_parts.append(
-                    "local: end point violated a coarse constraint; "
-                    "kept best feasible point from the local trajectory"
-                )
-            else:
-                warning_parts.append("local: no coarse-feasible point found")
+    x_start = gstate.best.x.copy()
+    cheap = CheapObjective.anchored_at(coarse_problem, x_start)
+    expensive = ExpensiveObjective(
+        cfg=cfg.adc, plan=plan, bounds=cfg.bounds, noise=cfg.harness.noise
+    )
+    local_result = run_local(
+        x_start,
+        gstate.mask,
+        cheap,
+        expensive,
+        cfg.local_params,
+        bounds_array(cfg.bounds),
+    )
+    x_final = local_result.x_best
+    final_coarse = coarse_problem.report(x_final)
+    if not final_coarse.feasible:
+        if cheap.best_feasible_x is not None:
+            x_final = cheap.best_feasible_x
+            final_coarse = coarse_problem.report(x_final)
+            warning_parts.append(
+                "local: end point violated a coarse constraint; "
+                "kept best feasible point from the local trajectory"
+            )
+        else:
+            warning_parts.append("local: no coarse-feasible point found")
     timings["local"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     design = DesignPoint.from_vector(x_final)
     model = build_model(design, cfg.adc, cfg.bounds)
-    final_coarse = evaluate_coarse(model, specs)
     codes = run_segments(model, verify_plan, noise=cfg.harness.noise)
     spectrum = spectrum_metrics(codes, verify_plan, final_coarse.power, cfg.adc.n_bits)
     timings["verify"] = time.perf_counter() - t0
@@ -448,10 +440,7 @@ def persist_run(result: RunResult, out: Path, plan, codes) -> None:
     result.trace_files = traces
 
     global_opt.write_history_csv(result.global_state.history, str(out / traces["global_history"]))
-    local_opt.write_history_csv(
-        result.local_result.history if result.local_result else [],
-        str(out / traces["local_history"]),
-    )
+    local_opt.write_history_csv(result.local_result.history, str(out / traces["local_history"]))
     write_eval_log_csv(
         result.global_state.archive,
         len(result.coarse.slack),

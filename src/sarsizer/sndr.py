@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -164,17 +164,6 @@ def run_segments_detailed(
         codes[idx] = seg_codes
         ok[idx] = seg_ok
     return codes, ok
-
-
-def equivalence_check(
-    model: AdcModel,
-    plan: TestPlan,
-    noise: bool = True,
-) -> bool:
-    """True iff the segmented capture is code-identical to a full-rate one."""
-    merged = run_segments(model, plan, noise=noise)
-    full = run_segments(model, replace(plan, m_segments=1), noise=noise)
-    return bool(np.array_equal(merged, full))
 
 
 @dataclass(frozen=True)

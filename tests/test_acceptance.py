@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from sarsizer import global_opt
 from sarsizer.adc import AdcConfig, build_model
 from sarsizer.global_opt import GlobalParams, Problem, run_global
 from sarsizer.local_opt import LocalParams, blend_decision, run_local
@@ -24,7 +25,7 @@ from sarsizer.specs import (
     per_bit_error_budget,
 )
 
-from conftest import ideal_design, rowwise
+from conftest import ideal_design, no_sine_test, rowwise
 from test_local_opt import FUNCTIONS, assert_degenerates
 
 
@@ -122,7 +123,8 @@ def test_criterion_6_local_optimizer():
         mask = np.zeros(d, bool)
         mask[5:] = True
         x0 = np.full(d, 0.95)
-        res = run_local(x0, mask, rowwise(f), None, LocalParams(eps=1e-3), bounds)
+        res = run_local(x0, mask, rowwise(f), no_sine_test,
+                        LocalParams(expensive_every=math.inf, eps=1e-3), bounds)
         assert res.iterations <= 60
         assert np.max(np.abs(res.x_best[:5] - target[:5])) < 1e-3
         np.testing.assert_array_equal(res.x_best[5:], x0[5:])
@@ -141,7 +143,7 @@ def test_criterion_7_global_optimizer():
         problem = Problem(bounds=np.array([[0.0, 1.0]] * 3), evaluate_batch=evaluate_batch)
         objectives, violations = [], []
         for seed in range(10):
-            state = run_global(problem, GlobalParams(max_evals=3000, seed=seed))
+            state = run_global(problem, GlobalParams(max_evals=3000), seed)
             assert state.evals <= 3000
             objectives.append(state.best.objective)
             violations.append(state.best.violation)
@@ -169,7 +171,7 @@ harness: {K: 512, M: 4}
 """
 
 
-def test_criterion_8_end_to_end_desk_run(tmp_path):
+def test_criterion_8_end_to_end_desk_run(tmp_path, monkeypatch):
     with _Clock(600.0, "criterion 8: 8-bit desk run feasible, reproducible"):
         cfg = load_config(DESK_CONFIG, is_text=True)
         result = run_pipeline(cfg, out_dir=tmp_path / "main")
@@ -182,11 +184,11 @@ def test_criterion_8_end_to_end_desk_run(tmp_path):
         main_rec = (tmp_path / "main" / "run_record.json").read_bytes()
         assert main_rec == (tmp_path / "rerun" / "run_record.json").read_bytes()
 
-        # the stall rule ends the global phase early, near the full-budget best
+        # the stall rule ends the global phase early, near the full-budget best;
+        # 2000 evaluations allow (2000 - 40) / 8 = 245 generations
         g = result.global_state
-        full = run_pipeline(load_config(DESK_CONFIG.replace(
-            "max_evals: 2000}", "max_evals: 2000, stall_generations: null}"), is_text=True)
-        ).global_state
+        monkeypatch.setattr(global_opt, "STALL_GENERATIONS", 246)
+        full = run_pipeline(load_config(DESK_CONFIG, is_text=True)).global_state
         assert g.stop_reason == "stalled" and g.evals < full.evals
         assert g.best.objective == pytest.approx(full.best.objective, rel=1e-6)
         assert json.loads(main_rec)["global"]["stop_reason"] == "stalled"

@@ -1,9 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sarsizer import global_opt
 from sarsizer.errors import ConfigError
 from sarsizer.global_opt import (
     EvalRecord,
@@ -177,7 +176,6 @@ class TestSurrogate:
         cands = np.random.default_rng(0).random((7, 2))
         order = surrogate_rank(sur, cands, 3)
         np.testing.assert_array_equal(order, np.arange(7))
-        np.testing.assert_array_equal(surrogate_rank(None, cands, 3), np.arange(7))
 
     def test_full_infill_is_identity_set(self):
         sur = IdwSurrogate(np.array([[0, 1], [0, 1]]), min_points=3)
@@ -244,42 +242,37 @@ class TestSurrogate:
 
 class TestRunGlobal:
     def test_constrained_sphere_converges(self):
-        state = run_global(sphere_problem(), GlobalParams(max_evals=2500, seed=1))
+        state = run_global(sphere_problem(), GlobalParams(max_evals=2500), 1)
         assert state.best.violation == 0.0
         assert state.best.objective < 0.25 * 1.10
         assert abs(state.best.x[0] - 0.5) < 0.05
 
     def test_archive_deterministic_in_seed(self):
-        p = GlobalParams(max_evals=600, seed=9)
-        a = run_global(sphere_problem(), p)
-        b = run_global(sphere_problem(), p)
+        p = GlobalParams(max_evals=600)
+        a = run_global(sphere_problem(), p, 9)
+        b = run_global(sphere_problem(), p, 9)
         assert len(a.archive) == len(b.archive)
         for ra, rb in zip(a.archive, b.archive):
             np.testing.assert_array_equal(ra.x, rb.x)
             assert ra.objective == rb.objective
 
     def test_zero_convergence_target_stops_after_first_check(self):
-        state = run_global(sphere_problem(), GlobalParams(max_evals=500, seed=2,
-                                                          n_conv_target=0))
+        state = run_global(sphere_problem(), GlobalParams(max_evals=500, n_conv_target=0), 2)
         assert state.generation == 0
         assert state.evals == 30  # just the initial population
         assert state.stop_reason == "converged"
 
-    def test_zero_budget_returns_initial_point_with_warning(self):
-        state = run_global(sphere_problem(), GlobalParams(max_evals=0, seed=4))
-        assert state.warning is not None
-        assert state.best is None
-        assert state.best_x.shape == (3,)
-        assert len(state.archive) == 0
-        assert state.stop_reason == "budget"
+    def test_zero_budget_rejected(self):
+        with pytest.raises(ConfigError, match="max_evals"):
+            GlobalParams(max_evals=0)
 
     def test_all_evaluations_within_bounds(self):
-        state = run_global(sphere_problem(), GlobalParams(max_evals=400, seed=5))
+        state = run_global(sphere_problem(), GlobalParams(max_evals=400), 5)
         for rec in state.archive:
             assert np.all(rec.x >= 0.0) and np.all(rec.x <= 1.0)
 
     def test_best_is_feasibility_monotone(self):
-        state = run_global(sphere_problem(), GlobalParams(max_evals=800, seed=6))
+        state = run_global(sphere_problem(), GlobalParams(max_evals=800), 6)
         # replay the archive: best-so-far under the dominance rule must
         # match the reported history trajectory's monotonicity
         best = None
@@ -292,7 +285,7 @@ class TestRunGlobal:
         assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
 
     def test_history_rows_complete(self):
-        state = run_global(sphere_problem(), GlobalParams(max_evals=300, seed=8))
+        state = run_global(sphere_problem(), GlobalParams(max_evals=300), 8)
         assert state.history[0]["generation"] == 0
         assert state.history[-1]["evals"] == state.evals
         for row in state.history:
@@ -302,7 +295,7 @@ class TestRunGlobal:
             }
 
     def test_budget_never_exceeded(self):
-        state = run_global(sphere_problem(), GlobalParams(max_evals=137, seed=3))
+        state = run_global(sphere_problem(), GlobalParams(max_evals=137), 3)
         assert state.evals <= 137
         assert len(state.archive) == state.evals
 
@@ -314,8 +307,8 @@ class TestRunGlobal:
             return sphere_batch(xs)
 
         problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
-        params = GlobalParams(max_evals=300, seed=8, k_infill=7, n_conv_target=4)
-        state = run_global(problem, params)
+        params = GlobalParams(max_evals=300, k_infill=7, n_conv_target=4)
+        state = run_global(problem, params, 8)
         assert len(calls) == state.generation + 1
         assert calls[0] == 30 and set(calls[1:-1]) == {7}
         assert sum(calls) == state.evals == 300
@@ -325,38 +318,43 @@ class TestRunGlobal:
             return np.sum(xs, axis=1), -1.0 - xs[:, :1]  # never feasible
 
         problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
-        state = run_global(problem, GlobalParams(max_evals=200, seed=1, theta_conv=1.0,
-                                                 n_conv_target=1))
+        state = run_global(problem, GlobalParams(max_evals=200, theta_conv=1.0, n_conv_target=1),
+                           1)
         assert state.mask.sum() >= 1
         assert state.evals == 200
         assert state.warning == "no feasible point found; returning least-violating"
         assert state.stop_reason == "budget"
 
-    def test_constant_feasible_objective_stalls(self):
+    def test_constant_feasible_objective_stalls(self, monkeypatch):
+        monkeypatch.setattr(global_opt, "STALL_GENERATIONS", 7)
+
         def evaluate_batch(xs):
             return np.ones(len(xs)), np.ones((len(xs), 1))  # flat and feasible
 
         problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
-        params = GlobalParams(max_evals=5000, seed=3, n_conv_target=4, stall_generations=7)
-        state = run_global(problem, params)
+        state = run_global(problem, GlobalParams(max_evals=5000, n_conv_target=4), 3)
         assert state.stop_reason == "stalled"
         assert state.generation == 7
-        assert state.evals == 30 + 7 * 6  # pop_size + stall_generations * k_infill
+        assert state.evals == 30 + 7 * 6  # pop_size + STALL_GENERATIONS * k_infill
 
-    def test_infeasible_everywhere_never_stalls(self):
+    def test_infeasible_everywhere_never_stalls(self, monkeypatch):
+        monkeypatch.setattr(global_opt, "STALL_GENERATIONS", 1)
+
         def evaluate_batch(xs):
             return np.ones(len(xs)), -np.ones((len(xs), 1))  # flat, never feasible
 
         problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
-        state = run_global(problem, GlobalParams(max_evals=300, seed=3, stall_generations=1))
+        state = run_global(problem, GlobalParams(max_evals=300), 3)
         assert state.stop_reason == "budget"
         assert state.evals == 300
 
-    def test_stall_rule_off_adds_no_second_path(self):
-        params = GlobalParams(max_evals=600, seed=9, n_conv_target=4, stall_generations=None)
-        off = run_global(sphere_problem(), params)
+    def test_stall_rule_off_adds_no_second_path(self, monkeypatch):
+        params = GlobalParams(max_evals=600, n_conv_target=4)
+        monkeypatch.setattr(global_opt, "STALL_GENERATIONS", 10**9)
+        off = run_global(sphere_problem(), params, 9)
         # 600 evaluations allow (600 - 30) / 6 = 95 generations
-        never = run_global(sphere_problem(), replace(params, stall_generations=96))
+        monkeypatch.setattr(global_opt, "STALL_GENERATIONS", 96)
+        never = run_global(sphere_problem(), params, 9)
         assert off.stop_reason == never.stop_reason == "budget"
         assert off.history == never.history
         assert len(off.archive) == len(never.archive) == 600
@@ -367,10 +365,10 @@ class TestRunGlobal:
 
     def test_zero_infill_rejected(self):
         with pytest.raises(ConfigError, match="k_infill"):
-            run_global(sphere_problem(), GlobalParams(max_evals=100, k_infill=0))
+            run_global(sphere_problem(), GlobalParams(max_evals=100, k_infill=0), 0)
         with pytest.raises(ConfigError, match="cr"):
             GlobalParams(cr=5)
 
     def test_problem_requires_some_evaluator(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
             Problem(bounds=UNIT3.copy())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rowwise
+from conftest import no_sine_test, rowwise
 from sarsizer.adc import AdcConfig
 from sarsizer.errors import ConfigError, MetricsError
 from sarsizer.local_opt import (
@@ -132,7 +132,7 @@ def assert_degenerates(f, x0, bounds, mask=None, max_iter=150, label=""):
 
     params = LocalParams(expensive_every=math.inf, max_iter=max_iter)
     with mock.patch("sarsizer.local_opt.exploratory_search", wraps=exploratory_search) as sweep:
-        res = run_local(x0.copy(), ~free, scored, None, params, bounds)
+        res = run_local(x0.copy(), ~free, scored, no_sine_test, params, bounds)
     ref_z, ref_f, ref_accepted, events = reference_pattern_search(
         textbook, x0[free], bounds[free], max_iter=max_iter
     )
@@ -266,7 +266,8 @@ class TestRunLocal:
         bounds = np.array([[0.0, 1.0]] * 2)
         x0 = np.array([1.0, 1.0]) * 0.77
         mask = np.array([False, True])
-        res = run_local(x0, mask, rowwise(quad([0.0, 0.0])), None, LocalParams(), bounds)
+        res = run_local(x0, mask, rowwise(quad([0.0, 0.0])), no_sine_test,
+                        LocalParams(expensive_every=math.inf), bounds)
         assert abs(res.x_best[0]) < 1e-3
         assert res.x_best[1] == x0[1]
 
@@ -278,7 +279,8 @@ class TestRunLocal:
         mask = np.zeros(d, bool)
         mask[5:] = True
         x0 = np.full(d, 0.9)
-        res = run_local(x0, mask, rowwise(quad(target)), None, LocalParams(), bounds)
+        res = run_local(x0, mask, rowwise(quad(target)), no_sine_test,
+                        LocalParams(expensive_every=math.inf), bounds)
         assert res.iterations <= 60
         assert np.max(np.abs(res.x_best[:5] - target[:5])) < 1e-3
         np.testing.assert_array_equal(res.x_best[5:], x0[5:])
@@ -296,8 +298,8 @@ class TestRunLocal:
     def test_cheap_value_nonincreasing_without_rollbacks(self):
         bounds = np.array([[0.0, 1.0]] * 4)
         res = run_local(
-            np.full(4, 0.88), np.zeros(4, bool), rowwise(quad([0.4] * 4)), None,
-            LocalParams(), bounds,
+            np.full(4, 0.88), np.zeros(4, bool), rowwise(quad([0.4] * 4)), no_sine_test,
+            LocalParams(expensive_every=math.inf), bounds,
         )
         vals = [row["f_cheap"] for row in res.history]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
@@ -382,15 +384,24 @@ class TestRunLocal:
             rows.extend(xs)
             return rowwise(quad([0.3, 0.6]))(xs)
 
-        res = run_local(np.array([0.9, 0.1]), np.zeros(2, bool), f, None, LocalParams(),
-                        np.array([[0.0, 1.0]] * 2))
+        res = run_local(np.array([0.9, 0.1]), np.zeros(2, bool), f, no_sine_test,
+                        LocalParams(expensive_every=math.inf), np.array([[0.0, 1.0]] * 2))
         assert res.n_cheap == len(rows) > res.iterations
+
+    def test_infinite_lambda_runs_no_sine_test(self):
+        res = run_local(np.array([0.9, 0.1]), np.zeros(2, bool), rowwise(quad([0.3, 0.6])),
+                        no_sine_test, LocalParams(expensive_every=math.inf),
+                        np.array([[0.0, 1.0]] * 2))
+        assert res.iterations > 1
+        assert res.n_expensive == 0 and res.n_expensive_failed == 0
+        assert res.f_expensive is None
+        assert all(row["f_expensive"] is None for row in res.history)
 
     def test_all_frozen_terminates_immediately(self):
         bounds = np.array([[0.0, 1.0]] * 2)
         x0 = np.array([0.5, 0.5])
-        res = run_local(x0, np.ones(2, bool), rowwise(quad([0.0, 0.0])), None,
-                        LocalParams(), bounds)
+        res = run_local(x0, np.ones(2, bool), rowwise(quad([0.0, 0.0])), no_sine_test,
+                        LocalParams(expensive_every=math.inf), bounds)
         assert res.iterations == 1
         np.testing.assert_array_equal(res.x_best, x0)
 

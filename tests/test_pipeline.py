@@ -35,6 +35,8 @@ from sarsizer.pipeline import (
     verification_plan,
 )
 
+from conftest import no_sine_test
+
 SMALL_RUN = """
 N: 8
 fs: 1.0e6
@@ -84,6 +86,11 @@ class TestLoadConfig:
         with pytest.warns(UserWarning, match=r"unknown global keys \['max_eval'\]"):
             cfg = load_config("{N: 8, fs: 1e6, V_DD: 1, global: {max_eval: 100}}", is_text=True)
         assert cfg.global_params.max_evals == 5000
+
+    def test_stall_window_is_not_a_config_key(self):
+        with pytest.warns(UserWarning, match=r"unknown global keys \['stall_generations'\]"):
+            load_config("{N: 8, fs: 1e6, V_DD: 1, global: {stall_generations: 20}}",
+                        is_text=True)
 
     def test_bad_bounds_name_field(self):
         with pytest.raises(ConfigError, match="r_sw"):
@@ -183,8 +190,7 @@ class TestLoadConfig:
         ({"local": {"w0": 7}}, "local.w0"),
         ({"harness": {"amplitude_frac": 1.5}}, "harness.amplitude_frac"),
         ({"harness": {"f_target_frac": 0.6}}, "harness"),
-        ({"global": {"stall_generations": 0}}, "global.stall_generations"),
-        ({"global": {"stall_generations": "20"}}, "global.stall_generations"),
+        ({"global": {"max_evals": 0}}, "global.max_evals"),
     ])
     def test_malformed_values_rejected(self, override, name):
         text = yaml.safe_dump({"N": 8, "fs": 1e6, "V_DD": 1.0, **override})
@@ -353,15 +359,13 @@ class TestRunPipeline:
         with pytest.raises(PlanError):
             run_pipeline(cfg)
 
-    def test_zero_budget_returns_initial_with_warning(self, tmp_path):
-        cfg = load_config(
-            "{N: 8, fs: 1.0e6, V_DD: 1, seed: 3, global: {max_evals: 0}}",
-            is_text=True,
-        )
-        result = run_pipeline(cfg, out_dir=tmp_path / "degenerate")
-        assert result.warning and "budget" in result.warning
-        assert result.local_result is None
-        assert "no iterations" in summary_text(result)
+    def test_infinite_lambda_runs_no_sine_test(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("sarsizer.pipeline.ExpensiveObjective", lambda **_: no_sine_test)
+        cfg = load_config(SMALL_RUN.replace("local: {max_iter: 25}",
+                                            "local: {max_iter: 25, lambda: inf}"), is_text=True)
+        run_pipeline(cfg, out_dir=tmp_path / "run")
+        local = json.loads((tmp_path / "run" / "run_record.json").read_text())["local"]
+        assert (local["n_expensive"], local["f_expensive"]) == (0, None)
 
     def test_eval_log_one_row_per_archive_entry(self, small_run):
         _, result, out = small_run
@@ -577,15 +581,17 @@ class TestCli:
     @pytest.mark.parametrize("args", [
         ["run", "{cfg}", "--seed", "-1"],
         ["run", "{tmp}/bin.yaml"],
+        ["run", "{tmp}/zero.yaml"],
         ["eval", "{cfg}", "--design", "{tmp}/missing.json"],
         ["eval", "{cfg}", "--design", "{tmp}/bad.json"],
         ["eval", "{cfg}", "--design", "{tmp}/latin1.json"],
         ["report", "{tmp}/bad-run"],
         ["report", "{tmp}/list-run"],
-    ], ids=["bad_seed", "non_utf8_config", "missing_design", "malformed_design",
-            "non_utf8_design", "malformed_record", "non_object_record"])
+    ], ids=["bad_seed", "non_utf8_config", "zero_budget", "missing_design",
+            "malformed_design", "non_utf8_design", "malformed_record", "non_object_record"])
     def test_console_errors_are_one_line_exit_2(self, tmp_path, cfg_file, args):
         (tmp_path / "bin.yaml").write_bytes(b"\xff\xfeN: 8\n")
+        (tmp_path / "zero.yaml").write_text("{N: 8, fs: 1.0e6, V_DD: 1, global: {max_evals: 0}}")
         (tmp_path / "bad.json").write_text("{bad")
         (tmp_path / "latin1.json").write_bytes(b'{"c_unit": "\xb5"}')
         (tmp_path / "bad-run").mkdir()
