@@ -4,7 +4,7 @@ Derives performance budgets from resolution and a scaling factor, explores
 the sizing space with surrogate-assisted constrained differential
 evolution over cheap single-point tests, freezes converged variables, and
 refines the rest with a blended multi-fidelity pattern search whose
-expensive fidelity is a segment-parallel coherent sine test.
+expensive fidelity is a coherent sine test converted in fixed-size blocks.
 """
 
 from .adc import (

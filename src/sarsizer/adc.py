@@ -18,8 +18,9 @@ sampling-switch driver term.
 
 One kernel, ``convert_rows``, runs every conversion and returns one
 ``Conversions`` row per input: its rows may belong to different designs,
-so a whole generation's coarse tests are one call and a capture segment
-is another.  A single conversion is a batch of one.
+so a whole generation's coarse tests are one call and each block of a
+capture (``sndr.CAPTURE_BLOCK`` conversions) is another.  A single
+conversion is a batch of one.
 """
 
 from __future__ import annotations

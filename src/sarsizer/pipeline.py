@@ -563,7 +563,8 @@ def audit_run(run_dir: str | Path) -> dict:
 
     Returns a dict of checks, each mapping to (recorded, recomputed).
     Raises ConfigError when any check disagrees, or when the record is of
-    another schema version or its config does not rebuild.
+    another schema version, or its config, trace files or capture rows do
+    not read back.
     """
     run_dir = Path(run_dir)
     path = run_dir / RECORD_NAME
@@ -574,33 +575,39 @@ def audit_run(run_dir: str | Path) -> dict:
     try:
         cfg_dict = record["config"]
         adc, harness = AdcConfig(**cfg_dict["adc"]), HarnessConfig(**cfg_dict["harness"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: cannot rebuild the recorded config: {exc!r}") from exc
-    specs = DerivedSpecs.derive(adc.n_bits, adc.v_dd, cfg_dict["alpha"])
-    bounds = {k: tuple(v) for k, v in cfg_dict["bounds"].items()}
-    design = load_design(run_dir / record["trace_files"]["design"])
-    model = build_model(design, adc, bounds)
+        specs = DerivedSpecs.derive(adc.n_bits, adc.v_dd, cfg_dict["alpha"])
+        bounds = {k: tuple(v) for k, v in cfg_dict["bounds"].items()}
+        seed, traces = cfg_dict["seed"], record["trace_files"]
+        design_path, capture_path = run_dir / traces["design"], run_dir / traces["capture"]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: cannot rebuild the recorded run: {exc!r}") from exc
+    model = build_model(load_design(design_path), adc, bounds)
     coarse = evaluate_coarse(model, specs)
 
-    rows = (run_dir / record["trace_files"]["capture"]).read_text().splitlines()[1:]
-    codes = np.array([int(r.split(",")[2]) for r in rows])
-    verify_plan = verification_plan(adc.f_s, adc.v_dd, harness, cfg_dict["seed"])
+    try:
+        codes = np.array([int(r.split(",")[2]) for r in capture_path.read_text().splitlines()[1:]])
+    except (IndexError, ValueError) as exc:  # short row, bad code, text not UTF-8
+        raise ConfigError(f"{capture_path}: malformed capture row: {exc!r}") from exc
+    verify_plan = verification_plan(adc.f_s, adc.v_dd, harness, seed)
     spectrum = spectrum_metrics(codes, verify_plan, coarse.power, adc.n_bits)
 
-    checks = {
-        "power": (record["coarse"]["power"], coarse.power),
-        "sampling_error": (record["coarse"]["sampling_error"], coarse.sampling_error),
-        "noise_rms": (record["coarse"]["noise_rms"], coarse.noise_rms),
-        "sndr_db": (record["spectrum"]["sndr_db"], spectrum.sndr_db),
-        "sfdr_db": (record["spectrum"]["sfdr_db"], spectrum.sfdr_db),
-        "enob": (record["spectrum"]["enob"], spectrum.enob),
-        "fom_w": (record["spectrum"]["fom_w"], spectrum.fom_w),
-        "fom_s": (record["spectrum"]["fom_s"], spectrum.fom_s),
-        "enob_identity": (
-            record["spectrum"]["enob"],
-            enob_from_sndr(record["spectrum"]["sndr_db"]),
-        ),
-    }
+    try:
+        checks = {
+            "power": (record["coarse"]["power"], coarse.power),
+            "sampling_error": (record["coarse"]["sampling_error"], coarse.sampling_error),
+            "noise_rms": (record["coarse"]["noise_rms"], coarse.noise_rms),
+            "sndr_db": (record["spectrum"]["sndr_db"], spectrum.sndr_db),
+            "sfdr_db": (record["spectrum"]["sfdr_db"], spectrum.sfdr_db),
+            "enob": (record["spectrum"]["enob"], spectrum.enob),
+            "fom_w": (record["spectrum"]["fom_w"], spectrum.fom_w),
+            "fom_s": (record["spectrum"]["fom_s"], spectrum.fom_s),
+            "enob_identity": (
+                record["spectrum"]["enob"],
+                enob_from_sndr(record["spectrum"]["sndr_db"]),
+            ),
+        }
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: missing recorded figure: {exc!r}") from exc
     bad = {
         name: pair
         for name, pair in checks.items()

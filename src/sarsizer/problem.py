@@ -12,7 +12,7 @@ import numpy as np
 
 from .adc import DESIGN_FIELDS, AdcConfig, DesignPoint, build_model
 from .coarse import CoarseReport, evaluate_coarse, power_estimate
-from .sndr import TestPlan, run_segments, segment_stimulus, spectrum_metrics
+from .sndr import CAPTURE_BLOCK, TestPlan, block_stimulus, run_segments, spectrum_metrics
 from .specs import DerivedSpecs
 
 # Fallback anchor when the starting design draws no power at all.
@@ -98,10 +98,10 @@ class ExpensiveObjective:
 
     @cached_property
     def stimuli(self) -> tuple:
-        """Every segment's stimulus, built on the first call: it depends on
+        """Every block's stimulus, built on the first call: it depends on
         (plan, N, noise) only, so each capture of this objective reuses it."""
-        return tuple(segment_stimulus(self.plan, k, self.cfg.n_bits, self.noise)
-                     for k in range(self.plan.m_segments))
+        return tuple(block_stimulus(self.plan, start, self.cfg.n_bits, self.noise)
+                     for start in range(0, self.plan.k_points, CAPTURE_BLOCK))
 
     def __call__(self, x: np.ndarray) -> float:
         design = DesignPoint.from_vector(x)

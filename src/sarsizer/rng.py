@@ -4,8 +4,8 @@ Every conversion owns a Philox4x64-10 stream (Salmon et al., SC'11) keyed
 by (seed, sample_index) with the block number 1..B as its counter, i.e.
 the words of ``np.random.Philox(key=[seed, index])``.  Box-Muller turns
 each word pair into two standard normals.  A row depends on its key alone,
-so a segment running samples {k, k+M, ...} draws exactly the noise of a
-full-rate run, which makes interleaved captures bit-identical to it.
+so a capture drawn block by block, or as M interleaved segments, gets
+exactly the noise of one draw over all its samples.
 """
 
 from __future__ import annotations

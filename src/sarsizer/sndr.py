@@ -1,13 +1,12 @@
-"""Coherent sine testing with segment-parallel capture and FFT metrics.
+"""Coherent sine testing with block-wise capture and FFT metrics.
 
 A capture of K samples at J input cycles (J odd, so coprime to the
-power-of-two K) needs no window.  The capture can be split into M
-independent segments: segment k converts samples {k, k+M, k+2M, ...},
-i.e. the segment's input is the same sine advanced by k full-rate sample
-periods.  Because each conversion's noise is keyed by its global sample
-index and its hold history is reconstructed analytically, the merged
-segment outputs are bit-identical to a single full-rate run, for any M
-dividing K.
+power-of-two K) needs no window.  Each conversion's noise is keyed by its
+global sample index and its hold history is reconstructed analytically,
+so a capture converts in contiguous blocks of CAPTURE_BLOCK samples, one
+kernel call each, with the codes of one call over all K.  The paper's M
+interleaved segments rest on the same argument: M must divide K and is
+recorded, but changes no code and no work.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ class TestPlan:
 
     k_points: int      # total samples, power of two
     j_cycles: int      # integer input cycles, odd
-    m_segments: int    # parallel segments, divides k_points
+    m_segments: int    # the paper's segment count M, divides k_points
     f_s: float         # Hz
     amplitude: float   # differential sine amplitude, V
     seed: int = 0
@@ -99,48 +98,36 @@ def plan_test(
     )
 
 
-def segment_indices(plan: TestPlan, k: int) -> np.ndarray:
-    """Global sample indices owned by segment k."""
-    return np.arange(plan.k_points // plan.m_segments) * plan.m_segments + k
-
-
 def _sine(plan: TestPlan, idx: np.ndarray) -> np.ndarray:
     """The planned input at full-rate sample instants idx."""
     return plan.amplitude * np.sin(2.0 * math.pi * plan.f_in * idx * (1.0 / plan.f_s))
 
 
-def segment_stimulus(
-    plan: TestPlan, k: int, n_bits: int, noise: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The design-independent part of segment k: (indices, input, previous
-    input, noise draws or None).  It depends on (plan, n_bits, noise) only,
-    so callers that run one plan on many designs may build it once."""
-    idx = segment_indices(plan, k)
+# Conversions per kernel call: a 65,536-point capture runs as 8 calls, and
+# any capture of up to 8,192 points as one.
+CAPTURE_BLOCK = 8192
+
+
+def block_stimulus(
+    plan: TestPlan, start: int, n_bits: int, noise: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The design-independent part of the block of conversions from start:
+    (input, previous input, noise draws or None).  It depends on (plan,
+    start, n_bits, noise) only, so callers that run one plan on many
+    designs may build it once."""
+    idx = np.arange(start, min(start + CAPTURE_BLOCK, plan.k_points))
+    # Column 0 is kT/C, columns 1..n the comparator.
+    draws = noise_matrix(plan.seed, idx, n_bits) if noise else None
     # Hold history: the array last held the previous full-rate sample's
     # input value.  Reconstructing it analytically (rather than chaining
-    # conversions) keeps segments independent of each other.
-    v_now, v_prev = _sine(plan, idx), _sine(plan, idx - 1)
-    # One draw per segment: column 0 is kT/C, columns 1..n the comparator.
-    draws = noise_matrix(plan.seed, idx, n_bits) if noise else None
-    return idx, v_now, v_prev, draws
-
-
-def _convert_segment(model: AdcModel, stimulus: tuple) -> tuple[np.ndarray, ...]:
-    """Run one segment's stimulus on model; returns (indices, codes, timing_ok)."""
-    idx, v_now, v_prev, draws = stimulus
-    sampled = sample_input(model, v_now, v_prev)
-    cmp_draws = None
-    if draws is not None:
-        sampled = sampled + model.kt_c_sigma * draws[:, 0]
-        cmp_draws = draws[:, 1:]
-    conv = convert_rows([model], sampled, cmp_draws)
-    return idx, conv.codes, conv.timing_ok
+    # conversions) keeps blocks independent of each other.
+    return _sine(plan, idx), _sine(plan, idx - 1), draws
 
 
 def run_segments(
     model: AdcModel, plan: TestPlan, noise: bool = True, stimuli: Sequence | None = None
 ) -> np.ndarray:
-    """Merged capture codes, index m holds conversion m of the schedule."""
+    """Capture codes, index m holds conversion m of the schedule."""
     codes, _ = run_segments_detailed(model, plan, noise=noise, stimuli=stimuli)
     return codes
 
@@ -148,21 +135,23 @@ def run_segments(
 def run_segments_detailed(
     model: AdcModel, plan: TestPlan, noise: bool = True, stimuli: Sequence | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merged (codes, timing_ok); per-sample timing failures are recorded,
-    never fatal.  Segments run one after another in this process, each
-    building, using and dropping its segment_stimulus, unless stimuli
-    holds every segment's (built for this plan, N and noise).
+    """Capture (codes, timing_ok); per-sample timing failures are recorded,
+    never fatal.  Blocks run one after another, each building, converting
+    and dropping its block_stimulus before the next is built, unless
+    stimuli holds every block's (built for this plan, N and noise).
     """
     codes = np.zeros(plan.k_points, dtype=np.int64)
     ok = np.zeros(plan.k_points, dtype=bool)
-    for k in range(plan.m_segments):
-        idx, seg_codes, seg_ok = _convert_segment(
-            model,
-            stimuli[k] if stimuli is not None
-            else segment_stimulus(plan, k, model.cfg.n_bits, noise),
-        )
-        codes[idx] = seg_codes
-        ok[idx] = seg_ok
+    for b, start in enumerate(range(0, plan.k_points, CAPTURE_BLOCK)):
+        v_now, v_prev, draws = (stimuli[b] if stimuli is not None
+                                else block_stimulus(plan, start, model.cfg.n_bits, noise))
+        sampled = sample_input(model, v_now, v_prev)
+        if draws is not None:
+            sampled = sampled + model.kt_c_sigma * draws[:, 0]
+        conv = convert_rows([model], sampled, None if draws is None else draws[:, 1:])
+        codes[start:start + len(sampled)] = conv.codes
+        ok[start:start + len(sampled)] = conv.timing_ok
+        del v_now, v_prev, draws, sampled, conv  # freed before the next block is built
     return codes, ok
 
 
@@ -246,7 +235,7 @@ def spectrum_metrics(
 
 def capture_inputs(plan: TestPlan) -> np.ndarray:
     """Ideal input value at each sample instant of the schedule: the
-    input each segment's stimulus converts, merged."""
+    input each block's stimulus converts, in order."""
     return _sine(plan, np.arange(plan.k_points))
 
 

@@ -93,9 +93,13 @@ class TestSampleInput:
             return convert_rows(models, v_sampled, *args)
 
         monkeypatch.setattr(sndr, "convert_rows", recording)
-        idx, zeros = np.arange(100_000), np.zeros(100_000)
-        sndr._convert_segment(m, (idx, zeros, zeros, noise_matrix(11, idx, cfg.n_bits)))
-        draws = held[0]
+        plan = sndr.plan_test(cfg.f_s, 2**17, 1, 0.1 * cfg.f_s, 0.5, seed=11)
+        zeros = np.zeros(sndr.CAPTURE_BLOCK)  # held input before the noise
+        blocks = np.split(np.arange(plan.k_points), plan.k_points // sndr.CAPTURE_BLOCK)
+        sndr.run_segments(m, plan, stimuli=[(zeros, zeros, noise_matrix(11, idx, cfg.n_bits))
+                                            for idx in blocks])
+        draws = np.concatenate(held)
+        assert len(draws) == plan.k_points
         expected = math.sqrt(2 * BOLTZMANN * 300.0 / 1e-12)
         assert expected == pytest.approx(91.0e-6, abs=0.1e-6)
         assert draws.std() == pytest.approx(expected, rel=0.02)

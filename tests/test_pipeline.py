@@ -23,6 +23,7 @@ from sarsizer.pipeline import (
     _BLOCKS,
     _KNOWN_TOP_KEYS,
     _schema,
+    SCHEMA_VERSION,
     RunConfig,
     audit_run,
     default_bounds,
@@ -46,6 +47,13 @@ global: {pop_size: 40, max_evals: 400}
 local: {max_iter: 25}
 harness: {K: 256, M: 4}
 """
+
+
+def _drop_first_code(capture):
+    """Cut the code field off the first data row of a capture.csv."""
+    lines = capture.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    capture.write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -308,18 +316,27 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=key):
             audit_run(run_dir)
 
-    @pytest.mark.parametrize("tamper", [
-        lambda record: record.update(schema_version=99),
-        lambda record: record["config"]["adc"].update(frobnicate=1.0),
-        lambda record: record["config"].pop("harness"),
-    ], ids=["schema_version", "unknown_adc_key", "missing_harness"])
-    def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper):
+    @pytest.mark.parametrize("tamper, named", [
+        (lambda record, run_dir: record.update(schema_version=99), "run_record.json"),
+        (lambda record, run_dir: record["config"]["adc"].update(frobnicate=1.0),
+         "run_record.json"),
+        (lambda record, run_dir: record["config"].pop("harness"), "run_record.json"),
+        (lambda record, run_dir: record["config"].pop("alpha"), "run_record.json"),
+        (lambda record, run_dir: record["config"].pop("bounds"), "run_record.json"),
+        (lambda record, run_dir: record["config"].pop("seed"), "run_record.json"),
+        (lambda record, run_dir: record.pop("trace_files"), "run_record.json"),
+        (lambda record, run_dir: record.pop("coarse"), "run_record.json"),
+        (lambda record, run_dir: _drop_first_code(run_dir / "capture.csv"), "capture.csv"),
+    ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
+            "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
+            "short_capture_row"])
+    def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
         record = json.loads(path.read_text())
-        tamper(record)
+        tamper(record, run_dir)
         path.write_text(json.dumps(record))
-        with pytest.raises(ConfigError, match="run_record.json"):
+        with pytest.raises(ConfigError, match=named):
             audit_run(run_dir)
 
     def test_summary_cross_checks_metrics(self, small_run):
@@ -587,8 +604,10 @@ class TestCli:
         ["eval", "{cfg}", "--design", "{tmp}/latin1.json"],
         ["report", "{tmp}/bad-run"],
         ["report", "{tmp}/list-run"],
+        ["report", "{tmp}/no-alpha-run"],
     ], ids=["bad_seed", "non_utf8_config", "zero_budget", "missing_design",
-            "malformed_design", "non_utf8_design", "malformed_record", "non_object_record"])
+            "malformed_design", "non_utf8_design", "malformed_record", "non_object_record",
+            "record_missing_alpha"])
     def test_console_errors_are_one_line_exit_2(self, tmp_path, cfg_file, args):
         (tmp_path / "bin.yaml").write_bytes(b"\xff\xfeN: 8\n")
         (tmp_path / "zero.yaml").write_text("{N: 8, fs: 1.0e6, V_DD: 1, global: {max_evals: 0}}")
@@ -598,6 +617,11 @@ class TestCli:
         (tmp_path / "bad-run" / "run_record.json").write_text("{bad")
         (tmp_path / "list-run").mkdir()
         (tmp_path / "list-run" / "run_record.json").write_text("[]")
+        (tmp_path / "no-alpha-run").mkdir()
+        (tmp_path / "no-alpha-run" / "run_record.json").write_text(json.dumps({
+            "schema_version": SCHEMA_VERSION,
+            "config": {"adc": {"n_bits": 8, "f_s": 1e6, "v_dd": 1.0}, "harness": {}},
+        }))
         argv = [a.format(cfg=cfg_file, tmp=tmp_path) for a in args]
         env = {**os.environ, "PYTHONPATH": str(Path(sarsizer.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "sarsizer.cli", *argv],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,10 @@ from sarsizer.errors import MetricsError, PlanError
 from sarsizer.pipeline import default_bounds
 from sarsizer.problem import ExpensiveObjective, bounds_array
 from sarsizer.rng import noise_matrix
+import sarsizer.sndr
 from sarsizer.sndr import (
     TestPlan,
+    block_stimulus,
     capture_inputs,
     enob_from_sndr,
     fom_schreier,
@@ -20,8 +23,6 @@ from sarsizer.sndr import (
     plan_test,
     run_segments,
     run_segments_detailed,
-    segment_indices,
-    segment_stimulus,
     spectrum_metrics,
     write_capture_csv,
     write_spectrum_csv,
@@ -106,11 +107,38 @@ class TestPlanTest:
             TestPlan(k_points=64, j_cycles=3, m_segments=4, f_s=1e6, amplitude=0.4, seed=seed)
 
 
+def counting_noise(monkeypatch):
+    """Record the indices of every noise draw a capture makes."""
+    calls = []
+
+    def counted(seed, indices, n_bits):
+        calls.append(np.asarray(indices).tolist())
+        return noise_matrix(seed, indices, n_bits)
+
+    monkeypatch.setattr(sarsizer.sndr, "noise_matrix", counted)
+    return calls
+
+
+def counting_kernel(monkeypatch):
+    """Record the row count of every kernel call a capture makes."""
+    calls = []
+
+    def counted(models, v_sampled, *args, **kwargs):
+        calls.append(len(v_sampled))
+        return convert_rows(models, v_sampled, *args, **kwargs)
+
+    monkeypatch.setattr(sarsizer.sndr, "convert_rows", counted)
+    return calls
+
+
 class TestSegments:
-    def test_interleave_covers_every_index_once(self):
-        plan = make_plan(k_points=64, m_segments=8)
-        seen = np.concatenate([segment_indices(plan, k) for k in range(8)])
-        assert sorted(seen.tolist()) == list(range(64))
+    def test_blocks_cover_every_index_once(self, sane_model_12, monkeypatch):
+        # 64 samples in blocks of 24: the last block is short
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 24)
+        calls = counting_noise(monkeypatch)
+        run_segments(sane_model_12, make_plan(k_points=64, m_segments=8))
+        assert [len(c) for c in calls] == [24, 24, 16]
+        assert sum(calls, []) == list(range(64))
 
     def test_fig_style_four_by_four(self):
         # 4 segments of 4 samples merge into a 16-point capture
@@ -120,17 +148,20 @@ class TestSegments:
         codes = run_segments(build_model(ideal_design(t_sample=1e-9), cfg), plan, noise=False)
         assert len(codes) == 16
 
-    def test_segment_phase_offset(self):
-        # segment k is the same sine advanced by k sample periods; when
-        # f_in = f_s/M that equals a phase shift of 2*pi*k/M exactly
+    def test_block_phase_offset(self, monkeypatch):
+        # the block from sample k is the same sine advanced by k sample
+        # periods; when f_in = f_s/8 that equals a phase shift of 2*pi*k/8
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 3)
         plan = TestPlan(k_points=8, j_cycles=1, m_segments=8, f_s=8.0, amplitude=1.0)
         assert plan.f_in == plan.f_s / 8
         u = capture_inputs(plan)
         k = 3
-        first = segment_indices(plan, k)[0]
-        phase = 2 * math.pi * plan.f_in * first / plan.f_s
+        v_now, v_prev, _ = block_stimulus(plan, k, 4, noise=False)
+        phase = 2 * math.pi * plan.f_in * k / plan.f_s
         assert phase == pytest.approx(3 * math.pi / 4, rel=1e-12)
-        assert u[first] == pytest.approx(math.sin(3 * math.pi / 4), rel=1e-12)
+        assert v_now[0] == u[k] == pytest.approx(math.sin(3 * math.pi / 4), rel=1e-12)
+        assert v_prev[0] == u[k - 1]
+        np.testing.assert_array_equal(v_now, u[k:k + 3])
 
     def test_single_segment_degenerate(self, sane_model_12):
         plan = make_plan(k_points=256, m_segments=1, seed=5)
@@ -149,15 +180,14 @@ class TestSegments:
         assert equivalence_check(sane_model_12, plan, noise=True)
 
     def test_mis_keyed_noise_breaks_equivalence(self, sane_model_12):
-        # negative control: key noise by segment-local position instead of
+        # negative control: key noise by block-local position instead of
         # the global sample index
         plan = make_plan(k_points=256, m_segments=4, seed=11)
         model = sane_model_12
         t_s = 1.0 / plan.f_s
         omega = 2 * math.pi * plan.f_in
         merged = np.zeros(plan.k_points, dtype=np.int64)
-        for k in range(plan.m_segments):
-            idx = segment_indices(plan, k)
+        for idx in np.split(np.arange(plan.k_points), 4):
             local = np.arange(len(idx))  # wrong: forgets the global schedule
             v_now = plan.amplitude * np.sin(omega * idx * t_s)
             v_prev = plan.amplitude * np.sin(omega * (idx - 1) * t_s)
@@ -187,18 +217,14 @@ class TestSegments:
             trace = convert_one(sane_model_12, sampled, (plan.seed, m))
             assert trace.code == codes[m], m
 
-    def test_one_noise_draw_per_segment(self, sane_model_12, monkeypatch):
-        import sarsizer.sndr
-
-        calls = []
-
-        def counted(seed, indices, n_bits):
-            calls.append(len(indices))
-            return noise_matrix(seed, indices, n_bits)
-
-        monkeypatch.setattr(sarsizer.sndr, "noise_matrix", counted)
+    def test_one_noise_draw_per_block(self, sane_model_12, monkeypatch):
+        calls = counting_noise(monkeypatch)
         run_segments(sane_model_12, make_plan(k_points=256, m_segments=4, seed=3))
-        assert calls == [64] * 4
+        assert [len(c) for c in calls] == [256]
+        calls.clear()
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 64)
+        run_segments(sane_model_12, make_plan(k_points=256, m_segments=4, seed=3))
+        assert [len(c) for c in calls] == [64] * 4
 
     def test_timing_failures_recorded_not_fatal(self):
         from sarsizer.adc import DesignPoint
@@ -231,7 +257,7 @@ def design_vector(bounds, unit):
 
 def expensive_value_by_default_path(cfg, plan, bounds, noise, x):
     """ExpensiveObjective's value computed with a capture that draws its
-    own stimulus, one segment at a time."""
+    own stimulus, one block at a time."""
     model = build_model(DesignPoint.from_vector(x), cfg, bounds)
     codes = run_segments(model, plan, noise=noise)
     return -spectrum_metrics(codes, plan, power_estimate(model), cfg.n_bits).fom_s
@@ -276,16 +302,8 @@ class TestReusedStimulus:
         _, ok = run_segments_detailed(model, plan, noise=True)
         assert not ok.all()
 
-    def test_one_noise_draw_per_segment_per_objective(self, monkeypatch):
-        import sarsizer.sndr
-
-        calls = []
-
-        def counted(seed, indices, n_bits):
-            calls.append(len(indices))
-            return noise_matrix(seed, indices, n_bits)
-
-        monkeypatch.setattr(sarsizer.sndr, "noise_matrix", counted)
+    def test_one_noise_draw_per_block_per_objective(self, monkeypatch):
+        calls = counting_noise(monkeypatch)
         cfg = STIMULUS_CONFIGS[12]
         bounds = default_bounds(cfg)
         objective = ExpensiveObjective(
@@ -293,7 +311,63 @@ class TestReusedStimulus:
         )
         for u in (0.2, 0.5, 0.8):
             objective(design_vector(bounds, [u] * 8))
-        assert calls == [64] * 4
+        assert [len(c) for c in calls] == [256]
+
+
+class TestCaptureBlocks:
+    """A capture converts in contiguous blocks of CAPTURE_BLOCK samples:
+    how the capture is partitioned changes no code and no timing flag."""
+
+    @pytest.mark.parametrize("block", [1, 3, 64, 256])
+    @pytest.mark.parametrize("unit", [None, TIMING_FAIL_UNIT], ids=["sane", "timing_fail"])
+    def test_partition_invariance(self, sane_model_12, monkeypatch, block, unit):
+        model = sane_model_12
+        if unit is not None:
+            cfg = STIMULUS_CONFIGS[12]
+            bounds = default_bounds(cfg)
+            model = build_model(DesignPoint.from_vector(design_vector(bounds, unit)), cfg, bounds)
+        plan = make_plan(k_points=256, m_segments=4, seed=13)
+        single_codes, single_ok = run_segments_detailed(model, plan, noise=True)
+        assert unit is None or not single_ok.all()
+        calls = counting_kernel(monkeypatch)
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", block)
+        codes, ok = run_segments_detailed(model, plan, noise=True)
+        assert len(calls) == -(-256 // block)
+        np.testing.assert_array_equal(codes, single_codes)
+        np.testing.assert_array_equal(ok, single_ok)
+
+    def test_kernel_calls_per_capture(self, sane_model_12, monkeypatch):
+        calls = counting_kernel(monkeypatch)
+        run_segments(sane_model_12, make_plan(k_points=512, m_segments=4, seed=3))
+        assert calls == [512]
+        calls.clear()
+        run_segments(sane_model_12, make_plan(k_points=65536, m_segments=8), noise=False)
+        assert calls == [8192] * 8
+
+    def test_expensive_objective_is_one_kernel_call(self, monkeypatch):
+        cfg = STIMULUS_CONFIGS[8]
+        bounds = default_bounds(cfg)
+        plan = plan_test(cfg.f_s, 512, 4, 0.097 * cfg.f_s, 0.475, seed=5)
+        objective = ExpensiveObjective(cfg=cfg, plan=plan, bounds=bounds)
+        calls = counting_kernel(monkeypatch)
+        for u in (0.2, 0.5):
+            objective(design_vector(bounds, [u] * 8))
+            assert calls == [512]
+            calls.clear()
+
+    def test_long_capture_peaks_at_one_block(self, sane_model_12):
+        """A 65,536-point capture holds one block's stimulus and kernel
+        output at a time, so it peaks near an 8,192-point capture."""
+        def peak(k_points):
+            plan = make_plan(k_points=k_points, m_segments=8, seed=1)
+            tracemalloc.start()
+            try:
+                run_segments_detailed(sane_model_12, plan, noise=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(65536) <= 1.25 * peak(8192)
 
 
 class TestSpectrumMetrics:
@@ -361,16 +435,15 @@ class TestExports:
         assert (int(idx), int(code)) == (0, int(codes[0]))
         assert float(value) == capture_inputs(plan)[0]
 
-    def test_capture_input_is_the_converted_input(self, tmp_path):
-        # the input column holds, bit for bit, the input each segment converted
+    def test_capture_input_is_the_converted_input(self, tmp_path, monkeypatch):
+        # the input column holds, bit for bit, the input each block converted
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 48)
         plan = make_plan(k_points=256, m_segments=8, seed=1)
         path = tmp_path / "capture.csv"
         write_capture_csv(plan, np.zeros(plan.k_points, dtype=int), str(path))
         column = [float(line.split(",")[1]) for line in path.read_text().split()[1:]]
-        merged = np.zeros(plan.k_points)
-        for k in range(plan.m_segments):
-            idx, v_now, _, _ = segment_stimulus(plan, k, 8, noise=False)
-            merged[idx] = v_now
+        merged = np.concatenate([block_stimulus(plan, start, 8, noise=False)[0]
+                                 for start in range(0, plan.k_points, 48)])
         np.testing.assert_array_equal(column, merged)
 
     def test_spectrum_csv(self, tmp_path):
