@@ -79,20 +79,20 @@ class DesignPoint:
     t_dff: float       # logic delay per bit cycle, s
 
     def validate(self, bounds: dict[str, tuple[float, float]] | None = None) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in DESIGN_FIELDS:
+            value = getattr(self, name)
             if not value > 0:
-                raise BoundsError(f"{f.name} must be strictly positive, got {value}")
-            if bounds and f.name in bounds:
-                lo, hi = bounds[f.name]
+                raise BoundsError(f"{name} must be strictly positive, got {value}")
+            if bounds and name in bounds:
+                lo, hi = bounds[name]
                 if not lo <= value <= hi:
                     raise BoundsError(
-                        f"{f.name}={value} outside bounds [{lo}, {hi}]"
+                        f"{name}={value} outside bounds [{lo}, {hi}]"
                     )
 
     @classmethod
     def from_vector(cls, x: np.ndarray) -> "DesignPoint":
-        return cls(**dict(zip(DESIGN_FIELDS, (float(v) for v in x))))
+        return cls(*np.asarray(x, dtype=float).tolist())  # DESIGN_FIELDS order
 
     def to_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in DESIGN_FIELDS}
@@ -120,15 +120,15 @@ class AdcModel:
     def __post_init__(self) -> None:
         n = self.cfg.n_bits
         c_tot = 2.0 ** (n - 1) * self.design.c_unit
-        i = np.arange(1, n + 1)
+        weight = 2.0 ** np.arange(n)  # 2**(i-1) for bit i = 1..n, exact
         # Driver strength halves per bit until the minimum-size device;
         # its resistance is the growth limit for the geometric scaling.
-        r_drv = np.minimum(self.design.r_drv_msb * 2.0 ** (i - 1), self.cfg.r_drv_cap)
+        r_drv = np.minimum(self.design.r_drv_msb * weight, self.cfg.r_drv_cap)
         t_max = self.design.t_d0 + self.design.tau_reg * math.log(self.cfg.v_dd / self.cfg.v_floor)
         object.__setattr__(self, "c_tot", c_tot)
         object.__setattr__(self, "tau_smp", self.design.r_sw * c_tot)
         object.__setattr__(self, "v_fs", self.cfg.v_dd)
-        object.__setattr__(self, "step_amp", self.cfg.v_dd / 2.0**i)
+        object.__setattr__(self, "step_amp", self.cfg.v_dd / (2.0 * weight))
         object.__setattr__(self, "r_drv", r_drv)
         object.__setattr__(self, "tau_step", r_drv * c_tot)
         object.__setattr__(self, "t_cmp_max", float(t_max))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adc import AdcModel, convert_rows, sample_input
+from .adc import AdcModel, convert_rows
 from .errors import SpecError
 from .specs import DerivedSpecs
 
@@ -61,14 +61,16 @@ def step_ratio_errors(steps: np.ndarray) -> np.ndarray:
 def _measure(models: Sequence[AdcModel]):
     """Per-candidate sampling error, step-ratio errors, timing flag and
     average power, from one noise-free kernel call.  Candidate c owns rows
-    c*ROWS .. c*ROWS+ROWS-1: the input at the supply, then the power grid."""
-    v_in = np.array([[m.cfg.v_dd, *power_grid(m)] for m in models])
-    sampled = np.array([sample_input(m, v, v_prev=0.0) for m, v in zip(models, v_in)])
+    c*ROWS .. c*ROWS+ROWS-1: the input at the supply, then the power grid
+    (one AdcConfig, so one grid), each held from rest as ``sample_input`` does."""
+    v_in = np.array([models[0].cfg.v_dd, *power_grid(models[0])])
+    settle = np.array([math.exp(-m.design.t_sample / m.tau_smp) for m in models])
+    sampled = v_in - v_in * settle[:, None]
     owner = np.repeat(np.arange(len(models)), ROWS)
     conv = convert_rows(models, sampled.ravel(), owner=owner, charge=True)
     power = conv.e_total.reshape(-1, ROWS)[:, 1:].mean(axis=1) * models[0].cfg.f_s
     single = slice(None, None, ROWS)
-    return (np.abs(v_in - sampled)[:, 0], step_ratio_errors(conv.applied_step[single]),
+    return (np.abs(v_in[0] - sampled[:, 0]), step_ratio_errors(conv.applied_step[single]),
             conv.timing_ok[single], power)
 
 

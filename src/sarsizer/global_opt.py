@@ -22,6 +22,7 @@ of these checks to hold before a generation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,24 +30,24 @@ import numpy as np
 from .csvio import write_csv
 from .errors import ConfigError, require
 
-PREDICT_BLOCK = 8  # surrogate query rows per neighbour selection
+PREDICT_BLOCK = 4  # surrogate query rows per distance broadcast
 STALL_GENERATIONS = 20  # generations the stall test looks back
 STALL_RTOL = 1e-6  # relative improvement over STALL_GENERATIONS that counts as none
 
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """One truly evaluated candidate."""
+    """One truly evaluated candidate; feasible and violation are computed once."""
 
     x: np.ndarray
     objective: float
     slack: np.ndarray
 
-    @property
+    @cached_property
     def feasible(self) -> bool:
         return bool(np.all(self.slack >= 0.0))
 
-    @property
+    @cached_property
     def violation(self) -> float:
         return float(np.sum(np.maximum(0.0, -self.slack)))
 
@@ -102,22 +103,21 @@ class IdwSurrogate:
         self._slack = np.asarray(slack, dtype=float)
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted k-nearest predictions, PREDICT_BLOCK query rows at a time."""
+        """Weighted k-nearest predictions, distances PREDICT_BLOCK rows at a time."""
         if not self.trained:
             raise ConfigError("surrogate queried before training")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         xn = (x - self.bounds[:, 0]) / self.span
         an = (self._x - self.bounds[:, 0]) / self.span
         k = min(self.k, len(an))
-        nearest = np.empty((len(x), k), dtype=np.intp)
-        dist = np.empty((len(x), k))
+        all_dist = np.empty((len(x), len(an)))
         for start in range(0, len(x), PREDICT_BLOCK):
             rows = slice(start, start + PREDICT_BLOCK)
-            # The Euclidean norm as np.linalg.norm computes it, one query row
-            # at a time so no temporary grows with the block.
-            block = np.array([np.sqrt(np.square(an - q).sum(axis=1)) for q in xn[rows]])
-            nearest[rows] = _k_nearest(block, k)
-            dist[rows] = np.take_along_axis(block, nearest[rows], axis=1)
+            # The Euclidean norm as np.linalg.norm computes it, each sum
+            # along the last axis, so every entry is a lone row's.
+            all_dist[rows] = np.sqrt(np.square(an[None] - xn[rows, None]).sum(axis=2))
+        nearest = _k_nearest(all_dist, k)
+        dist = np.take_along_axis(all_dist, nearest, axis=1)
         w = 1.0 / (dist + 1e-12)
         w = w / w.sum(axis=1, keepdims=True)
         obj = (w[:, None, :] @ self._obj[nearest][:, :, None])[:, 0, 0]
@@ -206,20 +206,22 @@ def de_offspring(
     rng: np.random.Generator,
     bounds: np.ndarray,
 ) -> np.ndarray:
-    """DE/rand/1/bin offspring, one per parent, clipped to bounds."""
+    """DE/rand/1/bin offspring, one per parent, clipped to bounds.  Each parent
+    draws donors, j_rand and uniforms in turn; the arithmetic is whole-array."""
     pop = np.asarray(population, dtype=float)
     p, d = pop.shape
     if p < 4:
         raise ConfigError(f"differential evolution needs >= 4 members, got {p}")
-    out = np.empty_like(pop)
+    others = np.arange(1, p) - np.tri(p, p - 1, -1, dtype=np.intp)  # row i: all but i
+    donors = np.empty((p, 3), dtype=np.intp)
+    cross = np.empty((p, d), dtype=bool)
     for i in range(p):
-        choices = np.delete(np.arange(p), i)
-        a, b, c = rng.choice(choices, size=3, replace=False)
-        v = pop[a] + f_weight * (pop[b] - pop[c])
+        donors[i] = rng.choice(others[i], size=3, replace=False)
         j_rand = rng.integers(d)
-        cross = rng.random(d) < cr
-        cross[j_rand] = True
-        out[i] = np.where(cross, v, pop[i])
+        cross[i] = rng.random(d) < cr
+        cross[i, j_rand] = True
+    a, b, c = donors.T
+    out = np.where(cross, pop[a] + f_weight * (pop[b] - pop[c]), pop)
     return np.clip(out, bounds[:, 0], bounds[:, 1])
 
 

@@ -563,8 +563,8 @@ def audit_run(run_dir: str | Path) -> dict:
 
     Returns a dict of checks, each mapping to (recorded, recomputed).
     Raises ConfigError when any check disagrees, or when the record is of
-    another schema version, or its config, trace files or capture rows do
-    not read back.
+    another schema version, or its config, trace files, capture rows or
+    any figure its summary prints do not read back.
     """
     run_dir = Path(run_dir)
     path = run_dir / RECORD_NAME
@@ -592,6 +592,7 @@ def audit_run(run_dir: str | Path) -> dict:
     spectrum = spectrum_metrics(codes, verify_plan, coarse.power, adc.n_bits)
 
     try:
+        summary_from_record(record)  # every other figure the report reads
         checks = {
             "power": (record["coarse"]["power"], coarse.power),
             "sampling_error": (record["coarse"]["sampling_error"], coarse.sampling_error),
@@ -606,7 +607,7 @@ def audit_run(run_dir: str | Path) -> dict:
                 enob_from_sndr(record["spectrum"]["sndr_db"]),
             ),
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: a misformatted figure
         raise ConfigError(f"{path}: missing recorded figure: {exc!r}") from exc
     bad = {
         name: pair

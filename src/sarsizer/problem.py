@@ -54,7 +54,8 @@ class CheapObjective:
     normalized constraint violations; zero only for a feasible zero-power
     design, so the rollback comparison stays meaningful.  Remembers the
     lowest-valued coarse-feasible point it scores, taking a batch's rows in
-    order: one instance per local run.
+    order, and every row's power and slacks, so no row (by its bytes) goes
+    to the kernel twice: one instance per local run.
     """
 
     problem: CoarseProblem
@@ -62,16 +63,31 @@ class CheapObjective:
     slack_scale: np.ndarray
     best_feasible_x: np.ndarray | None = field(default=None, init=False)
     best_feasible_value: float = field(default=np.inf, init=False)
+    scored: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def anchored_at(cls, problem: CoarseProblem, x0: np.ndarray) -> "CheapObjective":
         s = problem.specs  # each violation is measured against its own bound
         scales = np.concatenate([s.ssre_bound, [s.sampling_bound, s.noise_bound, 1.0]])
-        return cls(problem, max(problem.report(x0).power, MIN_POWER_SCALE), scales)
+        cheap = cls(problem, MIN_POWER_SCALE, scales)
+        [power], _ = cheap._score(np.asarray(x0, dtype=float)[None])  # x0 is now scored
+        cheap.power_scale = max(float(power), MIN_POWER_SCALE)
+        return cheap
+
+    def _score(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Powers (n,) and slacks (n, m) of the rows of xs; the rows not
+        scored before go to the kernel in one call."""
+        keys = [x.tobytes() for x in xs]
+        new = {key: x for key, x in zip(keys, xs) if key not in self.scored}
+        if new:
+            powers, slacks = self.problem.evaluate_batch(np.array(list(new.values())))
+            self.scored.update(zip(new, zip(powers, slacks)))
+        return (np.array([self.scored[key][0] for key in keys]),
+                np.array([self.scored[key][1] for key in keys]))
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
-        """Values (n,) of the rows of xs, from one kernel call."""
-        powers, slacks = self.problem.evaluate_batch(xs)
+        """Values (n,) of the rows of xs, from at most one kernel call."""
+        powers, slacks = self._score(np.asarray(xs, dtype=float))
         violation = np.maximum(0.0, -slacks) / self.slack_scale
         values = powers / self.power_scale + VIOLATION_WEIGHT * violation.sum(axis=1)
         for x, value, feasible in zip(xs, values, np.all(slacks >= 0.0, axis=1)):

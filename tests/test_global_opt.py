@@ -112,6 +112,36 @@ class TestDeOffspring:
             de_offspring(np.zeros((3, 2)), 0.5, 0.9, np.random.default_rng(0),
                          np.array([[0.0, 1.0]] * 2))
 
+    @staticmethod
+    def per_parent_loop(pop, f_weight, cr, rng, bounds):
+        """DE/rand/1/bin written one parent at a time, mutation included."""
+        p, d = pop.shape
+        out = np.empty_like(pop)
+        for i in range(p):
+            choices = np.delete(np.arange(p), i)
+            a, b, c = rng.choice(choices, size=3, replace=False)
+            v = pop[a] + f_weight * (pop[b] - pop[c])
+            j_rand = rng.integers(d)
+            cross = rng.random(d) < cr
+            cross[j_rand] = True
+            out[i] = np.where(cross, v, pop[i])
+        return np.clip(out, bounds[:, 0], bounds[:, 1])
+
+    @pytest.mark.parametrize("p, d, seed", [(4, 1, 0), (4, 3, 1), (5, 2, 2), (13, 5, 3),
+                                            (40, 8, 4), (40, 8, 21), (80, 8, 5)])
+    def test_matches_per_parent_loop_and_stream(self, p, d, seed):
+        """Bit-equal offspring, and the generator left in the loop's state,
+        over two generations: every draw is taken in the loop's order."""
+        bounds = np.array([[0.0, 1.0]] * d)  # F=0.9 mutants often leave it
+        pop = np.random.default_rng(1000 + seed).random((p, d))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            out = de_offspring(pop, 0.9, 0.5, rng, bounds)
+            expected = self.per_parent_loop(pop, 0.9, 0.5, ref_rng, bounds)
+            assert out.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            pop = out
+
 
 class TestFeasibilityBetter:
     def test_feasible_beats_infeasible(self):
@@ -231,6 +261,55 @@ class TestSurrogate:
             w = w / w.sum()
             np.testing.assert_allclose(pred_obj[row], w @ obj[nearest], rtol=1e-12)
             np.testing.assert_allclose(pred_slack[row], w @ slack[nearest], rtol=1e-12)
+
+    @staticmethod
+    def naive_idw(bounds, x, obj, slack, queries, k):
+        """IDW one query at a time: np.linalg.norm distances and the first k
+        of a stable argsort."""
+        span = bounds[:, 1] - bounds[:, 0]
+        an, qn = (x - bounds[:, 0]) / span, (queries - bounds[:, 0]) / span
+        pred_obj, pred_slack = [], []
+        for q in qn:
+            dist = np.linalg.norm(an - q, axis=1)
+            nearest = np.argsort(dist, kind="stable")[:k]
+            w = 1.0 / (dist[nearest] + 1e-12)
+            w = w / w.sum()
+            pred_obj.append((w[None, :] @ obj[nearest][:, None])[0, 0])
+            pred_slack.append((w[None, :] @ slack[nearest])[0])
+        return np.array(pred_obj), np.array(pred_slack)
+
+    @pytest.mark.parametrize("n_queries", [1, 7, 9, 40])
+    @pytest.mark.parametrize("n_archive", [3, 50, 700])
+    def test_bit_equal_to_naive_idw(self, n_queries, n_archive):
+        """Query counts that are not multiples of PREDICT_BLOCK, an archive
+        smaller than k, and exact ties: archive rows repeated and queries
+        placed on archive rows."""
+        rng = np.random.default_rng(n_queries * 1000 + n_archive)
+        bounds = np.array([[-1.0, 3.0]] * 8)
+        x = rng.uniform(-1.0, 3.0, (n_archive, 8))
+        x[n_archive // 2:n_archive // 2 + 2] = x[0]  # three copies of row 0
+        obj, slack = rng.random(n_archive), rng.standard_normal((n_archive, 10))
+        queries = rng.uniform(-1.0, 3.0, (n_queries, 8))
+        queries[::3] = x[rng.integers(n_archive, size=len(queries[::3]))]
+        sur = IdwSurrogate(bounds, min_points=2)
+        sur.train(x, obj, slack)
+        pred_obj, pred_slack = sur.predict(queries)
+        ref_obj, ref_slack = self.naive_idw(bounds, x, obj, slack, queries, min(5, n_archive))
+        assert pred_obj.tobytes() == ref_obj.tobytes()
+        assert pred_slack.tobytes() == ref_slack.tobytes()
+
+    def test_lattice_ties_bit_equal_to_naive_idw(self):
+        """Every query sits at equal distance from many lattice points."""
+        grid = np.array(np.meshgrid(*[np.arange(4.0)] * 3)).reshape(3, -1).T
+        queries = grid[:9] + 0.5
+        obj = np.arange(len(grid), dtype=float)
+        bounds = np.array([[0.0, 4.0]] * 3)
+        sur = IdwSurrogate(bounds)
+        sur.train(grid, obj, obj[:, None])
+        pred_obj, pred_slack = sur.predict(queries)
+        ref_obj, ref_slack = self.naive_idw(bounds, grid, obj, obj[:, None], queries, 5)
+        assert pred_obj.tobytes() == ref_obj.tobytes()
+        assert pred_slack.tobytes() == ref_slack.tobytes()
 
     def test_candidate_near_feasible_cluster_ranks_first(self):
         sur = IdwSurrogate(np.array([[0, 1], [0, 1]]), min_points=3)

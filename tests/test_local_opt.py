@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import no_sine_test, rowwise
+from sarsizer import coarse
 from sarsizer.adc import AdcConfig
 from sarsizer.errors import ConfigError, MetricsError
 from sarsizer.local_opt import (
@@ -499,6 +500,71 @@ def test_cheap_objective_batch_equals_rows_alone(rows):
 
 def test_cheap_objective_anchor_is_feasible():
     assert DESK8_PROBLEM.report(DESK8_FEASIBLE).feasible
+
+
+class TestCheapObjectiveMemo:
+    """Rows already scored by one objective never reach the kernel again."""
+
+    @pytest.fixture()
+    def kernel_rows(self, monkeypatch):
+        """The number of candidates in each coarse kernel call."""
+        calls = []
+        original = coarse.convert_rows
+
+        def counted(models, v_sampled, **kwargs):
+            calls.append(len(v_sampled) // coarse.ROWS)
+            return original(models, v_sampled, **kwargs)
+
+        monkeypatch.setattr(coarse, "convert_rows", counted)
+        return calls
+
+    @staticmethod
+    def rows(n, seed):
+        """Distinct coarse-feasible and infeasible rows around DESK8_FEASIBLE."""
+        rng = np.random.default_rng(seed)
+        xs = np.tile(DESK8_FEASIBLE, (n, 1))
+        redraw = rng.random(xs.shape) < 0.1
+        redraw[np.arange(n), np.arange(n) % xs.shape[1]] = True
+        lo, hi = DESK8_BOX[:, 0], DESK8_BOX[:, 1]
+        xs = np.where(redraw, lo + rng.random(xs.shape) * (hi - lo), xs)
+        assert len(np.unique(xs, axis=0)) == n
+        return xs
+
+    def test_start_point_scored_once(self, kernel_rows):
+        cheap = CheapObjective.anchored_at(DESK8_PROBLEM, DESK8_FEASIBLE)
+        [value] = cheap(DESK8_FEASIBLE[None])
+        assert kernel_rows == [1]
+        assert value == 1.0  # its own power over itself, feasible
+
+    def test_mixed_batch_sends_only_unseen_rows(self, kernel_rows):
+        xs = self.rows(12, seed=4)
+        cheap = CheapObjective.anchored_at(DESK8_PROBLEM, xs[0])
+        cheap(xs[:5])
+        mixed = np.vstack([xs[3], xs[7], xs[1], xs[7], xs[9], xs[4]])
+        kernel_rows.clear()
+        values = cheap(mixed)
+        assert kernel_rows == [2]  # xs[7] and xs[9], once each
+        fresh = CheapObjective.anchored_at(DESK8_PROBLEM, xs[0])(mixed)
+        assert values.tobytes() == fresh.tobytes()
+        kernel_rows.clear()
+        cheap(mixed[::-1])
+        assert kernel_rows == []  # nothing unseen: no kernel call at all
+
+    def test_best_feasible_x_unchanged(self):
+        """The best feasible row over several overlapping batches is the
+        one a walk over every requested row, in order, keeps."""
+        xs = self.rows(10, seed=5)
+        batches = [xs[:4], xs[2:7], np.vstack([xs[6], xs[0], xs[9]]), xs[::-2]]
+        cheap = CheapObjective.anchored_at(DESK8_PROBLEM, xs[0])
+        values = [cheap(batch) for batch in batches]
+        best, best_value = None, np.inf
+        for batch, batch_values in zip(batches, values):
+            for x, value in zip(batch, batch_values):
+                if value < best_value and DESK8_PROBLEM.report(x).feasible:
+                    best, best_value = x, value
+        assert best is not None
+        assert cheap.best_feasible_x.tobytes() == best.tobytes()
+        assert cheap.best_feasible_value == best_value
 
 
 @settings(max_examples=40, deadline=None)

@@ -327,9 +327,18 @@ class TestRunPipeline:
         (lambda record, run_dir: record.pop("trace_files"), "run_record.json"),
         (lambda record, run_dir: record.pop("coarse"), "run_record.json"),
         (lambda record, run_dir: _drop_first_code(run_dir / "capture.csv"), "capture.csv"),
+        (lambda record, run_dir: record.pop("global"), "run_record.json"),
+        (lambda record, run_dir: record.pop("local"), "run_record.json"),
+        (lambda record, run_dir: record.pop("warning"), "run_record.json"),
+        (lambda record, run_dir: record["global"].pop("stop_reason"), "run_record.json"),
+        (lambda record, run_dir: record["design"].pop("r_sw"), "run_record.json"),
+        (lambda record, run_dir: record["specs"].pop("sndr_ceiling"), "run_record.json"),
+        (lambda record, run_dir: record["design"].update(r_sw="small"), "run_record.json"),
     ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
             "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
-            "short_capture_row"])
+            "short_capture_row", "missing_global", "missing_local", "missing_warning",
+            "missing_stop_reason", "missing_design_value", "missing_sndr_ceiling",
+            "string_design_value"])
     def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
@@ -605,10 +614,12 @@ class TestCli:
         ["report", "{tmp}/bad-run"],
         ["report", "{tmp}/list-run"],
         ["report", "{tmp}/no-alpha-run"],
+        ["report", "{tmp}/no-global-run"],
+        ["report", "{tmp}/no-local-run"],
     ], ids=["bad_seed", "non_utf8_config", "zero_budget", "missing_design",
             "malformed_design", "non_utf8_design", "malformed_record", "non_object_record",
-            "record_missing_alpha"])
-    def test_console_errors_are_one_line_exit_2(self, tmp_path, cfg_file, args):
+            "record_missing_alpha", "record_missing_global", "record_missing_local"])
+    def test_console_errors_are_one_line_exit_2(self, tmp_path, cfg_file, args, small_run):
         (tmp_path / "bin.yaml").write_bytes(b"\xff\xfeN: 8\n")
         (tmp_path / "zero.yaml").write_text("{N: 8, fs: 1.0e6, V_DD: 1, global: {max_evals: 0}}")
         (tmp_path / "bad.json").write_text("{bad")
@@ -622,6 +633,11 @@ class TestCli:
             "schema_version": SCHEMA_VERSION,
             "config": {"adc": {"n_bits": 8, "f_s": 1e6, "v_dd": 1.0}, "harness": {}},
         }))
+        for block in ("global", "local"):  # a whole run, whose record lacks one block
+            run_dir = shutil.copytree(small_run[2], tmp_path / f"no-{block}-run")
+            record = json.loads((run_dir / "run_record.json").read_text())
+            del record[block]
+            (run_dir / "run_record.json").write_text(json.dumps(record))
         argv = [a.format(cfg=cfg_file, tmp=tmp_path) for a in args]
         env = {**os.environ, "PYTHONPATH": str(Path(sarsizer.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "sarsizer.cli", *argv],
