@@ -91,6 +91,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not is_seed(self.seed):
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        self.seed = int(self.seed)  # a numpy integer would not serialize
 
     def effective_dict(self) -> dict:
         return {

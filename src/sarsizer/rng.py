@@ -1,10 +1,10 @@
 """Counter-based noise generation keyed by global sample index.
 
-Every conversion owns a Philox4x64-10 stream (Salmon et al., SC'11) keyed
-by (seed, sample_index) with the block number 1..B as its counter, i.e.
-the words of ``np.random.Philox(key=[seed, index])``.  Box-Muller turns
-each word pair into two standard normals.  A row depends on its key alone,
-so a capture drawn block by block, or as M interleaved segments, gets
+Block p of sample index i is Philox4x32-10 (Salmon et al., SC'11) of the
+counter (i mod 2**32, i >> 32, p, 0) under the key (seed mod 2**32, seed >> 32).
+Its words (w0, w1) and (w2, w3) give two 53-bit uniforms, which Box-Muller
+turns into draws 2p and 2p + 1.  A row depends on (seed, index) alone, and its
+first draws not on how many follow, so a capture drawn block by block gets
 exactly the noise of one draw over all its samples.
 """
 
@@ -14,9 +14,6 @@ import math
 
 import numpy as np
 
-_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # round multipliers
-_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # key bumps
-
 
 def is_seed(value) -> bool:
     """Whether value can key a stream: an integer, not a bool, in [0, 2**64)."""
@@ -24,28 +21,23 @@ def is_seed(value) -> bool:
     return integer and 0 <= value < 2**64
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, from 32-bit halves."""
-    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
-    x_lo, x_hi = x & 0xFFFFFFFF, x >> 32
-    lh, hl = x_lo * m_hi, x_hi * m_lo
-    mid = ((x_lo * m_lo) >> 32) + (lh & 0xFFFFFFFF) + (hl & 0xFFFFFFFF)
-    return x_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), x * m
-
-
-def philox4x64(seed: int, indices: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Raw words, shape (len(indices), 4 * n_blocks): row m holds blocks
-    1..n_blocks of the stream keyed by (seed, indices[m]), in output order."""
-    k1 = np.asarray(indices).astype(np.uint64)[:, None]
-    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64), (len(k1), n_blocks))
-    c1 = c2 = c3 = np.zeros(c0.shape, dtype=np.uint64)
-    for r in range(10):
-        hi0, lo0 = _mulhilo(_M0, c0)
-        hi1, lo1 = _mulhilo(_M1, c2)
-        k0 = np.uint64((seed + r * _W0) % 2**64)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k1 = k1 + _W1
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(k1), -1)
+def philox4x32(x: np.ndarray, key: tuple[int, int]) -> np.ndarray:
+    """Philox4x32-10, in place, of the counters in the columns of x (shape
+    (4, n), 32-bit words in uint64) under key (k0, k1).  Returns the view
+    of x that holds the words ((w0, w1), (w2, w3))."""
+    (x0, x1, x2, x3), (k0, k1), hi = x, key, np.empty_like(x[0])
+    for _ in range(10):
+        x0 *= 0xD2511F53  # a 32x32-bit product fits the uint64
+        x2 *= 0xCD9E8D57
+        x1 ^= np.right_shift(x2, 32, out=hi)
+        x1 ^= k0
+        x3 ^= np.right_shift(x0, 32, out=hi)
+        x3 ^= k1
+        x0 &= 0xFFFFFFFF
+        x2 &= 0xFFFFFFFF
+        x0, x1, x2, x3 = x1, x2, x3, x0
+        k0, k1 = (k0 + 0x9E3779B9) & 0xFFFFFFFF, (k1 + 0xBB67AE85) & 0xFFFFFFFF
+    return x.reshape(2, 2, -1)[::-1]  # ten rounds moved each word two rows on
 
 
 def noise_matrix(seed: int, indices: np.ndarray, n_bits: int) -> np.ndarray:
@@ -55,9 +47,17 @@ def noise_matrix(seed: int, indices: np.ndarray, n_bits: int) -> np.ndarray:
     comparator draws.  Row m depends only on (seed, indices[m]), however
     the indices are partitioned or ordered.
     """
-    words = philox4x64(seed, indices, -(-(n_bits + 1) // 4))
-    u = ((words >> 11).astype(float) + 0.5) * 2.0**-53  # in (0, 1]
-    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    angle = 2.0 * math.pi * u[:, 1::2]
-    draws = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
-    return draws.reshape(len(words), -1)[:, : n_bits + 1]
+    index = np.asarray(indices).astype(np.uint64)[:, None]
+    shape = (len(index), -(-(n_bits + 1) // 2))  # (rows, blocks)
+    x = np.zeros((4, *shape), dtype=np.uint64)
+    x[0], x[1], x[2] = index & 0xFFFFFFFF, index >> 32, np.arange(shape[1])
+    hi, lo = philox4x32(x.reshape(4, -1), (seed & 0xFFFFFFFF, seed >> 32)).swapaxes(0, 1)
+    hi <<= 21  # (hi << 32 | lo) >> 11
+    hi |= lo >> 11
+    u = (hi + 0.5).reshape(2, *shape) * 2.0**-53  # in (0, 1]
+    radius, angle = np.sqrt(-2.0 * np.log(u[0])), 2.0 * math.pi * u[1]
+    draws = np.empty((*shape, 2))
+    np.cos(angle, out=draws[..., 0])
+    np.sin(angle, out=draws[..., 1])
+    draws *= radius[..., None]
+    return draws.reshape(shape[0], 2 * shape[1])[:, : n_bits + 1]

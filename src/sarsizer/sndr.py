@@ -53,6 +53,7 @@ class TestPlan:
             raise PlanError("f_s and amplitude must be positive")
         if not is_seed(self.seed):
             raise PlanError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def f_in(self) -> float:

@@ -277,6 +277,16 @@ class TestRunPipeline:
             rerun_dir / "run_record.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7)])
+    def test_numpy_integer_seed_writes_the_same_run(self, small_run, tmp_path, seed):
+        _, _, out = small_run
+        cfg = dataclasses.replace(load_config(SMALL_RUN, is_text=True), seed=seed)
+        run_pipeline(cfg, out_dir=tmp_path)
+        names = sorted(p.name for p in out.iterdir() if p.name != "timings.json")
+        assert names == sorted(p.name for p in tmp_path.iterdir() if p.name != "timings.json")
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
     def test_artifacts_written(self, small_run):
         _, result, out = small_run
         for name in result.trace_files.values():

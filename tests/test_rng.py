@@ -1,20 +1,75 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sarsizer.rng import is_seed, noise_matrix, philox4x64
+import sarsizer
+from sarsizer.rng import is_seed, noise_matrix, philox4x32
+
+
+def reference_philox4x32(counter, key):
+    """Philox4x32-10 on Python integers, round by round as Salmon et al.
+    (SC'11) define it."""
+    x, (k0, k1) = list(counter), key
+    for _ in range(10):
+        p0, p1 = 0xD2511F53 * x[0], 0xCD9E8D57 * x[2]
+        x = [(p1 >> 32) ^ x[1] ^ k0, p1 & 0xFFFFFFFF, (p0 >> 32) ^ x[3] ^ k1, p0 & 0xFFFFFFFF]
+        k0, k1 = (k0 + 0x9E3779B9) & 0xFFFFFFFF, (k1 + 0xBB67AE85) & 0xFFFFFFFF
+    return x
+
+
+def reference_row(seed, index, n_bits):
+    """One noise_matrix row from the scalar Philox and math's Box-Muller."""
+    key = (seed & 0xFFFFFFFF, seed >> 32)
+    row = []
+    for p in range(-(-(n_bits + 1) // 2)):
+        w = reference_philox4x32((index & 0xFFFFFFFF, index >> 32, p, 0), key)
+        u0, u1 = ((((hi << 32 | lo) >> 11) + 0.5) * 2.0**-53 for hi, lo in (w[:2], w[2:]))
+        radius = math.sqrt(-2.0 * math.log(u0))
+        row += [radius * math.cos(2.0 * math.pi * u1), radius * math.sin(2.0 * math.pi * u1)]
+    return row[: n_bits + 1]
+
+
+# Random123's known-answer vectors for Philox4x32-10: counter, key, words.
+KNOWN_ANSWERS = [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    (
+        (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+        (0xA4093822, 0x299F31D0),
+        (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+    ),
+]
+
+
+@pytest.mark.parametrize("counter, key, words", KNOWN_ANSWERS, ids=["zeros", "ones", "pi"])
+def test_known_answer_vectors(counter, key, words):
+    assert reference_philox4x32(counter, key) == list(words)
+    x = np.array(counter, dtype=np.uint64).reshape(4, 1)
+    assert philox4x32(x, key).reshape(4).tolist() == list(words)
 
 
 @pytest.mark.parametrize(
-    "seed, index",
-    [(0, 0), (7, 123456), (2**40 + 3, 2**33 + 9), (2**64 - 1, 2**64 - 5)],
+    "seed, indices",
+    [
+        (0, [0, 1, 2**32 - 1]),
+        (7, [123456, 2**32, 2**33 + 9]),
+        (2**40 + 3, [5, 2**40 + 17]),
+        (2**64 - 1, [2**64 - 5, 2**64 - 1, 0]),
+    ],
 )
-@pytest.mark.parametrize("n_blocks", [1, 4])
-def test_raw_words_match_numpy_philox(seed, index, n_blocks):
-    oracle = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-    expected = oracle.random_raw(4 * n_blocks)
-    words = philox4x64(seed, np.array([index], dtype=np.uint64), n_blocks)
-    np.testing.assert_array_equal(words[0], expected)
+@pytest.mark.parametrize("n_bits", [0, 7, 12])
+def test_rows_match_scalar_reference(seed, indices, n_bits):
+    # Words are exact integers; libm and numpy's log/cos/sin may differ by
+    # a few ulp, and every draw is below 9 in magnitude.
+    rows = noise_matrix(seed, np.array(indices, dtype=np.uint64), n_bits)
+    expected = [reference_row(seed, i, n_bits) for i in indices]
+    np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -33,6 +88,26 @@ def test_rows_independent_of_partition_and_order(seed, indices, n_bits, data):
         if part:
             rows = noise_matrix(seed, np.array(indices)[part], n_bits)
             np.testing.assert_array_equal(rows, full[part])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    indices=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+    sizes=st.lists(st.integers(0, 16), min_size=2, max_size=2, unique=True).map(sorted),
+)
+def test_first_columns_independent_of_n_bits(seed, indices, sizes):
+    m, n = sizes
+    idx = np.array(indices, dtype=np.uint64)
+    np.testing.assert_array_equal(noise_matrix(seed, idx, n)[:, : m + 1], noise_matrix(seed, idx, m))
+
+
+def test_noise_does_not_import_numpy_random():
+    # numpy.random would add ~6 MB of resident memory to a capture
+    code = ("import sys, numpy as np; from sarsizer.rng import noise_matrix; "
+            "noise_matrix(1, np.arange(8), 12); assert 'numpy.random' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": str(Path(sarsizer.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_moments_of_a_million_draws():

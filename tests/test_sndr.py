@@ -106,6 +106,11 @@ class TestPlanTest:
         with pytest.raises(PlanError, match="seed"):
             TestPlan(k_points=64, j_cycles=3, m_segments=4, f_s=1e6, amplitude=0.4, seed=seed)
 
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3)])
+    def test_numpy_integer_seed_stored_as_int(self, seed):
+        plan = plan_test(1e6, 64, 4, 0.1e6, 0.4, seed=seed)
+        assert type(plan.seed) is int and plan == plan_test(1e6, 64, 4, 0.1e6, 0.4, seed=3)
+
 
 def counting_noise(monkeypatch):
     """Record the indices of every noise draw a capture makes."""
