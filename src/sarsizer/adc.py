@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError
+from .errors import BoundsError, ConfigError, require
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -44,22 +44,21 @@ class AdcConfig:
     f_s: float                     # sampling rate, Hz
     v_dd: float                    # supply, V; also the differential full scale
     temp_k: float = 300.0
-    kappa_cmp: float = 0.0         # comparator energy coefficient, J*V^2
-    kappa_sw: float = 0.0          # sampling-switch driver coefficient, J*Ohm
-    e_dff: float = 0.0             # logic energy per latched bit cycle, J
+    kappa_cmp: float = 1e-25       # comparator energy coefficient, J*V^2
+    kappa_sw: float = 1e-13        # sampling-switch driver coefficient, J*Ohm
+    e_dff: float = 1e-15           # logic energy per latched bit cycle, J
     r_drv_cap: float = 100e3       # driver scaling stops at this resistance, Ohm
     v_floor: float = 1e-6          # residue magnitude floor in the delay law, V
 
     def __post_init__(self) -> None:
-        if self.n_bits < 2:
-            raise ConfigError(f"n_bits must be >= 2, got {self.n_bits}")
-        if self.f_s <= 0 or self.v_dd <= 0 or self.temp_k <= 0:
-            raise ConfigError("f_s, v_dd and temp_k must be positive")
+        require(self.n_bits >= 2, "n_bits", ">= 2", self.n_bits)
+        # Written so that NaN, which fails every comparison, breaks the rule.
+        for name in ("f_s", "v_dd", "temp_k", "r_drv_cap", "v_floor"):
+            value = getattr(self, name)
+            require(0.0 < value < math.inf, name, "finite and positive", value)
         for name in ("kappa_cmp", "kappa_sw", "e_dff"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        if self.r_drv_cap <= 0 or self.v_floor <= 0:
-            raise ConfigError("r_drv_cap and v_floor must be positive")
+            value = getattr(self, name)
+            require(0.0 <= value < math.inf, name, "finite and nonnegative", value)
 
     @property
     def t_conv(self) -> float:

@@ -35,7 +35,6 @@ from .pipeline import (
     read_json,
     run_pipeline,
     summary_from_record,
-    summary_text,
 )
 from .sndr import (
     run_segments_detailed,
@@ -71,7 +70,7 @@ def cmd_run(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
     result = run_pipeline(cfg, out_dir=out)
-    print(summary_text(result))
+    print(summary_from_record(result.record_dict()))
     print(f"artifacts written to {out}")
     return 0 if result.coarse.feasible else 1
 

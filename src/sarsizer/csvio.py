@@ -11,13 +11,10 @@ from os import PathLike
 from typing import Iterable
 
 
-def write_csv(path_or_buf, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write ``header`` then ``rows`` to a path, or to an open text buffer
-    that stays open."""
-    if isinstance(path_or_buf, (str, bytes, PathLike)):
-        with open(path_or_buf, "w", newline="") as buf:
-            write_csv(buf, header, rows)
-        return
-    writer = csv.writer(path_or_buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def write_csv(path: str | PathLike, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` then ``rows`` to the file at ``path``; None is an
+    empty field."""
+    with open(path, "w", newline="") as buf:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

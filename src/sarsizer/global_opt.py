@@ -175,7 +175,6 @@ class GlobalParams:
 class OptimizerState:
     """Result and final state of the global phase."""
 
-    population: list[EvalRecord]
     archive: list[EvalRecord]
     best: EvalRecord | None
     mask: np.ndarray          # True where a variable has converged
@@ -273,9 +272,8 @@ def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerSt
     rng = np.random.default_rng(seed)
     bounds = problem.bounds
 
-    pop_x = init_population(bounds, params.pop_size, seed)
+    pop_x = init_population(bounds, params.pop_size, seed)[: params.max_evals]
     state = OptimizerState(
-        population=[],
         archive=[],
         best=None,
         mask=detect_convergence(pop_x, bounds, params.theta_conv),
@@ -295,9 +293,8 @@ def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerSt
         state.evals = len(state.archive)
         return records
 
-    pop_x = pop_x[: params.max_evals]
-    state.population = evaluate(pop_x)
-    for rec in state.population:
+    population = evaluate(pop_x)
+    for rec in population:
         if state.best is None or feasibility_better(rec, state.best):
             state.best = rec
 
@@ -330,7 +327,6 @@ def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerSt
             return "stalled"
         return "budget" if state.evals >= params.max_evals else None
 
-    state.mask = detect_convergence(pop_x, bounds, params.theta_conv)
     log_generation()
 
     while (reason := stop_reason()) is None:
@@ -340,8 +336,8 @@ def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerSt
         chosen = chosen[: params.max_evals - state.evals]
 
         for idx, rec in zip(chosen, evaluate(offspring[chosen])):
-            if feasibility_better(rec, state.population[idx]):
-                state.population[idx] = rec
+            if feasibility_better(rec, population[idx]):
+                population[idx] = rec
                 pop_x[idx] = rec.x
             if feasibility_better(rec, state.best):
                 state.best = rec
@@ -356,7 +352,7 @@ def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerSt
     return state
 
 
-def write_history_csv(history: list[dict], path_or_buf) -> None:
+def write_history_csv(history: list[dict], path: str) -> None:
     """Per-generation trace supporting convergence plots."""
     columns = ["generation", "evals", "best_objective", "best_violation", "n_converged"]
-    write_csv(path_or_buf, columns, ([row[c] for c in columns] for row in history))
+    write_csv(path, columns, ([row[c] for c in columns] for row in history))

@@ -34,7 +34,9 @@ class LocalParams:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        require(self.expensive_every >= 1, "expensive_every", ">= 1", self.expensive_every)
+        lam = self.expensive_every
+        require(lam == math.inf or lam >= 1 and float(lam).is_integer(),
+                "expensive_every", "an integer >= 1 or inf", lam)
         require(self.penalty_scale > 0, "penalty_scale", "positive", self.penalty_scale)
         require(self.eps > 0, "eps", "positive", self.eps)
         require(0.0 < self.delta_init <= 1.0, "delta_init", "in (0, 1]", self.delta_init)
@@ -236,7 +238,7 @@ def run_local(
                 "f_expensive": sampled_exp,
                 "w": w,
                 "delta_norm": norm,
-                "rollback": rolled,
+                "rollback": int(rolled),
             }
         )
         if norm < params.eps:
@@ -259,20 +261,8 @@ def run_local(
     )
 
 
-def write_history_csv(history: list[dict], path_or_buf) -> None:
-    """Per-iteration trace of the local phase."""
-    write_csv(
-        path_or_buf,
-        ["iteration", "f_cheap", "f_expensive", "w", "delta_norm", "rollback"],
-        (
-            [
-                row["iteration"],
-                row["f_cheap"],
-                "" if row["f_expensive"] is None else row["f_expensive"],
-                row["w"],
-                row["delta_norm"],
-                int(row["rollback"]),
-            ]
-            for row in history
-        ),
-    )
+def write_history_csv(history: list[dict], path: str) -> None:
+    """Per-iteration trace of the local phase; a missing expensive value is
+    an empty field."""
+    columns = ["iteration", "f_cheap", "f_expensive", "w", "delta_norm", "rollback"]
+    write_csv(path, columns, ([row[c] for c in columns] for row in history))

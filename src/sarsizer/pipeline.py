@@ -30,6 +30,7 @@ from .local_opt import LocalParams, LocalResult, run_local
 from .problem import CheapObjective, CoarseProblem, ExpensiveObjective, bounds_array
 from .rng import is_seed
 from .sndr import (
+    SPECTRUM_FIGURES,
     SpectrumReport,
     enob_from_sndr,
     plan_test,
@@ -98,9 +99,7 @@ class RunConfig:
             "adc": asdict(self.adc),
             "alpha": self.alpha,
             "bounds": {k: list(v) for k, v in self.bounds.items()},
-            "global": asdict(self.global_params),
-            "local": asdict(self.local_params),
-            "harness": asdict(self.harness),
+            **{name: asdict(getattr(self, attr)) for name, (attr, _) in _BLOCKS.items()},
             "seed": self.seed,
             "defaults_applied": self.defaults_applied,
         }
@@ -112,8 +111,6 @@ _ALIASES = {
     "n_bits": "N", "f_s": "fs", "v_dd": "V_DD", "temp_k": "T", "f_weight": "F", "cr": "CR",
     "penalty_scale": "a", "expensive_every": "lambda", "k_points": "K", "m_segments": "M",
 }
-# AdcConfig leaves the energy terms at zero; a config file prices them.
-_FILE_DEFAULTS = {"kappa_cmp": 1e-25, "kappa_sw": 1e-13, "e_dff": 1e-15}
 # Config block -> (RunConfig field, dataclass).
 _BLOCKS = {"global": ("global_params", GlobalParams), "local": ("local_params", LocalParams),
            "harness": ("harness", HarnessConfig)}
@@ -158,10 +155,25 @@ def _block(raw: dict, name: str, where: str) -> dict:
     return block or {}
 
 
+def _convert(f: Field, value, name: str, where: str):
+    """A config value converted by its field's declared type (annotations
+    are postponed, so a string); the dataclass checks its range."""
+    if f.name == "expensive_every":  # lambda: an integer >= 1, or inf (never)
+        return math.inf if value in ("inf", None, math.inf) else float(
+            _integer(value, name, where, 1))
+    if f.type == "bool" and not isinstance(value, bool):
+        raise ConfigError(f"{where}: {name} must be true or false, got {value!r}")
+    if f.type == "int" or f.type == "int | None" and value is not None:
+        return _integer(value, name, where)
+    if f.type == "float":
+        return _number(value, name, where)
+    return value
+
+
 def _from_mapping(cls, raw: dict, where: str, block: str = ""):
     """Build a config dataclass from a mapping: each field from its first
-    spelling present, converted by its declared type (annotations are
-    postponed, so a string), or its default; the dataclass checks ranges."""
+    spelling present, converted by ``_convert``; an absent field keeps its
+    default."""
     schema, values = _schema(cls), {}
     known = {k for _, keys in schema for k in keys} if block else _KNOWN_TOP_KEYS
     if unknown := sorted(set(raw) - known):
@@ -170,22 +182,11 @@ def _from_mapping(cls, raw: dict, where: str, block: str = ""):
     prefix = f"{block}." if block else ""
     for f, keys in schema:
         key = next((k for k in keys if k in raw), None)
-        if key is None:
-            if f.default is MISSING:
-                raise ConfigError(f"{where}: missing required key {f.name}")
-            values[f.name] = _FILE_DEFAULTS.get(f.name, f.default)
-            continue
-        value, name = raw[key], prefix + (key if key == f.name else f"{key} ({f.name})")
-        if f.name == "expensive_every":  # lambda: an integer >= 1, or inf (never)
-            value = math.inf if value in ("inf", None, math.inf) else float(
-                _integer(value, name, where, 1))
-        elif f.type == "bool" and not isinstance(value, bool):
-            raise ConfigError(f"{where}: {name} must be true or false, got {value!r}")
-        elif f.type == "int" or f.type == "int | None" and value is not None:
-            value = _integer(value, name, where)
-        elif f.type == "float":
-            value = _number(value, name, where)
-        values[f.name] = value
+        if key is not None:
+            name = prefix + (key if key == f.name else f"{key} ({f.name})")
+            values[f.name] = _convert(f, raw[key], name, where)
+        elif f.default is MISSING:
+            raise ConfigError(f"{where}: missing required key {f.name}")
     try:
         return cls(**values)
     except ConfigError as exc:
@@ -522,21 +523,16 @@ def summary_from_record(record: dict) -> str:
     return "\n".join(lines)
 
 
-def summary_text(result: RunResult) -> str:
-    return summary_from_record(result.record_dict())
-
-
 def emit_report(record: dict, out: Path) -> dict[str, str]:
     """Write the human-readable summary and the flat metrics table."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.txt").write_text(summary_from_record(record))
-    spectrum_keys = ("sndr_db", "sfdr_db", "enob", "fom_w", "fom_s")
     write_csv(
         out / "metrics.csv",
         ["metric", "value"],
         [["power_w", record["coarse"]["power"]]]
-        + [[key, record["spectrum"][key]] for key in spectrum_keys]
+        + [[key, record["spectrum"][key]] for key in SPECTRUM_FIGURES]
         + [["coarse_feasible", record["coarse"]["feasible"]]],
     )
     return {"summary": "summary.txt", "metrics": "metrics.csv"}
@@ -559,6 +555,14 @@ def load_design(path: str | Path) -> DesignPoint:
     return DesignPoint(**{name: _number(raw[name], name, str(path)) for name in DESIGN_FIELDS})
 
 
+def _from_record(cls, cfg_dict: dict, block: str, where: str):
+    """A config dataclass rebuilt from a run record's config block, which
+    names every field it sets; each value converted as the loader does."""
+    schema = {f.name: f for f in fields(cls)}
+    return cls(**{k: _convert(schema[k], v, f"config.{block}.{k}", where)
+                  for k, v in cfg_dict[block].items()})
+
+
 def audit_run(run_dir: str | Path) -> dict:
     """Recompute every summary number from the persisted raw artifacts.
 
@@ -575,7 +579,8 @@ def audit_run(run_dir: str | Path) -> dict:
         raise ConfigError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")
     try:
         cfg_dict = record["config"]
-        adc, harness = AdcConfig(**cfg_dict["adc"]), HarnessConfig(**cfg_dict["harness"])
+        adc = _from_record(AdcConfig, cfg_dict, "adc", str(path))
+        harness = _from_record(HarnessConfig, cfg_dict, "harness", str(path))
         specs = DerivedSpecs.derive(adc.n_bits, adc.v_dd, cfg_dict["alpha"])
         bounds = {k: tuple(v) for k, v in cfg_dict["bounds"].items()}
         seed, traces = cfg_dict["seed"], record["trace_files"]
@@ -595,14 +600,9 @@ def audit_run(run_dir: str | Path) -> dict:
     try:
         summary_from_record(record)  # every other figure the report reads
         checks = {
-            "power": (record["coarse"]["power"], coarse.power),
-            "sampling_error": (record["coarse"]["sampling_error"], coarse.sampling_error),
-            "noise_rms": (record["coarse"]["noise_rms"], coarse.noise_rms),
-            "sndr_db": (record["spectrum"]["sndr_db"], spectrum.sndr_db),
-            "sfdr_db": (record["spectrum"]["sfdr_db"], spectrum.sfdr_db),
-            "enob": (record["spectrum"]["enob"], spectrum.enob),
-            "fom_w": (record["spectrum"]["fom_w"], spectrum.fom_w),
-            "fom_s": (record["spectrum"]["fom_s"], spectrum.fom_s),
+            **{k: (record["coarse"][k], getattr(coarse, k))
+               for k in ("power", "sampling_error", "noise_rms")},
+            **{k: (record["spectrum"][k], v) for k, v in spectrum.to_dict().items()},
             "enob_identity": (
                 record["spectrum"]["enob"],
                 enob_from_sndr(record["spectrum"]["sndr_db"]),

@@ -1,6 +1,10 @@
 """Adapters exposing the behavioral ADC as optimization objectives.
 
-Determinism is carried entirely by each adapter's constructor state.
+Each value an adapter returns depends only on its constructor state and
+the point scored.  ``CheapObjective`` also keeps state of its own, a memo
+of the rows it has scored and its best feasible point, so one instance
+serves one local run; ``ExpensiveObjective`` caches the stimulus that its
+constructor state fixes.
 """
 
 from __future__ import annotations

@@ -168,8 +168,11 @@ class SpectrumReport:
     bin_power_db: np.ndarray  # one-sided, bins 0..K/2-1, dB re full scale
 
     def to_dict(self) -> dict:
-        """The scalar metrics; the spectrum itself has its own CSV."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "bin_power_db"}
+        return {name: getattr(self, name) for name in SPECTRUM_FIGURES}
+
+
+# The scalar metrics, in field order; the spectrum itself has its own CSV.
+SPECTRUM_FIGURES = tuple(f.name for f in fields(SpectrumReport) if f.name != "bin_power_db")
 
 
 def enob_from_sndr(sndr_db: float) -> float:
@@ -240,12 +243,12 @@ def capture_inputs(plan: TestPlan) -> np.ndarray:
     return _sine(plan, np.arange(plan.k_points))
 
 
-def write_capture_csv(plan: TestPlan, codes: np.ndarray, path_or_buf) -> None:
+def write_capture_csv(plan: TestPlan, codes: np.ndarray, path: str) -> None:
     inputs = capture_inputs(plan)
     rows = ([i, float(v), int(c)] for i, (v, c) in enumerate(zip(inputs, codes)))
-    write_csv(path_or_buf, ["index", "input", "code"], rows)
+    write_csv(path, ["index", "input", "code"], rows)
 
 
-def write_spectrum_csv(report: SpectrumReport, path_or_buf) -> None:
+def write_spectrum_csv(report: SpectrumReport, path: str) -> None:
     rows = ([b, float(p)] for b, p in enumerate(report.bin_power_db))
-    write_csv(path_or_buf, ["bin", "power_db"], rows)
+    write_csv(path, ["bin", "power_db"], rows)

@@ -62,6 +62,15 @@ class TestBuildModel:
         with pytest.raises(BoundsError, match="sigma_cmp"):
             design_with(sigma_cmp=0.0).validate()
 
+    @pytest.mark.parametrize("name, value", [
+        ("f_s", math.nan), ("f_s", math.inf), ("v_dd", -math.inf), ("temp_k", math.nan),
+        ("r_drv_cap", math.inf), ("v_floor", 0.0), ("kappa_cmp", math.nan),
+        ("kappa_sw", math.inf), ("e_dff", -1e-15), ("n_bits", 1),
+    ])
+    def test_config_rejects_nonfinite_and_out_of_range(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            AdcConfig(**{"n_bits": 8, "f_s": 1e6, "v_dd": 1.0, name: value})
+
 
 class TestSampleInput:
     def test_zero_switch_resistance_is_exact(self):
@@ -226,7 +235,7 @@ def charge_oracle(model, bits):
 
 class TestEnergy:
     def cfg(self, **kw):
-        defaults = dict(n_bits=4, f_s=1e6, v_dd=1.0)
+        defaults = dict(n_bits=4, f_s=1e6, v_dd=1.0, kappa_cmp=0.0, kappa_sw=0.0, e_dff=0.0)
         defaults.update(kw)
         return AdcConfig(**defaults)
 

@@ -108,7 +108,7 @@ class TestPower:
         assert grid[0] == -0.5 and grid[-1] == 0.5
 
     def test_vanishing_energy_sources(self):
-        cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
+        cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0, kappa_cmp=0.0, kappa_sw=0.0, e_dff=0.0)
         m = build_model(design_with(c_unit=1e-30), cfg)
         assert power_estimate(m) < 1e-20
 
@@ -123,7 +123,8 @@ class TestPower:
     def test_known_per_conversion_energy(self):
         # switch-driver term engineered to 10 pJ/conversion, everything
         # else off: 10 uW at 1 MS/s
-        cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0, kappa_sw=10e-12 * 500.0)
+        cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0, kappa_cmp=0.0, kappa_sw=10e-12 * 500.0,
+                        e_dff=0.0)
         m = build_model(design_with(c_unit=1e-30, r_sw=500.0), cfg)
         assert power_estimate(m) == pytest.approx(10e-6, rel=1e-9)
 

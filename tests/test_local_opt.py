@@ -409,6 +409,10 @@ class TestRunLocal:
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):
             LocalParams(expensive_every=0)
+        with pytest.raises(ConfigError, match="expensive_every"):
+            LocalParams(expensive_every=2.5)  # would run as lambda = 2
+        with pytest.raises(ConfigError, match="expensive_every"):
+            LocalParams(expensive_every=math.nan)
         with pytest.raises(ConfigError):
             LocalParams(delta_w=0.0)
         with pytest.raises(ConfigError):

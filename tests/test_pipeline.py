@@ -32,7 +32,6 @@ from sarsizer.pipeline import (
     load_design,
     run_pipeline,
     summary_from_record,
-    summary_text,
     verification_plan,
 )
 
@@ -73,6 +72,10 @@ class TestLoadConfig:
         assert "alpha" in cfg.defaults_applied
         assert "bounds" in cfg.defaults_applied
         assert set(cfg.bounds) == set(default_bounds(cfg.adc))
+
+    def test_file_and_dataclass_share_energy_defaults(self):
+        cfg = load_config("N: 8\nfs: 1.0e6\nV_DD: 1.0", is_text=True)
+        assert cfg.adc == AdcConfig(8, 1e6, 1.0)
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="n_bits"):
@@ -312,6 +315,22 @@ class TestRunPipeline:
         checks = audit_run(out)
         assert len(checks) >= 9
 
+    def test_audit_check_names_and_order(self, small_run):
+        assert list(audit_run(small_run[2])) == [
+            "power", "sampling_error", "noise_rms", "sndr_db", "sfdr_db", "enob", "fom_w",
+            "fom_s", "enob_identity",
+        ]
+
+    @pytest.mark.parametrize("block, key", [("adc", "n_bits"), ("harness", "k_points")])
+    def test_audit_reads_integral_floats_as_integers(self, small_run, tmp_path, block, key):
+        """A record's 8.0 rebuilds as 8, as it does from a config file."""
+        run_dir = shutil.copytree(small_run[2], tmp_path / "run")
+        path = run_dir / "run_record.json"
+        record = json.loads(path.read_text())
+        record["config"][block][key] = float(record["config"][block][key])
+        path.write_text(json.dumps(record))
+        assert audit_run(run_dir) == audit_run(small_run[2])
+
     @pytest.mark.parametrize("block, key, factor", [
         ("spectrum", "fom_w", 10.0),
         ("coarse", "power", 1.0 + 1e-9),
@@ -344,11 +363,13 @@ class TestRunPipeline:
         (lambda record, run_dir: record["design"].pop("r_sw"), "run_record.json"),
         (lambda record, run_dir: record["specs"].pop("sndr_ceiling"), "run_record.json"),
         (lambda record, run_dir: record["design"].update(r_sw="small"), "run_record.json"),
+        (lambda record, run_dir: record["config"]["harness"].update(noise="yes"),
+         "run_record.json"),
     ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
             "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
             "short_capture_row", "missing_global", "missing_local", "missing_warning",
             "missing_stop_reason", "missing_design_value", "missing_sndr_ceiling",
-            "string_design_value"])
+            "string_design_value", "string_noise"])
     def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
@@ -360,7 +381,7 @@ class TestRunPipeline:
 
     def test_summary_cross_checks_metrics(self, small_run):
         _, result, _ = small_run
-        text = summary_text(result)
+        text = summary_from_record(result.record_dict())
         assert "FoM_W" in text and "FoM_S" in text
         enob = (result.spectrum.sndr_db - 1.76) / 6.02
         assert f"cross-check {enob:.3f}" in text
