@@ -8,9 +8,9 @@ during the sampling window (RC settling toward the input) and incomplete
 DAC settling in the asynchronous time available before each comparator
 decision.  Thermal noise enters as a sampled kT/C term plus the
 comparator's input-referred noise; the caller supplies both as standard
-normal draws (``rng.noise_matrix``: Box-Muller on Philox4x32-10 words keyed
-by the seed and the global sample index), so this module draws nothing
-itself.
+normal draws (``rng.noise_matrix``: Box-Muller, with a float32 angle, on
+Philox4x32-10 words keyed by the seed and the global sample index), so this
+module draws nothing itself.
 
 Energy is tallied per conversion from event-level charge accounting on a
 common-mode-referenced switched capacitor array, a comparator term that

@@ -463,8 +463,10 @@ def persist_run(result: RunResult, out: Path, plan, codes) -> None:
 
 def summary_from_record(record: dict) -> str:
     """Human-readable run summary built purely from the persisted record,
-    so regenerated reports cannot drift from the stored figures."""
-    adc = record["config"]["adc"]
+    so regenerated reports cannot drift from the stored figures.  The
+    config lines print the config the audit rebuilds from it."""
+    adc = _from_record(AdcConfig, record["config"], "adc", RECORD_NAME)
+    alpha = _number(record["config"]["alpha"], "config.alpha", RECORD_NAME)
     specs = record["specs"]
     c = record["coarse"]
     s = record["spectrum"]
@@ -473,10 +475,10 @@ def summary_from_record(record: dict) -> str:
     lines = [
         "sizing run summary",
         "==================",
-        f"resolution      : {adc['n_bits']} bits",
-        f"sampling rate   : {adc['f_s']:.6g} Hz",
-        f"supply          : {adc['v_dd']:.6g} V",
-        f"alpha           : {record['config']['alpha']:.6g}",
+        f"resolution      : {adc.n_bits} bits",
+        f"sampling rate   : {adc.f_s:.6g} Hz",
+        f"supply          : {adc.v_dd:.6g} V",
+        f"alpha           : {alpha:.6g}",
         f"seed            : {record['config']['seed']}",
         "",
         "final design (SI units)",
@@ -557,10 +559,15 @@ def load_design(path: str | Path) -> DesignPoint:
 
 def _from_record(cls, cfg_dict: dict, block: str, where: str):
     """A config dataclass rebuilt from a run record's config block, which
-    names every field it sets; each value converted as the loader does."""
+    names every field it sets; each value converted and range-checked as
+    the loader does, and a bad one named with the record."""
     schema = {f.name: f for f in fields(cls)}
-    return cls(**{k: _convert(schema[k], v, f"config.{block}.{k}", where)
-                  for k, v in cfg_dict[block].items()})
+    values = {k: _convert(schema[k], v, f"config.{block}.{k}", where)
+              for k, v in cfg_dict[block].items()}
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: config.{block}.{exc}") from exc
 
 
 def audit_run(run_dir: str | Path) -> dict:
@@ -594,7 +601,10 @@ def audit_run(run_dir: str | Path) -> dict:
         codes = np.array([int(r.split(",")[2]) for r in capture_path.read_text().splitlines()[1:]])
     except (IndexError, ValueError) as exc:  # short row, bad code, text not UTF-8
         raise ConfigError(f"{capture_path}: malformed capture row: {exc!r}") from exc
-    verify_plan = verification_plan(adc.f_s, adc.v_dd, harness, seed)
+    try:
+        verify_plan = verification_plan(adc.f_s, adc.v_dd, harness, seed)
+    except PlanError as exc:
+        raise ConfigError(f"{path}: cannot plan the recorded capture: {exc}") from exc
     spectrum = spectrum_metrics(codes, verify_plan, coarse.power, adc.n_bits)
 
     try:

@@ -2,8 +2,12 @@
 
 Block p of sample index i is Philox4x32-10 (Salmon et al., SC'11) of the
 counter (i mod 2**32, i >> 32, p, 0) under the key (seed mod 2**32, seed >> 32).
-Its words (w0, w1) and (w2, w3) give two 53-bit uniforms, which Box-Muller
-turns into draws 2p and 2p + 1.  A row depends on (seed, index) alone, and its
+Its words (w0, w1) and (w2, w3) give two 53-bit uniforms u0 and u1, which
+Box-Muller turns into draws 2p and 2p + 1: the float64 radius
+sqrt(-2 ln u0) times the float32 cos and sin of the angle 2 pi u1 rounded to
+float32.  Each draw is within 2**-21 times its radius of the float64
+transform, and float32 cos/sin give an element the same value wherever it
+sits in an array.  A row depends on (seed, index) alone, and its
 first draws not on how many follow, so a capture drawn block by block gets
 exactly the noise of one draw over all its samples.
 """
@@ -55,9 +59,11 @@ def noise_matrix(seed: int, indices: np.ndarray, n_bits: int) -> np.ndarray:
     hi <<= 21  # (hi << 32 | lo) >> 11
     hi |= lo >> 11
     u = (hi + 0.5).reshape(2, *shape) * 2.0**-53  # in (0, 1]
-    radius, angle = np.sqrt(-2.0 * np.log(u[0])), 2.0 * math.pi * u[1]
+    # The angle is rounded to float32 for numpy's SIMD cos/sin (float64 runs
+    # scalar libm); the radius stays float64, so the tails do not change.
+    radius, angle = np.sqrt(-2.0 * np.log(u[0])), (2.0 * math.pi * u[1]).astype(np.float32)
     draws = np.empty((*shape, 2))
-    np.cos(angle, out=draws[..., 0])
-    np.sin(angle, out=draws[..., 1])
+    draws[..., 0] = np.cos(angle)
+    draws[..., 1] = np.sin(angle)
     draws *= radius[..., None]
     return draws.reshape(shape[0], 2 * shape[1])[:, : n_bits + 1]

@@ -116,13 +116,15 @@ def block_stimulus(
     (input, previous input, noise draws or None).  It depends on (plan,
     start, n_bits, noise) only, so callers that run one plan on many
     designs may build it once."""
-    idx = np.arange(start, min(start + CAPTURE_BLOCK, plan.k_points))
-    # Column 0 is kT/C, columns 1..n the comparator.
-    draws = noise_matrix(plan.seed, idx, n_bits) if noise else None
     # Hold history: the array last held the previous full-rate sample's
     # input value.  Reconstructing it analytically (rather than chaining
-    # conversions) keeps blocks independent of each other.
-    return _sine(plan, idx), _sine(plan, idx - 1), draws
+    # conversions) keeps blocks independent of each other; one sine over
+    # start-1 .. stop-1 holds both the inputs and their history.
+    idx = np.arange(start - 1, min(start + CAPTURE_BLOCK, plan.k_points))
+    v = _sine(plan, idx)
+    # Column 0 is kT/C, columns 1..n the comparator.
+    draws = noise_matrix(plan.seed, idx[1:], n_bits) if noise else None
+    return v[1:], v[:-1], draws
 
 
 def run_segments(

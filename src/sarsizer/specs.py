@@ -59,13 +59,6 @@ def derive_sndr_ceiling(n_bits: int) -> float:
     return 6.02 * n_bits - 4.25
 
 
-def per_bit_error_budget(n_bits: int) -> np.ndarray:
-    """Equal-budget relative step errors delta_i = 1/(2**(N-i)*sqrt(12*N)), i=1..N."""
-    _check_inputs(n_bits)
-    i = np.arange(1, n_bits + 1)
-    return 1.0 / (2.0 ** (n_bits - i) * math.sqrt(12.0 * n_bits))
-
-
 @dataclass(frozen=True)
 class DerivedSpecs:
     """Full coarse constraint set plus reporting references for one target."""

@@ -80,6 +80,13 @@ def convert_one(model, v, key=None):
     return SimpleNamespace(code=int(c.codes[0]), **{k: col[0] for k, col in vars(c).items()})
 
 
+def per_bit_error_budget(n_bits):
+    """Equal-budget relative step errors delta_i = 1/(2**(N-i)*sqrt(12*N)), i=1..N,
+    whose adjacent ratios the SSRE bounds approximate."""
+    i = np.arange(1, n_bits + 1)
+    return 1.0 / (2.0 ** (n_bits - i) * np.sqrt(12.0 * n_bits))
+
+
 def no_sine_test(x):
     """The expensive objective of a local run at lambda = inf, which never calls it."""
     raise AssertionError("f_expensive called at lambda = inf")

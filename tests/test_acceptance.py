@@ -22,10 +22,9 @@ from sarsizer.specs import (
     derive_sampling_bound,
     derive_sndr_ceiling,
     derive_ssre_bounds,
-    per_bit_error_budget,
 )
 
-from conftest import ideal_design, no_sine_test, rowwise
+from conftest import ideal_design, no_sine_test, per_bit_error_budget, rowwise
 from test_local_opt import FUNCTIONS, assert_degenerates
 
 

@@ -331,6 +331,31 @@ class TestRunPipeline:
         path.write_text(json.dumps(record))
         assert audit_run(run_dir) == audit_run(small_run[2])
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("adc", "n_bits", 1), ("harness", "amplitude_frac", 1.5),
+    ])
+    def test_audit_names_the_record_on_a_range_error(self, small_run, tmp_path, block, key,
+                                                     value):
+        run_dir = shutil.copytree(small_run[2], tmp_path / "run")
+        path = run_dir / "run_record.json"
+        record = json.loads(path.read_text())
+        record["config"][block][key] = value
+        path.write_text(json.dumps(record))
+        with pytest.raises(ConfigError, match=rf"run_record\.json: config\.{block}\.{key} must be"):
+            audit_run(run_dir)
+
+    def test_summary_prints_the_rebuilt_config(self, small_run, tmp_path):
+        """A record's 8.0 bits print as the 8 the audit rebuilds."""
+        run_dir = shutil.copytree(small_run[2], tmp_path / "run")
+        path = run_dir / "run_record.json"
+        record = json.loads(path.read_text())
+        record["config"]["adc"]["n_bits"] = 8.0
+        path.write_text(json.dumps(record))
+        audit_run(run_dir)
+        text = summary_from_record(record)
+        assert "resolution      : 8 bits\n" in text
+        assert text == summary_from_record(small_run[1].record_dict())
+
     @pytest.mark.parametrize("block, key, factor", [
         ("spectrum", "fom_w", 10.0),
         ("coarse", "power", 1.0 + 1e-9),
@@ -365,11 +390,14 @@ class TestRunPipeline:
         (lambda record, run_dir: record["design"].update(r_sw="small"), "run_record.json"),
         (lambda record, run_dir: record["config"]["harness"].update(noise="yes"),
          "run_record.json"),
+        (lambda record, run_dir: record["config"]["harness"].update(m_segments=3),
+         "run_record.json"),
+        (lambda record, run_dir: record["config"].update(seed=-1), "run_record.json"),
     ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
             "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
             "short_capture_row", "missing_global", "missing_local", "missing_warning",
             "missing_stop_reason", "missing_design_value", "missing_sndr_ceiling",
-            "string_design_value", "string_noise"])
+            "string_design_value", "string_noise", "unplannable_harness", "negative_seed"])
     def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"

@@ -23,15 +23,21 @@ def reference_philox4x32(counter, key):
     return x
 
 
-def reference_row(seed, index, n_bits):
-    """One noise_matrix row from the scalar Philox and math's Box-Muller."""
+def reference_uniforms(seed, index, n_bits):
+    """The (u0, u1) pair of each block of one row, from the scalar Philox."""
     key = (seed & 0xFFFFFFFF, seed >> 32)
-    row = []
     for p in range(-(-(n_bits + 1) // 2)):
         w = reference_philox4x32((index & 0xFFFFFFFF, index >> 32, p, 0), key)
-        u0, u1 = ((((hi << 32 | lo) >> 11) + 0.5) * 2.0**-53 for hi, lo in (w[:2], w[2:]))
-        radius = math.sqrt(-2.0 * math.log(u0))
-        row += [radius * math.cos(2.0 * math.pi * u1), radius * math.sin(2.0 * math.pi * u1)]
+        yield tuple((((hi << 32 | lo) >> 11) + 0.5) * 2.0**-53 for hi, lo in (w[:2], w[2:]))
+
+
+def reference_row(seed, index, n_bits):
+    """One noise_matrix row from the scalar Philox, math's radius and
+    numpy's float32 cos/sin of the angle rounded to float32."""
+    row = []
+    for u0, u1 in reference_uniforms(seed, index, n_bits):
+        radius, angle = math.sqrt(-2.0 * math.log(u0)), np.float32(2.0 * math.pi * u1)
+        row += [radius * float(np.cos(angle)), radius * float(np.sin(angle))]
     return row[: n_bits + 1]
 
 
@@ -65,11 +71,32 @@ def test_known_answer_vectors(counter, key, words):
 )
 @pytest.mark.parametrize("n_bits", [0, 7, 12])
 def test_rows_match_scalar_reference(seed, indices, n_bits):
-    # Words are exact integers; libm and numpy's log/cos/sin may differ by
-    # a few ulp, and every draw is below 9 in magnitude.
+    # Words are exact integers and cos/sin the same float32 loops; libm and
+    # numpy's log may differ by a few ulp, and every draw is below 9 in
+    # magnitude.
     rows = noise_matrix(seed, np.array(indices, dtype=np.uint64), n_bits)
     expected = [reference_row(seed, i, n_bits) for i in indices]
     np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
+    n_bits=st.integers(0, 16),
+)
+def test_draws_near_float64_box_muller(seed, indices, n_bits):
+    # The float32 angle moves each draw by at most 2**-21 times its radius:
+    # half an ulp of an angle below 2 pi is 2**-22, and float32 cos/sin
+    # err by a few 2**-24.
+    rows = noise_matrix(seed, np.array(indices, dtype=np.uint64), n_bits)
+    for row, index in zip(rows, indices):
+        exact, bound = [], []
+        for u0, u1 in reference_uniforms(seed, index, n_bits):
+            radius = math.sqrt(-2.0 * math.log(u0))
+            exact += [radius * math.cos(2.0 * math.pi * u1), radius * math.sin(2.0 * math.pi * u1)]
+            bound += [2.0**-21 * radius] * 2
+        assert np.all(np.abs(row - exact[: n_bits + 1]) <= bound[: n_bits + 1])
 
 
 @settings(max_examples=40, deadline=None)

@@ -168,6 +168,17 @@ class TestSegments:
         assert v_prev[0] == u[k - 1]
         np.testing.assert_array_equal(v_now, u[k:k + 3])
 
+    @pytest.mark.parametrize("start", [0, sarsizer.sndr.CAPTURE_BLOCK])
+    def test_block_hold_history_is_the_previous_sine(self, start):
+        # inputs and history come from one sine pass, bit for bit the sine
+        # at idx and at idx - 1 (the block from 0 holds the sine at -1)
+        plan = make_plan(k_points=4 * sarsizer.sndr.CAPTURE_BLOCK, m_segments=8, seed=3)
+        idx = np.arange(start, start + sarsizer.sndr.CAPTURE_BLOCK)
+        v_now, v_prev, draws = block_stimulus(plan, start, 12, noise=True)
+        np.testing.assert_array_equal(v_now, sarsizer.sndr._sine(plan, idx))
+        np.testing.assert_array_equal(v_prev, sarsizer.sndr._sine(plan, idx - 1))
+        np.testing.assert_array_equal(draws, noise_matrix(plan.seed, idx, 12))
+
     def test_single_segment_degenerate(self, sane_model_12):
         plan = make_plan(k_points=256, m_segments=1, seed=5)
         a = run_segments(sane_model_12, plan, noise=True)

@@ -12,8 +12,9 @@ from sarsizer.specs import (
     derive_sampling_bound,
     derive_sndr_ceiling,
     derive_ssre_bounds,
-    per_bit_error_budget,
 )
+
+from conftest import per_bit_error_budget
 
 
 class TestSsreBounds:
