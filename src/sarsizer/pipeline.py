@@ -24,7 +24,7 @@ from . import global_opt, local_opt
 from .adc import DESIGN_FIELDS, AdcConfig, DesignPoint, build_model
 from .coarse import CoarseReport, evaluate_coarse
 from .csvio import write_csv
-from .errors import ConfigError, PlanError, require
+from .errors import BoundsError, ConfigError, PlanError, require
 from .global_opt import GlobalParams, OptimizerState, Problem, run_global
 from .local_opt import LocalParams, LocalResult, run_local
 from .problem import CheapObjective, CoarseProblem, ExpensiveObjective, bounds_array
@@ -43,6 +43,11 @@ from .specs import DerivedSpecs
 
 RECORD_NAME = "run_record.json"
 SCHEMA_VERSION = 6
+# Run artifact -> file name, as the record's trace_files lists them.
+TRACE_FILES = {"global_history": "global_history.csv", "local_history": "local_history.csv",
+               "eval_log": "eval_log.csv", "capture": "capture.csv", "spectrum": "spectrum.csv",
+               "design": "design.json", "specs": "specs.json"}
+REPORT_FILES = {"summary": "summary.txt", "metrics": "metrics.csv"}
 
 
 def default_bounds(cfg: AdcConfig) -> dict[str, tuple[float, float]]:
@@ -90,8 +95,13 @@ class RunConfig:
     defaults_applied: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not is_seed(self.seed):
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        require(self.alpha > 0, "alpha", "positive", self.alpha)
+        for key, (lo, hi) in self.bounds.items():
+            if key not in DESIGN_FIELDS:
+                raise ConfigError(f"unknown design variable {key!r} in bounds")
+            if not 0 < lo < hi:
+                raise ConfigError(f"bounds for {key} need 0 < lo < hi")
+        require(is_seed(self.seed), "seed", "an integer in [0, 2**64)", self.seed)
         self.seed = int(self.seed)  # a numpy integer would not serialize
 
     def effective_dict(self) -> dict:
@@ -153,6 +163,17 @@ def _block(raw: dict, name: str, where: str) -> dict:
     if not isinstance(block, (dict, type(None))):
         raise ConfigError(f"{where}: {name} must be a mapping, got {block!r}")
     return block or {}
+
+
+def _bounds(raw: dict, where: str, prefix: str = "") -> dict[str, tuple[float, float]]:
+    """A bounds mapping's [lo, hi] pairs as pairs of finite numbers; the
+    range rules are RunConfig's."""
+    bounds = {}
+    for key, pair in raw.items():
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{where}: {prefix}bounds for {key} must be a [lo, hi] pair")
+        bounds[key] = tuple(_number(v, f"{prefix}bounds.{key}", where) for v in pair)
+    return bounds
 
 
 def _convert(f: Field, value, name: str, where: str):
@@ -224,20 +245,8 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
     if "alpha" not in raw:
         applied["alpha"] = 1.0
     alpha = _number(raw.get("alpha", 1.0), "alpha", where)
-    if alpha <= 0:
-        raise ConfigError(f"{where}: alpha must be positive, got {alpha}")
-
-    bounds = default_bounds(adc)
     user_bounds = _block(raw, "bounds", where)
-    for key, pair in user_bounds.items():
-        if key not in DESIGN_FIELDS:
-            raise ConfigError(f"{where}: unknown design variable {key!r} in bounds")
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{where}: bounds for {key} must be a [lo, hi] pair")
-        lo, hi = (_number(v, f"bounds.{key}", where) for v in pair)
-        if not 0 < lo < hi:
-            raise ConfigError(f"{where}: bounds for {key} need 0 < lo < hi")
-        bounds[key] = (lo, hi)
+    bounds = {**default_bounds(adc), **_bounds(user_bounds, where)}
     if not user_bounds:
         applied["bounds"] = "default sizing box"
 
@@ -255,10 +264,12 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
     if not isinstance(raw.get("out"), (str, type(None))):
         raise ConfigError(f"{where}: out must be a directory name, got {raw['out']!r}")
 
-    cfg = RunConfig(adc=adc, alpha=alpha, bounds=bounds, seed=seed, out_dir=raw.get("out"),
-                    defaults_applied=applied, **params)
     try:
+        cfg = RunConfig(adc=adc, alpha=alpha, bounds=bounds, seed=seed, out_dir=raw.get("out"),
+                        defaults_applied=applied, **params)
         verification_plan(adc.f_s, adc.v_dd, cfg.harness, seed)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     except PlanError as exc:
         raise ConfigError(f"{where}: harness: {exc}") from exc
     return cfg
@@ -275,7 +286,6 @@ class RunResult:
     local_result: LocalResult
     warning: str | None
     phase_timings: dict[str, float]
-    trace_files: dict[str, str]
 
     def record_dict(self) -> dict:
         """Deterministic summary: reproducible from (config, seed) alone."""
@@ -302,11 +312,8 @@ class RunResult:
                 if k not in ("x_best", "history")
             },
             "warning": self.warning,
-            "trace_files": self.trace_files,
+            "trace_files": dict(TRACE_FILES),
         }
-
-    def record_json(self) -> str:
-        return json.dumps(self.record_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def optimization_plan(f_s: float, v_dd: float, h: HarnessConfig, seed: int):
@@ -406,7 +413,6 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
         local_result=local_result,
         warning="; ".join(warning_parts) or None,
         phase_timings=timings,
-        trace_files={},
     )
     if out_dir is not None:
         persist_run(result, Path(out_dir), verify_plan, codes)
@@ -430,43 +436,25 @@ def write_eval_log_csv(archive, n_constraints: int, path: str) -> None:
 
 def persist_run(result: RunResult, out: Path, plan, codes) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    traces = {
-        "global_history": "global_history.csv",
-        "local_history": "local_history.csv",
-        "eval_log": "eval_log.csv",
-        "capture": "capture.csv",
-        "spectrum": "spectrum.csv",
-        "design": "design.json",
-        "specs": "specs.json",
-    }
-    result.trace_files = traces
-
-    global_opt.write_history_csv(result.global_state.history, str(out / traces["global_history"]))
-    local_opt.write_history_csv(result.local_result.history, str(out / traces["local_history"]))
-    write_eval_log_csv(
-        result.global_state.archive,
-        len(result.coarse.slack),
-        str(out / traces["eval_log"]),
-    )
-    write_capture_csv(plan, codes, str(out / traces["capture"]))
-    write_spectrum_csv(result.spectrum, str(out / traces["spectrum"]))
-    (out / traces["design"]).write_text(
-        json.dumps(result.design.to_dict(), sort_keys=True, indent=2) + "\n"
-    )
-    (out / traces["specs"]).write_text(result.specs.to_json(indent=2) + "\n")
-    (out / RECORD_NAME).write_text(result.record_json())
-    (out / "timings.json").write_text(
-        json.dumps(result.phase_timings, sort_keys=True, indent=2) + "\n"
-    )
-    emit_report(result.record_dict(), out)
+    path = {key: str(out / name) for key, name in TRACE_FILES.items()}
+    global_opt.write_history_csv(result.global_state.history, path["global_history"])
+    local_opt.write_history_csv(result.local_result.history, path["local_history"])
+    write_eval_log_csv(result.global_state.archive, len(result.coarse.slack), path["eval_log"])
+    write_capture_csv(plan, codes, path["capture"])
+    write_spectrum_csv(result.spectrum, path["spectrum"])
+    record = result.record_dict()
+    for name, content in [(path["design"], record["design"]), (path["specs"], record["specs"]),
+                          (out / RECORD_NAME, record),
+                          (out / "timings.json", result.phase_timings)]:
+        Path(name).write_text(json.dumps(content, sort_keys=True, indent=2) + "\n")
+    emit_report(record, result.config, out)
 
 
-def summary_from_record(record: dict) -> str:
+def summary_from_record(record: dict, cfg: RunConfig) -> str:
     """Human-readable run summary built purely from the persisted record,
     so regenerated reports cannot drift from the stored figures.  The
-    config lines print the config the audit rebuilds from it."""
-    adc = _from_record(AdcConfig, record["config"], "adc", RECORD_NAME)
-    alpha = _number(record["config"]["alpha"], "config.alpha", RECORD_NAME)
+    config lines print cfg: the run's own, or the one the audit rebuilt
+    from the record."""
     specs = record["specs"]
     c = record["coarse"]
     s = record["spectrum"]
@@ -475,11 +463,11 @@ def summary_from_record(record: dict) -> str:
     lines = [
         "sizing run summary",
         "==================",
-        f"resolution      : {adc.n_bits} bits",
-        f"sampling rate   : {adc.f_s:.6g} Hz",
-        f"supply          : {adc.v_dd:.6g} V",
-        f"alpha           : {alpha:.6g}",
-        f"seed            : {record['config']['seed']}",
+        f"resolution      : {cfg.adc.n_bits} bits",
+        f"sampling rate   : {cfg.adc.f_s:.6g} Hz",
+        f"supply          : {cfg.adc.v_dd:.6g} V",
+        f"alpha           : {cfg.alpha:.6g}",
+        f"seed            : {cfg.seed}",
         "",
         "final design (SI units)",
     ]
@@ -525,19 +513,18 @@ def summary_from_record(record: dict) -> str:
     return "\n".join(lines)
 
 
-def emit_report(record: dict, out: Path) -> dict[str, str]:
-    """Write the human-readable summary and the flat metrics table."""
+def emit_report(record: dict, cfg: RunConfig, out: Path) -> dict[str, str]:
+    """Write the human-readable summary and the flat metrics table; a
+    record that lacks a figure they print raises before either is written."""
+    summary = summary_from_record(record, cfg)
+    rows = ([["power_w", record["coarse"]["power"]]]
+            + [[key, record["spectrum"][key]] for key in SPECTRUM_FIGURES]
+            + [["coarse_feasible", record["coarse"]["feasible"]]])
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "summary.txt").write_text(summary_from_record(record))
-    write_csv(
-        out / "metrics.csv",
-        ["metric", "value"],
-        [["power_w", record["coarse"]["power"]]]
-        + [[key, record["spectrum"][key]] for key in SPECTRUM_FIGURES]
-        + [["coarse_feasible", record["coarse"]["feasible"]]],
-    )
-    return {"summary": "summary.txt", "metrics": "metrics.csv"}
+    (out / REPORT_FILES["summary"]).write_text(summary)
+    write_csv(out / REPORT_FILES["metrics"], ["metric", "value"], rows)
+    return dict(REPORT_FILES)
 
 
 def read_json(path: str | Path):
@@ -570,13 +557,33 @@ def _from_record(cls, cfg_dict: dict, block: str, where: str):
         raise ConfigError(f"{where}: config.{block}.{exc}") from exc
 
 
+def _config_from_record(record: dict, where: str) -> RunConfig:
+    """The run's config rebuilt from a record's config block by the
+    loader's type and range rules; any failure is one ConfigError naming
+    the record."""
+    try:
+        raw = record["config"]
+        parts = {attr: _from_record(cls, raw, name, where)
+                 for name, (attr, cls) in {"adc": ("adc", AdcConfig), **_BLOCKS}.items()}
+        parts.update(alpha=_number(raw["alpha"], "config.alpha", where),
+                     bounds=_bounds(raw["bounds"], where, "config."), seed=raw["seed"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{where}: cannot rebuild the recorded run: {exc!r}") from exc
+    try:
+        return RunConfig(**parts)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: config: {exc}") from exc
+
+
 def audit_run(run_dir: str | Path) -> dict:
-    """Recompute every summary number from the persisted raw artifacts.
+    """Recompute every summary number from the persisted raw artifacts,
+    then regenerate the report files from the record.
 
     Returns a dict of checks, each mapping to (recorded, recomputed).
-    Raises ConfigError when any check disagrees, or when the record is of
-    another schema version, or its config, trace files, capture rows or
-    any figure its summary prints do not read back.
+    Raises ConfigError, and writes nothing, when any check disagrees, or
+    when the record is of another schema version, or its config, trace
+    files, design, capture rows or any figure its summary prints do not
+    read back.
     """
     run_dir = Path(run_dir)
     path = run_dir / RECORD_NAME
@@ -584,31 +591,29 @@ def audit_run(run_dir: str | Path) -> dict:
     version = record.get("schema_version") if isinstance(record, dict) else None
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")
+    cfg = _config_from_record(record, str(path))
     try:
-        cfg_dict = record["config"]
-        adc = _from_record(AdcConfig, cfg_dict, "adc", str(path))
-        harness = _from_record(HarnessConfig, cfg_dict, "harness", str(path))
-        specs = DerivedSpecs.derive(adc.n_bits, adc.v_dd, cfg_dict["alpha"])
-        bounds = {k: tuple(v) for k, v in cfg_dict["bounds"].items()}
-        seed, traces = cfg_dict["seed"], record["trace_files"]
-        design_path, capture_path = run_dir / traces["design"], run_dir / traces["capture"]
-    except (KeyError, TypeError, AttributeError) as exc:
+        design_path, capture_path = (run_dir / record["trace_files"][k]
+                                     for k in ("design", "capture"))
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: cannot rebuild the recorded run: {exc!r}") from exc
-    model = build_model(load_design(design_path), adc, bounds)
-    coarse = evaluate_coarse(model, specs)
+    try:
+        model = build_model(load_design(design_path), cfg.adc, cfg.bounds)
+    except BoundsError as exc:
+        raise ConfigError(f"{design_path}: {exc}") from exc
+    coarse = evaluate_coarse(model, DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha))
 
     try:
         codes = np.array([int(r.split(",")[2]) for r in capture_path.read_text().splitlines()[1:]])
     except (IndexError, ValueError) as exc:  # short row, bad code, text not UTF-8
         raise ConfigError(f"{capture_path}: malformed capture row: {exc!r}") from exc
     try:
-        verify_plan = verification_plan(adc.f_s, adc.v_dd, harness, seed)
+        verify_plan = verification_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
     except PlanError as exc:
         raise ConfigError(f"{path}: cannot plan the recorded capture: {exc}") from exc
-    spectrum = spectrum_metrics(codes, verify_plan, coarse.power, adc.n_bits)
+    spectrum = spectrum_metrics(codes, verify_plan, coarse.power, cfg.adc.n_bits)
 
     try:
-        summary_from_record(record)  # every other figure the report reads
         checks = {
             **{k: (record["coarse"][k], getattr(coarse, k))
                for k in ("power", "sampling_error", "noise_rms")},
@@ -618,13 +623,11 @@ def audit_run(run_dir: str | Path) -> dict:
                 enob_from_sndr(record["spectrum"]["sndr_db"]),
             ),
         }
+        bad = {name: pair for name, pair in checks.items()
+               if not np.isclose(pair[0], pair[1], rtol=1e-12, atol=0)}
+        if bad:
+            raise ConfigError(f"audit mismatches: {bad}")
+        emit_report(record, cfg, run_dir)  # reads every other figure the summary prints
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: a misformatted figure
         raise ConfigError(f"{path}: missing recorded figure: {exc!r}") from exc
-    bad = {
-        name: pair
-        for name, pair in checks.items()
-        if not np.isclose(pair[0], pair[1], rtol=1e-12, atol=0)
-    }
-    if bad:
-        raise ConfigError(f"audit mismatches: {bad}")
     return checks

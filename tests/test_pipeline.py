@@ -22,8 +22,10 @@ from sarsizer.local_opt import LocalResult
 from sarsizer.pipeline import (
     _BLOCKS,
     _KNOWN_TOP_KEYS,
+    _config_from_record,
     _schema,
     SCHEMA_VERSION,
+    TRACE_FILES,
     RunConfig,
     audit_run,
     default_bounds,
@@ -129,6 +131,25 @@ class TestLoadConfig:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             load_config(f"{{N: 8, fs: 1e6, V_DD: 1, seed: {seed}}}", is_text=True)
+
+    def test_bad_seed_names_the_source(self, tmp_path):
+        text = "{N: 8, fs: 1e6, V_DD: 1, seed: -1}"
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        for source, is_text in ((text, True), (path, False)):
+            with pytest.raises(ConfigError) as info:
+                load_config(source, is_text=is_text)
+            where = "<string>" if is_text else str(path)
+            assert str(info.value).startswith(f"{where}: seed must be an integer"), info.value
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda cfg: {"alpha": -1.0}, "alpha"),
+        (lambda cfg: {"bounds": {**cfg.bounds, "c_unit": (2e-15, 1e-15)}}, "c_unit"),
+    ], ids=["negative_alpha", "inverted_bounds"])
+    def test_replace_keeps_the_range_rules(self, change, named):
+        cfg = load_config("{N: 8, fs: 1e6, V_DD: 1}", is_text=True)
+        with pytest.raises(ConfigError, match=named):
+            dataclasses.replace(cfg, **change(cfg))
 
     def test_largest_seed_accepted(self):
         cfg = load_config("{N: 8, fs: 1e6, V_DD: 1, seed: 18446744073709551615}", is_text=True)
@@ -292,7 +313,7 @@ class TestRunPipeline:
 
     def test_artifacts_written(self, small_run):
         _, result, out = small_run
-        for name in result.trace_files.values():
+        for name in TRACE_FILES.values():
             assert (out / name).exists()
         assert (out / "run_record.json").exists()
         assert (out / "timings.json").exists()
@@ -352,9 +373,9 @@ class TestRunPipeline:
         record["config"]["adc"]["n_bits"] = 8.0
         path.write_text(json.dumps(record))
         audit_run(run_dir)
-        text = summary_from_record(record)
+        text = summary_from_record(record, _config_from_record(record, str(path)))
         assert "resolution      : 8 bits\n" in text
-        assert text == summary_from_record(small_run[1].record_dict())
+        assert text == summary_from_record(small_run[1].record_dict(), small_run[1].config)
 
     @pytest.mark.parametrize("block, key, factor", [
         ("spectrum", "fom_w", 10.0),
@@ -393,11 +414,19 @@ class TestRunPipeline:
         (lambda record, run_dir: record["config"]["harness"].update(m_segments=3),
          "run_record.json"),
         (lambda record, run_dir: record["config"].update(seed=-1), "run_record.json"),
+        (lambda record, run_dir: record["config"]["bounds"].update(c_unit=[1e-16, 1e-13, 2e-13]),
+         "run_record.json"),
+        (lambda record, run_dir: record["config"]["bounds"].update(c_unit="ab"),
+         "run_record.json"),
+        (lambda record, run_dir: record["config"].update(alpha=-1), "run_record.json"),
+        (lambda record, run_dir: record["config"]["bounds"].update(c_unit=[1e-12, 2e-12]),
+         "design.json"),
     ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
             "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
             "short_capture_row", "missing_global", "missing_local", "missing_warning",
             "missing_stop_reason", "missing_design_value", "missing_sndr_ceiling",
-            "string_design_value", "string_noise", "unplannable_harness", "negative_seed"])
+            "string_design_value", "string_noise", "unplannable_harness", "negative_seed",
+            "bounds_triple", "bounds_string", "negative_alpha", "design_outside_bounds"])
     def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
@@ -407,9 +436,28 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=named):
             audit_run(run_dir)
 
+    def test_audit_regenerates_the_report_files(self, small_run, tmp_path):
+        """A passing audit rewrites summary.txt and metrics.csv as the run
+        wrote them; a failing one writes neither."""
+        names = ("summary.txt", "metrics.csv")
+        run_dir = shutil.copytree(small_run[2], tmp_path / "run")
+        for name in names:
+            (run_dir / name).unlink()
+        audit_run(run_dir)
+        for name in names:
+            assert (run_dir / name).read_bytes() == (small_run[2] / name).read_bytes(), name
+            (run_dir / name).unlink()
+        path = run_dir / "run_record.json"
+        record = json.loads(path.read_text())
+        record["coarse"]["power"] *= 1.0 + 1e-9
+        path.write_text(json.dumps(record))
+        with pytest.raises(ConfigError, match="power"):
+            audit_run(run_dir)
+        assert not any((run_dir / name).exists() for name in names)
+
     def test_summary_cross_checks_metrics(self, small_run):
         _, result, _ = small_run
-        text = summary_from_record(result.record_dict())
+        text = summary_from_record(result.record_dict(), result.config)
         assert "FoM_W" in text and "FoM_S" in text
         enob = (result.spectrum.sndr_db - 1.76) / 6.02
         assert f"cross-check {enob:.3f}" in text
@@ -517,9 +565,12 @@ class TestEmitReport:
             "warning": None,
         }
 
+    def published_config(self):
+        return load_config("{N: 12, fs: 20.0e6, V_DD: 1.0}", is_text=True)
+
     def test_summary_lists_published_foms(self, tmp_path):
         record = self.published_record()
-        files = emit_report(record, tmp_path)
+        files = emit_report(record, self.published_config(), tmp_path)
         text = (tmp_path / files["summary"]).read_text()
         assert "FoM_S = 177.31 dB" in text
         assert "FoM_W = 4.6" in text
@@ -531,13 +582,13 @@ class TestEmitReport:
     def test_no_iterations_marker(self, tmp_path):
         record = self.published_record()
         record["local"] = None
-        emit_report(record, tmp_path)
+        emit_report(record, self.published_config(), tmp_path)
         assert "no iterations" in (tmp_path / "summary.txt").read_text()
 
     def test_summary_matches_record_based_formatter(self, small_run):
         _, result, out = small_run
         assert (out / "summary.txt").read_text() == summary_from_record(
-            json.loads((out / "run_record.json").read_text())
+            json.loads((out / "run_record.json").read_text()), result.config
         )
 
 
@@ -675,9 +726,11 @@ class TestCli:
         ["report", "{tmp}/no-alpha-run"],
         ["report", "{tmp}/no-global-run"],
         ["report", "{tmp}/no-local-run"],
+        ["report", "{tmp}/bounds-triple-run"],
     ], ids=["bad_seed", "non_utf8_config", "zero_budget", "missing_design",
             "malformed_design", "non_utf8_design", "malformed_record", "non_object_record",
-            "record_missing_alpha", "record_missing_global", "record_missing_local"])
+            "record_missing_alpha", "record_missing_global", "record_missing_local",
+            "record_bounds_triple"])
     def test_console_errors_are_one_line_exit_2(self, tmp_path, cfg_file, args, small_run):
         (tmp_path / "bin.yaml").write_bytes(b"\xff\xfeN: 8\n")
         (tmp_path / "zero.yaml").write_text("{N: 8, fs: 1.0e6, V_DD: 1, global: {max_evals: 0}}")
@@ -697,6 +750,10 @@ class TestCli:
             record = json.loads((run_dir / "run_record.json").read_text())
             del record[block]
             (run_dir / "run_record.json").write_text(json.dumps(record))
+        run_dir = shutil.copytree(small_run[2], tmp_path / "bounds-triple-run")
+        record = json.loads((run_dir / "run_record.json").read_text())
+        record["config"]["bounds"]["c_unit"] = [1e-16, 1e-13, 2e-13]
+        (run_dir / "run_record.json").write_text(json.dumps(record))
         argv = [a.format(cfg=cfg_file, tmp=tmp_path) for a in args]
         env = {**os.environ, "PYTHONPATH": str(Path(sarsizer.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "sarsizer.cli", *argv],
