@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .adc import build_model
 from .coarse import evaluate_coarse, power_estimate
 from .errors import SarSizerError
 from .pipeline import (
@@ -29,7 +28,7 @@ from .pipeline import (
     RunConfig,
     audit_run,
     load_config,
-    load_design,
+    load_model,
     optimization_plan,
     run_pipeline,
 )
@@ -74,9 +73,8 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    design = load_design(args.design)
+    model = load_model(args.design, cfg)
     specs = DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha)
-    model = build_model(design, cfg.adc, cfg.bounds)
     report = evaluate_coarse(model, specs)
     labels = specs.constraint_labels()
     print(f"power           = {report.power:.6e} W")
@@ -92,8 +90,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sndr(args) -> int:
     cfg = _load(args)
-    design = load_design(args.design)
-    model = build_model(design, cfg.adc, cfg.bounds)
+    model = load_model(args.design, cfg)
     harness = cfg.harness
     if args.segments is not None:
         harness = replace(harness, m_segments=args.segments)

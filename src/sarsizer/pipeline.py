@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import global_opt, local_opt
-from .adc import DESIGN_FIELDS, AdcConfig, DesignPoint, build_model
+from .adc import DESIGN_FIELDS, AdcConfig, AdcModel, DesignPoint, build_model
 from .coarse import CoarseReport, evaluate_coarse
 from .csvio import write_csv
 from .errors import BoundsError, ConfigError, PlanError, require
@@ -246,7 +246,11 @@ def load_config(path_or_text: str | Path, is_text: bool = False) -> RunConfig:
         applied["alpha"] = 1.0
     alpha = _number(raw.get("alpha", 1.0), "alpha", where)
     user_bounds = _block(raw, "bounds", where)
-    bounds = {**default_bounds(adc), **_bounds(user_bounds, where)}
+    box = default_bounds(adc)
+    if empty := [k for k, (lo, hi) in box.items() if k not in user_bounds and not lo < hi]:
+        raise ConfigError(f"{where}: fs = {adc.f_s:g} Hz is too fast for the default bounds"
+                          f" of {empty}; set bounds for them")
+    bounds = {**box, **_bounds(user_bounds, where)}
     if not user_bounds:
         applied["bounds"] = "default sizing box"
 
@@ -540,8 +544,17 @@ def load_design(path: str | Path) -> DesignPoint:
     raw = read_json(path)
     missing = [name for name in DESIGN_FIELDS if not isinstance(raw, dict) or name not in raw]
     if missing:
-        raise ConfigError(f"design file missing fields: {missing}")
+        raise ConfigError(f"{path}: design file missing fields: {missing}")
     return DesignPoint(**{name: _number(raw[name], name, str(path)) for name in DESIGN_FIELDS})
+
+
+def load_model(path: str | Path, cfg: RunConfig) -> AdcModel:
+    """The model of a design file's point under cfg; a point outside
+    cfg's bounds is a ConfigError naming the file."""
+    try:
+        return build_model(load_design(path), cfg.adc, cfg.bounds)
+    except BoundsError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _from_record(cls, cfg_dict: dict, block: str, where: str):
@@ -597,10 +610,7 @@ def audit_run(run_dir: str | Path) -> dict:
                                      for k in ("design", "capture"))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: cannot rebuild the recorded run: {exc!r}") from exc
-    try:
-        model = build_model(load_design(design_path), cfg.adc, cfg.bounds)
-    except BoundsError as exc:
-        raise ConfigError(f"{design_path}: {exc}") from exc
+    model = load_model(design_path, cfg)
     coarse = evaluate_coarse(model, DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha))
 
     try:

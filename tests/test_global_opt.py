@@ -278,18 +278,15 @@ class TestSurrogate:
             pred_slack.append((w[None, :] @ slack[nearest])[0])
         return np.array(pred_obj), np.array(pred_slack)
 
-    @pytest.mark.parametrize("n_queries", [1, 7, 9, 40])
-    @pytest.mark.parametrize("n_archive", [3, 50, 700])
-    def test_bit_equal_to_naive_idw(self, n_queries, n_archive):
-        """Query counts that are not multiples of PREDICT_BLOCK, an archive
-        smaller than k, and exact ties: archive rows repeated and queries
-        placed on archive rows."""
-        rng = np.random.default_rng(n_queries * 1000 + n_archive)
-        bounds = np.array([[-1.0, 3.0]] * 8)
-        x = rng.uniform(-1.0, 3.0, (n_archive, 8))
+    def check_bit_equal_to_naive_idw(self, d, n_queries, n_archive, seed):
+        """An archive smaller than k, and exact ties: archive rows repeated
+        and queries placed on archive rows."""
+        rng = np.random.default_rng(seed)
+        bounds = np.array([[-1.0, 3.0]] * d)
+        x = rng.uniform(-1.0, 3.0, (n_archive, d))
         x[n_archive // 2:n_archive // 2 + 2] = x[0]  # three copies of row 0
         obj, slack = rng.random(n_archive), rng.standard_normal((n_archive, 10))
-        queries = rng.uniform(-1.0, 3.0, (n_queries, 8))
+        queries = rng.uniform(-1.0, 3.0, (n_queries, d))
         queries[::3] = x[rng.integers(n_archive, size=len(queries[::3]))]
         sur = IdwSurrogate(bounds, min_points=2)
         sur.train(x, obj, slack)
@@ -297,6 +294,24 @@ class TestSurrogate:
         ref_obj, ref_slack = self.naive_idw(bounds, x, obj, slack, queries, min(5, n_archive))
         assert pred_obj.tobytes() == ref_obj.tobytes()
         assert pred_slack.tobytes() == ref_slack.tobytes()
+
+    @pytest.mark.parametrize("n_queries", [1, 7, 9, 40])
+    @pytest.mark.parametrize("n_archive", [3, 50, 700])
+    def test_bit_equal_to_naive_idw(self, n_queries, n_archive):
+        """Query counts from one to a generation's 40, at the desk's d = 8."""
+        self.check_bit_equal_to_naive_idw(8, n_queries, n_archive, n_queries * 1000 + n_archive)
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 16, 17, 129, 150])
+    @pytest.mark.parametrize("n_archive", [
+        global_opt.PREDICT_ENTRIES // 40,  # 40 queries fill one pass
+        global_opt.PREDICT_ENTRIES // 40 + 1,  # 40 queries need a second pass
+        global_opt.PREDICT_ENTRIES + 1,  # one query row per pass, over PREDICT_ENTRIES pairs
+    ])
+    def test_bit_equal_to_naive_idw_in_each_summation_regime(self, d, n_archive):
+        """Every branch of numpy's pairwise sum: in turn (d < 8), eight
+        running sums with and without a remainder, and halving (d > 128,
+        at 150 into a first half of 72 terms, not 75)."""
+        self.check_bit_equal_to_naive_idw(d, 40, n_archive, [d, n_archive])
 
     def test_lattice_ties_bit_equal_to_naive_idw(self):
         """Every query sits at equal distance from many lattice points."""

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import sarsizer
 from sarsizer.adc import DESIGN_FIELDS, AdcConfig, DesignPoint
-from sarsizer.cli import main as cli_main
+from sarsizer.cli import console_main, main as cli_main
 from sarsizer.errors import ConfigError, PlanError
 from sarsizer.local_opt import LocalResult
 from sarsizer.pipeline import (
@@ -150,6 +150,23 @@ class TestLoadConfig:
         cfg = load_config("{N: 8, fs: 1e6, V_DD: 1}", is_text=True)
         with pytest.raises(ConfigError, match=named):
             dataclasses.replace(cfg, **change(cfg))
+
+    @pytest.mark.parametrize("given, named", [
+        ("t_d0: [1e-13, 4e-13]", ["tau_reg", "t_dff"]),
+        ("t_d0: [1e-13, 4e-13], tau_reg: [1e-13, 2e-13], t_dff: [1e-13, 4e-13]", None),
+    ], ids=["one_timing_bound", "every_timing_bound"])
+    def test_default_timing_box_too_fast(self, given, named):
+        """Above fs = 2e10 the default timing ranges are empty; the error
+        names fs and only the variables left without bounds (TestCli covers
+        a config with none)."""
+        text = f"{{N: 8, fs: 5.0e10, V_DD: 1.0, bounds: {{{given}}}}}"
+        if named is None:
+            assert load_config(text, is_text=True).bounds["t_d0"] == (1e-13, 4e-13)
+            return
+        with pytest.raises(ConfigError) as info:
+            load_config(text, is_text=True)
+        assert str(info.value) == (f"<string>: fs = 5e+10 Hz is too fast for the default bounds"
+                                   f" of {named}; set bounds for them")
 
     def test_largest_seed_accepted(self):
         cfg = load_config("{N: 8, fs: 1e6, V_DD: 1, seed: 18446744073709551615}", is_text=True)
@@ -762,6 +779,32 @@ class TestCli:
         assert proc.stderr.startswith("sarsizer: error: ")
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
+
+    def test_design_missing_field_names_the_file(self, tmp_path, cfg_file, small_run, capsys):
+        design = small_run[1].design.to_dict()
+        del design["r_sw"]
+        path = tmp_path / "miss.json"
+        path.write_text(json.dumps(design))
+        assert console_main(["eval", str(cfg_file), "--design", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"sarsizer: error: {path}: design file missing fields: ['r_sw']\n")
+
+    @pytest.mark.parametrize("command", ["eval", "sndr"])
+    def test_design_outside_bounds_names_the_file(self, tmp_path, cfg_file, small_run, capsys,
+                                                  command):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**small_run[1].design.to_dict(), "c_unit": 1e-9}))
+        assert console_main([command, str(cfg_file), "--design", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"sarsizer: error: {path}: c_unit=1e-09 outside bounds [5e-16, 5e-14]\n")
+
+    def test_too_fast_for_the_default_box_names_fs(self, tmp_path, capsys):
+        path = tmp_path / "fast.yaml"
+        path.write_text("{N: 8, fs: 5.0e10, V_DD: 1.0}")
+        assert console_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"sarsizer: error: {path}: fs = 5e+10 Hz is too fast for the default bounds"
+            " of ['t_d0', 'tau_reg', 't_dff']; set bounds for them\n")
 
     def test_eval_exit_code_on_infeasible(self, tmp_path, cfg_file, capsys):
         bad = dict(
