@@ -91,11 +91,8 @@ def cmd_eval(args) -> int:
 def cmd_sndr(args) -> int:
     cfg = _load(args)
     model = load_model(args.design, cfg)
-    harness = cfg.harness
-    if args.segments is not None:
-        harness = replace(harness, m_segments=args.segments)
-    plan = optimization_plan(cfg.adc.f_s, cfg.adc.v_dd, harness, cfg.seed)
-    codes, ok = run_segments_detailed(model, plan, noise=harness.noise)
+    plan = optimization_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
+    codes, ok = run_segments_detailed(model, plan, noise=cfg.harness.noise)
     power = power_estimate(model)
     report = spectrum_metrics(codes, plan, power, cfg.adc.n_bits)
     print(f"capture         = {plan.k_points} points, {plan.m_segments} segments")
@@ -146,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sndr = sub.add_parser("sndr", help="sine-test a design")
     p_sndr.add_argument("config")
     p_sndr.add_argument("--design", required=True)
-    p_sndr.add_argument("--segments", type=int, default=None)
     p_sndr.add_argument("--export", type=str, default=None)
     _add_common(p_sndr)
     p_sndr.set_defaults(func=cmd_sndr)

@@ -27,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import ConfigError, require
 
 PREDICT_ENTRIES = 8192  # (query, archive) distances per pass of IdwSurrogate.predict
@@ -393,9 +392,3 @@ def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerSt
     if not state.best.feasible:
         state.warning = "no feasible point found; returning least-violating"
     return state
-
-
-def write_history_csv(history: list[dict], path: str) -> None:
-    """Per-generation trace supporting convergence plots."""
-    columns = ["generation", "evals", "best_objective", "best_violation", "n_converged"]
-    write_csv(path, columns, ([row[c] for c in columns] for row in history))

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import ConfigError, SarSizerError, require
 
 SHRINK = 0.5
@@ -42,6 +41,7 @@ class LocalParams:
         require(0.0 < self.delta_init <= 1.0, "delta_init", "in (0, 1]", self.delta_init)
         require(0.0 < self.delta_w <= 1.0, "delta_w", "in (0, 1]", self.delta_w)
         require(0.0 <= self.w0 <= 1.0, "w0", "in [0, 1]", self.w0)
+        require(self.max_iter >= 1, "max_iter", ">= 1", self.max_iter)
 
 
 @dataclass
@@ -259,10 +259,3 @@ def run_local(
         n_expensive_failed=counts["failed"],
         history=history,
     )
-
-
-def write_history_csv(history: list[dict], path: str) -> None:
-    """Per-iteration trace of the local phase; a missing expensive value is
-    an empty field."""
-    columns = ["iteration", "f_cheap", "f_expensive", "w", "delta_norm", "rollback"]
-    write_csv(path, columns, ([row[c] for c in columns] for row in history))

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import global_opt, local_opt
 from .adc import DESIGN_FIELDS, AdcConfig, AdcModel, DesignPoint, build_model
 from .coarse import CoarseReport, evaluate_coarse
 from .csvio import write_csv
@@ -96,6 +95,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         require(self.alpha > 0, "alpha", "positive", self.alpha)
+        if missing := [k for k in DESIGN_FIELDS if k not in self.bounds]:
+            raise ConfigError(f"bounds missing for design variables {missing}")
         for key, (lo, hi) in self.bounds.items():
             if key not in DESIGN_FIELDS:
                 raise ConfigError(f"unknown design variable {key!r} in bounds")
@@ -207,7 +208,7 @@ def _from_mapping(cls, raw: dict, where: str, block: str = ""):
             name = prefix + (key if key == f.name else f"{key} ({f.name})")
             values[f.name] = _convert(f, raw[key], name, where)
         elif f.default is MISSING:
-            raise ConfigError(f"{where}: missing required key {f.name}")
+            raise ConfigError(f"{where}: missing required key {prefix}{f.name}")
     try:
         return cls(**values)
     except ConfigError as exc:
@@ -441,8 +442,9 @@ def write_eval_log_csv(archive, n_constraints: int, path: str) -> None:
 def persist_run(result: RunResult, out: Path, plan, codes) -> None:
     out.mkdir(parents=True, exist_ok=True)
     path = {key: str(out / name) for key, name in TRACE_FILES.items()}
-    global_opt.write_history_csv(result.global_state.history, path["global_history"])
-    local_opt.write_history_csv(result.local_result.history, path["local_history"])
+    for key, rows in [("global_history", result.global_state.history),
+                      ("local_history", result.local_result.history)]:
+        write_csv(path[key], list(rows[0]), (row.values() for row in rows))
     write_eval_log_csv(result.global_state.archive, len(result.coarse.slack), path["eval_log"])
     write_capture_csv(plan, codes, path["capture"])
     write_spectrum_csv(result.spectrum, path["spectrum"])
@@ -557,27 +559,20 @@ def load_model(path: str | Path, cfg: RunConfig) -> AdcModel:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _from_record(cls, cfg_dict: dict, block: str, where: str):
-    """A config dataclass rebuilt from a run record's config block, which
-    names every field it sets; each value converted and range-checked as
-    the loader does, and a bad one named with the record."""
-    schema = {f.name: f for f in fields(cls)}
-    values = {k: _convert(schema[k], v, f"config.{block}.{k}", where)
-              for k, v in cfg_dict[block].items()}
-    try:
-        return cls(**values)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: config.{block}.{exc}") from exc
-
-
 def _config_from_record(record: dict, where: str) -> RunConfig:
     """The run's config rebuilt from a record's config block by the
-    loader's type and range rules; any failure is one ConfigError naming
-    the record."""
+    loader's converter.  A record spells every field by its name, so an
+    alias or any other key is an error; any failure is one ConfigError
+    naming the record."""
     try:
-        raw = record["config"]
-        parts = {attr: _from_record(cls, raw, name, where)
-                 for name, (attr, cls) in {"adc": ("adc", AdcConfig), **_BLOCKS}.items()}
+        raw, parts = record["config"], {}
+        for name, (attr, cls) in {"adc": ("adc", AdcConfig), **_BLOCKS}.items():
+            block = raw[name]
+            if not isinstance(block, dict):
+                raise ConfigError(f"{where}: config.{name} must be a mapping, got {block!r}")
+            if unknown := sorted(set(block) - {f.name for f in fields(cls)}):
+                raise ConfigError(f"{where}: unknown config.{name} keys {unknown}")
+            parts[attr] = _from_mapping(cls, block, where, f"config.{name}")
         parts.update(alpha=_number(raw["alpha"], "config.alpha", where),
                      bounds=_bounds(raw["bounds"], where, "config."), seed=raw["seed"])
     except (KeyError, TypeError, AttributeError) as exc:

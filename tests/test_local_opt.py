@@ -415,6 +415,8 @@ class TestRunLocal:
             LocalParams(expensive_every=math.nan)
         with pytest.raises(ConfigError):
             LocalParams(delta_w=0.0)
+        with pytest.raises(ConfigError, match="max_iter"):
+            LocalParams(max_iter=0)
         with pytest.raises(ConfigError):
             LocalParams(w0=7)
 

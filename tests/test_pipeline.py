@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -145,7 +146,9 @@ class TestLoadConfig:
     @pytest.mark.parametrize("change, named", [
         (lambda cfg: {"alpha": -1.0}, "alpha"),
         (lambda cfg: {"bounds": {**cfg.bounds, "c_unit": (2e-15, 1e-15)}}, "c_unit"),
-    ], ids=["negative_alpha", "inverted_bounds"])
+        (lambda cfg: {"bounds": {k: v for k, v in cfg.bounds.items() if k != "c_unit"}},
+         "c_unit"),
+    ], ids=["negative_alpha", "inverted_bounds", "partial_bounds"])
     def test_replace_keeps_the_range_rules(self, change, named):
         cfg = load_config("{N: 8, fs: 1e6, V_DD: 1}", is_text=True)
         with pytest.raises(ConfigError, match=named):
@@ -240,6 +243,7 @@ class TestLoadConfig:
         ({"harness": {"amplitude_frac": 1.5}}, "harness.amplitude_frac"),
         ({"harness": {"f_target_frac": 0.6}}, "harness"),
         ({"global": {"max_evals": 0}}, "global.max_evals"),
+        ({"local": {"max_iter": 0}}, "local.max_iter"),
     ])
     def test_malformed_values_rejected(self, override, name):
         text = yaml.safe_dump({"N": 8, "fs": 1e6, "V_DD": 1.0, **override})
@@ -438,12 +442,17 @@ class TestRunPipeline:
         (lambda record, run_dir: record["config"].update(alpha=-1), "run_record.json"),
         (lambda record, run_dir: record["config"]["bounds"].update(c_unit=[1e-12, 2e-12]),
          "design.json"),
+        (lambda record, run_dir: record["config"]["adc"].pop("n_bits"), "run_record.json"),
+        (lambda record, run_dir: record["config"]["adc"].update(
+            N=record["config"]["adc"].pop("n_bits")), "run_record.json"),
+        (lambda record, run_dir: record["config"].update(harness=[]), "run_record.json"),
     ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
             "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
             "short_capture_row", "missing_global", "missing_local", "missing_warning",
             "missing_stop_reason", "missing_design_value", "missing_sndr_ceiling",
             "string_design_value", "string_noise", "unplannable_harness", "negative_seed",
-            "bounds_triple", "bounds_string", "negative_alpha", "design_outside_bounds"])
+            "bounds_triple", "bounds_string", "negative_alpha", "design_outside_bounds",
+            "missing_n_bits", "aliased_n_bits", "harness_list"])
     def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
@@ -516,6 +525,20 @@ class TestRunPipeline:
         run_pipeline(cfg, out_dir=tmp_path / "run")
         local = json.loads((tmp_path / "run" / "run_record.json").read_text())["local"]
         assert (local["n_expensive"], local["f_expensive"]) == (0, None)
+
+    def test_history_csvs_are_the_history_rows(self, small_run):
+        """Each history file's header is its rows' keys in order, with one
+        line per row; every value reads back, and None as an empty field."""
+        _, result, out = small_run
+        local = result.local_result.history
+        assert None in [row["f_expensive"] for row in local]
+        for name, rows in [("global_history.csv", result.global_state.history),
+                           ("local_history.csv", local)]:
+            with open(out / name, newline="") as buf:
+                header, *lines = csv.reader(buf)
+            assert header == list(rows[0])
+            assert [[None if v == "" else float(v) for v in line] for line in lines] == [
+                list(row.values()) for row in rows]
 
     def test_eval_log_one_row_per_archive_entry(self, small_run):
         _, result, out = small_run
@@ -712,10 +735,8 @@ class TestCli:
         assert "feasible        = True" in out
 
         export = tmp_path / "sndr-out"
-        rc = cli_main(
-            ["sndr", str(cfg_file), "--design", str(design_path),
-             "--segments", "2", "--export", str(export)]
-        )
+        rc = cli_main(["sndr", str(cfg_file), "--design", str(design_path),
+                       "--export", str(export)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "SNDR" in out
