@@ -41,18 +41,13 @@ from .sndr import (
 from .specs import DerivedSpecs
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--out", type=str, default=None, help="output directory")
 
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _out_dir(cfg) -> Path:
@@ -64,6 +59,8 @@ def _out_dir(cfg) -> Path:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
+    if args.out is not None:
+        cfg.out_dir = args.out
     out = _out_dir(cfg)
     result = run_pipeline(cfg, out_dir=out)
     print((out / REPORT_FILES["summary"]).read_text())
@@ -72,7 +69,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     model = load_model(args.design, cfg)
     specs = DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha)
     report = evaluate_coarse(model, specs)
@@ -131,20 +128,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the full sizing pipeline")
     p_run.add_argument("config")
-    _add_common(p_run)
+    _add_seed(p_run)
+    p_run.add_argument("--out", type=str, default=None, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="coarse-evaluate a design")
     p_eval.add_argument("config")
     p_eval.add_argument("--design", required=True)
-    _add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_sndr = sub.add_parser("sndr", help="sine-test a design")
     p_sndr.add_argument("config")
     p_sndr.add_argument("--design", required=True)
     p_sndr.add_argument("--export", type=str, default=None)
-    _add_common(p_sndr)
+    _add_seed(p_sndr)
     p_sndr.set_defaults(func=cmd_sndr)
 
     p_rep = sub.add_parser("report", help="audit and report a finished run")

@@ -248,22 +248,76 @@ def de_offspring(
     bounds: np.ndarray,
 ) -> np.ndarray:
     """DE/rand/1/bin offspring, one per parent, clipped to bounds.  Each parent
-    draws donors, j_rand and uniforms in turn; the arithmetic is whole-array."""
+    draws donors, j_rand and d uniforms in turn, from one pass over raw
+    generator words where ``_raw_draws`` can decode them, else from ``rng``
+    parent by parent; the arithmetic is whole-array."""
     pop = np.asarray(population, dtype=float)
     p, d = pop.shape
     if p < 4:
         raise ConfigError(f"differential evolution needs >= 4 members, got {p}")
-    others = np.arange(1, p) - np.tri(p, p - 1, -1, dtype=np.intp)  # row i: all but i
-    donors = np.empty((p, 3), dtype=np.intp)
-    cross = np.empty((p, d), dtype=bool)
-    for i in range(p):
-        donors[i] = rng.choice(others[i], size=3, replace=False)
-        j_rand = rng.integers(d)
-        cross[i] = rng.random(d) < cr
-        cross[i, j_rand] = True
+    donors, j_rand, uniforms = _raw_draws(rng, p, d) or _parent_draws(rng, p, d)
+    cross = uniforms < cr
+    cross[np.arange(p), j_rand] = True
     a, b, c = donors.T
     out = np.where(cross, pop[a] + f_weight * (pop[b] - pop[c]), pop)
     return np.clip(out, bounds[:, 0], bounds[:, 1])
+
+
+def _parent_draws(rng, p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Donors (p, 3), j_rand (p,) and uniforms (p, d), drawn one parent at a time."""
+    others = np.arange(1, p) - np.tri(p, p - 1, -1, dtype=np.intp)  # row i: all but i
+    donors = np.empty((p, 3), dtype=np.intp)
+    j_rand = np.empty(p, dtype=np.intp)
+    uniforms = np.empty((p, d))
+    for i in range(p):
+        donors[i] = rng.choice(others[i], size=3, replace=False)
+        j_rand[i] = rng.integers(d)
+        uniforms[i] = rng.random(d)
+    return donors, j_rand, uniforms
+
+
+def _raw_draws(rng, p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``_parent_draws``' values and end state from one ``random_raw`` call,
+    decoded as numpy 2's Generator draws on PCG64.  Per parent, in order:
+    choice's Floyd picks over ranges p-4, p-3, p-2 (a pick already taken
+    becomes the range) and shuffle swaps over 2 and 1, then j_rand over d-1;
+    a zero range draws nothing.  Each is ``u * (r + 1) >> 32`` (Lemire 2019)
+    of a 32-bit u, the low half of a fresh word whose high half is held for
+    the next one.  Then d uniforms ``(w >> 11) * 2**-53`` take whole words.
+    None, with the generator as it was, when rng is not PCG64 or numpy
+    would have redrawn a bounded value."""
+    bitgen = getattr(rng, "bit_generator", None)
+    if not isinstance(bitgen, np.random.PCG64):
+        return None
+    entry = bitgen.state
+    held = entry["has_uint32"]
+    live = np.array([p - 4, p - 3, p - 2, 2, 1, d - 1]) > 0
+    span = np.array([p - 3, p - 2, p - 1, 3, 2, d], dtype=np.uint64)[live]  # range + 1
+    k = len(span)  # 32-bit draws per parent
+    # Parent i's uniforms follow the words that finish its 32-bit draws.
+    starts = (k * np.arange(1, p + 1) - held + 1) // 2 + d * np.arange(p)
+    words = bitgen.random_raw(starts[-1] + d)
+    is_uniform = np.zeros(len(words), dtype=bool)
+    is_uniform[(starts[:, None] + np.arange(d)).ravel()] = True
+    split = words[~is_uniform]
+    halves = np.stack((split & 0xFFFFFFFF, split >> 32), axis=1).ravel()
+    halves = np.concatenate((np.full(held, entry["uinteger"], np.uint64), halves))
+    scaled = halves[: k * p].reshape(p, k) * span
+    if np.any((scaled & 0xFFFFFFFF) < 2**32 % span):
+        bitgen.state = entry
+        return None
+    picks = np.zeros((p, 6), dtype=np.intp)
+    picks[:, live] = scaled >> 32
+    idx, (s2, s1, j_rand) = picks[:, :3], picks[:, 3:].T
+    idx[idx[:, 1] == idx[:, 0], 1] = p - 3
+    idx[(idx[:, 2] == idx[:, 0]) | (idx[:, 2] == idx[:, 1]), 2] = p - 2
+    rows = np.arange(p)
+    for slot, swap in ((2, s2), (1, s1)):
+        idx[rows, slot], idx[rows, swap] = idx[rows, swap], idx[rows, slot]
+    bitgen.state = {**bitgen.state, "has_uint32": (k * p - held) % 2,
+                    "uinteger": int(split[-1]) >> 32}
+    uniforms = (words[is_uniform] >> 11).reshape(p, d) * 2.0**-53
+    return idx + (idx >= rows[:, None]), j_rand, uniforms  # index among the others -> parent
 
 
 def surrogate_rank(

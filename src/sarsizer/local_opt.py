@@ -183,7 +183,6 @@ def run_local(
     f_cheap_backup = f_cheap_best
     f_backup = expensive(x_best) if math.isfinite(lam) else 0.0
 
-    iteration = 0
     for iteration in range(1, params.max_iter + 1):
         sampled_exp: float | None = None
         rolled = False

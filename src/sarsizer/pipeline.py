@@ -501,13 +501,7 @@ def summary_from_record(record: dict, cfg: RunConfig) -> str:
         "",
     ]
     local = record["local"]
-    if local is None or local["iterations"] == 0:
-        lines.append("local phase: no iterations")
-    else:
-        lines.append(
-            f"local phase: {local['iterations']} iterations, "
-            f"{local['rollbacks']} rollbacks"
-        )
+    lines.append(f"local phase: {local['iterations']} iterations, {local['rollbacks']} rollbacks")
     g = record["global"]
     lines.append(
         f"global phase: {g['generations']} generations, {g['evals']} evaluations, "

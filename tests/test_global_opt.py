@@ -80,6 +80,30 @@ class FakeRng:
         return np.full(size, self.uniforms)
 
 
+def held_half_rng(seed):
+    """A PCG64 generator holding the high half of a word for its next 32-bit draw."""
+    rng = np.random.default_rng(seed)
+    rng.integers(5)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def dxsm_rng(seed):
+    return np.random.Generator(np.random.PCG64DXSM(seed))
+
+
+REDRAW_P = 180  # first Floyd pick over range 176, which redraws when u * 177 % 2**32 < 169
+
+
+def redraw_rng(seed):
+    """PCG64(2024) advanced to a word whose low half numpy's bounded draw
+    rejects as REDRAW_P's first Floyd pick; the offset was found by scanning
+    that stream's words.  ``seed`` is unused."""
+    rng = np.random.Generator(np.random.PCG64(2024))
+    rng.bit_generator.advance(13_507_833)
+    return rng
+
+
 class TestDeOffspring:
     def test_hand_traced_mutation(self):
         pop = np.array([[0.1], [0.2], [0.3], [0.4]])
@@ -112,6 +136,24 @@ class TestDeOffspring:
             de_offspring(np.zeros((3, 2)), 0.5, 0.9, np.random.default_rng(0),
                          np.array([[0.0, 1.0]] * 2))
 
+    def test_raw_pass_declines_a_redraw_and_restores_the_state(self):
+        rng = redraw_rng(0)
+        entry = rng.bit_generator.state
+        assert global_opt._raw_draws(rng, REDRAW_P, 3) is None
+        assert rng.bit_generator.state == entry
+        assert global_opt._raw_draws(np.random.default_rng(0), REDRAW_P, 3) is not None
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+    def test_other_bit_generators_match_the_loop(self, bit_generator):
+        """Generators whose words PCG64's decode would misread (their states
+        hold arrays, so the stream is compared by its next words)."""
+        pop, bounds = np.random.default_rng(3).random((13, 5)), np.array([[0.0, 1.0]] * 5)
+        rng, ref_rng = np.random.Generator(bit_generator(3)), np.random.Generator(bit_generator(3))
+        out = de_offspring(pop, 0.9, 0.5, rng, bounds)
+        expected = self.per_parent_loop(pop, 0.9, 0.5, ref_rng, bounds)
+        assert out.tobytes() == expected.tobytes()
+        assert rng.integers(2**32, size=4).tolist() == ref_rng.integers(2**32, size=4).tolist()
+
     @staticmethod
     def per_parent_loop(pop, f_weight, cr, rng, bounds):
         """DE/rand/1/bin written one parent at a time, mutation included."""
@@ -127,14 +169,23 @@ class TestDeOffspring:
             out[i] = np.where(cross, v, pop[i])
         return np.clip(out, bounds[:, 0], bounds[:, 1])
 
-    @pytest.mark.parametrize("p, d, seed", [(4, 1, 0), (4, 3, 1), (5, 2, 2), (13, 5, 3),
-                                            (40, 8, 4), (40, 8, 21), (80, 8, 5)])
-    def test_matches_per_parent_loop_and_stream(self, p, d, seed):
+    @pytest.mark.parametrize("p, d, seed, make_rng", [
+        pytest.param(p, d, seed, make, id="-".join([str(p), str(d), str(seed), *kind]))
+        for p, d, seed, make, *kind in [
+            (4, 1, 0, np.random.default_rng), (4, 3, 1, np.random.default_rng),
+            (5, 2, 2, np.random.default_rng), (13, 5, 3, np.random.default_rng),
+            (40, 8, 4, np.random.default_rng), (40, 8, 21, np.random.default_rng),
+            (80, 8, 5, np.random.default_rng), (13, 1, 6, np.random.default_rng),
+            (200, 8, 7, np.random.default_rng), (40, 8, 8, held_half_rng, "held_half"),
+            (13, 5, 9, dxsm_rng, "pcg64dxsm"), (REDRAW_P, 3, 10, redraw_rng, "redraw"),
+        ]
+    ])
+    def test_matches_per_parent_loop_and_stream(self, p, d, seed, make_rng):
         """Bit-equal offspring, and the generator left in the loop's state,
         over two generations: every draw is taken in the loop's order."""
         bounds = np.array([[0.0, 1.0]] * d)  # F=0.9 mutants often leave it
         pop = np.random.default_rng(1000 + seed).random((p, d))
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, ref_rng = make_rng(seed), make_rng(seed)
         for _ in range(2):
             out = de_offspring(pop, 0.9, 0.5, rng, bounds)
             expected = self.per_parent_loop(pop, 0.9, 0.5, ref_rng, bounds)

@@ -446,13 +446,14 @@ class TestRunPipeline:
         (lambda record, run_dir: record["config"]["adc"].update(
             N=record["config"]["adc"].pop("n_bits")), "run_record.json"),
         (lambda record, run_dir: record["config"].update(harness=[]), "run_record.json"),
+        (lambda record, run_dir: record.update(local=None), "run_record.json"),
     ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
             "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
             "short_capture_row", "missing_global", "missing_local", "missing_warning",
             "missing_stop_reason", "missing_design_value", "missing_sndr_ceiling",
             "string_design_value", "string_noise", "unplannable_harness", "negative_seed",
             "bounds_triple", "bounds_string", "negative_alpha", "design_outside_bounds",
-            "missing_n_bits", "aliased_n_bits", "harness_list"])
+            "missing_n_bits", "aliased_n_bits", "harness_list", "null_local"])
     def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
@@ -618,12 +619,6 @@ class TestEmitReport:
         assert "ENOB  = 11.701 bits (cross-check 11.701)" in text
         metrics = (tmp_path / files["metrics"]).read_text()
         assert "sndr_db,72.2" in metrics
-
-    def test_no_iterations_marker(self, tmp_path):
-        record = self.published_record()
-        record["local"] = None
-        emit_report(record, self.published_config(), tmp_path)
-        assert "no iterations" in (tmp_path / "summary.txt").read_text()
 
     def test_summary_matches_record_based_formatter(self, small_run):
         _, result, out = small_run
@@ -818,6 +813,17 @@ class TestCli:
         assert console_main([command, str(cfg_file), "--design", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"sarsizer: error: {path}: c_unit=1e-09 outside bounds [5e-16, 5e-14]\n")
+
+    @pytest.mark.parametrize("command, flag", [("eval", "--out"), ("eval", "--seed"),
+                                               ("sndr", "--out")])
+    def test_flag_the_command_would_ignore_is_rejected(self, tmp_path, cfg_file, command,
+                                                       flag, capsys):
+        """Only run writes to --out, and only run and sndr draw from the seed."""
+        with pytest.raises(SystemExit) as exc:
+            console_main([command, str(cfg_file), "--design", str(tmp_path / "d.json"),
+                          flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     def test_too_fast_for_the_default_box_names_fs(self, tmp_path, capsys):
         path = tmp_path / "fast.yaml"
