@@ -18,21 +18,22 @@ scales inversely with its noise power, per-cycle logic energy, and a
 sampling-switch driver term.
 
 One kernel, ``convert_rows``, runs every conversion and returns one
-``Conversions`` row per input: its rows may belong to different designs,
-so a whole generation's coarse tests are one call and each block of a
-capture (``sndr.CAPTURE_BLOCK`` conversions) is another.  A single
-conversion is a batch of one.
+``Conversions`` row per input.  It takes the designs as an (n, d) matrix
+in ``DESIGN_FIELDS`` order and derives their constants once per call; its
+rows may belong to different designs, so a whole generation's coarse
+tests are one call and each block of a capture (``sndr.CAPTURE_BLOCK``
+conversions) is another.  A single conversion is a batch of one, and
+``AdcModel`` is one design's row with the same derived constants.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, require
+from .errors import BoundsError, require
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -64,6 +65,11 @@ class AdcConfig:
     def t_conv(self) -> float:
         return 1.0 / self.f_s
 
+    @property
+    def step_amp(self) -> np.ndarray:
+        """Ideal step amplitudes, index i-1 -> v_dd/2**i."""
+        return self.v_dd / (2.0 * 2.0 ** np.arange(self.n_bits))
+
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -79,16 +85,8 @@ class DesignPoint:
     t_dff: float       # logic delay per bit cycle, s
 
     def validate(self, bounds: dict[str, tuple[float, float]] | None = None) -> None:
-        for name in DESIGN_FIELDS:
-            value = getattr(self, name)
-            if not value > 0:
-                raise BoundsError(f"{name} must be strictly positive, got {value}")
-            if bounds and name in bounds:
-                lo, hi = bounds[name]
-                if not lo <= value <= hi:
-                    raise BoundsError(
-                        f"{name}={value} outside bounds [{lo}, {hi}]"
-                    )
+        box = [(bounds or {}).get(name, (-math.inf, math.inf)) for name in DESIGN_FIELDS]
+        check_designs(np.array([astuple(self)]), np.array(box, dtype=float))  # unbounded: > 0
 
     @classmethod
     def from_vector(cls, x: np.ndarray) -> "DesignPoint":
@@ -103,40 +101,61 @@ class DesignPoint:
 DESIGN_FIELDS = tuple(f.name for f in fields(DesignPoint))
 
 
+def check_designs(designs: np.ndarray, box: np.ndarray) -> None:
+    """Raise BoundsError at the first entry, row by row, of the (n, d) designs that is not
+    positive (NaN is not) or outside its row of the (d, 2) box; n > 1 names the row."""
+    ok = (designs > 0.0) & (designs >= box[:, 0]) & (designs <= box[:, 1])
+    if not ok.all():
+        row, j = np.argwhere(~ok)[0]
+        where, name, value = f"row {row}: " * (len(designs) > 1), DESIGN_FIELDS[j], designs[row, j]
+        if not value > 0:
+            raise BoundsError(f"{where}{name} must be strictly positive, got {value.item()}")
+        raise BoundsError(f"{where}{name}={value.item()} outside bounds {box[j].tolist()}")
+
+
+def sampling_constants(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row of designs: single-ended array capacitance c_tot, sampling
+    time constant tau_smp = r_sw * c_tot, and the sampled thermal noise
+    kt_c_sigma, rms (factor 2 covers the differential array)."""
+    c_tot = 2.0 ** (cfg.n_bits - 1) * designs[:, 0]  # c_unit
+    return c_tot, designs[:, 1] * c_tot, np.sqrt(2.0 * BOLTZMANN * cfg.temp_k / c_tot)  # r_sw
+
+
+def derive(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row of designs (DESIGN_FIELDS order): ``sampling_constants``, then
+    per-step driver resistance r_drv and settling constant tau_step (rows,
+    n), and the delay clamp t_cmp_max, the delay law at v_floor."""
+    _, _, _, _, t_d0, tau_reg, r_drv_msb, _ = designs.T
+    c_tot, tau_smp, kt_c_sigma = sampling_constants(cfg, designs)
+    # Driver strength halves per bit until the minimum-size device;
+    # its resistance is the growth limit for the geometric scaling.
+    r_drv = np.minimum(r_drv_msb[:, None] * 2.0 ** np.arange(cfg.n_bits), cfg.r_drv_cap)
+    t_cmp_max = t_d0 + tau_reg * math.log(cfg.v_dd / cfg.v_floor)
+    return c_tot, tau_smp, kt_c_sigma, r_drv, r_drv * c_tot[:, None], t_cmp_max
+
+
 @dataclass(frozen=True)
 class AdcModel:
     """Design + config with every derived quantity precomputed."""
 
     design: DesignPoint
     cfg: AdcConfig
+    row: np.ndarray = field(init=False)      # the design as a (1, d) kernel matrix
     c_tot: float = field(init=False)         # single-ended array capacitance, F
     tau_smp: float = field(init=False)       # sampling time constant, s
-    v_fs: float = field(init=False)          # differential full scale, V
-    step_amp: np.ndarray = field(init=False) # ideal step amplitudes, index i-1 -> v_fs/2**i
+    kt_c_sigma: float = field(init=False)    # sampled thermal noise, V rms
+    step_amp: np.ndarray = field(init=False) # ideal step amplitudes, index i-1 -> v_dd/2**i
     r_drv: np.ndarray = field(init=False)    # per-step driver resistance, Ohm
     tau_step: np.ndarray = field(init=False) # per-step settling constants, s
     t_cmp_max: float = field(init=False)     # delay clamp: the delay law at v_floor
 
     def __post_init__(self) -> None:
-        n = self.cfg.n_bits
-        c_tot = 2.0 ** (n - 1) * self.design.c_unit
-        weight = 2.0 ** np.arange(n)  # 2**(i-1) for bit i = 1..n, exact
-        # Driver strength halves per bit until the minimum-size device;
-        # its resistance is the growth limit for the geometric scaling.
-        r_drv = np.minimum(self.design.r_drv_msb * weight, self.cfg.r_drv_cap)
-        t_max = self.design.t_d0 + self.design.tau_reg * math.log(self.cfg.v_dd / self.cfg.v_floor)
-        object.__setattr__(self, "c_tot", c_tot)
-        object.__setattr__(self, "tau_smp", self.design.r_sw * c_tot)
-        object.__setattr__(self, "v_fs", self.cfg.v_dd)
-        object.__setattr__(self, "step_amp", self.cfg.v_dd / (2.0 * weight))
-        object.__setattr__(self, "r_drv", r_drv)
-        object.__setattr__(self, "tau_step", r_drv * c_tot)
-        object.__setattr__(self, "t_cmp_max", float(t_max))
-
-    @property
-    def kt_c_sigma(self) -> float:
-        """Sampled thermal noise, rms; factor 2 covers the differential array."""
-        return math.sqrt(2.0 * BOLTZMANN * self.cfg.temp_k / self.c_tot)
+        row = np.array([astuple(self.design)])
+        c_tot, tau_smp, kt_c, r_drv, tau_step, t_max = (v[0] for v in derive(self.cfg, row))
+        for name, value in [("row", row), ("c_tot", float(c_tot)), ("tau_smp", float(tau_smp)),
+                            ("kt_c_sigma", float(kt_c)), ("step_amp", self.cfg.step_amp),
+                            ("r_drv", r_drv), ("tau_step", tau_step), ("t_cmp_max", float(t_max))]:
+            object.__setattr__(self, name, value)
 
 
 def build_model(
@@ -181,18 +200,15 @@ class Conversions:
         return self.bits @ (2 ** np.arange(self.bits.shape[1])[::-1])
 
 
-def convert_rows(
-    models: Sequence[AdcModel],
-    v_sampled: np.ndarray,
-    cmp_draws: np.ndarray | None = None,
-    owner: np.ndarray | None = None,
-    charge: bool = False,
-) -> Conversions:
-    """The conversion kernel: row m converts v_sampled[m] on models[owner[m]].
+def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
+                 cmp_draws: np.ndarray | None = None, owner: np.ndarray | None = None,
+                 charge: bool = False) -> Conversions:
+    """The conversion kernel: row m converts v_sampled[m] on design
+    designs[owner[m]] of the (n, d) matrix designs (DESIGN_FIELDS order).
 
-    With owner=None every row converts on models[0].  All models share
-    one AdcConfig.  cmp_draws holds one standard-normal comparator draw
-    per row and bit; None disables noise.
+    With owner=None every row converts on designs[0].  cmp_draws holds
+    one standard-normal comparator draw per row and bit; None disables
+    noise.  The designs are not checked here (see ``check_designs``).
 
     Bit 1 compares the sampled voltage directly (top-plate sampling).
     Each later decision i sees the previous residue minus/plus a step of
@@ -210,17 +226,11 @@ def convert_rows(
     the bits, which captures skip.  Every step is elementwise over rows,
     so a row's result does not depend on the rest of the batch.
     """
-    cfg = models[0].cfg
-    if any(m.cfg != cfg for m in models):
-        raise ConfigError("one kernel call converts on a single AdcConfig")
-    # Design constants per row, or scalars (numpy's faster path) for one model.
-    consts = np.array([[m.design.t_sample, m.design.t_dff, m.design.t_d0, m.design.tau_reg,
-                        m.design.sigma_cmp, m.design.r_sw, m.design.c_unit, m.c_tot,
-                        m.t_cmp_max] for m in models])
-    tau_step = np.array([m.tau_step for m in models])
+    c_tot, _, _, _, tau_step, t_cmp_max = derive(cfg, designs)
+    # Design constants per row, or scalars (numpy's faster path) for one design.
     pick = 0 if owner is None else owner
-    consts, tau_step = consts[pick], tau_step[pick]
-    t_sample, t_dff, t_d0, tau_reg, sigma_cmp, r_sw, c_unit, c_tot, t_cmp_max = consts.T
+    consts, tau_step = np.column_stack([designs, c_tot, t_cmp_max])[pick], tau_step[pick]
+    c_unit, r_sw, t_sample, sigma_cmp, t_d0, tau_reg, _, t_dff, c_tot, t_cmp_max = consts.T
 
     def delay(mag: np.ndarray) -> np.ndarray:
         """Regeneration delay per decision: grows as the residue shrinks."""
@@ -228,7 +238,7 @@ def convert_rows(
         return np.minimum(np.maximum(raw, t_d0), t_cmp_max)
 
     n = cfg.n_bits
-    amp = models[0].step_amp
+    amp = cfg.step_amp
     residue = np.asarray(v_sampled, dtype=float)
     rows = len(residue)
     sign_prev = np.zeros(rows)  # 0 before bit 1, so its step is recorded, not applied

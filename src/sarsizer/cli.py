@@ -72,7 +72,7 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     model = load_model(args.design, cfg)
     specs = DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha)
-    report = evaluate_coarse(model, specs)
+    report = evaluate_coarse(cfg.adc, model.row, specs).row(0)
     labels = specs.constraint_labels()
     print(f"power           = {report.power:.6e} W")
     print(f"sampling error  = {report.sampling_error:.6e} V")

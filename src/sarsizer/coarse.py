@@ -5,17 +5,20 @@ a noise-free full-scale conversion (sampling error, step ratios, timing),
 a closed-form thermal-noise total, and an average-power estimate over a
 fixed input grid.  Slacks are signed margins, positive when satisfied,
 so optimizers always get a continuous feasibility signal.
+
+``evaluate_coarse`` measures an (n, d) design matrix in one kernel call;
+each field of its ``CoarseReport`` holds a row per design.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .adc import AdcModel, convert_rows
+from .adc import AdcConfig, AdcModel, check_designs, convert_rows, sampling_constants
 from .errors import SpecError
 from .specs import DerivedSpecs
 
@@ -29,7 +32,8 @@ ROWS = 1 + POWER_GRID_POINTS  # kernel rows per candidate: single point + grid
 
 @dataclass
 class CoarseReport:
-    """Single-candidate result of the cheap evaluation phase."""
+    """Result of the cheap evaluation phase: of one candidate, or with a
+    leading row axis on every field, of a batch (``evaluate_coarse``)."""
 
     sampling_error: float      # V
     ssre: np.ndarray           # measured step-ratio errors, i = 1..N-1
@@ -42,6 +46,11 @@ class CoarseReport:
     def feasible(self) -> bool:
         return bool(np.all(self.slack >= 0.0))
 
+    def row(self, c: int) -> "CoarseReport":
+        """Candidate c's report from a batch, its scalars as Python numbers."""
+        return CoarseReport(float(self.sampling_error[c]), self.ssre[c], float(self.noise_rms[c]),
+                            float(self.power[c]), bool(self.timing_ok[c]), self.slack[c])
+
 
 def step_ratio_errors(steps: np.ndarray) -> np.ndarray:
     """|step_i / step_{i+1} - 2| for adjacent applied steps (along the last axis).
@@ -50,71 +59,70 @@ def step_ratio_errors(steps: np.ndarray) -> np.ndarray:
     finite SSRE_INVALID sentinel instead of inf/nan.
     """
     steps = np.asarray(steps, dtype=float)
-    out = np.full(steps[..., 1:].shape, SSRE_INVALID)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = steps[..., :-1] / steps[..., 1:]
     valid = (steps[..., :-1] > 0) & (steps[..., 1:] > 0)
-    out[valid] = np.abs(ratio[valid] - 2.0)
-    return out
+    ratio = np.divide(steps[..., :-1], steps[..., 1:], out=np.full(valid.shape, 2.0), where=valid)
+    return np.where(valid, np.abs(ratio - 2.0), SSRE_INVALID)
 
 
-def _measure(models: Sequence[AdcModel]):
-    """Per-candidate sampling error, step-ratio errors, timing flag and
-    average power, from one noise-free kernel call.  Candidate c owns rows
-    c*ROWS .. c*ROWS+ROWS-1: the input at the supply, then the power grid
-    (one AdcConfig, so one grid), each held from rest as ``sample_input`` does."""
-    v_in = np.array([models[0].cfg.v_dd, *power_grid(models[0])])
-    settle = np.array([math.exp(-m.design.t_sample / m.tau_smp) for m in models])
+@lru_cache(maxsize=16)
+def _inputs(cfg: AdcConfig) -> np.ndarray:
+    """Each candidate's inputs: the supply, then the power grid (shared, so read-only)."""
+    v_in = np.array([cfg.v_dd, *power_grid(cfg)])
+    v_in.flags.writeable = False
+    return v_in
+
+
+def _measure(cfg: AdcConfig, designs: np.ndarray):
+    """Per-candidate sampling error, step-ratio errors, rms noise, average
+    power and timing flag, from one noise-free kernel call; candidate c owns
+    rows c*ROWS .. c*ROWS+ROWS-1 (``_inputs``), each held from rest as
+    ``sample_input`` does.  exp and the noise total stay per-row Python float
+    expressions, as a lone model's: ``**`` is libm pow, unlike numpy's x*x."""
+    _, _, t_sample, sigma_cmp, *_ = designs.T
+    _, tau_smp, kt_c_sigma = sampling_constants(cfg, designs)
+    settle = np.array([math.exp(r) for r in (-t_sample / tau_smp).tolist()])
+    v_in = _inputs(cfg)
     sampled = v_in - v_in * settle[:, None]
-    owner = np.repeat(np.arange(len(models)), ROWS)
-    conv = convert_rows(models, sampled.ravel(), owner=owner, charge=True)
-    power = conv.e_total.reshape(-1, ROWS)[:, 1:].mean(axis=1) * models[0].cfg.f_s
+    owner = np.repeat(np.arange(len(designs)), ROWS)
+    conv = convert_rows(cfg, designs, sampled.ravel(), owner=owner, charge=True)
+    power = conv.e_total.reshape(-1, ROWS)[:, 1:].sum(axis=1) / POWER_GRID_POINTS * cfg.f_s
+    noise = [math.sqrt(k**2 + s**2) for k, s in zip(kt_c_sigma.tolist(), sigma_cmp.tolist())]
     single = slice(None, None, ROWS)
     return (np.abs(v_in[0] - sampled[:, 0]), step_ratio_errors(conv.applied_step[single]),
-            conv.timing_ok[single], power)
+            np.array(noise), power, conv.timing_ok[single])
 
 
 def thermal_noise_estimate(model: AdcModel) -> float:
     """Total rms noise: sampled kT/C plus comparator input-referred noise."""
-    return math.sqrt(model.kt_c_sigma**2 + model.design.sigma_cmp**2)
+    return math.sqrt(model.kt_c_sigma**2 + model.design.sigma_cmp**2)  # as _measure's
 
 
-def power_grid(model: AdcModel) -> np.ndarray:
+def power_grid(cfg: AdcConfig) -> np.ndarray:
     """Fixed differential inputs spanning full scale for the power average."""
-    half = model.v_fs / 2.0
+    half = cfg.v_dd / 2.0
     return np.linspace(-half, half, POWER_GRID_POINTS)
 
 
 def power_estimate(model: AdcModel) -> float:
     """Average supply power over the deterministic input grid."""
-    return float(_measure([model])[3][0])
+    return float(_measure(model.cfg, model.row)[3][0])
 
 
-def evaluate_coarse(
-    model: AdcModel | Sequence[AdcModel], specs: DerivedSpecs
-) -> CoarseReport | list[CoarseReport]:
-    """All three measurements plus the signed constraint-margin vector.
-
-    A sequence of models (one AdcConfig) runs in one kernel call and gives
-    one report per model, each equal to the model's own batch-of-one report.
+def evaluate_coarse(cfg: AdcConfig, designs: np.ndarray, specs: DerivedSpecs,
+                    box: np.ndarray | None = None) -> CoarseReport:
+    """All three measurements plus the signed constraint-margin vector of
+    each row of the (n, d) design matrix (DESIGN_FIELDS order), in one
+    kernel call after ``check_designs`` against box if one is given.  Each
+    field has one entry per row; ``row(c)`` equals row c's batch of one.
 
     Slack layout matches specs.constraint_labels(): N-1 step-ratio margins,
     sampling, noise, then timing mapped to +1/-1.
     """
-    models = [model] if isinstance(model, AdcModel) else list(model)
-    if any(m.cfg.n_bits != specs.n_bits for m in models):
-        raise SpecError(f"specs for {specs.n_bits} bits, model has {models[0].cfg.n_bits}")
-    error, ssre, timing_ok, power = _measure(models)
-    noise = np.array([thermal_noise_estimate(m) for m in models])
-    slack = np.column_stack([
-        specs.ssre_bound - ssre,
-        specs.sampling_bound - error,
-        specs.noise_bound - noise,
-        np.where(timing_ok, 1.0, -1.0),
-    ])
-    reports = [
-        CoarseReport(float(error[c]), ssre[c], float(noise[c]), float(power[c]),
-                     bool(timing_ok[c]), slack[c])
-        for c in range(len(models))
-    ]
-    return reports[0] if isinstance(model, AdcModel) else reports
+    if cfg.n_bits != specs.n_bits:
+        raise SpecError(f"specs for {specs.n_bits} bits, model has {cfg.n_bits}")
+    if box is not None:
+        check_designs(designs, box)
+    error, ssre, noise, power, timing_ok = _measure(cfg, designs)
+    slack = np.column_stack([specs.ssre_bound - ssre, specs.sampling_bound - error,
+                             specs.noise_bound - noise, np.where(timing_ok, 1.0, -1.0)])
+    return CoarseReport(error, ssre, noise, power, timing_ok, slack)

@@ -1,10 +1,10 @@
 """Surrogate-assisted constrained differential evolution.
 
 Generational DE/rand/1/bin over cheap evaluations.  An inverse-distance
-surrogate ranks each generation's offspring and only the most promising
-few are actually evaluated (infill); survivor selection is one-to-one
-against the parent under feasibility dominance.  A generation's infill
-is chosen before any of it is evaluated, so it is evaluated as one batch.
+surrogate ranks each generation's offspring; only the most promising few
+(infill) are evaluated, as one batch written into archive arrays sized to
+the budget.  Population and best point are archive rows, and survivor
+selection is one array comparison with the parents under Deb's rules.
 The phase ends, and ``OptimizerState.stop_reason`` says why, at the first
 of these checks to hold before a generation:
 
@@ -36,15 +36,11 @@ STALL_RTOL = 1e-6  # relative improvement over STALL_GENERATIONS that counts as 
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """One truly evaluated candidate; feasible and violation are computed once."""
+    """One truly evaluated candidate; its violation is computed once."""
 
     x: np.ndarray
     objective: float
     slack: np.ndarray
-
-    @cached_property
-    def feasible(self) -> bool:
-        return bool(np.all(self.slack >= 0.0))
 
     @cached_property
     def violation(self) -> float:
@@ -72,12 +68,6 @@ class Problem:
     @property
     def dim(self) -> int:
         return self.bounds.shape[0]
-
-    def run_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objectives (n,) and slacks (n, m) of the rows of xs."""
-        obj, slack = self.evaluate_batch(xs)
-        n = len(xs)
-        return np.asarray(obj, float).reshape(n), np.asarray(slack, float).reshape(n, -1)
 
 
 class IdwSurrogate:
@@ -197,7 +187,8 @@ class GlobalParams:
         # F and CR as in Storn & Price (1997); zero infill never spends the budget.
         require(self.pop_size is None or self.pop_size >= 5, "pop_size", ">= 5", self.pop_size)
         require(self.k_infill is None or self.k_infill >= 1, "k_infill", ">= 1", self.k_infill)
-        require(self.max_evals >= 1, "max_evals", ">= 1", self.max_evals)
+        require(1 <= self.max_evals <= 10**7, "max_evals",  # run_global allocates it up front
+                "in [1, 1e7]", self.max_evals)
         require(0.0 < self.f_weight <= 2.0, "f_weight", "in (0, 2]", self.f_weight)
         require(0.0 <= self.cr <= 1.0, "cr", "in [0, 1]", self.cr)
         require(self.theta_conv > 0.0, "theta_conv", "positive", self.theta_conv)
@@ -215,16 +206,23 @@ class GlobalParams:
 
 @dataclass
 class OptimizerState:
-    """Result and final state of the global phase."""
+    """Result and final state of the global phase.  The archive is three arrays, row i the
+    i-th evaluated candidate; ``archive`` reads them as EvalRecords on first use."""
 
-    archive: list[EvalRecord]
-    best: EvalRecord | None
+    x: np.ndarray             # (evals, d)
+    objective: np.ndarray     # (evals,)
+    slack: np.ndarray         # (evals, m)
+    best: EvalRecord          # the best archive row under Deb's rules (``pick_best``)
     mask: np.ndarray          # True where a variable has converged
     generation: int
     evals: int
     stop_reason: str = "budget"  # "converged", "stalled" or "budget"
     warning: str | None = None
     history: list[dict] = field(default_factory=list)
+
+    @cached_property
+    def archive(self) -> list[EvalRecord]:
+        return [EvalRecord(*row) for row in zip(self.x, self.objective.tolist(), self.slack)]
 
 
 def init_population(bounds: np.ndarray, pop_size: int, seed: int) -> np.ndarray:
@@ -339,15 +337,20 @@ def surrogate_rank(
     return order[:k_infill]
 
 
-def feasibility_better(a: EvalRecord, b: EvalRecord) -> bool:
-    """Deb's rules: is a strictly better than b?"""
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible and b.feasible:
-        return False
-    if a.feasible:
-        return a.objective < b.objective
-    return a.violation < b.violation
+def feasibility_better(obj_a, viol_a, obj_b, viol_b) -> np.ndarray:
+    """Deb's rules, elementwise over objectives and total violations: is a
+    strictly better than b?  Feasible (zero violation) beats infeasible;
+    two feasible points compare objectives, two infeasible ones violations."""
+    feasible_a, feasible_b = viol_a == 0.0, viol_b == 0.0
+    return np.where(feasible_a == feasible_b,
+                    np.where(feasible_a, obj_a < obj_b, viol_a < viol_b), feasible_a)
+
+
+def pick_best(objective: np.ndarray, violation: np.ndarray) -> int:
+    """Where a scan from row 0 that moves only to ``feasibility_better`` rows
+    ends: the first row of least (infeasible, objective or else violation)."""
+    feasible = violation == 0.0
+    return int(np.lexsort((np.where(feasible, objective, violation), ~feasible))[0])
 
 
 def detect_convergence(
@@ -363,86 +366,71 @@ def detect_convergence(
 
 def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerState:
     """Full global phase; deterministic in the seed.  The initial population
-    and each generation's infill set are one ``problem.run_batch`` call each."""
+    and each generation's infill set are one ``problem.evaluate_batch`` call
+    each, written into archive arrays sized to the budget; the population
+    and the best point are archive rows."""
     params = params.resolved(problem.dim)
     rng = np.random.default_rng(seed)
-    bounds = problem.bounds
+    bounds, budget = problem.bounds, params.max_evals
+    x, objective, violation = np.empty((budget, problem.dim)), np.empty(budget), np.empty(budget)
+    slack = None  # (budget, m) once the first batch gives m
+    evals = 0
 
-    pop_x = init_population(bounds, params.pop_size, seed)[: params.max_evals]
-    state = OptimizerState(
-        archive=[],
-        best=None,
-        mask=detect_convergence(pop_x, bounds, params.theta_conv),
-        generation=0,
-        evals=0,
-    )
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        nonlocal slack, evals
+        rows = np.arange(evals, evals + len(xs))
+        x[rows] = xs  # a copy: xs may view the population
+        obj, s = problem.evaluate_batch(x[rows])
+        s = np.asarray(s, dtype=float).reshape(len(rows), -1)
+        if slack is None:
+            slack = np.empty((budget, s.shape[1]))
+        objective[rows], slack[rows] = np.reshape(obj, len(rows)), s
+        violation[rows] = np.maximum(0.0, -s).sum(axis=1)
+        evals += len(xs)
+        return rows
 
-    arrays: list[np.ndarray] = []  # archive x, objective, slack, grown batch by batch
-
-    def evaluate(xs: np.ndarray) -> list[EvalRecord]:
-        nonlocal arrays
-        x = np.array(xs, dtype=float)  # a copy: xs may view the population
-        batch = (x, *problem.run_batch(x))
-        arrays = [np.concatenate(pair) for pair in zip(arrays, batch)] if arrays else list(batch)
-        records = [EvalRecord(*row) for row in zip(x, batch[1].tolist(), batch[2])]
-        state.archive.extend(records)
-        state.evals = len(state.archive)
-        return records
-
-    population = evaluate(pop_x)
-    for rec in population:
-        if state.best is None or feasibility_better(rec, state.best):
-            state.best = rec
-
+    pop_x = init_population(bounds, params.pop_size, seed)[:budget]
+    pop = evaluate(pop_x)  # archive row of each population member
+    best = pick_best(objective[pop], violation[pop])
+    mask = detect_convergence(pop_x, bounds, params.theta_conv)
+    generation, history = 0, []
     surrogate = IdwSurrogate(bounds)
 
     def log_generation() -> None:
-        state.history.append(
-            {
-                "generation": state.generation,
-                "evals": state.evals,
-                "best_objective": state.best.objective,
-                "best_violation": state.best.violation,
-                "n_converged": int(state.mask.sum()),
-            }
-        )
-
-    def stalled() -> bool:
-        if len(state.history) <= STALL_GENERATIONS:
-            return False
-        then = state.history[-1 - STALL_GENERATIONS]  # feasible then: feasible now (Deb's rules)
-        return then["best_violation"] == 0.0 and (
-            then["best_objective"] - state.best.objective
-            <= STALL_RTOL * abs(then["best_objective"])
-        )
+        history.append({"generation": generation, "evals": evals,
+                        "best_objective": objective[best].item(),
+                        "best_violation": violation[best].item(), "n_converged": int(mask.sum())})
 
     def stop_reason() -> str | None:
-        if state.best.feasible and int(state.mask.sum()) >= params.n_conv_target:
+        if violation[best] == 0.0 and int(mask.sum()) >= params.n_conv_target:
             return "converged"
-        if stalled():
-            return "stalled"
-        return "budget" if state.evals >= params.max_evals else None
+        if len(history) > STALL_GENERATIONS:
+            then = history[-1 - STALL_GENERATIONS]  # feasible then: feasible now (Deb's rules)
+            gain = then["best_objective"] - objective[best]
+            if then["best_violation"] == 0.0 and gain <= STALL_RTOL * abs(then["best_objective"]):
+                return "stalled"
+        return "budget" if evals >= budget else None
 
     log_generation()
 
     while (reason := stop_reason()) is None:
-        surrogate.train(*arrays)
+        surrogate.train(x[:evals], objective[:evals], slack[:evals])
         offspring = de_offspring(pop_x, params.f_weight, params.cr, rng, bounds)
-        chosen = surrogate_rank(surrogate, offspring, params.k_infill)
-        chosen = chosen[: params.max_evals - state.evals]
+        chosen = surrogate_rank(surrogate, offspring, params.k_infill)[: budget - evals]
+        new = evaluate(offspring[chosen])
+        # One-to-one survivor selection; chosen rows are distinct parents.
+        won = feasibility_better(objective[new], violation[new],
+                                 objective[pop[chosen]], violation[pop[chosen]])
+        pop[chosen[won]] = new[won]
+        pop_x[chosen[won]] = x[new[won]]
+        both = np.append(best, new)  # the incumbent first: it keeps a tie
+        best = both[pick_best(objective[both], violation[both])]
 
-        for idx, rec in zip(chosen, evaluate(offspring[chosen])):
-            if feasibility_better(rec, population[idx]):
-                population[idx] = rec
-                pop_x[idx] = rec.x
-            if feasibility_better(rec, state.best):
-                state.best = rec
-
-        state.generation += 1
-        state.mask = detect_convergence(pop_x, bounds, params.theta_conv)
+        generation += 1
+        mask = detect_convergence(pop_x, bounds, params.theta_conv)
         log_generation()
 
-    state.stop_reason = reason
-    if not state.best.feasible:
-        state.warning = "no feasible point found; returning least-violating"
-    return state
+    warning = "no feasible point found; returning least-violating" if violation[best] else None
+    return OptimizerState(x[:evals], objective[:evals], slack[:evals],
+                          EvalRecord(x[best], objective[best].item(), slack[best]), mask,
+                          generation, evals, reason, warning, history)

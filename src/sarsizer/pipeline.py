@@ -26,7 +26,7 @@ from .csvio import write_csv
 from .errors import BoundsError, ConfigError, PlanError, require
 from .global_opt import GlobalParams, OptimizerState, Problem, run_global
 from .local_opt import LocalParams, LocalResult, run_local
-from .problem import CheapObjective, CoarseProblem, ExpensiveObjective, bounds_array
+from .problem import CheapObjective, CoarseProblem, ExpensiveObjective
 from .rng import is_seed
 from .sndr import (
     SPECTRUM_FIGURES,
@@ -362,9 +362,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
     plan = optimization_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
     verify_plan = verification_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
     coarse_problem = CoarseProblem(cfg=cfg.adc, specs=specs, bounds=cfg.bounds)
-    problem = Problem(
-        bounds=bounds_array(cfg.bounds), evaluate_batch=coarse_problem.evaluate_batch
-    )
+    problem = Problem(bounds=coarse_problem.box, evaluate_batch=coarse_problem.evaluate_batch)
     timings["derive"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -385,7 +383,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
         cheap,
         expensive,
         cfg.local_params,
-        bounds_array(cfg.bounds),
+        coarse_problem.box,
     )
     x_final = local_result.x_best
     final_coarse = coarse_problem.report(x_final)
@@ -424,19 +422,12 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
     return result
 
 
-def write_eval_log_csv(archive, n_constraints: int, path: str) -> None:
+def write_eval_log_csv(state: OptimizerState, path: str) -> None:
     """Per-candidate log of the global phase: id, variables, slacks, power."""
-    write_csv(
-        path,
-        ["candidate"]
-        + list(DESIGN_FIELDS)
-        + [f"slack_{i}" for i in range(n_constraints)]
-        + ["power"],
-        (
-            [cid] + rec.x.tolist() + rec.slack.tolist() + [rec.objective]
-            for cid, rec in enumerate(archive)
-        ),
-    )
+    header = ["candidate", *DESIGN_FIELDS, *(f"slack_{i}" for i in range(state.slack.shape[1])),
+              "power"]
+    rows = np.hstack([state.x, state.slack, state.objective[:, None]]).tolist()
+    write_csv(path, header, ([cid, *row] for cid, row in enumerate(rows)))
 
 
 def persist_run(result: RunResult, out: Path, plan, codes) -> None:
@@ -445,7 +436,7 @@ def persist_run(result: RunResult, out: Path, plan, codes) -> None:
     for key, rows in [("global_history", result.global_state.history),
                       ("local_history", result.local_result.history)]:
         write_csv(path[key], list(rows[0]), (row.values() for row in rows))
-    write_eval_log_csv(result.global_state.archive, len(result.coarse.slack), path["eval_log"])
+    write_eval_log_csv(result.global_state, path["eval_log"])
     write_capture_csv(plan, codes, path["capture"])
     write_spectrum_csv(result.spectrum, path["spectrum"])
     record = result.record_dict()
@@ -600,7 +591,8 @@ def audit_run(run_dir: str | Path) -> dict:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: cannot rebuild the recorded run: {exc!r}") from exc
     model = load_model(design_path, cfg)
-    coarse = evaluate_coarse(model, DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha))
+    specs = DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha)
+    coarse = evaluate_coarse(cfg.adc, model.row, specs).row(0)
 
     try:
         codes = np.array([int(r.split(",")[2]) for r in capture_path.read_text().splitlines()[1:]])

@@ -31,23 +31,25 @@ def bounds_array(bounds: dict[str, tuple[float, float]]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoarseProblem:
-    """Cheap evaluation of a design vector: power objective, signed slacks."""
+    """Cheap evaluation of design vectors: power objective, signed slacks.
+    Every batch is checked against the bounds before its kernel call."""
 
     cfg: AdcConfig
     specs: DerivedSpecs
     bounds: dict[str, tuple[float, float]]
 
-    def _model(self, x: np.ndarray):
-        return build_model(DesignPoint.from_vector(x), self.cfg, self.bounds)
+    @cached_property
+    def box(self) -> np.ndarray:
+        return bounds_array(self.bounds)
 
     def report(self, x: np.ndarray) -> CoarseReport:
-        return evaluate_coarse(self._model(x), self.specs)
+        return evaluate_coarse(self.cfg, np.array([x], dtype=float), self.specs, self.box).row(0)
 
     def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Powers (n,) and slacks (n, m) of the rows of xs, from one
         kernel call; each row's result equals its own report's."""
-        reports = evaluate_coarse([self._model(x) for x in xs], self.specs)
-        return np.array([r.power for r in reports]), np.array([r.slack for r in reports])
+        batch = evaluate_coarse(self.cfg, np.asarray(xs, dtype=float), self.specs, self.box)
+        return batch.power, batch.slack
 
 
 @dataclass(eq=False)

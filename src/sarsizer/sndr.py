@@ -151,7 +151,7 @@ def run_segments_detailed(
         sampled = sample_input(model, v_now, v_prev)
         if draws is not None:
             sampled = sampled + model.kt_c_sigma * draws[:, 0]
-        conv = convert_rows([model], sampled, None if draws is None else draws[:, 1:])
+        conv = convert_rows(model.cfg, model.row, sampled, None if draws is None else draws[:, 1:])
         codes[start:start + len(sampled)] = conv.codes
         ok[start:start + len(sampled)] = conv.timing_ok
         del v_now, v_prev, draws, sampled, conv  # freed before the next block is built

@@ -76,7 +76,7 @@ def binary_search_oracle(v, n_bits, v_fs):
 def convert_one(model, v, key=None):
     """Row 0 of the kernel run as a batch of one with charges; key = (seed, index) adds noise."""
     draws = None if key is None else noise_matrix(key[0], [key[1]], model.cfg.n_bits)[:, 1:]
-    c = convert_rows([model], np.array([v], dtype=float), draws, charge=True)
+    c = convert_rows(model.cfg, model.row, np.array([v], dtype=float), draws, charge=True)
     return SimpleNamespace(code=int(c.codes[0]), **{k: col[0] for k, col in vars(c).items()})
 
 

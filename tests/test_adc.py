@@ -97,9 +97,9 @@ class TestSampleInput:
         m = build_model(design_with(c_unit=1e-12 / 2**11, r_sw=1e-30), cfg)
         held = []
 
-        def recording(models, v_sampled, *args):
+        def recording(cfg, designs, v_sampled, *args):
             held.append(v_sampled)
-            return convert_rows(models, v_sampled, *args)
+            return convert_rows(cfg, designs, v_sampled, *args)
 
         monkeypatch.setattr(sndr, "convert_rows", recording)
         plan = sndr.plan_test(cfg.f_s, 2**17, 1, 0.1 * cfg.f_s, 0.5, seed=11)
@@ -142,7 +142,7 @@ class TestConvert:
         m = build_model(ideal_design(), cfg)
         # hit every code plus both overrange sides and exact boundaries
         grid = np.linspace(-0.6, 0.6, 2**n * 4 + 1)
-        got = convert_rows([m], grid).codes
+        got = convert_rows(cfg, m.row, grid).codes
         np.testing.assert_array_equal(got, ideal_quantizer(grid, n, 1.0))
 
     def test_overrange_clips_to_extremes(self):
@@ -153,7 +153,7 @@ class TestConvert:
 
     def test_monotone_in_input_without_noise(self, sane_model_12):
         grid = np.linspace(-0.55, 0.55, 2**12)
-        codes = convert_rows([sane_model_12], grid).codes
+        codes = convert_rows(sane_model_12.cfg, sane_model_12.row, grid).codes
         assert np.all(np.diff(codes) >= 0)
 
     def test_ideal_steps_ratio_exact(self, ideal_model_12):
@@ -358,27 +358,22 @@ class TestKernel:
     def test_row_result_independent_of_batch(self):
         cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0, kappa_cmp=1e-25, e_dff=1e-15)
         rng = np.random.default_rng(5)
-        models = [
-            build_model(design_with(c_unit=c, r_drv_msb=r, t_d0=t), cfg)
+        designs = np.vstack([
+            build_model(design_with(c_unit=c, r_drv_msb=r, t_d0=t), cfg).row
             for c, r, t in zip(10 ** rng.uniform(-15.3, -13.5, 5),
                                10 ** rng.uniform(2, 4, 5), 10 ** rng.uniform(-10, -7, 5))
-        ]
+        ])
         owner = np.repeat(np.arange(5), 7)
         v = rng.uniform(-0.6, 0.6, len(owner))
         draws = noise_matrix(2, np.arange(len(owner)), cfg.n_bits)[:, 1:]
-        many = convert_rows(models, v, draws, owner=owner, charge=True)
+        many = convert_rows(cfg, designs, v, draws, owner=owner, charge=True)
         for row, c in enumerate(owner):
-            one = convert_rows([models[c]], v[row:row + 1], draws[row:row + 1], charge=True)
+            one = convert_rows(cfg, designs[c:c + 1], v[row:row + 1], draws[row:row + 1],
+                               charge=True)
             for name in ("bits", "applied_step", "t_bit", "delta_q"):
                 np.testing.assert_array_equal(getattr(many, name)[row], getattr(one, name)[0])
             for name in ("t_total", "n_fired", "timing_ok", "e_total"):
                 assert getattr(many, name)[row] == getattr(one, name)[0], name
-
-    def test_one_config_per_call(self):
-        a = build_model(sane_design(), AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0))
-        b = build_model(sane_design(), AdcConfig(n_bits=8, f_s=2e6, v_dd=1.0))
-        with pytest.raises(ConfigError):
-            convert_rows([a, b], np.zeros(2), owner=np.arange(2))
 
 
 def loop_switch_charge(v_dd, c_unit, c_tot, bits, n_fired):

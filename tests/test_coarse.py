@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sarsizer import coarse
 from sarsizer.adc import AdcConfig, DesignPoint, build_model, sample_input
 from sarsizer.coarse import (
     POWER_GRID_POINTS,
@@ -13,8 +14,9 @@ from sarsizer.coarse import (
     step_ratio_errors,
     thermal_noise_estimate,
 )
-from sarsizer.errors import SpecError
+from sarsizer.errors import BoundsError, SpecError
 from sarsizer.pipeline import default_bounds
+from sarsizer.problem import CoarseProblem, bounds_array
 from sarsizer.specs import DerivedSpecs
 
 from conftest import convert_one, ideal_design, sane_design
@@ -28,6 +30,11 @@ def design_with(**overrides):
     return DesignPoint(**base)
 
 
+def report(model, specs):
+    """One model's coarse report: its row of a one-design batch."""
+    return evaluate_coarse(model.cfg, model.row, specs).row(0)
+
+
 class TestSinglePoint:
     """The single-point fields of the coarse report: the noise-free
     conversion with the differential input at the supply."""
@@ -35,7 +42,7 @@ class TestSinglePoint:
     def test_ideal_model_is_error_free(self):
         cfg = AdcConfig(n_bits=10, f_s=1e6, v_dd=1.0)
         m = build_model(ideal_design(), cfg)
-        rep = evaluate_coarse(m, DerivedSpecs.derive(10, 1.0, 1.0))
+        rep = report(m, DerivedSpecs.derive(10, 1.0, 1.0))
         assert rep.sampling_error == 0.0
         assert np.all(rep.ssre == 0.0)
         assert rep.timing_ok
@@ -52,7 +59,7 @@ class TestSinglePoint:
     def test_ssre_matches_relative_error_form(self):
         cfg = AdcConfig(n_bits=12, f_s=20e6, v_dd=1.0, r_drv_cap=150.0)
         m = build_model(sane_design(), cfg)
-        ssre = evaluate_coarse(m, DerivedSpecs.derive(12, 1.0, 1.0)).ssre
+        ssre = report(m, DerivedSpecs.derive(12, 1.0, 1.0)).ssre
         trace = convert_one(m, sample_input(m, 1.0))
         delta = trace.applied_step / m.step_amp - 1.0
         expected = np.abs(2.0 * (1.0 + delta[:-1]) / (1.0 + delta[1:]) - 2.0)
@@ -62,8 +69,8 @@ class TestSinglePoint:
         cfg = AdcConfig(n_bits=12, f_s=20e6, v_dd=1.0, r_drv_cap=150.0)
         m = build_model(sane_design(), cfg)
         specs = DerivedSpecs.derive(12, 1.0, 1.0)
-        a = evaluate_coarse(m, specs)
-        b = evaluate_coarse(m, specs)
+        a = report(m, specs)
+        b = report(m, specs)
         assert a.sampling_error == b.sampling_error
         np.testing.assert_array_equal(a.ssre, b.ssre)
 
@@ -103,7 +110,7 @@ class TestPower:
     def test_grid_shape(self):
         cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
         m = build_model(sane_design(), cfg)
-        grid = power_grid(m)
+        grid = power_grid(m.cfg)
         assert len(grid) == POWER_GRID_POINTS
         assert grid[0] == -0.5 and grid[-1] == 0.5
 
@@ -135,7 +142,7 @@ class TestEvaluateCoarse:
 
     def test_slack_layout_and_arithmetic(self):
         specs = DerivedSpecs.derive(12, 1.0, 1.0)
-        rep = evaluate_coarse(build_model(sane_design(), self.cfg12()), specs)
+        rep = report(build_model(sane_design(), self.cfg12()), specs)
         assert len(rep.slack) == (12 - 1) + 2 + 1
         np.testing.assert_array_equal(rep.slack[:11], specs.ssre_bound - rep.ssre)
         assert rep.slack[11] == specs.sampling_bound - rep.sampling_error
@@ -155,7 +162,7 @@ class TestEvaluateCoarse:
         m = build_model(
             design_with(c_unit=2e-12 / 2**11, r_sw=1e3, t_sample=10e-9), cfg
         )
-        rep = evaluate_coarse(m, specs)
+        rep = report(m, specs)
         assert rep.sampling_error == pytest.approx(6.7379e-3, rel=1e-4)
         slack = rep.slack[11]
         assert slack == pytest.approx(7.048e-5 - 6.7379e-3, rel=1e-4)
@@ -165,13 +172,13 @@ class TestEvaluateCoarse:
     def test_resolution_mismatch_rejected(self):
         specs = DerivedSpecs.derive(10, 1.0, 1.0)
         with pytest.raises(SpecError):
-            evaluate_coarse(build_model(sane_design(), self.cfg12()), specs)
+            report(build_model(sane_design(), self.cfg12()), specs)
 
     def test_ideal_model_feasible_except_power(self):
         specs = DerivedSpecs.derive(12, 1.0, 1.0)
         cfg = AdcConfig(n_bits=12, f_s=1e6, v_dd=1.0)
         m = build_model(ideal_design(t_sample=100e-9), cfg)
-        rep = evaluate_coarse(m, specs)
+        rep = report(m, specs)
         assert rep.feasible
 
     def test_slack_signs_agree_with_bounds_on_random_models(self):
@@ -189,7 +196,7 @@ class TestEvaluateCoarse:
                 r_drv_msb=10 ** rng.uniform(1.5, 4.0),
                 t_dff=10 ** rng.uniform(-10.0, -8.0),
             )
-            rep = evaluate_coarse(build_model(d, cfg), specs)
+            rep = report(build_model(d, cfg), specs)
             assert np.all((rep.slack[:7] > 0) == (rep.ssre < specs.ssre_bound))
             assert (rep.slack[7] > 0) == (rep.sampling_error < specs.sampling_bound)
             assert (rep.slack[8] > 0) == (rep.noise_rms < specs.noise_bound)
@@ -223,16 +230,48 @@ class TestBatchedEvaluation:
             for row in unit
         ]
         specs = DerivedSpecs.derive(n_bits, cfg.v_dd, 1.0)
-        many = evaluate_coarse(models, specs)
-        assert len(many) == len(models)
-        for m, rep in zip(models, many):
-            one = evaluate_coarse(m, specs)
+        batch = evaluate_coarse(cfg, np.vstack([m.row for m in models]), specs)
+        assert len(batch.power) == len(models)
+        for c, m in enumerate(models):
+            rep, one = batch.row(c), report(m, specs)
             assert rep.power == one.power
             assert rep.sampling_error == one.sampling_error
             assert rep.timing_ok == one.timing_ok
             np.testing.assert_array_equal(rep.ssre, one.ssre)
             np.testing.assert_array_equal(rep.slack, one.slack)
+            assert rep.noise_rms == one.noise_rms == thermal_noise_estimate(m)
             assert one.power == power_estimate(m)
             sampled = sample_input(m, cfg.v_dd)
             assert one.sampling_error == abs(cfg.v_dd - sampled)
             assert one.timing_ok == convert_one(m, sampled).timing_ok
+
+
+class TestBatchBoundsCheck:
+    """A batch with an out-of-bounds, zero or NaN entry fails as a whole,
+    before any kernel call, naming the first offending row and field."""
+
+    @pytest.mark.parametrize("value, rule", [
+        (1e9, r"=1000000000.0 outside bounds \["),
+        (0.0, " must be strictly positive, got 0.0"),
+        (math.nan, " must be strictly positive, got nan"),
+    ], ids=["out_of_bounds", "zero", "nan"])
+    def test_first_bad_entry_named_before_any_kernel_call(self, value, rule, monkeypatch):
+        cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
+        bounds = default_bounds(cfg)
+        problem = CoarseProblem(cfg, DerivedSpecs.derive(8, 1.0, 1.0), bounds)
+        xs = np.tile(bounds_array(bounds).mean(axis=1), (5, 1))
+        xs[2, 7] = xs[3, 0] = xs[4, 1] = value  # row 2's t_dff comes first
+        calls, original = [], coarse.convert_rows
+
+        def counted(cfg, designs, *args, **kwargs):
+            calls.append(len(designs))
+            return original(cfg, designs, *args, **kwargs)
+
+        monkeypatch.setattr(coarse, "convert_rows", counted)
+        with pytest.raises(BoundsError, match=f"^row 2: t_dff{rule}"):
+            problem.evaluate_batch(xs)
+        with pytest.raises(BoundsError, match=f"^c_unit{rule}"):
+            problem.report(xs[3])  # one design: no row to name
+        assert calls == []
+        problem.evaluate_batch(xs[:2])  # the rows before it pass
+        assert calls == [2]

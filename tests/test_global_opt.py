@@ -13,6 +13,7 @@ from sarsizer.global_opt import (
     detect_convergence,
     feasibility_better,
     init_population,
+    pick_best,
     run_global,
     surrogate_rank,
 )
@@ -23,6 +24,23 @@ UNIT3 = np.array([[0.0, 1.0]] * 3)
 def record(x, obj, slack):
     return EvalRecord(x=np.atleast_1d(np.asarray(x, float)), objective=obj,
                       slack=np.atleast_1d(np.asarray(slack, float)))
+
+
+def better(a, b):
+    """feasibility_better on two records."""
+    return feasibility_better(a.objective, a.violation, b.objective, b.violation)
+
+
+def scalar_better(a, b):
+    """Deb's rules on two (objective, slack) pairs, written out on their own:
+    the oracle for the array form."""
+    (oa, sa), (ob, sb) = a, b
+    fa, fb = all(s >= 0.0 for s in sa), all(s >= 0.0 for s in sb)
+    if fa != fb:
+        return fa
+    if fa:
+        return oa < ob
+    return sum(max(0.0, -s) for s in sa) < sum(max(0.0, -s) for s in sb)
 
 
 def sphere_batch(xs):
@@ -198,20 +216,20 @@ class TestFeasibilityBetter:
     def test_feasible_beats_infeasible(self):
         a = record(0.0, 100.0, [0.1])
         b = record(0.0, 1.0, [-0.1])
-        assert feasibility_better(a, b)
-        assert not feasibility_better(b, a)
+        assert better(a, b)
+        assert not better(b, a)
 
     def test_feasible_compare_objective(self):
         a = record(0.0, 3.0, [0.5])
         b = record(0.0, 5.0, [0.5])
-        assert feasibility_better(a, b)
-        assert not feasibility_better(b, a)
+        assert better(a, b)
+        assert not better(b, a)
 
     def test_infeasible_compare_total_violation(self):
         a = record(0.0, 1.0, [-0.2])
         b = record(0.0, 9.0, [-0.1])
-        assert not feasibility_better(a, b)
-        assert feasibility_better(b, a)
+        assert not better(a, b)
+        assert better(b, a)
 
     @given(
         oa=st.floats(-10, 10), ob=st.floats(-10, 10),
@@ -220,7 +238,40 @@ class TestFeasibilityBetter:
     def test_strictness_antisymmetry(self, oa, ob, sa, sb):
         a = record(0.0, oa, [sa])
         b = record(0.0, ob, [sb])
-        assert not (feasibility_better(a, b) and feasibility_better(b, a))
+        assert not (better(a, b) and better(b, a))
+
+    # Few distinct values, so objectives and violations tie often; one
+    # slack per point keeps each violation exact, as the oracle sums it.
+    scores = st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                                st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0])),
+                      min_size=1, max_size=12)
+
+    @given(a=scores, b=scores)
+    def test_array_form_matches_scalar_oracle(self, a, b):
+        """Elementwise over two batches, with tied objectives, tied
+        violations and mixed feasibility: the survivor selection's rule."""
+        n = min(len(a), len(b))
+        pa = [record(0.0, o, [s]) for o, s in a[:n]]
+        pb = [record(0.0, o, [s]) for o, s in b[:n]]
+        got = feasibility_better(np.array([r.objective for r in pa]),
+                                 np.array([r.violation for r in pa]),
+                                 np.array([r.objective for r in pb]),
+                                 np.array([r.violation for r in pb]))
+        want = [scalar_better((o, [s]), (p, [t])) for (o, s), (p, t) in zip(a[:n], b[:n])]
+        assert got.tolist() == want
+
+    @given(rows=scores)
+    def test_pick_best_is_the_sequential_scan(self, rows):
+        """The incumbent (row 0) moves only to a strictly better row, in
+        order, so on a tie the earlier row keeps its place."""
+        expected = 0
+        for i, row in enumerate(rows):
+            if scalar_better((row[0], [row[1]]), (rows[expected][0], [rows[expected][1]])):
+                expected = i
+        recs = [record(0.0, o, [s]) for o, s in rows]
+        got = pick_best(np.array([r.objective for r in recs]),
+                        np.array([r.violation for r in recs]))
+        assert got == expected
 
 
 class TestDetectConvergence:
@@ -411,6 +462,13 @@ class TestRunGlobal:
         with pytest.raises(ConfigError, match="max_evals"):
             GlobalParams(max_evals=0)
 
+    def test_budget_beyond_the_preallocated_archive_rejected(self):
+        """The archive is allocated for the whole budget before the first
+        evaluation, so a budget meant as "unlimited" is refused up front."""
+        GlobalParams(max_evals=10**7)
+        with pytest.raises(ConfigError, match=r"max_evals must be in \[1, 1e7\], got 1000000000"):
+            GlobalParams(max_evals=10**9)
+
     def test_all_evaluations_within_bounds(self):
         state = run_global(sphere_problem(), GlobalParams(max_evals=400), 5)
         for rec in state.archive:
@@ -422,7 +480,8 @@ class TestRunGlobal:
         # match the reported history trajectory's monotonicity
         best = None
         for rec in state.archive:
-            if best is None or feasibility_better(rec, best):
+            pair = (rec.objective, rec.slack)
+            if best is None or scalar_better(pair, (best.objective, best.slack)):
                 best = rec
         assert best.objective == state.best.objective
         np.testing.assert_array_equal(best.x, state.best.x)
@@ -481,6 +540,17 @@ class TestRunGlobal:
         assert state.stop_reason == "stalled"
         assert state.generation == 7
         assert state.evals == 30 + 7 * 6  # pop_size + STALL_GENERATIONS * k_infill
+
+    def test_tied_best_keeps_the_incumbent(self):
+        """Every evaluation ties (flat, feasible): the first row stays best,
+        as a scan that moves only to a strictly better row leaves it."""
+        def evaluate_batch(xs):
+            return np.ones(len(xs)), np.ones((len(xs), 1))
+
+        problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
+        state = run_global(problem, GlobalParams(max_evals=90, n_conv_target=4), 3)
+        assert state.generation > 0
+        assert state.best.x.tobytes() == state.archive[0].x.tobytes()
 
     def test_infeasible_everywhere_never_stalls(self, monkeypatch):
         monkeypatch.setattr(global_opt, "STALL_GENERATIONS", 1)

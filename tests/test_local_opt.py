@@ -517,9 +517,9 @@ class TestCheapObjectiveMemo:
         calls = []
         original = coarse.convert_rows
 
-        def counted(models, v_sampled, **kwargs):
+        def counted(cfg, designs, v_sampled, **kwargs):
             calls.append(len(v_sampled) // coarse.ROWS)
-            return original(models, v_sampled, **kwargs)
+            return original(cfg, designs, v_sampled, **kwargs)
 
         monkeypatch.setattr(coarse, "convert_rows", counted)
         return calls

@@ -128,9 +128,9 @@ def counting_kernel(monkeypatch):
     """Record the row count of every kernel call a capture makes."""
     calls = []
 
-    def counted(models, v_sampled, *args, **kwargs):
+    def counted(cfg, designs, v_sampled, *args, **kwargs):
         calls.append(len(v_sampled))
-        return convert_rows(models, v_sampled, *args, **kwargs)
+        return convert_rows(cfg, designs, v_sampled, *args, **kwargs)
 
     monkeypatch.setattr(sarsizer.sndr, "convert_rows", counted)
     return calls
@@ -211,7 +211,7 @@ class TestSegments:
             sampled = v_now - (v_now - v_prev) * settle
             draws = noise_matrix(plan.seed, local, 12)
             sampled += model.kt_c_sigma * draws[:, 0]
-            merged[idx] = convert_rows([model], sampled, draws[:, 1:]).codes
+            merged[idx] = convert_rows(model.cfg, model.row, sampled, draws[:, 1:]).codes
         full = run_segments(model, plan, noise=True)
         assert not np.array_equal(merged, full)
 
