@@ -23,6 +23,7 @@ from .global_opt import (
     GlobalParams,
     OptimizerState,
     Problem,
+    de_draws,
     de_offspring,
     detect_convergence,
     feasibility_better,

@@ -113,25 +113,30 @@ def check_designs(designs: np.ndarray, box: np.ndarray) -> None:
         raise BoundsError(f"{where}{name}={value.item()} outside bounds {box[j].tolist()}")
 
 
-def sampling_constants(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per row of designs: single-ended array capacitance c_tot, sampling
-    time constant tau_smp = r_sw * c_tot, and the sampled thermal noise
-    kt_c_sigma, rms (factor 2 covers the differential array)."""
-    c_tot = 2.0 ** (cfg.n_bits - 1) * designs[:, 0]  # c_unit
-    return c_tot, designs[:, 1] * c_tot, np.sqrt(2.0 * BOLTZMANN * cfg.temp_k / c_tot)  # r_sw
+def array_capacitance(cfg: AdcConfig, designs: np.ndarray) -> np.ndarray:
+    """Single-ended array capacitance c_tot per row of designs."""
+    return 2.0 ** (cfg.n_bits - 1) * designs[:, 0]  # c_unit
+
+
+def sampling_constants(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of designs: the sampling time constant tau_smp = r_sw * c_tot
+    and the sampled thermal noise kt_c_sigma, rms (factor 2 covers the
+    differential array)."""
+    c_tot = array_capacitance(cfg, designs)
+    return designs[:, 1] * c_tot, np.sqrt(2.0 * BOLTZMANN * cfg.temp_k / c_tot)  # r_sw
 
 
 def derive(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per row of designs (DESIGN_FIELDS order): ``sampling_constants``, then
+    """What the kernel needs per row of designs (DESIGN_FIELDS order): c_tot,
     per-step driver resistance r_drv and settling constant tau_step (rows,
     n), and the delay clamp t_cmp_max, the delay law at v_floor."""
     _, _, _, _, t_d0, tau_reg, r_drv_msb, _ = designs.T
-    c_tot, tau_smp, kt_c_sigma = sampling_constants(cfg, designs)
+    c_tot = array_capacitance(cfg, designs)
     # Driver strength halves per bit until the minimum-size device;
     # its resistance is the growth limit for the geometric scaling.
     r_drv = np.minimum(r_drv_msb[:, None] * 2.0 ** np.arange(cfg.n_bits), cfg.r_drv_cap)
     t_cmp_max = t_d0 + tau_reg * math.log(cfg.v_dd / cfg.v_floor)
-    return c_tot, tau_smp, kt_c_sigma, r_drv, r_drv * c_tot[:, None], t_cmp_max
+    return c_tot, r_drv, r_drv * c_tot[:, None], t_cmp_max
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,8 @@ class AdcModel:
 
     def __post_init__(self) -> None:
         row = np.array([astuple(self.design)])
-        c_tot, tau_smp, kt_c, r_drv, tau_step, t_max = (v[0] for v in derive(self.cfg, row))
+        c_tot, r_drv, tau_step, t_max = (v[0] for v in derive(self.cfg, row))
+        tau_smp, kt_c = (v[0] for v in sampling_constants(self.cfg, row))
         for name, value in [("row", row), ("c_tot", float(c_tot)), ("tau_smp", float(tau_smp)),
                             ("kt_c_sigma", float(kt_c)), ("step_amp", self.cfg.step_amp),
                             ("r_drv", r_drv), ("tau_step", tau_step), ("t_cmp_max", float(t_max))]:
@@ -226,7 +232,7 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
     the bits, which captures skip.  Every step is elementwise over rows,
     so a row's result does not depend on the rest of the batch.
     """
-    c_tot, _, _, _, tau_step, t_cmp_max = derive(cfg, designs)
+    c_tot, _, tau_step, t_cmp_max = derive(cfg, designs)
     # Design constants per row, or scalars (numpy's faster path) for one design.
     pick = 0 if owner is None else owner
     consts, tau_step = np.column_stack([designs, c_tot, t_cmp_max])[pick], tau_step[pick]

@@ -79,7 +79,7 @@ def _measure(cfg: AdcConfig, designs: np.ndarray):
     ``sample_input`` does.  exp and the noise total stay per-row Python float
     expressions, as a lone model's: ``**`` is libm pow, unlike numpy's x*x."""
     _, _, t_sample, sigma_cmp, *_ = designs.T
-    _, tau_smp, kt_c_sigma = sampling_constants(cfg, designs)
+    tau_smp, kt_c_sigma = sampling_constants(cfg, designs)
     settle = np.array([math.exp(r) for r in (-t_sample / tau_smp).tolist()])
     v_in = _inputs(cfg)
     sampled = v_in - v_in * settle[:, None]
