@@ -351,14 +351,22 @@ class TestSurrogate:
             np.testing.assert_allclose(pred_slack[row], w @ slack[nearest], rtol=1e-12)
 
     @staticmethod
-    def naive_idw(bounds, x, obj, slack, queries, k):
-        """IDW one query at a time: np.linalg.norm distances and the first k
-        of a stable argsort."""
+    def in_turn_norm(diff):
+        """Euclidean norm of each row, its squares added in column order."""
+        total = np.zeros(len(diff))
+        for column in diff.T:
+            total += column * column
+        return np.sqrt(total)
+
+    @staticmethod
+    def naive_idw(bounds, x, obj, slack, queries, k, norm=lambda diff: np.linalg.norm(diff, axis=1)):
+        """IDW one query at a time: ``norm`` distances (np.linalg.norm's by
+        default) and the first k of a stable argsort."""
         span = bounds[:, 1] - bounds[:, 0]
         an, qn = (x - bounds[:, 0]) / span, (queries - bounds[:, 0]) / span
         pred_obj, pred_slack = [], []
         for q in qn:
-            dist = np.linalg.norm(an - q, axis=1)
+            dist = norm(an - q)
             nearest = np.argsort(dist, kind="stable")[:k]
             w = 1.0 / (dist[nearest] + 1e-12)
             w = w / w.sum()
@@ -373,9 +381,11 @@ class TestSurrogate:
         means by about d ulp; allow 4d ulp of the largest training value."""
         np.testing.assert_allclose(pred, ref, rtol=0, atol=4 * d * 2.0**-52 * np.max(np.abs(values)))
 
-    def check_close_to_naive_idw(self, d, n_queries, n_archive, seed):
-        """An archive smaller than k, and exact ties: archive rows repeated
-        and queries placed on archive rows."""
+    def check_bit_equal_to_naive_idw(self, d, n_queries, n_archive, seed):
+        """Byte for byte the naive IDW with squares added in variable order,
+        and within assert_close of the np.linalg.norm one.  An archive
+        smaller than k, and exact ties: archive rows repeated and queries
+        placed on archive rows."""
         rng = np.random.default_rng(seed)
         bounds = np.array([[-1.0, 3.0]] * d)
         x = rng.uniform(-1.0, 3.0, (n_archive, d))
@@ -386,21 +396,27 @@ class TestSurrogate:
         sur = IdwSurrogate(bounds, min_points=2)
         sur.train(x, obj, slack)
         pred_obj, pred_slack = sur.predict(queries)
-        ref_obj, ref_slack = self.naive_idw(bounds, x, obj, slack, queries, min(5, n_archive))
+        k = min(5, n_archive)
+        ref_obj, ref_slack = self.naive_idw(bounds, x, obj, slack, queries, k, self.in_turn_norm)
+        assert pred_obj.tobytes() == ref_obj.tobytes()
+        assert pred_slack.tobytes() == ref_slack.tobytes()
+        ref_obj, ref_slack = self.naive_idw(bounds, x, obj, slack, queries, k)
         self.assert_close(pred_obj, ref_obj, d, obj)
         self.assert_close(pred_slack, ref_slack, d, slack)
 
     @pytest.mark.parametrize("n_queries", [1, 7, 9, 40])
     @pytest.mark.parametrize("n_archive", [3, 50, 700])
-    def test_close_to_naive_idw(self, n_queries, n_archive):
+    def test_bit_equal_to_naive_idw(self, n_queries, n_archive):
         """Query counts from one to a generation's 40, at the desk's d = 8."""
-        self.check_close_to_naive_idw(8, n_queries, n_archive, n_queries * 1000 + n_archive)
+        self.check_bit_equal_to_naive_idw(8, n_queries, n_archive, n_queries * 1000 + n_archive)
 
-    @pytest.mark.parametrize("d", [1, 7, 9, 17, 150])
-    def test_close_to_naive_idw_at_any_dimension(self, d):
-        """np.linalg.norm adds d terms in turn below 8, as eight running sums
-        up to 128 and by halving above; predict always adds them in turn."""
-        self.check_close_to_naive_idw(d, 40, 300, d)
+    @pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 16, 17, 129, 150])
+    @pytest.mark.parametrize("n_archive", [204, 205, 8193])
+    def test_bit_equal_to_naive_idw_in_each_summation_regime(self, d, n_archive):
+        """Dimensions in every branch of np.linalg.norm's pairwise sum: in
+        turn (d < 8), eight running sums with and without a remainder, and
+        halving (d > 128); predict always adds the d terms in turn."""
+        self.check_bit_equal_to_naive_idw(d, 40, n_archive, [d, n_archive])
 
     def test_lattice_ties_bit_equal_to_naive_idw(self):
         """Every query sits at equal distance from many lattice points."""
