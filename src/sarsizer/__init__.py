@@ -23,7 +23,6 @@ from .global_opt import (
     GlobalParams,
     OptimizerState,
     Problem,
-    de_draws,
     de_offspring,
     detect_convergence,
     feasibility_better,

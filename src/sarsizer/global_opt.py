@@ -1,12 +1,10 @@
 """Surrogate-assisted constrained differential evolution.
 
-Generational DE/rand/1/bin over cheap evaluations, from a Latin-hypercube
-start; both draw on the run seed's Philox stream (``rng``).  An
-inverse-distance surrogate ranks each generation's offspring; only the most
-promising few (infill) are evaluated, as one batch written into archive
-arrays sized to the budget.  Population and best point are archive rows,
-and survivor selection is one array comparison with the parents under
-Deb's rules.
+Generational DE/rand/1/bin over cheap evaluations.  An inverse-distance
+surrogate ranks each generation's offspring; only the most promising few
+(infill) are evaluated, as one batch written into archive arrays sized to
+the budget.  Population and best point are archive rows, and survivor
+selection is one array comparison with the parents under Deb's rules.
 The phase ends, and ``OptimizerState.stop_reason`` says why, at the first
 of these checks to hold before a generation:
 
@@ -30,8 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, require
-from .rng import DE, LHS, below, uniforms
 
+PREDICT_ENTRIES = 8192  # (query, archive) distances per pass of IdwSurrogate.predict
 STALL_GENERATIONS = 20  # generations the stall test looks back
 STALL_RTOL = 1e-6  # relative improvement over STALL_GENERATIONS that counts as none
 
@@ -80,6 +78,7 @@ class IdwSurrogate:
         self.span = self.bounds[:, 1] - self.bounds[:, 0]
         self.k = k
         self.min_points = min_points if min_points is not None else len(self.bounds) + 1
+        self._steps = _sum_steps(0, len(self.bounds), 0)
         self._an: np.ndarray | None = None  # normalized archive, one row per variable
         self._obj: np.ndarray | None = None
         self._slack: np.ndarray | None = None
@@ -95,26 +94,67 @@ class IdwSurrogate:
         self._slack = np.asarray(slack, dtype=float)
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted k-nearest predictions.  Squared distances are summed one
-        variable at a time, in variable order, into one (query, archive) buffer."""
+        """Weighted k-nearest predictions.  Squared distances are built one
+        variable at a time, PREDICT_ENTRIES (query, archive) pairs per pass,
+        and summed in ``_sum_steps`` order, so each equals np.linalg.norm's."""
         if not self.trained:
             raise ConfigError("surrogate queried before training")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         qn = ((x - self.bounds[:, 0]) / self.span).T
-        all_dist = np.zeros((len(x), self._an.shape[1]))
-        term = np.empty_like(all_dist)
-        for an_j, q_j in zip(self._an, qn):
-            np.subtract(an_j, q_j[:, None], out=term)
-            np.square(term, out=term)
-            all_dist += term
+        an = self._an
+        n = an.shape[1]
+        k = min(self.k, n)
+        rows = max(1, PREDICT_ENTRIES // n)
+        all_dist = np.empty((len(x), n))
+        spare = np.empty((max(slot for _, slot in self._steps), min(rows, len(x)), n))
+        for start in range(0, len(x), rows):
+            out = all_dist[start:start + rows]
+            q = qn[:, start:start + rows, None]
+            bufs = [out, *spare[:, :len(out)]]
+            for j, slot in self._steps:
+                buf = bufs[slot]
+                if j is None:
+                    np.add(buf, bufs[slot + 1], out=buf)
+                else:
+                    np.subtract(an[j], q[j], out=buf)
+                    np.square(buf, out=buf)
         np.sqrt(all_dist, out=all_dist)
-        nearest = _k_nearest(all_dist, min(self.k, all_dist.shape[1]))
+        nearest = _k_nearest(all_dist, k)
         dist = np.take_along_axis(all_dist, nearest, axis=1)
         w = 1.0 / (dist + 1e-12)
         w = w / w.sum(axis=1, keepdims=True)
         obj = (w[:, None, :] @ self._obj[nearest][:, :, None])[:, 0, 0]
         slack = (w[:, None, :] @ self._slack[nearest])[:, 0, :]
         return obj, slack
+
+
+def _sum_steps(lo: int, n: int, slot: int) -> list[tuple[int | None, int]]:
+    """Steps that sum terms lo..lo+n-1 into buffer ``slot`` in the order
+    numpy's pairwise ``add.reduce`` sums a contiguous axis of length n:
+    in turn below 8 terms; up to 128, as 8 running sums r0..r7 combined
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in turn; above
+    128, two halves, the first a multiple of 8 terms long.  ``(j, s)`` puts
+    term j in buffer s and ``(None, s)`` adds buffer s+1 into buffer s, so
+    a right operand is built one buffer up."""
+
+    def plus(steps: list, terms: range, s: int) -> list:  # steps' sum, then each term
+        return steps + [step for j in terms for step in ((j, s + 1), (None, s))]
+
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return [*_sum_steps(lo, half, slot), *_sum_steps(lo + half, n - half, slot + 1),
+                (None, slot)]
+    if n < 8:
+        return plus([(lo, slot)], range(lo + 1, lo + n), slot)
+    end = lo + n - n % 8
+
+    def tree(first: int, width: int, s: int) -> list:  # r_first + ... + r_(first+width-1)
+        if width == 1:
+            return plus([(first, s)], range(first + 8, end, 8), s)
+        half = width // 2
+        return [*tree(first, half, s), *tree(first + half, half, s + 1), (None, s)]
+
+    return plus(tree(lo, 8, slot), range(end, lo + n), slot)
 
 
 def _k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
@@ -186,48 +226,96 @@ class OptimizerState:
 
 
 def init_population(bounds: np.ndarray, pop_size: int, seed: int) -> np.ndarray:
-    """Latin-hypercube sample (McKay et al. 1979): one point per stratum
-    along every axis.  Block j of row i's ``LHS`` counter gives the row's
-    offset within its stratum on axis j and a key; the stable argsort of an
-    axis's keys deals its strata to the rows."""
+    """Latin-hypercube sample: one point per stratum along every axis."""
     if pop_size < 5:
         raise ConfigError(f"population size must be >= 5, got {pop_size}")
     bounds = np.asarray(bounds, dtype=float)
-    offset, key = uniforms(seed, np.arange(pop_size), len(bounds), LHS)
-    u = (np.argsort(key, axis=0, kind="stable") + offset) / pop_size
+    rng = np.random.default_rng(seed)
+    d = bounds.shape[0]
+    u = (rng.random((pop_size, d)) + np.arange(pop_size)[:, None]) / pop_size
+    for j in range(d):
+        u[:, j] = u[rng.permutation(pop_size), j]
     return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
 
 
-def de_draws(seed: int, generation: int, p: int, d: int) -> tuple[np.ndarray, ...]:
-    """A generation's DE draws for p parents in d variables: donors (p, 3), j_rand (p,)
-    and crossover uniforms (p, d).  Parent i takes them in turn from the ``DE`` counter
-    generation * 2**32 + i, so they depend on (seed, generation, i) alone.  Its donors are
-    bounded draws over the p-1, p-2 and p-3 members not yet taken, each mapped past the
-    parent and the donors before it, so none is redrawn."""
+def de_offspring(
+    population: np.ndarray,
+    f_weight: float,
+    cr: float,
+    rng: np.random.Generator,
+    bounds: np.ndarray,
+) -> np.ndarray:
+    """DE/rand/1/bin offspring, one per parent, clipped to bounds.  Each parent
+    draws donors, j_rand and d uniforms in turn, from one pass over raw
+    generator words where ``_raw_draws`` can decode them, else from ``rng``
+    parent by parent; the arithmetic is whole-array."""
+    pop = np.asarray(population, dtype=float)
+    p, d = pop.shape
     if p < 4:
         raise ConfigError(f"differential evolution needs >= 4 members, got {p}")
-    counters = np.uint64(generation << 32) + np.arange(p, dtype=np.uint64)
-    u = np.moveaxis(uniforms(seed, counters, -(-(4 + d) // 2), DE), 0, -1).reshape(p, -1)
-    taken = [np.arange(p)]
-    for k in range(3):
-        pick = below(u[:, k], p - 1 - k)
-        for t in np.sort(taken, axis=0):  # ascending, so each skip sees the ones below it
-            pick += pick >= t
-        taken.append(pick)
-    return np.column_stack(taken[1:]), below(u[:, 3], d), u[:, 4:4 + d]
-
-
-def de_offspring(population: np.ndarray, f_weight: float, cr: float,
-                 draws: tuple[np.ndarray, ...], bounds: np.ndarray) -> np.ndarray:
-    """DE/rand/1/bin offspring, one per parent, clipped to bounds, from the
-    generation's draws (donors, j_rand, uniforms) as ``de_draws`` gives them."""
-    pop = np.asarray(population, dtype=float)
-    donors, j_rand, u = draws
-    cross = u < cr
-    cross[np.arange(len(pop)), j_rand] = True
+    donors, j_rand, uniforms = _raw_draws(rng, p, d) or _parent_draws(rng, p, d)
+    cross = uniforms < cr
+    cross[np.arange(p), j_rand] = True
     a, b, c = donors.T
     out = np.where(cross, pop[a] + f_weight * (pop[b] - pop[c]), pop)
     return np.clip(out, bounds[:, 0], bounds[:, 1])
+
+
+def _parent_draws(rng, p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Donors (p, 3), j_rand (p,) and uniforms (p, d), drawn one parent at a time."""
+    others = np.arange(1, p) - np.tri(p, p - 1, -1, dtype=np.intp)  # row i: all but i
+    donors = np.empty((p, 3), dtype=np.intp)
+    j_rand = np.empty(p, dtype=np.intp)
+    uniforms = np.empty((p, d))
+    for i in range(p):
+        donors[i] = rng.choice(others[i], size=3, replace=False)
+        j_rand[i] = rng.integers(d)
+        uniforms[i] = rng.random(d)
+    return donors, j_rand, uniforms
+
+
+def _raw_draws(rng, p: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``_parent_draws``' values and end state from one ``random_raw`` call,
+    decoded as numpy 2's Generator draws on PCG64.  Per parent, in order:
+    choice's Floyd picks over ranges p-4, p-3, p-2 (a pick already taken
+    becomes the range) and shuffle swaps over 2 and 1, then j_rand over d-1;
+    a zero range draws nothing.  Each is ``u * (r + 1) >> 32`` (Lemire 2019)
+    of a 32-bit u, the low half of a fresh word whose high half is held for
+    the next one.  Then d uniforms ``(w >> 11) * 2**-53`` take whole words.
+    None, with the generator as it was, when rng is not PCG64 or numpy
+    would have redrawn a bounded value."""
+    bitgen = getattr(rng, "bit_generator", None)
+    if not isinstance(bitgen, np.random.PCG64):
+        return None
+    entry = bitgen.state
+    held = entry["has_uint32"]
+    live = np.array([p - 4, p - 3, p - 2, 2, 1, d - 1]) > 0
+    span = np.array([p - 3, p - 2, p - 1, 3, 2, d], dtype=np.uint64)[live]  # range + 1
+    k = len(span)  # 32-bit draws per parent
+    # Parent i's uniforms follow the words that finish its 32-bit draws.
+    starts = (k * np.arange(1, p + 1) - held + 1) // 2 + d * np.arange(p)
+    words = bitgen.random_raw(starts[-1] + d)
+    is_uniform = np.zeros(len(words), dtype=bool)
+    is_uniform[(starts[:, None] + np.arange(d)).ravel()] = True
+    split = words[~is_uniform]
+    halves = np.stack((split & 0xFFFFFFFF, split >> 32), axis=1).ravel()
+    halves = np.concatenate((np.full(held, entry["uinteger"], np.uint64), halves))
+    scaled = halves[: k * p].reshape(p, k) * span
+    if np.any((scaled & 0xFFFFFFFF) < 2**32 % span):
+        bitgen.state = entry
+        return None
+    picks = np.zeros((p, 6), dtype=np.intp)
+    picks[:, live] = scaled >> 32
+    idx, (s2, s1, j_rand) = picks[:, :3], picks[:, 3:].T
+    idx[idx[:, 1] == idx[:, 0], 1] = p - 3
+    idx[(idx[:, 2] == idx[:, 0]) | (idx[:, 2] == idx[:, 1]), 2] = p - 2
+    rows = np.arange(p)
+    for slot, swap in ((2, s2), (1, s1)):
+        idx[rows, slot], idx[rows, swap] = idx[rows, swap], idx[rows, slot]
+    bitgen.state = {**bitgen.state, "has_uint32": (k * p - held) % 2,
+                    "uinteger": int(split[-1]) >> 32}
+    uniforms = (words[is_uniform] >> 11).reshape(p, d) * 2.0**-53
+    return idx + (idx >= rows[:, None]), j_rand, uniforms  # index among the others -> parent
 
 
 def surrogate_rank(
@@ -282,6 +370,7 @@ def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerSt
     each, written into archive arrays sized to the budget; the population
     and the best point are archive rows."""
     params = params.resolved(problem.dim)
+    rng = np.random.default_rng(seed)
     bounds, budget = problem.bounds, params.max_evals
     x, objective, violation = np.empty((budget, problem.dim)), np.empty(budget), np.empty(budget)
     slack = None  # (budget, m) once the first batch gives m
@@ -326,8 +415,7 @@ def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerSt
 
     while (reason := stop_reason()) is None:
         surrogate.train(x[:evals], objective[:evals], slack[:evals])
-        draws = de_draws(seed, generation, *pop_x.shape)
-        offspring = de_offspring(pop_x, params.f_weight, params.cr, draws, bounds)
+        offspring = de_offspring(pop_x, params.f_weight, params.cr, rng, bounds)
         chosen = surrogate_rank(surrogate, offspring, params.k_infill)[: budget - evals]
         new = evaluate(offspring[chosen])
         # One-to-one survivor selection; chosen rows are distinct parents.

@@ -1,21 +1,14 @@
-"""Counter-based random streams keyed by the run seed.
+"""Counter-based noise generation keyed by global sample index.
 
-Every random choice of a run is Philox4x32-10 (Salmon et al., SC'11) of a
-counter (c mod 2**32, c >> 32, block, stream) under the key (seed mod 2**32,
-seed >> 32): a draw depends on its counter alone.  The stream names the use:
-``NOISE`` (c the global sample index), ``LHS`` (c the population row) or
-``DE`` (c the parent index plus the generation times 2**32).  A block's words
-(w0, w1) and (w2, w3) give two 53-bit integers (hi << 32 | lo) >> 11, which
-the noise takes as uniforms in (0, 1] (plus one half, times 2**-53) and the
-other uses as uniforms u in [0, 1).  A bounded draw over n values is
-floor(u * n), with no redraw: it lies in [0, n), and each value has
-probability within n / 2**53 of 1 / n.
-
-Box-Muller turns a noise block's (u0, u1) into draws 2p and 2p + 1: the
-float64 radius sqrt(-2 ln u0) times the float32 cos and sin of the angle
-2 pi u1 rounded to float32.  Each draw is within 2**-21 times its radius of
-the float64 transform, and float32 cos/sin give an element the same value
-wherever it sits in an array, so a capture drawn block by block gets
+Block p of sample index i is Philox4x32-10 (Salmon et al., SC'11) of the
+counter (i mod 2**32, i >> 32, p, 0) under the key (seed mod 2**32, seed >> 32).
+Its words (w0, w1) and (w2, w3) give two 53-bit uniforms u0 and u1, which
+Box-Muller turns into draws 2p and 2p + 1: the float64 radius
+sqrt(-2 ln u0) times the float32 cos and sin of the angle 2 pi u1 rounded to
+float32.  Each draw is within 2**-21 times its radius of the float64
+transform, and float32 cos/sin give an element the same value wherever it
+sits in an array.  A row depends on (seed, index) alone, and its
+first draws not on how many follow, so a capture drawn block by block gets
 exactly the noise of one draw over all its samples.
 """
 
@@ -24,8 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-NOISE, LHS, DE = 0, 1, 2  # counter word 3 of each use of the stream
 
 
 def is_seed(value) -> bool:
@@ -53,25 +44,6 @@ def philox4x32(x: np.ndarray, key: tuple[int, int]) -> np.ndarray:
     return x.reshape(2, 2, -1)[::-1]  # ten rounds moved each word two rows on
 
 
-def uniforms(seed: int, counters: np.ndarray, blocks: int, stream: int,
-             shift: float = 0.0) -> np.ndarray:
-    """(integer + shift) * 2**-53 of the two 53-bit integers of blocks
-    0..blocks-1 of each counter, shape (2, len(counters), blocks): [0] from
-    (w0, w1), [1] from (w2, w3)."""
-    c = np.asarray(counters).astype(np.uint64)[:, None]
-    x = np.zeros((4, len(c), blocks), dtype=np.uint64)
-    x[0], x[1], x[2], x[3] = c & 0xFFFFFFFF, c >> 32, np.arange(blocks), stream
-    hi, lo = philox4x32(x.reshape(4, -1), (seed & 0xFFFFFFFF, seed >> 32)).swapaxes(0, 1)
-    hi <<= 21  # (hi << 32 | lo) >> 11
-    hi |= lo >> 11
-    return (hi + shift).reshape(2, len(c), blocks) * 2.0**-53
-
-
-def below(u: np.ndarray, n: int) -> np.ndarray:
-    """Bounded draws over [0, n) from uniforms in [0, 1): floor(u * n)."""
-    return (u * n).astype(np.intp)
-
-
 def noise_matrix(seed: int, indices: np.ndarray, n_bits: int) -> np.ndarray:
     """Stacked conversion draws, one row per sample index.
 
@@ -79,8 +51,14 @@ def noise_matrix(seed: int, indices: np.ndarray, n_bits: int) -> np.ndarray:
     comparator draws.  Row m depends only on (seed, indices[m]), however
     the indices are partitioned or ordered.
     """
-    shape = (len(indices), -(-(n_bits + 1) // 2))  # (rows, blocks)
-    u = uniforms(seed, indices, shape[1], NOISE, shift=0.5)  # in (0, 1]
+    index = np.asarray(indices).astype(np.uint64)[:, None]
+    shape = (len(index), -(-(n_bits + 1) // 2))  # (rows, blocks)
+    x = np.zeros((4, *shape), dtype=np.uint64)
+    x[0], x[1], x[2] = index & 0xFFFFFFFF, index >> 32, np.arange(shape[1])
+    hi, lo = philox4x32(x.reshape(4, -1), (seed & 0xFFFFFFFF, seed >> 32)).swapaxes(0, 1)
+    hi <<= 21  # (hi << 32 | lo) >> 11
+    hi |= lo >> 11
+    u = (hi + 0.5).reshape(2, *shape) * 2.0**-53  # in (0, 1]
     # The angle is rounded to float32 for numpy's SIMD cos/sin (float64 runs
     # scalar libm); the radius stays float64, so the tails do not change.
     radius, angle = np.sqrt(-2.0 * np.log(u[0])), (2.0 * math.pi * u[1]).astype(np.float32)
