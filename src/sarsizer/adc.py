@@ -113,16 +113,11 @@ def check_designs(designs: np.ndarray, box: np.ndarray) -> None:
         raise BoundsError(f"{where}{name}={value.item()} outside bounds {box[j].tolist()}")
 
 
-def array_capacitance(cfg: AdcConfig, designs: np.ndarray) -> np.ndarray:
-    """Single-ended array capacitance c_tot per row of designs."""
-    return 2.0 ** (cfg.n_bits - 1) * designs[:, 0]  # c_unit
-
-
 def sampling_constants(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of designs: the sampling time constant tau_smp = r_sw * c_tot
     and the sampled thermal noise kt_c_sigma, rms (factor 2 covers the
     differential array)."""
-    c_tot = array_capacitance(cfg, designs)
+    c_tot = 2.0 ** (cfg.n_bits - 1) * designs[:, 0]  # c_unit
     return designs[:, 1] * c_tot, np.sqrt(2.0 * BOLTZMANN * cfg.temp_k / c_tot)  # r_sw
 
 
@@ -131,7 +126,7 @@ def derive(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, ...]:
     per-step driver resistance r_drv and settling constant tau_step (rows,
     n), and the delay clamp t_cmp_max, the delay law at v_floor."""
     _, _, _, _, t_d0, tau_reg, r_drv_msb, _ = designs.T
-    c_tot = array_capacitance(cfg, designs)
+    c_tot = 2.0 ** (cfg.n_bits - 1) * designs[:, 0]  # c_unit
     # Driver strength halves per bit until the minimum-size device;
     # its resistance is the growth limit for the geometric scaling.
     r_drv = np.minimum(r_drv_msb[:, None] * 2.0 ** np.arange(cfg.n_bits), cfg.r_drv_cap)
