@@ -23,7 +23,7 @@ in ``DESIGN_FIELDS`` order and derives their constants once per call; its
 rows may belong to different designs, so a whole generation's coarse
 tests are one call and each block of a capture (``sndr.CAPTURE_BLOCK``
 conversions) is another.  A single conversion is a batch of one, and
-``AdcModel`` is one design's row with the same derived constants.
+``AdcModel`` is one design's row with its sampling constants.
 """
 
 from __future__ import annotations
@@ -136,26 +136,18 @@ def derive(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class AdcModel:
-    """Design + config with every derived quantity precomputed."""
+    """Design + config with the sampling constants precomputed."""
 
     design: DesignPoint
     cfg: AdcConfig
     row: np.ndarray = field(init=False)      # the design as a (1, d) kernel matrix
-    c_tot: float = field(init=False)         # single-ended array capacitance, F
     tau_smp: float = field(init=False)       # sampling time constant, s
     kt_c_sigma: float = field(init=False)    # sampled thermal noise, V rms
-    step_amp: np.ndarray = field(init=False) # ideal step amplitudes, index i-1 -> v_dd/2**i
-    r_drv: np.ndarray = field(init=False)    # per-step driver resistance, Ohm
-    tau_step: np.ndarray = field(init=False) # per-step settling constants, s
-    t_cmp_max: float = field(init=False)     # delay clamp: the delay law at v_floor
 
     def __post_init__(self) -> None:
         row = np.array([astuple(self.design)])
-        c_tot, r_drv, tau_step, t_max = (v[0] for v in derive(self.cfg, row))
-        tau_smp, kt_c = (v[0] for v in sampling_constants(self.cfg, row))
-        for name, value in [("row", row), ("c_tot", float(c_tot)), ("tau_smp", float(tau_smp)),
-                            ("kt_c_sigma", float(kt_c)), ("step_amp", self.cfg.step_amp),
-                            ("r_drv", r_drv), ("tau_step", tau_step), ("t_cmp_max", float(t_max))]:
+        tau_smp, kt_c = (float(v[0]) for v in sampling_constants(self.cfg, row))
+        for name, value in [("row", row), ("tau_smp", tau_smp), ("kt_c_sigma", kt_c)]:
             object.__setattr__(self, name, value)
 
 
@@ -164,7 +156,7 @@ def build_model(
     cfg: AdcConfig,
     bounds: dict[str, tuple[float, float]] | None = None,
 ) -> AdcModel:
-    """Validate a design against bounds and derive all model constants."""
+    """Validate a design against bounds and derive its sampling constants."""
     design.validate(bounds)
     return AdcModel(design=design, cfg=cfg)
 

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import ConfigError, require
 
 PREDICT_ENTRIES = 8192  # (query, archive) distances per pass of IdwSurrogate.predict
+IDW_NEIGHBOURS = 5  # archive points each IdwSurrogate prediction weighs
 STALL_GENERATIONS = 20  # generations the stall test looks back
 STALL_RTOL = 1e-6  # relative improvement over STALL_GENERATIONS that counts as none
 
@@ -62,8 +63,8 @@ class Problem:
         self.bounds = np.asarray(self.bounds, dtype=float)
         if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
             raise ConfigError("bounds must have shape (d, 2)")
-        if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
-            raise ConfigError("each bound must satisfy lo < hi")
+        if not (np.isfinite(self.bounds).all() and np.all(self.bounds[:, 0] < self.bounds[:, 1])):
+            raise ConfigError("each bound must be finite with lo < hi")
 
     @property
     def dim(self) -> int:
@@ -71,21 +72,20 @@ class Problem:
 
 
 class IdwSurrogate:
-    """Inverse-distance-weighted k-nearest regression in normalized space."""
+    """Inverse-distance-weighted k-nearest regression in normalized space:
+    each prediction weighs the IDW_NEIGHBOURS nearest archive points, and
+    the surrogate counts as trained above d archive points."""
 
-    def __init__(self, bounds: np.ndarray, k: int = 5, min_points: int | None = None):
+    def __init__(self, bounds: np.ndarray):
         self.bounds = np.asarray(bounds, dtype=float)
         self.span = self.bounds[:, 1] - self.bounds[:, 0]
-        self.k = k
-        self.min_points = min_points if min_points is not None else len(self.bounds) + 1
-        self._steps = _sum_steps(0, len(self.bounds), 0)
         self._an: np.ndarray | None = None  # normalized archive, one row per variable
         self._obj: np.ndarray | None = None
         self._slack: np.ndarray | None = None
 
     @property
     def trained(self) -> bool:
-        return self._an is not None and self._an.shape[1] >= self.min_points
+        return self._an is not None and self._an.shape[1] > len(self.bounds)
 
     def train(self, x: np.ndarray, objective: np.ndarray, slack: np.ndarray) -> None:
         an = (np.asarray(x, dtype=float) - self.bounds[:, 0]) / self.span
@@ -94,67 +94,36 @@ class IdwSurrogate:
         self._slack = np.asarray(slack, dtype=float)
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted k-nearest predictions.  Squared distances are built one
-        variable at a time, PREDICT_ENTRIES (query, archive) pairs per pass,
-        and summed in ``_sum_steps`` order, so each equals np.linalg.norm's."""
+        """Weighted k-nearest predictions.  Squared distances are added in
+        variable order, PREDICT_ENTRIES (query, archive) pairs per pass so
+        that a pass's buffers stay in cache."""
         if not self.trained:
             raise ConfigError("surrogate queried before training")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         qn = ((x - self.bounds[:, 0]) / self.span).T
         an = self._an
         n = an.shape[1]
-        k = min(self.k, n)
         rows = max(1, PREDICT_ENTRIES // n)
         all_dist = np.empty((len(x), n))
-        spare = np.empty((max(slot for _, slot in self._steps), min(rows, len(x)), n))
+        term = np.empty((min(rows, len(x)), n))
         for start in range(0, len(x), rows):
             out = all_dist[start:start + rows]
             q = qn[:, start:start + rows, None]
-            bufs = [out, *spare[:, :len(out)]]
-            for j, slot in self._steps:
-                buf = bufs[slot]
-                if j is None:
-                    np.add(buf, bufs[slot + 1], out=buf)
-                else:
-                    np.subtract(an[j], q[j], out=buf)
-                    np.square(buf, out=buf)
+            np.subtract(an[0], q[0], out=out)
+            np.square(out, out=out)
+            buf = term[:len(out)]
+            for j in range(1, len(an)):
+                np.subtract(an[j], q[j], out=buf)
+                np.square(buf, out=buf)
+                out += buf
         np.sqrt(all_dist, out=all_dist)
-        nearest = _k_nearest(all_dist, k)
+        nearest = _k_nearest(all_dist, min(IDW_NEIGHBOURS, n))
         dist = np.take_along_axis(all_dist, nearest, axis=1)
         w = 1.0 / (dist + 1e-12)
         w = w / w.sum(axis=1, keepdims=True)
         obj = (w[:, None, :] @ self._obj[nearest][:, :, None])[:, 0, 0]
         slack = (w[:, None, :] @ self._slack[nearest])[:, 0, :]
         return obj, slack
-
-
-def _sum_steps(lo: int, n: int, slot: int) -> list[tuple[int | None, int]]:
-    """Steps that sum terms lo..lo+n-1 into buffer ``slot`` in the order
-    numpy's pairwise ``add.reduce`` sums a contiguous axis of length n:
-    in turn below 8 terms; up to 128, as 8 running sums r0..r7 combined
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in turn; above
-    128, two halves, the first a multiple of 8 terms long.  ``(j, s)`` puts
-    term j in buffer s and ``(None, s)`` adds buffer s+1 into buffer s, so
-    a right operand is built one buffer up."""
-
-    def plus(steps: list, terms: range, s: int) -> list:  # steps' sum, then each term
-        return steps + [step for j in terms for step in ((j, s + 1), (None, s))]
-
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return [*_sum_steps(lo, half, slot), *_sum_steps(lo + half, n - half, slot + 1),
-                (None, slot)]
-    if n < 8:
-        return plus([(lo, slot)], range(lo + 1, lo + n), slot)
-    end = lo + n - n % 8
-
-    def tree(first: int, width: int, s: int) -> list:  # r_first + ... + r_(first+width-1)
-        if width == 1:
-            return plus([(first, s)], range(first + 8, end, 8), s)
-        half = width // 2
-        return [*tree(first, half, s), *tree(first + half, half, s + 1), (None, s)]
-
-    return plus(tree(lo, 8, slot), range(end, lo + n), slot)
 
 
 def _k_nearest(dist: np.ndarray, k: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sarsizer import sndr
+from sarsizer import adc, sndr
 from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert_rows, sample_input
 from sarsizer.adc import _switch_charge
 from sarsizer.errors import BoundsError, ConfigError
@@ -31,26 +31,28 @@ class TestBuildModel:
     def test_total_capacitance(self):
         cfg = AdcConfig(n_bits=12, f_s=1e6, v_dd=1.0)
         m = build_model(design_with(c_unit=1e-15), cfg)
-        assert m.c_tot == 2**11 * 1e-15
+        c_tot = adc.derive(cfg, m.row)[0]
+        assert c_tot[0] == 2**11 * 1e-15
 
     def test_driver_resistance_doubles_per_bit(self):
         cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
         m = build_model(design_with(r_drv_msb=1e3), cfg)
+        r_drv = adc.derive(cfg, m.row)[1][0]
         # halved driver strength per bit: resistance doubles
-        assert m.r_drv[2] == 1e3 * 2**2 == 4e3
+        assert r_drv[2] == 1e3 * 2**2 == 4e3
 
     def test_driver_resistance_capped(self):
         cfg = AdcConfig(n_bits=12, f_s=1e6, v_dd=1.0, r_drv_cap=8e3)
         m = build_model(design_with(r_drv_msb=1e3), cfg)
-        assert m.r_drv.max() == 8e3
+        _, r_drv, tau_step, _ = (v[0] for v in adc.derive(cfg, m.row))
+        assert r_drv.max() == 8e3
         # settling constants nondecreasing, flat once the cap engages
-        assert np.all(np.diff(m.tau_step) >= 0)
+        assert np.all(np.diff(tau_step) >= 0)
 
     def test_binary_step_amplitudes(self):
         cfg = AdcConfig(n_bits=4, f_s=1e6, v_dd=2.0)
-        m = build_model(ideal_design(), cfg)
-        np.testing.assert_array_equal(m.step_amp, [1.0, 0.5, 0.25, 0.125])
-        np.testing.assert_array_equal(m.step_amp[:-1] / m.step_amp[1:], 2.0)
+        np.testing.assert_array_equal(cfg.step_amp, [1.0, 0.5, 0.25, 0.125])
+        np.testing.assert_array_equal(cfg.step_amp[:-1] / cfg.step_amp[1:], 2.0)
 
     def test_bounds_error_names_field(self):
         cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
@@ -293,13 +295,19 @@ def reference_convert(model, v, cmp_draws):
     """Scalar per-bit reference with libm exp/log: (applied steps, t_bit,
     delta_q, e_total, timing_ok), written out from the model equations."""
     n, d, cfg = model.cfg.n_bits, model.design, model.cfg
+    c_tot = 2 ** (n - 1) * d.c_unit
+    t_cmp_max = d.t_d0 + d.tau_reg * math.log(cfg.v_dd / cfg.v_floor)
 
     def delay(mag):
         raw = d.t_d0 + d.tau_reg * math.log(cfg.v_dd / max(mag, cfg.v_floor))
-        return min(max(raw, d.t_d0), model.t_cmp_max)
+        return min(max(raw, d.t_d0), t_cmp_max)
+
+    def step_amp(j):
+        return cfg.v_dd / 2 ** (j + 1)
 
     def settled(j, t_est):
-        return model.step_amp[j] * (1.0 - math.exp(-(d.t_dff + t_est) / model.tau_step[j]))
+        tau_step = min(d.r_drv_msb * 2**j, cfg.r_drv_cap) * c_tot  # driver halves per bit, capped
+        return step_amp(j) * (1.0 - math.exp(-(d.t_dff + t_est) / tau_step))
 
     applied, t_bit, delta_q = np.zeros(n), np.zeros(n), np.zeros(n)
     c_rail = {"p": 0.0, "n": 0.0}
@@ -311,7 +319,7 @@ def reference_convert(model, v, cmp_draws):
         if j == 0:
             applied[0] = settled(0, delay(abs(v)))
         else:
-            applied[j] = settled(j, delay(abs(residue - sign * model.step_amp[j])))
+            applied[j] = settled(j, delay(abs(residue - sign * step_amp(j))))
             residue -= sign * applied[j]
         noisy = residue + d.sigma_cmp * cmp_draws[j]
         t_bit[j] = delay(abs(noisy)) + d.t_dff
@@ -320,7 +328,7 @@ def reference_convert(model, v, cmp_draws):
         sign = 1.0 if noisy >= 0.0 else -1.0
         if j < n - 1:
             c_sw = 2.0 ** (n - 2 - j) * d.c_unit
-            dv = half * c_sw / model.c_tot
+            dv = half * c_sw / c_tot
             rising, other = ("n", "p") if sign > 0 else ("p", "n")
             delta_q[j] = c_sw * (half - dv) - c_rail[rising] * dv + c_rail[other] * dv
             c_rail[rising] += c_sw

@@ -61,7 +61,7 @@ class TestSinglePoint:
         m = build_model(sane_design(), cfg)
         ssre = report(m, DerivedSpecs.derive(12, 1.0, 1.0)).ssre
         trace = convert_one(m, sample_input(m, 1.0))
-        delta = trace.applied_step / m.step_amp - 1.0
+        delta = trace.applied_step / m.cfg.step_amp - 1.0
         expected = np.abs(2.0 * (1.0 + delta[:-1]) / (1.0 + delta[1:]) - 2.0)
         np.testing.assert_allclose(ssre, expected, rtol=1e-12)
 

@@ -309,8 +309,18 @@ class TestSurrogate:
         order = surrogate_rank(sur, cands, 3)
         np.testing.assert_array_equal(order, np.arange(7))
 
+    def test_trained_above_d_archive_points(self):
+        x, obj, slack = self.archive()
+        sur = IdwSurrogate(np.array([[0, 1], [0, 1]]))
+        sur.train(x[:2], obj[:2], slack[:2])
+        assert not sur.trained
+        with pytest.raises(ConfigError, match="before training"):
+            sur.predict(x[:1])
+        sur.train(x[:3], obj[:3], slack[:3])
+        assert sur.trained
+
     def test_full_infill_is_identity_set(self):
-        sur = IdwSurrogate(np.array([[0, 1], [0, 1]]), min_points=3)
+        sur = IdwSurrogate(np.array([[0, 1], [0, 1]]))
         sur.train(*self.archive())
         cands = np.random.default_rng(1).random((6, 2))
         order = surrogate_rank(sur, cands, 6)
@@ -319,7 +329,7 @@ class TestSurrogate:
     def test_idw_prediction_matches_hand_computation(self):
         bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
         x, obj, slack = self.archive()
-        sur = IdwSurrogate(bounds, k=4, min_points=3)
+        sur = IdwSurrogate(bounds)  # four points: k = min(5, 4) weighs all of them
         sur.train(x, obj, slack)
         q = np.array([[0.2, 0.12]])
         dist = np.linalg.norm(x - q[0], axis=1)
@@ -338,41 +348,29 @@ class TestSurrogate:
                 0.25, 0.25, 0.25]
         x = np.array(dist)[:, None]
         obj = np.arange(len(x), dtype=float) ** 2
-        sur = IdwSurrogate(np.array([[0.0, 1.0]]), k=5, min_points=2)
+        sur = IdwSurrogate(np.array([[0.0, 1.0]]))
         sur.train(x, obj, obj[:, None])
         pred_obj, pred_slack = sur.predict(np.array([[0.0]]))
         assert pred_obj[0] == pytest.approx(np.mean(obj[[0, 1, 4, 6, 8]]), rel=1e-15)
         assert pred_slack[0, 0] == pred_obj[0]
 
-    def test_matches_per_row_reference_on_large_archive(self):
-        rng = np.random.default_rng(11)
-        bounds = np.array([[0.0, 2.0]] * 8)
-        x = rng.random((2000, 8)) * 2.0
-        x[1000:1010] = x[:10]  # exact duplicates tie at every distance
-        obj = rng.random(2000)
-        slack = rng.standard_normal((2000, 10))
-        sur = IdwSurrogate(bounds)
-        sur.train(x, obj, slack)
-        queries = np.vstack([rng.random((37, 8)) * 2.0, x[:3]])
-        pred_obj, pred_slack = sur.predict(queries)
-        an, qn = x / 2.0, queries / 2.0
-        for row, q in enumerate(qn):
-            dist = np.linalg.norm(an - q, axis=1)
-            nearest = np.argsort(dist, kind="stable")[:5]
-            w = 1.0 / (dist[nearest] + 1e-12)
-            w = w / w.sum()
-            np.testing.assert_allclose(pred_obj[row], w @ obj[nearest], rtol=1e-12)
-            np.testing.assert_allclose(pred_slack[row], w @ slack[nearest], rtol=1e-12)
+    @staticmethod
+    def in_turn_norm(diff):
+        """Euclidean norm of each row, its squares added in column order."""
+        total = np.zeros(len(diff))
+        for column in diff.T:
+            total += column * column
+        return np.sqrt(total)
 
     @staticmethod
-    def naive_idw(bounds, x, obj, slack, queries, k):
-        """IDW one query at a time: np.linalg.norm distances and the first k
-        of a stable argsort."""
+    def naive_idw(bounds, x, obj, slack, queries, k, norm):
+        """IDW one query at a time: ``norm`` distances and the first k of a
+        stable argsort."""
         span = bounds[:, 1] - bounds[:, 0]
         an, qn = (x - bounds[:, 0]) / span, (queries - bounds[:, 0]) / span
         pred_obj, pred_slack = [], []
         for q in qn:
-            dist = np.linalg.norm(an - q, axis=1)
+            dist = norm(an - q)
             nearest = np.argsort(dist, kind="stable")[:k]
             w = 1.0 / (dist[nearest] + 1e-12)
             w = w / w.sum()
@@ -380,9 +378,17 @@ class TestSurrogate:
             pred_slack.append((w[None, :] @ slack[nearest])[0])
         return np.array(pred_obj), np.array(pred_slack)
 
+    @staticmethod
+    def assert_close(pred, ref, d, values):
+        """Squares added in turn and np.linalg.norm's pairwise order differ
+        by about d ulp in each distance; allow 4d ulp of the largest
+        training value."""
+        np.testing.assert_allclose(pred, ref, rtol=0, atol=4 * d * 2.0**-52 * np.max(np.abs(values)))
+
     def check_bit_equal_to_naive_idw(self, d, n_queries, n_archive, seed):
-        """An archive smaller than k, and exact ties: archive rows repeated
-        and queries placed on archive rows."""
+        """Byte for byte the naive IDW with squares added in variable order,
+        and within assert_close of the np.linalg.norm one.  Exact ties:
+        archive rows repeated and queries placed on archive rows."""
         rng = np.random.default_rng(seed)
         bounds = np.array([[-1.0, 3.0]] * d)
         x = rng.uniform(-1.0, 3.0, (n_archive, d))
@@ -390,17 +396,22 @@ class TestSurrogate:
         obj, slack = rng.random(n_archive), rng.standard_normal((n_archive, 10))
         queries = rng.uniform(-1.0, 3.0, (n_queries, d))
         queries[::3] = x[rng.integers(n_archive, size=len(queries[::3]))]
-        sur = IdwSurrogate(bounds, min_points=2)
+        sur = IdwSurrogate(bounds)
         sur.train(x, obj, slack)
         pred_obj, pred_slack = sur.predict(queries)
-        ref_obj, ref_slack = self.naive_idw(bounds, x, obj, slack, queries, min(5, n_archive))
+        ref_obj, ref_slack = self.naive_idw(bounds, x, obj, slack, queries, 5, self.in_turn_norm)
         assert pred_obj.tobytes() == ref_obj.tobytes()
         assert pred_slack.tobytes() == ref_slack.tobytes()
+        ref_obj, ref_slack = self.naive_idw(bounds, x, obj, slack, queries, 5,
+                                            lambda diff: np.linalg.norm(diff, axis=1))
+        self.assert_close(pred_obj, ref_obj, d, obj)
+        self.assert_close(pred_slack, ref_slack, d, slack)
 
     @pytest.mark.parametrize("n_queries", [1, 7, 9, 40])
-    @pytest.mark.parametrize("n_archive", [3, 50, 700])
+    @pytest.mark.parametrize("n_archive", [9, 50, 700, 2000])
     def test_bit_equal_to_naive_idw(self, n_queries, n_archive):
-        """Query counts from one to a generation's 40, at the desk's d = 8."""
+        """Query counts from one to a generation's 40, at the desk's d = 8,
+        from the smallest trained archive (d + 1 points) to one of 2,000."""
         self.check_bit_equal_to_naive_idw(8, n_queries, n_archive, n_queries * 1000 + n_archive)
 
     @pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 16, 17, 129, 150])
@@ -410,9 +421,9 @@ class TestSurrogate:
         global_opt.PREDICT_ENTRIES + 1,  # one query row per pass, over PREDICT_ENTRIES pairs
     ])
     def test_bit_equal_to_naive_idw_in_each_summation_regime(self, d, n_archive):
-        """Every branch of numpy's pairwise sum: in turn (d < 8), eight
-        running sums with and without a remainder, and halving (d > 128,
-        at 150 into a first half of 72 terms, not 75)."""
+        """Each pass layout (one pass, a second pass, one query row per
+        pass) at dimensions from 1 to 150; np.linalg.norm's pairwise sum
+        changes branch at 8 and 128 terms, predict adds in turn at every d."""
         self.check_bit_equal_to_naive_idw(d, 40, n_archive, [d, n_archive])
 
     def test_lattice_ties_bit_equal_to_naive_idw(self):
@@ -424,12 +435,13 @@ class TestSurrogate:
         sur = IdwSurrogate(bounds)
         sur.train(grid, obj, obj[:, None])
         pred_obj, pred_slack = sur.predict(queries)
-        ref_obj, ref_slack = self.naive_idw(bounds, grid, obj, obj[:, None], queries, 5)
+        ref_obj, ref_slack = self.naive_idw(bounds, grid, obj, obj[:, None], queries, 5,
+                                            self.in_turn_norm)
         assert pred_obj.tobytes() == ref_obj.tobytes()
         assert pred_slack.tobytes() == ref_slack.tobytes()
 
     def test_candidate_near_feasible_cluster_ranks_first(self):
-        sur = IdwSurrogate(np.array([[0, 1], [0, 1]]), min_points=3)
+        sur = IdwSurrogate(np.array([[0, 1], [0, 1]]))
         sur.train(*self.archive())
         cands = np.array([[0.88, 0.88], [0.12, 0.12], [0.5, 0.5]])
         order = surrogate_rank(sur, cands, 1)
@@ -587,3 +599,17 @@ class TestRunGlobal:
     def test_problem_requires_some_evaluator(self):
         with pytest.raises(TypeError):
             Problem(bounds=UNIT3.copy())
+
+    @pytest.mark.parametrize("bound", [[np.nan, 1.0], [-np.inf, 1.0], [0.0, np.inf], [1.0, 1.0]],
+                             ids=["nan", "minus_inf", "plus_inf", "empty"])
+    def test_nonfinite_or_empty_bounds_rejected_before_any_evaluation(self, bound):
+        calls = []
+
+        def evaluate_batch(xs):
+            calls.append(xs)
+            return sphere_batch(xs)
+
+        with pytest.raises(ConfigError, match="finite with lo < hi"):
+            run_global(Problem(bounds=[bound, [0.0, 1.0]], evaluate_batch=evaluate_batch),
+                       GlobalParams(max_evals=100), 0)
+        assert calls == []
