@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adc import AdcModel, convert_rows, sample_input
+from .adc import AdcModel, convert_rows, kernel_out, sample_input
 from .csvio import write_csv
 from .errors import MetricsError, PlanError
 from .rng import is_seed, noise_matrix
@@ -49,8 +49,11 @@ class TestPlan:
             raise PlanError(
                 f"m_segments must divide k_points, got {self.m_segments}"
             )
-        if self.f_s <= 0 or self.amplitude <= 0:
-            raise PlanError("f_s and amplitude must be positive")
+        # Written so that NaN, which fails every comparison, breaks the rule.
+        for name in ("f_s", "amplitude"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise PlanError(f"{name} must be finite and positive, got {value}")
         if not is_seed(self.seed):
             raise PlanError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -110,12 +113,13 @@ CAPTURE_BLOCK = 8192
 
 
 def block_stimulus(
-    plan: TestPlan, start: int, n_bits: int, noise: bool
+    plan: TestPlan, start: int, n_bits: int, noise: bool, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The design-independent part of the block of conversions from start:
     (input, previous input, noise draws or None).  It depends on (plan,
     start, n_bits, noise) only, so callers that run one plan on many
-    designs may build it once."""
+    designs may build it once.  With out (float64, n_bits + 1 columns, at
+    least the block's rows) the draws are a view of its first rows."""
     # Hold history: the array last held the previous full-rate sample's
     # input value.  Reconstructing it analytically (rather than chaining
     # conversions) keeps blocks independent of each other; one sine over
@@ -123,7 +127,8 @@ def block_stimulus(
     idx = np.arange(start - 1, min(start + CAPTURE_BLOCK, plan.k_points))
     v = _sine(plan, idx)
     # Column 0 is kT/C, columns 1..n the comparator.
-    draws = noise_matrix(plan.seed, idx[1:], n_bits) if noise else None
+    out = None if out is None else out[:len(idx) - 1]
+    draws = noise_matrix(plan.seed, idx[1:], n_bits, out=out) if noise else None
     return v[1:], v[:-1], draws
 
 
@@ -142,16 +147,29 @@ def run_segments_detailed(
     never fatal.  Blocks run one after another, each building, converting
     and dropping its block_stimulus before the next is built, unless
     stimuli holds every block's (built for this plan, N and noise).
+
+    A capture of several blocks has one working set, sized for a block:
+    its noise draws and the kernel's per-decision arrays (``kernel_out``)
+    are allocated once, and every block overwrites them, so the views a
+    block's draws and Conversions hold are stale once the next block runs.
+    Freed and allocated again per block, those few MB went back to the OS
+    and were faulted in again by the next block.  A capture of one block
+    has nothing to reuse and lets the calls allocate; a working set there
+    only moved the heap (desk8's peak RSS rose by 0.5 MB).
     """
+    n, several = model.cfg.n_bits, plan.k_points > CAPTURE_BLOCK
+    draw_buf = np.empty((CAPTURE_BLOCK, n + 1)) if several and noise and stimuli is None else None
+    kernel_buf = kernel_out(n, CAPTURE_BLOCK) if several else None
     codes = np.zeros(plan.k_points, dtype=np.int64)
     ok = np.zeros(plan.k_points, dtype=bool)
     for b, start in enumerate(range(0, plan.k_points, CAPTURE_BLOCK)):
         v_now, v_prev, draws = (stimuli[b] if stimuli is not None
-                                else block_stimulus(plan, start, model.cfg.n_bits, noise))
+                                else block_stimulus(plan, start, n, noise, out=draw_buf))
         sampled = sample_input(model, v_now, v_prev)
         if draws is not None:
             sampled = sampled + model.kt_c_sigma * draws[:, 0]
-        conv = convert_rows(model.cfg, model.row, sampled, None if draws is None else draws[:, 1:])
+        conv = convert_rows(model.cfg, model.row, sampled,
+                            None if draws is None else draws[:, 1:], out=kernel_buf)
         codes[start:start + len(sampled)] = conv.codes
         ok[start:start + len(sampled)] = conv.timing_ok
         del v_now, v_prev, draws, sampled, conv  # freed before the next block is built

@@ -99,9 +99,9 @@ class TestSampleInput:
         m = build_model(design_with(c_unit=1e-12 / 2**11, r_sw=1e-30), cfg)
         held = []
 
-        def recording(cfg, designs, v_sampled, *args):
+        def recording(cfg, designs, v_sampled, *args, **kwargs):
             held.append(v_sampled)
-            return convert_rows(cfg, designs, v_sampled, *args)
+            return convert_rows(cfg, designs, v_sampled, *args, **kwargs)
 
         monkeypatch.setattr(sndr, "convert_rows", recording)
         plan = sndr.plan_test(cfg.f_s, 2**17, 1, 0.1 * cfg.f_s, 0.5, seed=11)
@@ -382,6 +382,31 @@ class TestKernel:
                 np.testing.assert_array_equal(getattr(many, name)[row], getattr(one, name)[0])
             for name in ("t_total", "n_fired", "timing_ok", "e_total"):
                 assert getattr(many, name)[row] == getattr(one, name)[0], name
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noise_free", "noisy"])
+    @pytest.mark.parametrize("spare", [0, 37])
+    def test_buffer_matches_fresh_call(self, noisy, spare):
+        """A call into a buffer (holding an earlier call's values, and with
+        spare rows past this call's) returns the fresh call's conversions,
+        as views of the buffer."""
+        cfg = AdcConfig(n_bits=12, f_s=20e6, v_dd=1.0, kappa_cmp=1e-25, e_dff=1e-15)
+        designs = np.vstack([build_model(d, cfg).row for d in
+                             (sane_design(), design_with(t_d0=4e-9, tau_reg=2e-9, t_dff=4e-9))])
+        rng = np.random.default_rng(8)
+        rows = 200
+        owner = rng.integers(0, 2, rows)
+        v = rng.uniform(-0.55, 0.55, rows)
+        draws = noise_matrix(4, np.arange(rows), cfg.n_bits)[:, 1:] if noisy else None
+        buf = adc.kernel_out(cfg.n_bits, rows + spare)
+        convert_rows(cfg, designs, -v[::-1], None, owner=1 - owner, out=buf)  # stale values
+        fresh = convert_rows(cfg, designs, v, draws, owner=owner, charge=True)
+        reused = convert_rows(cfg, designs, v, draws, owner=owner, charge=True, out=buf)
+        assert not fresh.timing_ok.all() and fresh.timing_ok.any()
+        for name, array in zip(("bits", "applied_step", "t_bit"), (buf[0], buf[1], buf[3])):
+            assert np.shares_memory(getattr(reused, name), array), name
+        for name in ("bits", "applied_step", "t_bit", "t_total", "n_fired", "timing_ok",
+                     "delta_q", "e_total", "codes"):
+            np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
 
 
 def loop_switch_charge(v_dd, c_unit, c_tot, bits, n_fired):

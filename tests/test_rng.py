@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sarsizer
+import sarsizer.rng
 from sarsizer.rng import is_seed, noise_matrix, philox4x32
 
 
@@ -127,6 +128,28 @@ def test_first_columns_independent_of_n_bits(seed, indices, sizes):
     m, n = sizes
     idx = np.array(indices, dtype=np.uint64)
     np.testing.assert_array_equal(noise_matrix(seed, idx, n)[:, : m + 1], noise_matrix(seed, idx, m))
+
+
+@pytest.mark.parametrize("n_bits", [0, 7, 12])
+def test_out_receives_the_allocating_draws(n_bits):
+    # A capture passes the first rows of a buffer sized for a whole block,
+    # holding the previous block's draws.
+    idx = np.arange(300, 1300)
+    buf = np.full((1500, n_bits + 1), np.nan)
+    rows = noise_matrix(5, idx, n_bits, out=buf[: len(idx)])
+    assert np.shares_memory(rows, buf) and rows.shape == (len(idx), n_bits + 1)
+    np.testing.assert_array_equal(rows, noise_matrix(5, idx, n_bits))
+    assert np.isnan(buf[len(idx):]).all()
+
+
+@pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 8192])
+@pytest.mark.parametrize("noise_pass", [1, 3, 2048])
+def test_draws_independent_of_noise_pass(monkeypatch, rows, noise_pass):
+    idx = np.arange(rows, dtype=np.uint64) + 2**32 - 1000  # crosses a counter word
+    monkeypatch.setattr(sarsizer.rng, "NOISE_PASS", rows)
+    one_pass = noise_matrix(9, idx, 12)
+    monkeypatch.setattr(sarsizer.rng, "NOISE_PASS", noise_pass)
+    np.testing.assert_array_equal(noise_matrix(9, idx, 12), one_pass)
 
 
 def test_noise_does_not_import_numpy_random():

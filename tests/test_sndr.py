@@ -12,6 +12,7 @@ from sarsizer.errors import MetricsError, PlanError
 from sarsizer.pipeline import default_bounds
 from sarsizer.problem import ExpensiveObjective, bounds_array
 from sarsizer.rng import noise_matrix
+import sarsizer.problem
 import sarsizer.sndr
 from sarsizer.sndr import (
     TestPlan,
@@ -101,6 +102,15 @@ class TestPlanTest:
         with pytest.raises(PlanError):
             TestPlan(k_points=64, j_cycles=3, m_segments=5, f_s=1e6, amplitude=0.4)
 
+    @pytest.mark.parametrize("name, value", [
+        ("f_s", math.nan), ("f_s", math.inf), ("amplitude", math.nan), ("amplitude", math.inf),
+    ])
+    def test_nonfinite_rate_and_amplitude_rejected(self, name, value):
+        # A NaN amplitude used to load and convert to all-zero codes.
+        args = dict(k_points=64, j_cycles=3, m_segments=4, f_s=1e6, amplitude=0.4)
+        with pytest.raises(PlanError, match=f"{name} must be finite and positive"):
+            TestPlan(**{**args, name: value})
+
     @pytest.mark.parametrize("seed", [-1, 2**64, True, 7.0])
     def test_seed_outside_key_range_rejected(self, seed):
         with pytest.raises(PlanError, match="seed"):
@@ -116,9 +126,9 @@ def counting_noise(monkeypatch):
     """Record the indices of every noise draw a capture makes."""
     calls = []
 
-    def counted(seed, indices, n_bits):
+    def counted(seed, indices, n_bits, **kwargs):
         calls.append(np.asarray(indices).tolist())
-        return noise_matrix(seed, indices, n_bits)
+        return noise_matrix(seed, indices, n_bits, **kwargs)
 
     monkeypatch.setattr(sarsizer.sndr, "noise_matrix", counted)
     return calls
@@ -330,18 +340,23 @@ class TestReusedStimulus:
         assert [len(c) for c in calls] == [256]
 
 
+def capture_model(unit, sane_model):
+    """sane_model, or the 12-bit stimulus config's design at unit of its bounds."""
+    if unit is None:
+        return sane_model
+    cfg = STIMULUS_CONFIGS[12]
+    bounds = default_bounds(cfg)
+    return build_model(DesignPoint.from_vector(design_vector(bounds, unit)), cfg, bounds)
+
+
 class TestCaptureBlocks:
     """A capture converts in contiguous blocks of CAPTURE_BLOCK samples:
     how the capture is partitioned changes no code and no timing flag."""
 
-    @pytest.mark.parametrize("block", [1, 3, 64, 256])
+    @pytest.mark.parametrize("block", [1, 3, 64, 100, 256])
     @pytest.mark.parametrize("unit", [None, TIMING_FAIL_UNIT], ids=["sane", "timing_fail"])
     def test_partition_invariance(self, sane_model_12, monkeypatch, block, unit):
-        model = sane_model_12
-        if unit is not None:
-            cfg = STIMULUS_CONFIGS[12]
-            bounds = default_bounds(cfg)
-            model = build_model(DesignPoint.from_vector(design_vector(bounds, unit)), cfg, bounds)
+        model = capture_model(unit, sane_model_12)
         plan = make_plan(k_points=256, m_segments=4, seed=13)
         single_codes, single_ok = run_segments_detailed(model, plan, noise=True)
         assert unit is None or not single_ok.all()
@@ -351,6 +366,59 @@ class TestCaptureBlocks:
         assert len(calls) == -(-256 // block)
         np.testing.assert_array_equal(codes, single_codes)
         np.testing.assert_array_equal(ok, single_ok)
+
+    @pytest.mark.parametrize("noise", [True, False], ids=["noisy", "noise_free"])
+    @pytest.mark.parametrize("unit", [None, TIMING_FAIL_UNIT], ids=["sane", "timing_fail"])
+    def test_short_last_block_after_full_ones(self, sane_model_12, monkeypatch, noise, unit):
+        """Blocks of 3,000 rows (more than one noise pass) over 8,192 points:
+        the short last block reuses the full blocks' working set and must
+        not read what they left in it."""
+        model = capture_model(unit, sane_model_12)
+        plan = make_plan(k_points=8192, m_segments=8, seed=17)
+        single_codes, single_ok = run_segments_detailed(model, plan, noise=noise)
+        assert unit is None or not single_ok.all()
+        calls = counting_kernel(monkeypatch)
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 3000)
+        codes, ok = run_segments_detailed(model, plan, noise=noise)
+        assert calls == [3000, 3000, 2192]
+        np.testing.assert_array_equal(codes, single_codes)
+        np.testing.assert_array_equal(ok, single_ok)
+
+    @pytest.mark.parametrize("noise", [True, False], ids=["noisy", "noise_free"])
+    def test_blocks_share_one_working_set(self, sane_model_12, monkeypatch, noise):
+        draw_outs, kernel_outs = [], []
+
+        def drawing(seed, indices, n_bits, out=None):
+            draw_outs.append(out)
+            return noise_matrix(seed, indices, n_bits, out=out)
+
+        def converting(*args, out=None, **kwargs):
+            kernel_outs.append(out)
+            return convert_rows(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(sarsizer.sndr, "noise_matrix", drawing)
+        monkeypatch.setattr(sarsizer.sndr, "convert_rows", converting)
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 100)
+        run_segments(sane_model_12, make_plan(k_points=256, m_segments=4, seed=3), noise=noise)
+        assert len(kernel_outs) == 3 and all(out is kernel_outs[0] for out in kernel_outs)
+        assert len(draw_outs) == 3 * noise
+        assert all(out.base is draw_outs[0].base is not None for out in draw_outs)
+        draw_outs.clear()
+        kernel_outs.clear()
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 256)  # one block: nothing to reuse
+        run_segments(sane_model_12, make_plan(k_points=256, m_segments=4, seed=3), noise=noise)
+        assert kernel_outs == [None] and draw_outs == [None] * noise
+
+    def test_objective_stimuli_own_their_draws(self, monkeypatch):
+        # The objective keeps every block's draws, so no two may share memory.
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 64)
+        monkeypatch.setattr(sarsizer.problem, "CAPTURE_BLOCK", 64)
+        cfg = STIMULUS_CONFIGS[12]
+        objective = ExpensiveObjective(cfg=cfg, plan=make_plan(k_points=256, m_segments=4, seed=3),
+                                       bounds=default_bounds(cfg))
+        draws = [block[2] for block in objective.stimuli]
+        assert len(draws) == 4
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(draws) for b in draws[i + 1:])
 
     def test_kernel_calls_per_capture(self, sane_model_12, monkeypatch):
         calls = counting_kernel(monkeypatch)
