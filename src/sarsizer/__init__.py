@@ -17,7 +17,7 @@ from .adc import (
     convert_rows,
     sample_input,
 )
-from .coarse import CoarseReport, evaluate_coarse, power_estimate, thermal_noise_estimate
+from .coarse import CoarseReport, evaluate_coarse, power_estimate
 from .errors import BoundsError, ConfigError, MetricsError, PlanError, SpecError
 from .global_opt import (
     GlobalParams,

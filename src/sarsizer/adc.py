@@ -22,14 +22,14 @@ One kernel, ``convert_rows``, runs every conversion and returns one
 in ``DESIGN_FIELDS`` order and derives their constants once per call; its
 rows may belong to different designs, so a whole generation's coarse
 tests are one call and each block of a capture (``sndr.CAPTURE_BLOCK``
-conversions) is another.  A single conversion is a batch of one, and
-``AdcModel`` is one design's row with its sampling constants.
+conversions) is another; a single conversion is a batch of one.  ``AdcModel``
+is one design's row with its config, ``sample_input`` the one track-and-hold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class AdcConfig:
     v_floor: float = 1e-6          # residue magnitude floor in the delay law, V
 
     def __post_init__(self) -> None:
-        require(self.n_bits >= 2, "n_bits", ">= 2", self.n_bits)
+        # <= 63: the int64 code weights 2**j wrap at j = 63.
+        require(2 <= self.n_bits <= 63, "n_bits", "in [2, 63]", self.n_bits)
         # Written so that NaN, which fails every comparison, breaks the rule.
         for name in ("f_s", "v_dd", "temp_k", "r_drv_cap", "v_floor"):
             value = getattr(self, name)
@@ -83,10 +84,6 @@ class DesignPoint:
     tau_reg: float     # comparator regeneration time constant, s
     r_drv_msb: float   # MSB DAC driver resistance, Ohm
     t_dff: float       # logic delay per bit cycle, s
-
-    def validate(self, bounds: dict[str, tuple[float, float]] | None = None) -> None:
-        box = [(bounds or {}).get(name, (-math.inf, math.inf)) for name in DESIGN_FIELDS]
-        check_designs(np.array([astuple(self)]), np.array(box, dtype=float))  # unbounded: > 0
 
     @classmethod
     def from_vector(cls, x: np.ndarray) -> "DesignPoint":
@@ -136,43 +133,35 @@ def derive(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class AdcModel:
-    """Design + config with the sampling constants precomputed."""
+    """One design under its config."""
 
-    design: DesignPoint
     cfg: AdcConfig
-    row: np.ndarray = field(init=False)      # the design as a (1, d) kernel matrix
-    tau_smp: float = field(init=False)       # sampling time constant, s
-    kt_c_sigma: float = field(init=False)    # sampled thermal noise, V rms
-
-    def __post_init__(self) -> None:
-        row = np.array([astuple(self.design)])
-        tau_smp, kt_c = (float(v[0]) for v in sampling_constants(self.cfg, row))
-        for name, value in [("row", row), ("tau_smp", tau_smp), ("kt_c_sigma", kt_c)]:
-            object.__setattr__(self, name, value)
+    row: np.ndarray  # the design as a (1, d) kernel matrix
 
 
-def build_model(
-    design: DesignPoint,
-    cfg: AdcConfig,
-    bounds: dict[str, tuple[float, float]] | None = None,
-) -> AdcModel:
-    """Validate a design against bounds and derive its sampling constants."""
-    design.validate(bounds)
-    return AdcModel(design=design, cfg=cfg)
+def build_model(design: DesignPoint, cfg: AdcConfig,
+                bounds: dict[str, tuple[float, float]] | None = None) -> AdcModel:
+    """design's model under cfg, once every field is positive and inside
+    bounds (a field bounds omits is unbounded); BoundsError otherwise."""
+    row = np.array([astuple(design)])
+    box = [(bounds or {}).get(name, (-math.inf, math.inf)) for name in DESIGN_FIELDS]
+    check_designs(row, np.array(box, dtype=float))
+    return AdcModel(cfg, row)
 
 
-def sample_input(
-    model: AdcModel,
-    v_in: float | np.ndarray,
-    v_prev: float | np.ndarray = 0.0,
-) -> float | np.ndarray:
-    """Noise-free track-and-hold output for one sample, or elementwise for arrays.
+def sample_input(cfg: AdcConfig, designs: np.ndarray, v_in: float | np.ndarray,
+                 v_prev: float | np.ndarray = 0.0) -> np.ndarray:
+    """The track-and-hold: each row of the (n, d) designs holds v_in, noise
+    free, shape (n, len(v_in)), or (n, 1) for a scalar v_in.
 
     The held voltage settles from v_prev toward v_in with time constant
-    r_sw * c_tot over the sampling window.  Overrange inputs are allowed
-    (they clip later, in the conversion).
+    tau_smp = r_sw * c_tot over the sampling window; exp is libm's, per row
+    on Python floats, so a row's result does not depend on the batch.
+    Overrange inputs are allowed (they clip later, in the conversion).
     """
-    return v_in - (v_in - v_prev) * math.exp(-model.design.t_sample / model.tau_smp)
+    tau_smp, _ = sampling_constants(cfg, designs)
+    settle = np.array([math.exp(r) for r in (-designs[:, 2] / tau_smp).tolist()])  # t_sample
+    return v_in - (v_in - v_prev) * settle[:, None]
 
 
 @dataclass

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .adc import AdcConfig, AdcModel, check_designs, convert_rows, sampling_constants
+from .adc import AdcConfig, AdcModel, check_designs, convert_rows, sample_input, sampling_constants
 from .errors import SpecError
 from .specs import DerivedSpecs
 
@@ -75,26 +75,19 @@ def _inputs(cfg: AdcConfig) -> np.ndarray:
 def _measure(cfg: AdcConfig, designs: np.ndarray):
     """Per-candidate sampling error, step-ratio errors, rms noise, average
     power and timing flag, from one noise-free kernel call; candidate c owns
-    rows c*ROWS .. c*ROWS+ROWS-1 (``_inputs``), each held from rest as
-    ``sample_input`` does.  exp and the noise total stay per-row Python float
-    expressions, as a lone model's: ``**`` is libm pow, unlike numpy's x*x."""
-    _, _, t_sample, sigma_cmp, *_ = designs.T
-    tau_smp, kt_c_sigma = sampling_constants(cfg, designs)
-    settle = np.array([math.exp(r) for r in (-t_sample / tau_smp).tolist()])
+    rows c*ROWS .. c*ROWS+ROWS-1 (``_inputs``), each held from rest by
+    ``sample_input``.  The noise total stays a per-row Python float
+    expression, as a lone candidate's: ``**`` is libm pow, unlike numpy's x*x."""
     v_in = _inputs(cfg)
-    sampled = v_in - v_in * settle[:, None]
+    sampled = sample_input(cfg, designs, v_in)
     owner = np.repeat(np.arange(len(designs)), ROWS)
     conv = convert_rows(cfg, designs, sampled.ravel(), owner=owner, charge=True)
     power = conv.e_total.reshape(-1, ROWS)[:, 1:].sum(axis=1) / POWER_GRID_POINTS * cfg.f_s
+    kt_c_sigma, sigma_cmp = sampling_constants(cfg, designs)[1], designs[:, 3]
     noise = [math.sqrt(k**2 + s**2) for k, s in zip(kt_c_sigma.tolist(), sigma_cmp.tolist())]
     single = slice(None, None, ROWS)
     return (np.abs(v_in[0] - sampled[:, 0]), step_ratio_errors(conv.applied_step[single]),
             np.array(noise), power, conv.timing_ok[single])
-
-
-def thermal_noise_estimate(model: AdcModel) -> float:
-    """Total rms noise: sampled kT/C plus comparator input-referred noise."""
-    return math.sqrt(model.kt_c_sigma**2 + model.design.sigma_cmp**2)  # as _measure's
 
 
 def power_grid(cfg: AdcConfig) -> np.ndarray:

@@ -602,6 +602,9 @@ def audit_run(run_dir: str | Path) -> dict:
         verify_plan = verification_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
     except PlanError as exc:
         raise ConfigError(f"{path}: cannot plan the recorded capture: {exc}") from exc
+    if len(codes) != verify_plan.k_points:
+        raise ConfigError(f"{capture_path}: {len(codes)} capture rows, the recorded "
+                          f"verify plan has K = {verify_plan.k_points}")
     spectrum = spectrum_metrics(codes, verify_plan, coarse.power, cfg.adc.n_bits)
 
     try:

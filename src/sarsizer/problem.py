@@ -126,8 +126,7 @@ class ExpensiveObjective:
                      for start in range(0, self.plan.k_points, CAPTURE_BLOCK))
 
     def __call__(self, x: np.ndarray) -> float:
-        design = DesignPoint.from_vector(x)
-        model = build_model(design, self.cfg, self.bounds)
+        model = build_model(DesignPoint.from_vector(x), self.cfg, self.bounds)
         codes = run_segments(model, self.plan, noise=self.noise, stimuli=self.stimuli)
         report = spectrum_metrics(codes, self.plan, power_estimate(model), self.cfg.n_bits)
         return -report.fom_s

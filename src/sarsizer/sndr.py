@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adc import AdcModel, convert_rows, kernel_out, sample_input
+from .adc import AdcModel, convert_rows, kernel_out, sample_input, sampling_constants
 from .csvio import write_csv
 from .errors import MetricsError, PlanError
 from .rng import is_seed, noise_matrix
@@ -157,7 +157,9 @@ def run_segments_detailed(
     has nothing to reuse and lets the calls allocate; a working set there
     only moved the heap (desk8's peak RSS rose by 0.5 MB).
     """
-    n, several = model.cfg.n_bits, plan.k_points > CAPTURE_BLOCK
+    cfg, row = model.cfg, model.row
+    n, several = cfg.n_bits, plan.k_points > CAPTURE_BLOCK
+    _, (kt_c_sigma,) = sampling_constants(cfg, row)
     draw_buf = np.empty((CAPTURE_BLOCK, n + 1)) if several and noise and stimuli is None else None
     kernel_buf = kernel_out(n, CAPTURE_BLOCK) if several else None
     codes = np.zeros(plan.k_points, dtype=np.int64)
@@ -165,10 +167,10 @@ def run_segments_detailed(
     for b, start in enumerate(range(0, plan.k_points, CAPTURE_BLOCK)):
         v_now, v_prev, draws = (stimuli[b] if stimuli is not None
                                 else block_stimulus(plan, start, n, noise, out=draw_buf))
-        sampled = sample_input(model, v_now, v_prev)
+        sampled = sample_input(cfg, row, v_now, v_prev)[0]
         if draws is not None:
-            sampled = sampled + model.kt_c_sigma * draws[:, 0]
-        conv = convert_rows(model.cfg, model.row, sampled,
+            sampled = sampled + kt_c_sigma * draws[:, 0]
+        conv = convert_rows(cfg, row, sampled,
                             None if draws is None else draws[:, 1:], out=kernel_buf)
         codes[start:start + len(sampled)] = conv.codes
         ok[start:start + len(sampled)] = conv.timing_ok

@@ -10,7 +10,6 @@ for each bit pair.  The scaling factor ``alpha`` relaxes (>1) or tightens
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -96,6 +95,3 @@ class DerivedSpecs:
 
     def to_dict(self) -> dict:
         return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)

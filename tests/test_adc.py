@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,6 +26,11 @@ def design_with(**overrides):
     base = sane_design().to_dict()
     base.update(overrides)
     return DesignPoint(**base)
+
+
+def design_of(model):
+    """The DesignPoint of a model's row."""
+    return DesignPoint.from_vector(model.row[0])
 
 
 class TestBuildModel:
@@ -61,8 +67,16 @@ class TestBuildModel:
             build_model(design_with(r_sw=5e3), cfg, bounds)
 
     def test_nonpositive_field_rejected(self):
+        cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
         with pytest.raises(BoundsError, match="sigma_cmp"):
-            design_with(sigma_cmp=0.0).validate()
+            build_model(design_with(sigma_cmp=0.0), cfg)
+
+    def test_model_is_config_and_row(self):
+        cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
+        m = build_model(sane_design(), cfg)
+        assert [f.name for f in fields(m)] == ["cfg", "row"]
+        assert m.cfg is cfg
+        np.testing.assert_array_equal(m.row, [list(sane_design().to_dict().values())])
 
     @pytest.mark.parametrize("name, value", [
         ("f_s", math.nan), ("f_s", math.inf), ("v_dd", -math.inf), ("temp_k", math.nan),
@@ -79,7 +93,7 @@ class TestSampleInput:
         cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
         m = build_model(ideal_design(), cfg)
         for v in (-0.3, 0.0, 0.44):
-            assert sample_input(m, v) == v
+            assert sample_input(cfg, m.row, v)[0, 0] == v
 
     def test_rc_settling_matches_analytic(self):
         # c_tot = 2 pF via c_unit, r_sw = 1 kOhm, 10 ns window: 5 time constants
@@ -87,8 +101,9 @@ class TestSampleInput:
         m = build_model(
             design_with(c_unit=2e-12 / 2**11, r_sw=1e3, t_sample=10e-9), cfg
         )
-        sampled = sample_input(m, 1.0, v_prev=0.0)
-        assert m.tau_smp == pytest.approx(2e-9, rel=1e-12)
+        sampled = sample_input(cfg, m.row, 1.0, v_prev=0.0)[0, 0]
+        tau_smp, _ = adc.sampling_constants(cfg, m.row)
+        assert tau_smp[0] == pytest.approx(2e-9, rel=1e-12)
         error = 1.0 - sampled
         assert error == pytest.approx(math.exp(-5.0), rel=1e-12)
         assert sampled == pytest.approx(0.99326, abs=5e-6)
@@ -118,11 +133,29 @@ class TestSampleInput:
     def test_previous_sample_memory(self):
         cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
         m = build_model(design_with(r_sw=2e3, t_sample=1e-9), cfg)
-        a = sample_input(m, 0.4, v_prev=0.0)
-        b = sample_input(m, 0.4, v_prev=-0.4)
+        a = sample_input(cfg, m.row, 0.4, v_prev=0.0)[0, 0]
+        b = sample_input(cfg, m.row, 0.4, v_prev=-0.4)[0, 0]
         assert a != b
         # same v_prev restores exact reproducibility
-        assert sample_input(m, 0.4, v_prev=-0.4) == b
+        assert sample_input(cfg, m.row, 0.4, v_prev=-0.4)[0, 0] == b
+
+    def test_matrix_equals_rows_one_by_one(self):
+        # the coarse tests hold a whole design matrix at once, a capture
+        # one row: each row of the matrix call is that row's own call
+        cfg = AdcConfig(n_bits=10, f_s=1e6, v_dd=1.0)
+        rng = np.random.default_rng(3)
+        designs = np.vstack([
+            build_model(design_with(c_unit=c, r_sw=r, t_sample=t), cfg).row
+            for c, r, t in zip(10 ** rng.uniform(-15, -13, 6), 10 ** rng.uniform(2, 4, 6),
+                               10 ** rng.uniform(-10, -9, 6))
+        ])
+        v_in, v_prev = rng.uniform(-0.6, 0.6, 50), rng.uniform(-0.6, 0.6, 50)
+        many = sample_input(cfg, designs, v_in, v_prev)
+        assert many.shape == (6, 50)
+        for c in range(6):
+            one = sample_input(cfg, designs[c:c + 1], v_in, v_prev)
+            np.testing.assert_array_equal(many[c], one[0])
+            assert not np.array_equal(one[0], v_in)  # the window does not settle fully
 
 
 class TestConvert:
@@ -177,7 +210,7 @@ class TestConvert:
 
     def test_time_accounting_identity(self, sane_model_12):
         trace = convert_one(sane_model_12, 0.21)
-        assert trace.t_total == sane_model_12.design.t_sample + trace.t_bit.sum()
+        assert trace.t_total == design_of(sane_model_12).t_sample + trace.t_bit.sum()
         if trace.timing_ok:
             assert trace.t_total <= sane_model_12.cfg.t_conv
 
@@ -206,7 +239,7 @@ def charge_oracle(model, bits):
     n = model.cfg.n_bits
     v_dd = model.cfg.v_dd
     v_cm = v_dd / 2.0
-    c_unit = model.design.c_unit
+    c_unit = design_of(model).c_unit
     caps = [2 ** (n - 1 - j) * c_unit for j in range(1, n)]  # event j-1 switches caps[j-1]
     c_tot = 2 ** (n - 1) * c_unit
 
@@ -263,7 +296,7 @@ class TestEnergy:
         # four-bit conversion of v = 0 (code 1000): hand-tracked supply
         # charges per event with 1 fF unit and 1 V supply
         m = build_model(ideal_design(), self.cfg())
-        assert m.design.c_unit == 1e-15
+        assert design_of(m).c_unit == 1e-15
         trace = convert_one(m, 0.0)
         assert trace.code == 8
         np.testing.assert_allclose(
@@ -284,9 +317,10 @@ class TestEnergy:
         m = build_model(sane_design(), cfg)
         trace = convert_one(m, -0.11)
         e_dac = cfg.v_dd * trace.delta_q.sum()
-        e_cmp = cfg.kappa_cmp / m.design.sigma_cmp**2 * trace.n_fired
+        d = design_of(m)
+        e_cmp = cfg.kappa_cmp / d.sigma_cmp**2 * trace.n_fired
         e_logic = cfg.e_dff * trace.n_fired
-        e_sw = cfg.kappa_sw / m.design.r_sw
+        e_sw = cfg.kappa_sw / d.r_sw
         assert min(e_dac, e_cmp, e_logic, e_sw) >= 0.0
         assert trace.e_total == pytest.approx(e_dac + e_cmp + e_logic + e_sw, rel=1e-12)
 
@@ -294,7 +328,7 @@ class TestEnergy:
 def reference_convert(model, v, cmp_draws):
     """Scalar per-bit reference with libm exp/log: (applied steps, t_bit,
     delta_q, e_total, timing_ok), written out from the model equations."""
-    n, d, cfg = model.cfg.n_bits, model.design, model.cfg
+    n, d, cfg = model.cfg.n_bits, design_of(model), model.cfg
     c_tot = 2 ** (n - 1) * d.c_unit
     t_cmp_max = d.t_d0 + d.tau_reg * math.log(cfg.v_dd / cfg.v_floor)
 

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sarsizer import coarse
-from sarsizer.adc import AdcConfig, DesignPoint, build_model, sample_input
+from sarsizer.adc import AdcConfig, DesignPoint, build_model, sample_input, sampling_constants
 from sarsizer.coarse import (
     POWER_GRID_POINTS,
     evaluate_coarse,
     power_estimate,
     power_grid,
     step_ratio_errors,
-    thermal_noise_estimate,
 )
 from sarsizer.errors import BoundsError, SpecError
 from sarsizer.pipeline import default_bounds
@@ -33,6 +32,11 @@ def design_with(**overrides):
 def report(model, specs):
     """One model's coarse report: its row of a one-design batch."""
     return evaluate_coarse(model.cfg, model.row, specs).row(0)
+
+
+def noise_rms(model):
+    """One model's total rms noise, as its coarse report measures it."""
+    return report(model, DerivedSpecs.derive(model.cfg.n_bits, model.cfg.v_dd, 1.0)).noise_rms
 
 
 class TestSinglePoint:
@@ -60,7 +64,7 @@ class TestSinglePoint:
         cfg = AdcConfig(n_bits=12, f_s=20e6, v_dd=1.0, r_drv_cap=150.0)
         m = build_model(sane_design(), cfg)
         ssre = report(m, DerivedSpecs.derive(12, 1.0, 1.0)).ssre
-        trace = convert_one(m, sample_input(m, 1.0))
+        trace = convert_one(m, sample_input(cfg, m.row, 1.0)[0, 0])
         delta = trace.applied_step / m.cfg.step_amp - 1.0
         expected = np.abs(2.0 * (1.0 + delta[:-1]) / (1.0 + delta[1:]) - 2.0)
         np.testing.assert_allclose(ssre, expected, rtol=1e-12)
@@ -88,8 +92,8 @@ class TestThermalNoise:
             design_with(c_unit=1e-12 / 2**11, sigma_cmp=1e-30), cfg
         )
         expected = math.sqrt(2 * BOLTZMANN * 300.0 / 1e-12)
-        assert thermal_noise_estimate(m) == pytest.approx(expected, rel=1e-12)
-        assert thermal_noise_estimate(m) == pytest.approx(91.0e-6, abs=0.1e-6)
+        assert noise_rms(m) == pytest.approx(expected, rel=1e-12)
+        assert noise_rms(m) == pytest.approx(91.0e-6, abs=0.1e-6)
 
     def test_both_contributions(self):
         cfg = AdcConfig(n_bits=12, f_s=1e6, v_dd=1.0, temp_k=300.0)
@@ -97,13 +101,13 @@ class TestThermalNoise:
             design_with(c_unit=1e-12 / 2**11, sigma_cmp=100e-6), cfg
         )
         expected = math.sqrt(2 * BOLTZMANN * 300.0 / 1e-12 + (100e-6) ** 2)
-        assert thermal_noise_estimate(m) == pytest.approx(expected, rel=1e-12)
-        assert thermal_noise_estimate(m) == pytest.approx(135.2e-6, abs=0.1e-6)
+        assert noise_rms(m) == pytest.approx(expected, rel=1e-12)
+        assert noise_rms(m) == pytest.approx(135.2e-6, abs=0.1e-6)
 
     def test_comparator_dominates_large_capacitance(self):
         cfg = AdcConfig(n_bits=12, f_s=1e6, v_dd=1.0)
         m = build_model(design_with(c_unit=1.0, sigma_cmp=123e-6), cfg)
-        assert thermal_noise_estimate(m) == pytest.approx(123e-6, rel=1e-6)
+        assert noise_rms(m) == pytest.approx(123e-6, rel=1e-6)
 
 
 class TestPower:
@@ -239,9 +243,10 @@ class TestBatchedEvaluation:
             assert rep.timing_ok == one.timing_ok
             np.testing.assert_array_equal(rep.ssre, one.ssre)
             np.testing.assert_array_equal(rep.slack, one.slack)
-            assert rep.noise_rms == one.noise_rms == thermal_noise_estimate(m)
+            kt_c, sigma_cmp = float(sampling_constants(cfg, m.row)[1][0]), float(m.row[0, 3])
+            assert rep.noise_rms == one.noise_rms == math.sqrt(kt_c**2 + sigma_cmp**2)
             assert one.power == power_estimate(m)
-            sampled = sample_input(m, cfg.v_dd)
+            sampled = sample_input(cfg, m.row, cfg.v_dd)[0, 0]
             assert one.sampling_error == abs(cfg.v_dd - sampled)
             assert one.timing_ok == convert_one(m, sampled).timing_ok
 

@@ -58,6 +58,12 @@ def _drop_first_code(capture):
     capture.write_text("\n".join(lines) + "\n")
 
 
+def _drop_last_row(capture):
+    """Cut the last data row off a capture.csv."""
+    lines = capture.read_text().splitlines()
+    capture.write_text("\n".join(lines[:-1]) + "\n")
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -244,11 +250,16 @@ class TestLoadConfig:
         ({"harness": {"f_target_frac": 0.6}}, "harness"),
         ({"global": {"max_evals": 0}}, "global.max_evals"),
         ({"local": {"max_iter": 0}}, "local.max_iter"),
+        ({"N": 64}, "n_bits"),
     ])
     def test_malformed_values_rejected(self, override, name):
         text = yaml.safe_dump({"N": 8, "fs": 1e6, "V_DD": 1.0, **override})
         with pytest.raises(ConfigError, match=name):
             load_config(text, is_text=True)
+
+    def test_widest_resolution_loads(self):
+        # 63 bits is the widest whose int64 code weights do not wrap
+        assert load_config("{N: 63, fs: 1.0e6, V_DD: 1.0}", is_text=True).adc.n_bits == 63
 
     def test_numeric_strings_and_integral_lambda_accepted(self):
         # PyYAML reads 1.0e6 as a string; lambda stays a float in the record
@@ -447,13 +458,15 @@ class TestRunPipeline:
             N=record["config"]["adc"].pop("n_bits")), "run_record.json"),
         (lambda record, run_dir: record["config"].update(harness=[]), "run_record.json"),
         (lambda record, run_dir: record.update(local=None), "run_record.json"),
+        (lambda record, run_dir: _drop_last_row(run_dir / "capture.csv"), "capture.csv"),
     ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
             "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
             "short_capture_row", "missing_global", "missing_local", "missing_warning",
             "missing_stop_reason", "missing_design_value", "missing_sndr_ceiling",
             "string_design_value", "string_noise", "unplannable_harness", "negative_seed",
             "bounds_triple", "bounds_string", "negative_alpha", "design_outside_bounds",
-            "missing_n_bits", "aliased_n_bits", "harness_list", "null_local"])
+            "missing_n_bits", "aliased_n_bits", "harness_list", "null_local",
+            "truncated_capture"])
     def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"

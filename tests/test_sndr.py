@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert_rows, sample_input
+from sarsizer.adc import (AdcConfig, DesignPoint, build_model, convert_rows, sample_input,
+                          sampling_constants)
 from sarsizer.coarse import power_estimate
 from sarsizer.errors import MetricsError, PlanError
 from sarsizer.pipeline import default_bounds
@@ -210,6 +211,8 @@ class TestSegments:
         # the global sample index
         plan = make_plan(k_points=256, m_segments=4, seed=11)
         model = sane_model_12
+        t_sample = float(model.row[0, 2])
+        tau_smp, kt_c_sigma = (float(v[0]) for v in sampling_constants(model.cfg, model.row))
         t_s = 1.0 / plan.f_s
         omega = 2 * math.pi * plan.f_in
         merged = np.zeros(plan.k_points, dtype=np.int64)
@@ -217,10 +220,10 @@ class TestSegments:
             local = np.arange(len(idx))  # wrong: forgets the global schedule
             v_now = plan.amplitude * np.sin(omega * idx * t_s)
             v_prev = plan.amplitude * np.sin(omega * (idx - 1) * t_s)
-            settle = math.exp(-model.design.t_sample / model.tau_smp)
+            settle = math.exp(-t_sample / tau_smp)
             sampled = v_now - (v_now - v_prev) * settle
             draws = noise_matrix(plan.seed, local, 12)
-            sampled += model.kt_c_sigma * draws[:, 0]
+            sampled += kt_c_sigma * draws[:, 0]
             merged[idx] = convert_rows(model.cfg, model.row, sampled, draws[:, 1:]).codes
         full = run_segments(model, plan, noise=True)
         assert not np.array_equal(merged, full)
@@ -230,6 +233,8 @@ class TestSegments:
         # as sample_input, the sample's kT/C draw and a batch-of-one
         # conversion, sample by sample
         plan = make_plan(k_points=32, m_segments=4, seed=23)
+        cfg, row = sane_model_12.cfg, sane_model_12.row
+        _, (kt_c_sigma,) = sampling_constants(cfg, row)
         codes = run_segments(sane_model_12, plan, noise=True)
         u = capture_inputs(plan)
         t_s = 1.0 / plan.f_s
@@ -238,8 +243,8 @@ class TestSegments:
                 2 * math.pi * plan.f_in * (m - 1) * t_s
             )
             kt_c = noise_matrix(plan.seed, [m], 0)[0, 0]
-            sampled = sample_input(sane_model_12, float(u[m]), v_prev=v_prev)
-            sampled += sane_model_12.kt_c_sigma * kt_c
+            sampled = sample_input(cfg, row, float(u[m]), v_prev=v_prev)[0, 0]
+            sampled += kt_c_sigma * kt_c
             trace = convert_one(sane_model_12, sampled, (plan.seed, m))
             assert trace.code == codes[m], m
 

@@ -135,7 +135,7 @@ class TestDerivedSpecs:
 
     def test_json_round_trip(self):
         specs = DerivedSpecs.derive(8, 1.2, 1.5)
-        loaded = json.loads(specs.to_json())
+        loaded = json.loads(json.dumps(specs.to_dict(), sort_keys=True))
         assert loaded["alpha"] == 1.5
         assert loaded["ssre_bound"] == specs.ssre_bound.tolist()
 
