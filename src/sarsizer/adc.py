@@ -139,13 +139,18 @@ class AdcModel:
     row: np.ndarray  # the design as a (1, d) kernel matrix
 
 
+def design_box(bounds: dict[str, tuple[float, float]] | None) -> np.ndarray:
+    """bounds as a (d, 2) box in DESIGN_FIELDS order; a field bounds omits is unbounded."""
+    box = [(bounds or {}).get(name, (-math.inf, math.inf)) for name in DESIGN_FIELDS]
+    return np.array(box, dtype=float)
+
+
 def build_model(design: DesignPoint, cfg: AdcConfig,
                 bounds: dict[str, tuple[float, float]] | None = None) -> AdcModel:
     """design's model under cfg, once every field is positive and inside
-    bounds (a field bounds omits is unbounded); BoundsError otherwise."""
+    bounds (``design_box``); BoundsError otherwise."""
     row = np.array([astuple(design)])
-    box = [(bounds or {}).get(name, (-math.inf, math.inf)) for name in DESIGN_FIELDS]
-    check_designs(row, np.array(box, dtype=float))
+    check_designs(row, design_box(bounds))
     return AdcModel(cfg, row)
 
 
@@ -218,18 +223,18 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
     Timing failures are never exceptions: once the elapsed time passes the
     conversion period, remaining bits resolve to 0 and timing_ok is False.
     charge=True adds the switch charges and energies in a post-pass over
-    the bits, which captures skip.  Every step is elementwise over rows,
-    so a row's result does not depend on the rest of the batch.
+    the bits (``conversion_energy``), which captures skip.  Every step is
+    elementwise over rows, so a row's result does not depend on the batch.
 
     out, the arrays of ``kernel_out(n_bits, r)`` for any r >= rows, is
     used in place of new ones: bits, applied_step and t_bit then view it,
     so a later call with the same out overwrites them.
     """
-    c_tot, _, tau_step, t_cmp_max = derive(cfg, designs)
+    _, _, tau_step, t_cmp_max = derive(cfg, designs)
     # Design constants per row, or scalars (numpy's faster path) for one design.
     pick = 0 if owner is None else owner
-    consts, tau_step = np.column_stack([designs, c_tot, t_cmp_max])[pick], tau_step[pick]
-    c_unit, r_sw, t_sample, sigma_cmp, t_d0, tau_reg, _, t_dff, c_tot, t_cmp_max = consts.T
+    consts, tau_step = np.column_stack([designs, t_cmp_max])[pick], tau_step[pick]
+    _, _, t_sample, sigma_cmp, t_d0, tau_reg, _, t_dff, t_cmp_max = consts.T
 
     def delay(mag: np.ndarray) -> np.ndarray:
         """Regeneration delay per decision: grows as the residue shrinks."""
@@ -267,9 +272,20 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
     conv = Conversions(bits.T, applied.T, t_row, t_total, n_fired,
                        timing_ok=(n_fired == n) & (t_total <= cfg.t_conv))
     if charge:
-        conv.delta_q = _switch_charge(cfg.v_dd, c_unit, c_tot, conv.bits, n_fired)
-        conv.e_total = _energy(cfg, sigma_cmp, r_sw, conv.delta_q.sum(axis=1), n_fired)
+        conv.delta_q, conv.e_total = conversion_energy(cfg, designs, conv.bits, n_fired, owner)
     return conv
+
+
+def conversion_energy(cfg: AdcConfig, designs: np.ndarray, bits: np.ndarray,
+                      n_fired: np.ndarray, owner: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The charge post-pass over converted rows: (reference charge per
+    switch event (rows, n), conversion energy (rows,)) of each row of bits
+    with n_fired fired decisions, on designs[owner[m]] as in convert_rows.
+    Rows are independent, so a caller may pass only the rows it prices."""
+    c_unit, r_sw, _, sigma_cmp = designs[0 if owner is None else owner, :4].T
+    delta_q = _switch_charge(cfg.v_dd, c_unit, 2.0 ** (cfg.n_bits - 1) * c_unit, bits, n_fired)
+    return delta_q, _energy(cfg, sigma_cmp, r_sw, delta_q.sum(axis=1), n_fired)
 
 
 def _switch_charge(v_dd: float, c_unit: np.ndarray, c_tot: np.ndarray,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coarse import evaluate_coarse, power_estimate
+from .coarse import evaluate_coarse
 from .errors import SarSizerError
 from .pipeline import (
     REPORT_FILES,
@@ -33,7 +33,8 @@ from .pipeline import (
     run_pipeline,
 )
 from .sndr import (
-    run_segments_detailed,
+    sine_stimuli,
+    sine_test,
     spectrum_metrics,
     write_capture_csv,
     write_spectrum_csv,
@@ -89,8 +90,8 @@ def cmd_sndr(args) -> int:
     cfg = _load(args)
     model = load_model(args.design, cfg)
     plan = optimization_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
-    codes, ok = run_segments_detailed(model, plan, noise=cfg.harness.noise)
-    power = power_estimate(model)
+    stimuli = sine_stimuli(cfg.adc, plan, cfg.harness.noise)
+    codes, ok, power = sine_test(cfg.adc, model.row, plan, stimuli)
     report = spectrum_metrics(codes, plan, power, cfg.adc.n_bits)
     print(f"capture         = {plan.k_points} points, {plan.m_segments} segments")
     print(f"input frequency = {plan.f_in:.6e} Hz ({plan.j_cycles} cycles)")

@@ -18,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .adc import AdcConfig, AdcModel, check_designs, convert_rows, sample_input, sampling_constants
+from .adc import (AdcConfig, AdcModel, check_designs, conversion_energy, convert_rows, sample_input,
+                  sampling_constants)
 from .errors import SpecError
 from .specs import DerivedSpecs
 
@@ -74,18 +75,20 @@ def _inputs(cfg: AdcConfig) -> np.ndarray:
 
 def _measure(cfg: AdcConfig, designs: np.ndarray):
     """Per-candidate sampling error, step-ratio errors, rms noise, average
-    power and timing flag, from one noise-free kernel call; candidate c owns
-    rows c*ROWS .. c*ROWS+ROWS-1 (``_inputs``), each held from rest by
-    ``sample_input``.  The noise total stays a per-row Python float
+    power and timing flag, from one noise-free kernel call over ROWS rows
+    per candidate (``_inputs``) held from rest: every supply row, then each
+    candidate's power grid.  The noise total stays a per-row Python float
     expression, as a lone candidate's: ``**`` is libm pow, unlike numpy's x*x."""
+    n = len(designs)
     v_in = _inputs(cfg)
     sampled = sample_input(cfg, designs, v_in)
-    owner = np.repeat(np.arange(len(designs)), ROWS)
-    conv = convert_rows(cfg, designs, sampled.ravel(), owner=owner, charge=True)
-    power = conv.e_total.reshape(-1, ROWS)[:, 1:].sum(axis=1) / POWER_GRID_POINTS * cfg.f_s
+    owner = np.concatenate([np.arange(n), np.repeat(np.arange(n), POWER_GRID_POINTS)])
+    conv = convert_rows(cfg, designs, np.concatenate([sampled[:, 0], sampled[:, 1:].ravel()]),
+                        owner=owner)
+    single, grid = slice(None, n), slice(n, None)
+    power = grid_power(cfg, designs, conv.bits[grid], conv.n_fired[grid], owner[grid])
     kt_c_sigma, sigma_cmp = sampling_constants(cfg, designs)[1], designs[:, 3]
     noise = [math.sqrt(k**2 + s**2) for k, s in zip(kt_c_sigma.tolist(), sigma_cmp.tolist())]
-    single = slice(None, None, ROWS)
     return (np.abs(v_in[0] - sampled[:, 0]), step_ratio_errors(conv.applied_step[single]),
             np.array(noise), power, conv.timing_ok[single])
 
@@ -94,6 +97,16 @@ def power_grid(cfg: AdcConfig) -> np.ndarray:
     """Fixed differential inputs spanning full scale for the power average."""
     half = cfg.v_dd / 2.0
     return np.linspace(-half, half, POWER_GRID_POINTS)
+
+
+def grid_power(cfg: AdcConfig, designs: np.ndarray, bits: np.ndarray, n_fired: np.ndarray,
+               owner: np.ndarray | None = None) -> np.ndarray:
+    """Average supply power per design over its power grid: the rows of
+    (bits, n_fired) are noise-free conversions of ``power_grid`` held from
+    rest, POWER_GRID_POINTS consecutive rows per design, on designs[owner]
+    as in ``convert_rows``.  The charge post-pass runs on these rows only."""
+    _, e_total = conversion_energy(cfg, designs, bits, n_fired, owner)
+    return e_total.reshape(-1, POWER_GRID_POINTS).sum(axis=1) / POWER_GRID_POINTS * cfg.f_s
 
 
 def power_estimate(model: AdcModel) -> float:

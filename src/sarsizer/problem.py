@@ -3,8 +3,9 @@
 Each value an adapter returns depends only on its constructor state and
 the point scored.  ``CheapObjective`` also keeps state of its own, a memo
 of the rows it has scored and its best feasible point, so one instance
-serves one local run; ``ExpensiveObjective`` caches the stimulus that its
-constructor state fixes.
+serves one local run; ``ExpensiveObjective`` caches the stimulus, power
+grid included, and the bounds box that its constructor state fixes, so a
+call is a bounds check and one ``sine_test``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .adc import DESIGN_FIELDS, AdcConfig, DesignPoint, build_model
-from .coarse import CoarseReport, evaluate_coarse, power_estimate
-from .sndr import CAPTURE_BLOCK, TestPlan, block_stimulus, run_segments, spectrum_metrics
+from .adc import DESIGN_FIELDS, AdcConfig, check_designs, design_box
+from .coarse import CoarseReport, evaluate_coarse
+from .sndr import TestPlan, sine_stimuli, sine_test, spectrum_metrics
 from .specs import DerivedSpecs
 
 # Fallback anchor when the starting design draws no power at all.
@@ -109,8 +110,12 @@ class ExpensiveObjective:
 
     FoM_S folds measured SNDR and estimated power into one figure, so the
     expensive checkpoints guard exactly what the coarse tests approximate.
-    An unusable capture (e.g. every conversion timing-dead) raises
-    MetricsError, which run_local scores as +inf and counts as failed.
+    Each call is one ``sine_test``: the capture and the power grid convert
+    in one kernel call per block, and the value equals the one built from
+    ``run_segments`` and ``power_estimate``.  A point outside bounds (a
+    field bounds omits is unbounded) raises BoundsError, and an unusable
+    capture (e.g. every conversion timing-dead) MetricsError; run_local
+    scores either as +inf and counts it as failed.
     """
 
     cfg: AdcConfig
@@ -119,14 +124,18 @@ class ExpensiveObjective:
     noise: bool = True
 
     @cached_property
+    def box(self) -> np.ndarray:
+        return design_box(self.bounds)
+
+    @cached_property
     def stimuli(self) -> tuple:
-        """Every block's stimulus, built on the first call: it depends on
-        (plan, N, noise) only, so each capture of this objective reuses it."""
-        return tuple(block_stimulus(self.plan, start, self.cfg.n_bits, self.noise)
-                     for start in range(0, self.plan.k_points, CAPTURE_BLOCK))
+        """Every block's stimulus, power grid included, built on the first
+        call: it depends on (plan, cfg, noise) only, so each capture of
+        this objective reuses it."""
+        return sine_stimuli(self.cfg, self.plan, self.noise)
 
     def __call__(self, x: np.ndarray) -> float:
-        model = build_model(DesignPoint.from_vector(x), self.cfg, self.bounds)
-        codes = run_segments(model, self.plan, noise=self.noise, stimuli=self.stimuli)
-        report = spectrum_metrics(codes, self.plan, power_estimate(model), self.cfg.n_bits)
-        return -report.fom_s
+        row = np.asarray(x, dtype=float)[None]
+        check_designs(row, self.box)
+        codes, _, power = sine_test(self.cfg, row, self.plan, self.stimuli)
+        return -spectrum_metrics(codes, self.plan, power, self.cfg.n_bits).fom_s

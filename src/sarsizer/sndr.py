@@ -6,7 +6,9 @@ global sample index and its hold history is reconstructed analytically,
 so a capture converts in contiguous blocks of CAPTURE_BLOCK samples, one
 kernel call each, with the codes of one call over all K.  The paper's M
 interleaved segments rest on the same argument: M must divide K and is
-recorded, but changes no code and no work.
+recorded, but changes no code and no work.  A sine test that also prices
+the design (``sine_test``) converts the power grid as extra rows of its
+last block's call.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adc import AdcModel, convert_rows, kernel_out, sample_input, sampling_constants
+from .adc import (AdcConfig, AdcModel, Conversions, convert_rows, kernel_out, sample_input,
+                  sampling_constants)
+from .coarse import POWER_GRID_POINTS, grid_power, power_grid
 from .csvio import write_csv
 from .errors import MetricsError, PlanError
 from .rng import is_seed, noise_matrix
@@ -146,7 +150,18 @@ def run_segments_detailed(
     """Capture (codes, timing_ok); per-sample timing failures are recorded,
     never fatal.  Blocks run one after another, each building, converting
     and dropping its block_stimulus before the next is built, unless
-    stimuli holds every block's (built for this plan, N and noise).
+    stimuli holds every block's (built for this plan, N and noise)."""
+    codes, ok, _ = _capture(model.cfg, model.row, plan, noise, stimuli)
+    return codes, ok
+
+
+def _capture(cfg: AdcConfig, row: np.ndarray, plan: TestPlan, noise: bool,
+             stimuli: Sequence | None) -> tuple[np.ndarray, np.ndarray, Conversions]:
+    """(codes, timing_ok, the last block's Conversions) of the capture of
+    the (1, d) design row; noise is read only to build missing stimuli.
+    Rows a stimulus holds beyond its block's share of the plan
+    (``sine_stimuli``'s power grid) convert in that block's kernel call and
+    show only in its Conversions.
 
     A capture of several blocks has one working set, sized for a block:
     its noise draws and the kernel's per-decision arrays (``kernel_out``)
@@ -157,11 +172,11 @@ def run_segments_detailed(
     has nothing to reuse and lets the calls allocate; a working set there
     only moved the heap (desk8's peak RSS rose by 0.5 MB).
     """
-    cfg, row = model.cfg, model.row
     n, several = cfg.n_bits, plan.k_points > CAPTURE_BLOCK
     _, (kt_c_sigma,) = sampling_constants(cfg, row)
     draw_buf = np.empty((CAPTURE_BLOCK, n + 1)) if several and noise and stimuli is None else None
-    kernel_buf = kernel_out(n, CAPTURE_BLOCK) if several else None
+    rows = CAPTURE_BLOCK if stimuli is None else max(len(v_now) for v_now, _, _ in stimuli)
+    kernel_buf = kernel_out(n, rows) if several else None
     codes = np.zeros(plan.k_points, dtype=np.int64)
     ok = np.zeros(plan.k_points, dtype=bool)
     for b, start in enumerate(range(0, plan.k_points, CAPTURE_BLOCK)):
@@ -172,10 +187,39 @@ def run_segments_detailed(
             sampled = sampled + kt_c_sigma * draws[:, 0]
         conv = convert_rows(cfg, row, sampled,
                             None if draws is None else draws[:, 1:], out=kernel_buf)
-        codes[start:start + len(sampled)] = conv.codes
-        ok[start:start + len(sampled)] = conv.timing_ok
+        stop = min(start + CAPTURE_BLOCK, plan.k_points)
+        codes[start:stop] = conv.codes[:stop - start]
+        ok[start:stop] = conv.timing_ok[:stop - start]
+        if stop == plan.k_points:
+            return codes, ok, conv
         del v_now, v_prev, draws, sampled, conv  # freed before the next block is built
-    return codes, ok
+
+
+def sine_stimuli(cfg: AdcConfig, plan: TestPlan, noise: bool) -> tuple:
+    """Every block's stimulus for ``sine_test``: block_stimulus, with the
+    power grid's POWER_GRID_POINTS rows after the last block's sine rows,
+    each held from rest with zero kT/C and comparator draws, so they
+    convert as ``coarse`` converts them and take no draw from the stream."""
+    blocks = [block_stimulus(plan, start, cfg.n_bits, noise)
+              for start in range(0, plan.k_points, CAPTURE_BLOCK)]
+    v_now, v_prev, draws = blocks[-1]
+    blocks[-1] = (np.concatenate([v_now, power_grid(cfg)]),
+                  np.concatenate([v_prev, np.zeros(POWER_GRID_POINTS)]),
+                  None if draws is None else
+                  np.concatenate([draws, np.zeros((POWER_GRID_POINTS, cfg.n_bits + 1))]))
+    return tuple(blocks)
+
+
+def sine_test(cfg: AdcConfig, row: np.ndarray, plan: TestPlan,
+              stimuli: Sequence) -> tuple[np.ndarray, np.ndarray, float]:
+    """(codes, timing_ok, average power) of the (1, d) design row, stimuli
+    being ``sine_stimuli``'s for (cfg, plan): the power grid converts in
+    the last block's kernel call, and the results equal
+    run_segments_detailed's capture and ``power_estimate``'s power."""
+    codes, ok, conv = _capture(cfg, row, plan, False, stimuli)
+    grid = slice(-POWER_GRID_POINTS, None)
+    [power] = grid_power(cfg, row, conv.bits[grid], conv.n_fired[grid])
+    return codes, ok, float(power)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -6,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sarsizer.adc import (AdcConfig, DesignPoint, build_model, convert_rows, sample_input,
-                          sampling_constants)
-from sarsizer.coarse import power_estimate
-from sarsizer.errors import MetricsError, PlanError
+from sarsizer.adc import (DESIGN_FIELDS, AdcConfig, DesignPoint, build_model, convert_rows,
+                          sample_input, sampling_constants)
+import sarsizer.coarse
+from sarsizer.coarse import POWER_GRID_POINTS, power_estimate
+from sarsizer.errors import BoundsError, MetricsError, PlanError
+from sarsizer.local_opt import LocalParams, run_local
 from sarsizer.pipeline import default_bounds
 from sarsizer.problem import ExpensiveObjective, bounds_array
 from sarsizer.rng import noise_matrix
-import sarsizer.problem
 import sarsizer.sndr
 from sarsizer.sndr import (
     TestPlan,
@@ -25,6 +27,7 @@ from sarsizer.sndr import (
     plan_test,
     run_segments,
     run_segments_detailed,
+    sine_test,
     spectrum_metrics,
     write_capture_csv,
     write_spectrum_csv,
@@ -136,14 +139,21 @@ def counting_noise(monkeypatch):
 
 
 def counting_kernel(monkeypatch):
-    """Record the row count of every kernel call a capture makes."""
+    """Record the row count of every kernel call, made through any name a
+    module of the package binds the kernel to (a sine test could reach it
+    through sndr, or through coarse for its power)."""
     calls = []
 
     def counted(cfg, designs, v_sampled, *args, **kwargs):
         calls.append(len(v_sampled))
         return convert_rows(cfg, designs, v_sampled, *args, **kwargs)
 
-    monkeypatch.setattr(sarsizer.sndr, "convert_rows", counted)
+    bindings = [module for name, module in list(sys.modules.items())
+                if name.split(".")[0] == "sarsizer"
+                and getattr(module, "convert_rows", None) is convert_rows]
+    assert {sarsizer.sndr, sarsizer.coarse} <= set(bindings)
+    for module in bindings:
+        monkeypatch.setattr(module, "convert_rows", counted)
     return calls
 
 
@@ -303,25 +313,38 @@ class TestReusedStimulus:
         ),
         noise=st.booleans(),
         m=st.sampled_from([1, 4]),
+        block=st.sampled_from([None, 64, 100]),
     )
-    @example(n_bits=12, units=[TIMING_FAIL_UNIT], noise=True, m=4)
-    @example(n_bits=12, units=[TIMING_FAIL_UNIT], noise=False, m=1)
-    def test_reused_stimulus_matches_default_capture(self, n_bits, units, noise, m):
+    @example(n_bits=12, units=[TIMING_FAIL_UNIT], noise=True, m=4, block=None)
+    @example(n_bits=12, units=[TIMING_FAIL_UNIT], noise=False, m=1, block=None)
+    @example(n_bits=12, units=[TIMING_FAIL_UNIT], noise=True, m=4, block=64)
+    @example(n_bits=8, units=[[0.5] * 8], noise=True, m=4, block=100)
+    def test_reused_stimulus_matches_default_capture(self, n_bits, units, noise, m, block):
         """One objective's stimulus, built on its first call and reused for
         every later design, gives the codes and the value that a capture
-        drawing its own stimulus gives."""
-        cfg = STIMULUS_CONFIGS[n_bits]
-        bounds = default_bounds(cfg)
-        plan = plan_test(cfg.f_s, 256, m, 0.097 * cfg.f_s, 0.475, seed=5)
-        objective = ExpensiveObjective(cfg=cfg, plan=plan, bounds=bounds, noise=noise)
-        for unit in units:
-            x = design_vector(bounds, unit)
-            model = build_model(DesignPoint.from_vector(x), cfg, bounds)
-            reused = run_segments_detailed(model, plan, noise=noise, stimuli=objective.stimuli)
-            drawn = run_segments_detailed(model, plan, noise=noise)
-            np.testing.assert_array_equal(reused[0], drawn[0])
-            np.testing.assert_array_equal(reused[1], drawn[1])
-            assert objective(x) == expensive_value_by_default_path(cfg, plan, bounds, noise, x)
+        drawing its own stimulus gives; the fused sine test's power equals
+        power_estimate's.  block splits the 256-point plan into 4 blocks
+        (64), or 3 with a short last one (100), the power grid riding on
+        the last."""
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(sarsizer.sndr, "CAPTURE_BLOCK", block)
+            cfg = STIMULUS_CONFIGS[n_bits]
+            bounds = default_bounds(cfg)
+            plan = plan_test(cfg.f_s, 256, m, 0.097 * cfg.f_s, 0.475, seed=5)
+            objective = ExpensiveObjective(cfg=cfg, plan=plan, bounds=bounds, noise=noise)
+            assert len(objective.stimuli) == -(-256 // (block or 256))
+            for unit in units:
+                x = design_vector(bounds, unit)
+                model = build_model(DesignPoint.from_vector(x), cfg, bounds)
+                reused = run_segments_detailed(model, plan, noise=noise, stimuli=objective.stimuli)
+                drawn = run_segments_detailed(model, plan, noise=noise)
+                codes, ok, power = sine_test(cfg, model.row, plan, objective.stimuli)
+                for got in (reused, (codes, ok)):
+                    np.testing.assert_array_equal(got[0], drawn[0])
+                    np.testing.assert_array_equal(got[1], drawn[1])
+                assert power == power_estimate(model)
+                assert objective(x) == expensive_value_by_default_path(cfg, plan, bounds, noise, x)
 
     def test_timing_fail_example_fails_timing(self):
         cfg = STIMULUS_CONFIGS[12]
@@ -343,6 +366,40 @@ class TestReusedStimulus:
         for u in (0.2, 0.5, 0.8):
             objective(design_vector(bounds, [u] * 8))
         assert [len(c) for c in calls] == [256]
+
+    @pytest.mark.parametrize("name, value", [
+        ("c_unit", 0.0), ("r_sw", -1.0), ("t_sample", math.nan), ("tau_reg", 1.0),
+    ])
+    def test_objective_rejects_points_outside_bounds(self, monkeypatch, name, value):
+        """The objective checks x against its bounds before any kernel
+        call; run_local scores the BoundsError as a failed check, +inf."""
+        cfg = STIMULUS_CONFIGS[8]
+        bounds = default_bounds(cfg)
+        objective = ExpensiveObjective(cfg=cfg, plan=make_plan(k_points=64, seed=3),
+                                       bounds=bounds)
+        x = design_vector(bounds, [0.5] * 8)
+        x[DESIGN_FIELDS.index(name)] = value
+        calls = counting_kernel(monkeypatch)
+        with pytest.raises(BoundsError, match=name):
+            objective(x)
+        assert calls == []
+        wide = np.column_stack([np.full(8, -np.inf), np.full(8, np.inf)])
+        result = run_local(x, np.ones(8, dtype=bool), lambda xs: np.zeros(len(xs)), objective,
+                           LocalParams(max_iter=1), wide)
+        assert result.n_expensive_failed == result.n_expensive >= 1
+        assert result.f_expensive == math.inf
+
+    def test_objective_leaves_fields_missing_from_bounds_unbounded(self):
+        cfg = STIMULUS_CONFIGS[8]
+        bounds = default_bounds(cfg)
+        plan = make_plan(k_points=64, seed=3)
+        x = design_vector(bounds, [0.5] * 8)
+        partial = {name: box for name, box in bounds.items() if name != "r_sw"}
+        x[DESIGN_FIELDS.index("r_sw")] = 10 * bounds["r_sw"][1]
+        value = ExpensiveObjective(cfg=cfg, plan=plan, bounds=partial)(x)
+        assert value == expensive_value_by_default_path(cfg, plan, partial, True, x)
+        with pytest.raises(BoundsError, match="r_sw"):
+            ExpensiveObjective(cfg=cfg, plan=plan, bounds=bounds)(x)
 
 
 def capture_model(unit, sane_model):
@@ -417,7 +474,6 @@ class TestCaptureBlocks:
     def test_objective_stimuli_own_their_draws(self, monkeypatch):
         # The objective keeps every block's draws, so no two may share memory.
         monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 64)
-        monkeypatch.setattr(sarsizer.problem, "CAPTURE_BLOCK", 64)
         cfg = STIMULUS_CONFIGS[12]
         objective = ExpensiveObjective(cfg=cfg, plan=make_plan(k_points=256, m_segments=4, seed=3),
                                        bounds=default_bounds(cfg))
@@ -434,6 +490,8 @@ class TestCaptureBlocks:
         assert calls == [8192] * 8
 
     def test_expensive_objective_is_one_kernel_call(self, monkeypatch):
+        """The capture and the power grid's rows share one call: no second
+        call prices the design's power."""
         cfg = STIMULUS_CONFIGS[8]
         bounds = default_bounds(cfg)
         plan = plan_test(cfg.f_s, 512, 4, 0.097 * cfg.f_s, 0.475, seed=5)
@@ -441,7 +499,7 @@ class TestCaptureBlocks:
         calls = counting_kernel(monkeypatch)
         for u in (0.2, 0.5):
             objective(design_vector(bounds, [u] * 8))
-            assert calls == [512]
+            assert calls == [512 + POWER_GRID_POINTS]
             calls.clear()
 
     def test_long_capture_peaks_at_one_block(self, sane_model_12):
