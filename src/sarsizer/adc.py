@@ -15,7 +15,8 @@ module draws nothing itself.
 Energy is tallied per conversion from event-level charge accounting on a
 common-mode-referenced switched capacitor array, a comparator term that
 scales inversely with its noise power, per-cycle logic energy, and a
-sampling-switch driver term.
+sampling-switch driver term: ``conversion_energy``, a post-pass over the
+rows a caller prices (the power grid's).
 
 One kernel, ``convert_rows``, runs every conversion and returns one
 ``Conversions`` row per input.  It takes the designs as an (n, d) matrix
@@ -23,7 +24,9 @@ in ``DESIGN_FIELDS`` order and derives their constants once per call; its
 rows may belong to different designs, so a whole generation's coarse
 tests are one call and each block of a capture (``sndr.CAPTURE_BLOCK``
 conversions) is another; a single conversion is a batch of one.  ``AdcModel``
-is one design's row with its config, ``sample_input`` the one track-and-hold.
+is one design's row with its config, ``sample_input`` the one track-and-hold,
+and ``design_box`` the one reading of a bounds dict as the (d, 2) box that
+``check_designs`` applies.
 """
 
 from __future__ import annotations
@@ -179,8 +182,6 @@ class Conversions:
     t_total: np.ndarray       # (rows,) sampling window + fired bit cycles, s
     n_fired: np.ndarray       # (rows,)
     timing_ok: np.ndarray     # (rows,)
-    delta_q: np.ndarray | None = None  # (rows, n) reference charge per switch event, C
-    e_total: np.ndarray | None = None  # (rows,) conversion energy, J
 
     @property
     def codes(self) -> np.ndarray:
@@ -202,7 +203,7 @@ def kernel_out(n_bits: int, rows: int) -> tuple[np.ndarray, ...]:
 
 def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
                  cmp_draws: np.ndarray | None = None, owner: np.ndarray | None = None,
-                 charge: bool = False, out: tuple[np.ndarray, ...] | None = None) -> Conversions:
+                 out: tuple[np.ndarray, ...] | None = None) -> Conversions:
     """The conversion kernel: row m converts v_sampled[m] on design
     designs[owner[m]] of the (n, d) matrix designs (DESIGN_FIELDS order).
 
@@ -222,9 +223,9 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
 
     Timing failures are never exceptions: once the elapsed time passes the
     conversion period, remaining bits resolve to 0 and timing_ok is False.
-    charge=True adds the switch charges and energies in a post-pass over
-    the bits (``conversion_energy``), which captures skip.  Every step is
-    elementwise over rows, so a row's result does not depend on the batch.
+    Charges and energies are a post-pass over the bits
+    (``conversion_energy``).  Every step is elementwise over rows, so a
+    row's result does not depend on the batch.
 
     out, the arrays of ``kernel_out(n_bits, r)`` for any r >= rows, is
     used in place of new ones: bits, applied_step and t_bit then view it,
@@ -269,11 +270,8 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
 
     np.copyto(t_row, t_bit.T)  # rows sum in the order a lone row's would
     t_total = t_sample + t_row.sum(axis=1)
-    conv = Conversions(bits.T, applied.T, t_row, t_total, n_fired,
+    return Conversions(bits.T, applied.T, t_row, t_total, n_fired,
                        timing_ok=(n_fired == n) & (t_total <= cfg.t_conv))
-    if charge:
-        conv.delta_q, conv.e_total = conversion_energy(cfg, designs, conv.bits, n_fired, owner)
-    return conv
 
 
 def conversion_energy(cfg: AdcConfig, designs: np.ndarray, bits: np.ndarray,

@@ -32,13 +32,7 @@ from .pipeline import (
     optimization_plan,
     run_pipeline,
 )
-from .sndr import (
-    sine_stimuli,
-    sine_test,
-    spectrum_metrics,
-    write_capture_csv,
-    write_spectrum_csv,
-)
+from .sndr import sine_test, spectrum_metrics, write_capture_csv, write_spectrum_csv
 from .specs import DerivedSpecs
 
 
@@ -90,8 +84,7 @@ def cmd_sndr(args) -> int:
     cfg = _load(args)
     model = load_model(args.design, cfg)
     plan = optimization_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
-    stimuli = sine_stimuli(cfg.adc, plan, cfg.harness.noise)
-    codes, ok, power = sine_test(cfg.adc, model.row, plan, stimuli)
+    codes, ok, power = sine_test(cfg.adc, model.row, plan, cfg.harness.noise)
     report = spectrum_metrics(codes, plan, power, cfg.adc.n_bits)
     print(f"capture         = {plan.k_points} points, {plan.m_segments} segments")
     print(f"input frequency = {plan.f_in:.6e} Hz ({plan.j_cycles} cycles)")

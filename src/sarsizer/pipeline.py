@@ -33,7 +33,7 @@ from .sndr import (
     SpectrumReport,
     enob_from_sndr,
     plan_test,
-    run_segments,
+    sine_test,
     spectrum_metrics,
     write_capture_csv,
     write_spectrum_csv,
@@ -400,15 +400,14 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
     timings["local"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    design = DesignPoint.from_vector(x_final)
-    model = build_model(design, cfg.adc, cfg.bounds)
-    codes = run_segments(model, verify_plan, noise=cfg.harness.noise)
-    spectrum = spectrum_metrics(codes, verify_plan, final_coarse.power, cfg.adc.n_bits)
+    # coarse_problem.report checked x_final against the bounds.
+    codes, _, power = sine_test(cfg.adc, x_final[None], verify_plan, cfg.harness.noise)
+    spectrum = spectrum_metrics(codes, verify_plan, power, cfg.adc.n_bits)
     timings["verify"] = time.perf_counter() - t0
 
     result = RunResult(
         config=cfg,
-        design=design,
+        design=DesignPoint.from_vector(x_final),
         specs=specs,
         coarse=final_coarse,
         spectrum=spectrum,

@@ -5,7 +5,10 @@ the point scored.  ``CheapObjective`` also keeps state of its own, a memo
 of the rows it has scored and its best feasible point, so one instance
 serves one local run; ``ExpensiveObjective`` caches the stimulus, power
 grid included, and the bounds box that its constructor state fixes, so a
-call is a bounds check and one ``sine_test``.
+call is a bounds check and one ``sine_test``.  Both read their bounds as
+``bounds_array`` (``adc.design_box``) does: a field the bounds omit is
+unbounded, and ``global_opt.Problem`` rejects such a box, so a search
+never runs on a partial one.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .adc import DESIGN_FIELDS, AdcConfig, check_designs, design_box
+from .adc import AdcConfig, check_designs
+from .adc import design_box as bounds_array  # bounds dict -> (d, 2) box, DESIGN_FIELDS order
 from .coarse import CoarseReport, evaluate_coarse
 from .sndr import TestPlan, sine_stimuli, sine_test, spectrum_metrics
 from .specs import DerivedSpecs
@@ -23,11 +27,6 @@ from .specs import DerivedSpecs
 # Fallback anchor when the starting design draws no power at all.
 MIN_POWER_SCALE = 1e-12
 VIOLATION_WEIGHT = 10.0
-
-
-def bounds_array(bounds: dict[str, tuple[float, float]]) -> np.ndarray:
-    """Bounds dict -> (d, 2) array in design-vector order."""
-    return np.array([bounds[name] for name in DESIGN_FIELDS], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ class ExpensiveObjective:
 
     @cached_property
     def box(self) -> np.ndarray:
-        return design_box(self.bounds)
+        return bounds_array(self.bounds)
 
     @cached_property
     def stimuli(self) -> tuple:
@@ -137,5 +136,5 @@ class ExpensiveObjective:
     def __call__(self, x: np.ndarray) -> float:
         row = np.asarray(x, dtype=float)[None]
         check_designs(row, self.box)
-        codes, _, power = sine_test(self.cfg, row, self.plan, self.stimuli)
+        codes, _, power = sine_test(self.cfg, row, self.plan, stimuli=self.stimuli)
         return -spectrum_metrics(codes, self.plan, power, self.cfg.n_bits).fom_s

@@ -49,7 +49,7 @@ def philox4x32(x: np.ndarray, key: tuple[int, int]) -> np.ndarray:
 
 # Rows per Philox pass.  At 12 bits a pass's counters take about 0.46 MB,
 # against 1.8 MB for a whole 8,192-row capture block.  With a capture's
-# reused working set (sndr.run_segments_detailed), 2,048-row passes leave a
+# reused working set (sndr.sine_test), 2,048-row passes leave a
 # 65,536-point capture no minor page faults; 4,096 brought back about 2,000
 # per capture, and 1,024 ran 5-10% slower.
 NOISE_PASS = 2048

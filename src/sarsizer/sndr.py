@@ -6,9 +6,9 @@ global sample index and its hold history is reconstructed analytically,
 so a capture converts in contiguous blocks of CAPTURE_BLOCK samples, one
 kernel call each, with the codes of one call over all K.  The paper's M
 interleaved segments rest on the same argument: M must divide K and is
-recorded, but changes no code and no work.  A sine test that also prices
-the design (``sine_test``) converts the power grid as extra rows of its
-last block's call.
+recorded, but changes no code and no work.  ``sine_test`` is the one
+capture: its last block's call also converts the power grid, so every
+capture prices its design.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adc import (AdcConfig, AdcModel, Conversions, convert_rows, kernel_out, sample_input,
-                  sampling_constants)
+from .adc import AdcConfig, AdcModel, convert_rows, kernel_out, sample_input, sampling_constants
 from .coarse import POWER_GRID_POINTS, grid_power, power_grid
 from .csvio import write_csv
 from .errors import MetricsError, PlanError
@@ -117,71 +116,71 @@ CAPTURE_BLOCK = 8192
 
 
 def block_stimulus(
-    plan: TestPlan, start: int, n_bits: int, noise: bool, out: np.ndarray | None = None
+    cfg: AdcConfig, plan: TestPlan, start: int, noise: bool, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The design-independent part of the block of conversions from start:
-    (input, previous input, noise draws or None).  It depends on (plan,
-    start, n_bits, noise) only, so callers that run one plan on many
-    designs may build it once.  With out (float64, n_bits + 1 columns, at
-    least the block's rows) the draws are a view of its first rows."""
+    (input, previous input, noise draws or None).  The last block ends with
+    the power grid's POWER_GRID_POINTS rows, held from rest with zero kT/C
+    and comparator draws, so they convert as ``coarse`` converts them and
+    take no draw from the stream.  It depends on (cfg, plan, start, noise)
+    only, so callers that run one plan on many designs may build it once.
+    With out (float64, n_bits + 1 columns, at least the block's rows) the
+    draws are a view of its first rows."""
+    n, idx = cfg.n_bits, np.arange(start, min(start + CAPTURE_BLOCK, plan.k_points))
+    rows, grid = len(idx), power_grid(cfg) if idx[-1] == plan.k_points - 1 else np.empty(0)
+    # The draws come first: a capture's memory peaks inside noise_matrix,
+    # and the sine and the concatenations are not built yet.  Column 0 is
+    # kT/C, columns 1..n the comparator.
+    draws = None
+    if noise and out is None:
+        draws = np.concatenate([noise_matrix(plan.seed, idx, n), np.zeros((len(grid), n + 1))])
+    elif noise:
+        draws = out[:rows + len(grid)]
+        noise_matrix(plan.seed, idx, n, out=draws[:rows])
+        draws[rows:] = 0.0
     # Hold history: the array last held the previous full-rate sample's
     # input value.  Reconstructing it analytically (rather than chaining
     # conversions) keeps blocks independent of each other; one sine over
     # start-1 .. stop-1 holds both the inputs and their history.
-    idx = np.arange(start - 1, min(start + CAPTURE_BLOCK, plan.k_points))
-    v = _sine(plan, idx)
-    # Column 0 is kT/C, columns 1..n the comparator.
-    out = None if out is None else out[:len(idx) - 1]
-    draws = noise_matrix(plan.seed, idx[1:], n_bits, out=out) if noise else None
-    return v[1:], v[:-1], draws
+    v = _sine(plan, np.arange(start - 1, start + rows))
+    return np.concatenate([v[1:], grid]), np.concatenate([v[:-1], np.zeros(len(grid))]), draws
 
 
-def run_segments(
-    model: AdcModel, plan: TestPlan, noise: bool = True, stimuli: Sequence | None = None
-) -> np.ndarray:
-    """Capture codes, index m holds conversion m of the schedule."""
-    codes, _ = run_segments_detailed(model, plan, noise=noise, stimuli=stimuli)
-    return codes
+def sine_stimuli(cfg: AdcConfig, plan: TestPlan, noise: bool) -> tuple:
+    """Every block's stimulus for ``sine_test``, each owning its arrays."""
+    return tuple(block_stimulus(cfg, plan, start, noise)
+                 for start in range(0, plan.k_points, CAPTURE_BLOCK))
 
 
-def run_segments_detailed(
-    model: AdcModel, plan: TestPlan, noise: bool = True, stimuli: Sequence | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Capture (codes, timing_ok); per-sample timing failures are recorded,
-    never fatal.  Blocks run one after another, each building, converting
-    and dropping its block_stimulus before the next is built, unless
-    stimuli holds every block's (built for this plan, N and noise)."""
-    codes, ok, _ = _capture(model.cfg, model.row, plan, noise, stimuli)
-    return codes, ok
-
-
-def _capture(cfg: AdcConfig, row: np.ndarray, plan: TestPlan, noise: bool,
-             stimuli: Sequence | None) -> tuple[np.ndarray, np.ndarray, Conversions]:
-    """(codes, timing_ok, the last block's Conversions) of the capture of
-    the (1, d) design row; noise is read only to build missing stimuli.
-    Rows a stimulus holds beyond its block's share of the plan
-    (``sine_stimuli``'s power grid) convert in that block's kernel call and
-    show only in its Conversions.
+def sine_test(cfg: AdcConfig, row: np.ndarray, plan: TestPlan, noise: bool = True,
+              stimuli: Sequence | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """(codes, timing_ok, average power) of the capture of the (1, d)
+    design row: codes index m holds conversion m of the schedule, and
+    per-sample timing failures are recorded, never fatal.  The power grid
+    converts in the last block's kernel call, so the power equals
+    ``power_estimate``'s.  Blocks run one after another, each building,
+    converting and dropping its block_stimulus before the next is built,
+    unless stimuli holds every block's (``sine_stimuli`` for this cfg,
+    plan and noise; noise is then not read).
 
     A capture of several blocks has one working set, sized for a block:
     its noise draws and the kernel's per-decision arrays (``kernel_out``)
-    are allocated once, and every block overwrites them, so the views a
-    block's draws and Conversions hold are stale once the next block runs.
-    Freed and allocated again per block, those few MB went back to the OS
-    and were faulted in again by the next block.  A capture of one block
-    has nothing to reuse and lets the calls allocate; a working set there
-    only moved the heap (desk8's peak RSS rose by 0.5 MB).
+    are allocated once, and every block overwrites them.  Freed and
+    allocated again per block, those few MB went back to the OS and were
+    faulted in again by the next block.  A capture of one block has nothing
+    to reuse and lets the calls allocate; a working set there only moved
+    the heap (desk8's peak RSS rose by 0.5 MB).
     """
     n, several = cfg.n_bits, plan.k_points > CAPTURE_BLOCK
+    rows = CAPTURE_BLOCK + POWER_GRID_POINTS  # the most a block converts
     _, (kt_c_sigma,) = sampling_constants(cfg, row)
-    draw_buf = np.empty((CAPTURE_BLOCK, n + 1)) if several and noise and stimuli is None else None
-    rows = CAPTURE_BLOCK if stimuli is None else max(len(v_now) for v_now, _, _ in stimuli)
+    draw_buf = np.empty((rows, n + 1)) if several and noise and stimuli is None else None
     kernel_buf = kernel_out(n, rows) if several else None
     codes = np.zeros(plan.k_points, dtype=np.int64)
     ok = np.zeros(plan.k_points, dtype=bool)
     for b, start in enumerate(range(0, plan.k_points, CAPTURE_BLOCK)):
         v_now, v_prev, draws = (stimuli[b] if stimuli is not None
-                                else block_stimulus(plan, start, n, noise, out=draw_buf))
+                                else block_stimulus(cfg, plan, start, noise, out=draw_buf))
         sampled = sample_input(cfg, row, v_now, v_prev)[0]
         if draws is not None:
             sampled = sampled + kt_c_sigma * draws[:, 0]
@@ -191,35 +190,22 @@ def _capture(cfg: AdcConfig, row: np.ndarray, plan: TestPlan, noise: bool,
         codes[start:stop] = conv.codes[:stop - start]
         ok[start:stop] = conv.timing_ok[:stop - start]
         if stop == plan.k_points:
-            return codes, ok, conv
+            grid = slice(stop - start, None)
+            [power] = grid_power(cfg, row, conv.bits[grid], conv.n_fired[grid])
+            return codes, ok, float(power)
         del v_now, v_prev, draws, sampled, conv  # freed before the next block is built
 
 
-def sine_stimuli(cfg: AdcConfig, plan: TestPlan, noise: bool) -> tuple:
-    """Every block's stimulus for ``sine_test``: block_stimulus, with the
-    power grid's POWER_GRID_POINTS rows after the last block's sine rows,
-    each held from rest with zero kT/C and comparator draws, so they
-    convert as ``coarse`` converts them and take no draw from the stream."""
-    blocks = [block_stimulus(plan, start, cfg.n_bits, noise)
-              for start in range(0, plan.k_points, CAPTURE_BLOCK)]
-    v_now, v_prev, draws = blocks[-1]
-    blocks[-1] = (np.concatenate([v_now, power_grid(cfg)]),
-                  np.concatenate([v_prev, np.zeros(POWER_GRID_POINTS)]),
-                  None if draws is None else
-                  np.concatenate([draws, np.zeros((POWER_GRID_POINTS, cfg.n_bits + 1))]))
-    return tuple(blocks)
+def run_segments(model: AdcModel, plan: TestPlan, noise: bool = True) -> np.ndarray:
+    """The codes of ``sine_test``'s capture of model."""
+    return sine_test(model.cfg, model.row, plan, noise)[0]
 
 
-def sine_test(cfg: AdcConfig, row: np.ndarray, plan: TestPlan,
-              stimuli: Sequence) -> tuple[np.ndarray, np.ndarray, float]:
-    """(codes, timing_ok, average power) of the (1, d) design row, stimuli
-    being ``sine_stimuli``'s for (cfg, plan): the power grid converts in
-    the last block's kernel call, and the results equal
-    run_segments_detailed's capture and ``power_estimate``'s power."""
-    codes, ok, conv = _capture(cfg, row, plan, False, stimuli)
-    grid = slice(-POWER_GRID_POINTS, None)
-    [power] = grid_power(cfg, row, conv.bits[grid], conv.n_fired[grid])
-    return codes, ok, float(power)
+def run_segments_detailed(
+    model: AdcModel, plan: TestPlan, noise: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, timing_ok) of ``sine_test``'s capture of model."""
+    return sine_test(model.cfg, model.row, plan, noise)[:2]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert_rows
+from sarsizer.adc import AdcConfig, DesignPoint, build_model, conversion_energy, convert_rows
 from sarsizer.rng import noise_matrix
 
 
@@ -74,10 +74,13 @@ def binary_search_oracle(v, n_bits, v_fs):
 
 
 def convert_one(model, v, key=None):
-    """Row 0 of the kernel run as a batch of one with charges; key = (seed, index) adds noise."""
+    """Row 0 of the kernel run as a batch of one, with its charges (delta_q)
+    and energy (e_total) from the post-pass; key = (seed, index) adds noise."""
     draws = None if key is None else noise_matrix(key[0], [key[1]], model.cfg.n_bits)[:, 1:]
-    c = convert_rows(model.cfg, model.row, np.array([v], dtype=float), draws, charge=True)
-    return SimpleNamespace(code=int(c.codes[0]), **{k: col[0] for k, col in vars(c).items()})
+    c = convert_rows(model.cfg, model.row, np.array([v], dtype=float), draws)
+    delta_q, e_total = conversion_energy(model.cfg, model.row, c.bits, c.n_fired)
+    return SimpleNamespace(code=int(c.codes[0]), delta_q=delta_q[0], e_total=e_total[0],
+                           **{k: col[0] for k, col in vars(c).items()})
 
 
 def per_bit_error_budget(n_bits):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sarsizer import adc, sndr
 from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert_rows, sample_input
 from sarsizer.adc import _switch_charge
+from sarsizer.coarse import POWER_GRID_POINTS
 from sarsizer.errors import BoundsError, ConfigError
 from sarsizer.rng import noise_matrix
 
@@ -120,12 +122,12 @@ class TestSampleInput:
 
         monkeypatch.setattr(sndr, "convert_rows", recording)
         plan = sndr.plan_test(cfg.f_s, 2**17, 1, 0.1 * cfg.f_s, 0.5, seed=11)
-        zeros = np.zeros(sndr.CAPTURE_BLOCK)  # held input before the noise
-        blocks = np.split(np.arange(plan.k_points), plan.k_points // sndr.CAPTURE_BLOCK)
-        sndr.run_segments(m, plan, stimuli=[(zeros, zeros, noise_matrix(11, idx, cfg.n_bits))
-                                            for idx in blocks])
-        draws = np.concatenate(held)
-        assert len(draws) == plan.k_points
+        stimuli = sndr.sine_stimuli(cfg, plan, noise=True)
+        for v_now, v_prev, _ in stimuli:  # held input before the noise: 0 at every sample
+            v_now[:sndr.CAPTURE_BLOCK] = v_prev[:sndr.CAPTURE_BLOCK] = 0.0
+        sndr.sine_test(cfg, m.row, plan, stimuli=stimuli)
+        assert sum(map(len, held)) == plan.k_points + POWER_GRID_POINTS  # the grid's rows last
+        draws = np.concatenate(held)[:plan.k_points]
         expected = math.sqrt(2 * BOLTZMANN * 300.0 / 1e-12)
         assert expected == pytest.approx(91.0e-6, abs=0.1e-6)
         assert draws.std() == pytest.approx(expected, rel=0.02)
@@ -408,10 +410,10 @@ class TestKernel:
         owner = np.repeat(np.arange(5), 7)
         v = rng.uniform(-0.6, 0.6, len(owner))
         draws = noise_matrix(2, np.arange(len(owner)), cfg.n_bits)[:, 1:]
-        many = convert_rows(cfg, designs, v, draws, owner=owner, charge=True)
+        many = with_charges(cfg, designs, convert_rows(cfg, designs, v, draws, owner=owner), owner)
         for row, c in enumerate(owner):
-            one = convert_rows(cfg, designs[c:c + 1], v[row:row + 1], draws[row:row + 1],
-                               charge=True)
+            one = with_charges(cfg, designs[c:c + 1],
+                               convert_rows(cfg, designs[c:c + 1], v[row:row + 1], draws[row:row + 1]))
             for name in ("bits", "applied_step", "t_bit", "delta_q"):
                 np.testing.assert_array_equal(getattr(many, name)[row], getattr(one, name)[0])
             for name in ("t_total", "n_fired", "timing_ok", "e_total"):
@@ -433,14 +435,21 @@ class TestKernel:
         draws = noise_matrix(4, np.arange(rows), cfg.n_bits)[:, 1:] if noisy else None
         buf = adc.kernel_out(cfg.n_bits, rows + spare)
         convert_rows(cfg, designs, -v[::-1], None, owner=1 - owner, out=buf)  # stale values
-        fresh = convert_rows(cfg, designs, v, draws, owner=owner, charge=True)
-        reused = convert_rows(cfg, designs, v, draws, owner=owner, charge=True, out=buf)
+        fresh = with_charges(cfg, designs, convert_rows(cfg, designs, v, draws, owner=owner), owner)
+        reused = with_charges(cfg, designs,
+                              convert_rows(cfg, designs, v, draws, owner=owner, out=buf), owner)
         assert not fresh.timing_ok.all() and fresh.timing_ok.any()
         for name, array in zip(("bits", "applied_step", "t_bit"), (buf[0], buf[1], buf[3])):
             assert np.shares_memory(getattr(reused, name), array), name
         for name in ("bits", "applied_step", "t_bit", "t_total", "n_fired", "timing_ok",
                      "delta_q", "e_total", "codes"):
             np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
+
+
+def with_charges(cfg, designs, conv, owner=None):
+    """conv's fields plus the post-pass's delta_q and e_total (``conversion_energy``)."""
+    delta_q, e_total = adc.conversion_energy(cfg, designs, conv.bits, conv.n_fired, owner)
+    return SimpleNamespace(**vars(conv), codes=conv.codes, delta_q=delta_q, e_total=e_total)
 
 
 def loop_switch_charge(v_dd, c_unit, c_tot, bits, n_fired):

@@ -10,12 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from sarsizer.adc import (DESIGN_FIELDS, AdcConfig, DesignPoint, build_model, convert_rows,
                           sample_input, sampling_constants)
 import sarsizer.coarse
-from sarsizer.coarse import POWER_GRID_POINTS, power_estimate
+from sarsizer.coarse import POWER_GRID_POINTS, evaluate_coarse, power_estimate
 from sarsizer.errors import BoundsError, MetricsError, PlanError
 from sarsizer.local_opt import LocalParams, run_local
 from sarsizer.pipeline import default_bounds
 from sarsizer.problem import ExpensiveObjective, bounds_array
 from sarsizer.rng import noise_matrix
+from sarsizer.specs import DerivedSpecs
 import sarsizer.sndr
 from sarsizer.sndr import (
     TestPlan,
@@ -182,23 +183,29 @@ class TestSegments:
         assert plan.f_in == plan.f_s / 8
         u = capture_inputs(plan)
         k = 3
-        v_now, v_prev, _ = block_stimulus(plan, k, 4, noise=False)
+        cfg = AdcConfig(n_bits=4, f_s=plan.f_s, v_dd=1.0)
+        v_now, v_prev, _ = block_stimulus(cfg, plan, k, noise=False)
         phase = 2 * math.pi * plan.f_in * k / plan.f_s
         assert phase == pytest.approx(3 * math.pi / 4, rel=1e-12)
         assert v_now[0] == u[k] == pytest.approx(math.sin(3 * math.pi / 4), rel=1e-12)
         assert v_prev[0] == u[k - 1]
         np.testing.assert_array_equal(v_now, u[k:k + 3])
 
-    @pytest.mark.parametrize("start", [0, sarsizer.sndr.CAPTURE_BLOCK])
-    def test_block_hold_history_is_the_previous_sine(self, start):
+    @pytest.mark.parametrize("start", [0, sarsizer.sndr.CAPTURE_BLOCK,
+                                       3 * sarsizer.sndr.CAPTURE_BLOCK])
+    def test_block_hold_history_is_the_previous_sine(self, cfg12, start):
         # inputs and history come from one sine pass, bit for bit the sine
-        # at idx and at idx - 1 (the block from 0 holds the sine at -1)
+        # at idx and at idx - 1 (the block from 0 holds the sine at -1); the
+        # last block ends with the power grid, held from rest, no draws
         plan = make_plan(k_points=4 * sarsizer.sndr.CAPTURE_BLOCK, m_segments=8, seed=3)
         idx = np.arange(start, start + sarsizer.sndr.CAPTURE_BLOCK)
-        v_now, v_prev, draws = block_stimulus(plan, start, 12, noise=True)
-        np.testing.assert_array_equal(v_now, sarsizer.sndr._sine(plan, idx))
-        np.testing.assert_array_equal(v_prev, sarsizer.sndr._sine(plan, idx - 1))
-        np.testing.assert_array_equal(draws, noise_matrix(plan.seed, idx, 12))
+        grid = sarsizer.coarse.power_grid(cfg12) if idx[-1] == plan.k_points - 1 else np.empty(0)
+        v_now, v_prev, draws = block_stimulus(cfg12, plan, start, noise=True)
+        np.testing.assert_array_equal(v_now, np.concatenate([sarsizer.sndr._sine(plan, idx), grid]))
+        np.testing.assert_array_equal(
+            v_prev, np.concatenate([sarsizer.sndr._sine(plan, idx - 1), np.zeros(len(grid))]))
+        np.testing.assert_array_equal(
+            draws, np.vstack([noise_matrix(plan.seed, idx, 12), np.zeros((len(grid), 13))]))
 
     def test_single_segment_degenerate(self, sane_model_12):
         plan = make_plan(k_points=256, m_segments=1, seed=5)
@@ -321,29 +328,30 @@ class TestReusedStimulus:
     @example(n_bits=8, units=[[0.5] * 8], noise=True, m=4, block=100)
     def test_reused_stimulus_matches_default_capture(self, n_bits, units, noise, m, block):
         """One objective's stimulus, built on its first call and reused for
-        every later design, gives the codes and the value that a capture
-        drawing its own stimulus gives; the fused sine test's power equals
-        power_estimate's.  block splits the 256-point plan into 4 blocks
-        (64), or 3 with a short last one (100), the power grid riding on
-        the last."""
+        every later design, gives the codes, the power and the value that a
+        capture drawing its own stimulus gives; the sine test's power equals
+        power_estimate's and evaluate_coarse's.  block splits the 256-point
+        plan into 4 blocks (64), or 3 with a short last one (100), the power
+        grid riding on the last."""
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(sarsizer.sndr, "CAPTURE_BLOCK", block)
             cfg = STIMULUS_CONFIGS[n_bits]
             bounds = default_bounds(cfg)
             plan = plan_test(cfg.f_s, 256, m, 0.097 * cfg.f_s, 0.475, seed=5)
+            specs = DerivedSpecs.derive(cfg.n_bits, cfg.v_dd)
             objective = ExpensiveObjective(cfg=cfg, plan=plan, bounds=bounds, noise=noise)
             assert len(objective.stimuli) == -(-256 // (block or 256))
             for unit in units:
                 x = design_vector(bounds, unit)
                 model = build_model(DesignPoint.from_vector(x), cfg, bounds)
-                reused = run_segments_detailed(model, plan, noise=noise, stimuli=objective.stimuli)
-                drawn = run_segments_detailed(model, plan, noise=noise)
-                codes, ok, power = sine_test(cfg, model.row, plan, objective.stimuli)
-                for got in (reused, (codes, ok)):
+                reused = sine_test(cfg, model.row, plan, stimuli=objective.stimuli)
+                drawn = sine_test(cfg, model.row, plan, noise)
+                for got in (reused, run_segments_detailed(model, plan, noise)):
                     np.testing.assert_array_equal(got[0], drawn[0])
                     np.testing.assert_array_equal(got[1], drawn[1])
-                assert power == power_estimate(model)
+                assert reused[2] == drawn[2] == power_estimate(model)
+                assert drawn[2] == evaluate_coarse(cfg, model.row, specs).row(0).power
                 assert objective(x) == expensive_value_by_default_path(cfg, plan, bounds, noise, x)
 
     def test_timing_fail_example_fails_timing(self):
@@ -442,7 +450,7 @@ class TestCaptureBlocks:
         calls = counting_kernel(monkeypatch)
         monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 3000)
         codes, ok = run_segments_detailed(model, plan, noise=noise)
-        assert calls == [3000, 3000, 2192]
+        assert calls == [3000, 3000, 2192 + POWER_GRID_POINTS]
         np.testing.assert_array_equal(codes, single_codes)
         np.testing.assert_array_equal(ok, single_ok)
 
@@ -484,10 +492,10 @@ class TestCaptureBlocks:
     def test_kernel_calls_per_capture(self, sane_model_12, monkeypatch):
         calls = counting_kernel(monkeypatch)
         run_segments(sane_model_12, make_plan(k_points=512, m_segments=4, seed=3))
-        assert calls == [512]
+        assert calls == [512 + POWER_GRID_POINTS]
         calls.clear()
         run_segments(sane_model_12, make_plan(k_points=65536, m_segments=8), noise=False)
-        assert calls == [8192] * 8
+        assert calls == [8192] * 7 + [8192 + POWER_GRID_POINTS]
 
     def test_expensive_objective_is_one_kernel_call(self, monkeypatch):
         """The capture and the power grid's rows share one call: no second
@@ -584,13 +592,16 @@ class TestExports:
 
     def test_capture_input_is_the_converted_input(self, tmp_path, monkeypatch):
         # the input column holds, bit for bit, the input each block converted
+        # (its sine rows: the last block's power grid rows are not samples)
         monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 48)
         plan = make_plan(k_points=256, m_segments=8, seed=1)
+        cfg = AdcConfig(n_bits=8, f_s=plan.f_s, v_dd=1.0)
         path = tmp_path / "capture.csv"
         write_capture_csv(plan, np.zeros(plan.k_points, dtype=int), str(path))
         column = [float(line.split(",")[1]) for line in path.read_text().split()[1:]]
-        merged = np.concatenate([block_stimulus(plan, start, 8, noise=False)[0]
-                                 for start in range(0, plan.k_points, 48)])
+        merged = np.concatenate([block_stimulus(cfg, plan, start, noise=False)[0][:rows]
+                                 for start in range(0, plan.k_points, 48)
+                                 for rows in [min(48, plan.k_points - start)]])
         np.testing.assert_array_equal(column, merged)
 
     def test_spectrum_csv(self, tmp_path):
