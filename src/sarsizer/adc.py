@@ -58,9 +58,13 @@ class AdcConfig:
         # <= 63: the int64 code weights 2**j wrap at j = 63.
         require(2 <= self.n_bits <= 63, "n_bits", "in [2, 63]", self.n_bits)
         # Written so that NaN, which fails every comparison, breaks the rule.
-        for name in ("f_s", "v_dd", "temp_k", "r_drv_cap", "v_floor"):
+        for name in ("f_s", "v_dd", "temp_k", "r_drv_cap"):
             value = getattr(self, name)
             require(0.0 < value < math.inf, name, "finite and positive", value)
+        # At or above v_dd the delay clamp t_d0 + tau_reg*ln(v_dd/v_floor)
+        # falls below t_d0, and a bit time can go negative.
+        require(0.0 < self.v_floor < self.v_dd, "v_floor", f"in (0, v_dd = {self.v_dd})",
+                self.v_floor)
         for name in ("kappa_cmp", "kappa_sw", "e_dff"):
             value = getattr(self, name)
             require(0.0 <= value < math.inf, name, "finite and nonnegative", value)
@@ -179,7 +183,7 @@ class Conversions:
     bits: np.ndarray          # (rows, n) 0/1, MSB first
     applied_step: np.ndarray  # (rows, n) realized step entering each decision, V
     t_bit: np.ndarray         # (rows, n) comparator + logic time per fired bit cycle, s
-    t_total: np.ndarray       # (rows,) sampling window + fired bit cycles, s
+    t_total: np.ndarray       # (rows,) sampling window + fired bit cycles, added in bit order, s
     n_fired: np.ndarray       # (rows,)
     timing_ok: np.ndarray     # (rows,)
 
@@ -190,15 +194,15 @@ class Conversions:
 
 def kernel_out(n_bits: int, rows: int) -> tuple[np.ndarray, ...]:
     """Uninitialized arrays for convert_rows' out: the bits (int64), the
-    applied steps and the bit times, bit-major (n_bits, rows), and the bit
-    times again, row-major (rows, n_bits).
+    applied steps and the bit times, each bit-major (n_bits, rows).
 
-    They share one allocation.  As four, a capture's reused working set
-    still left a 65,536-point capture about 4,700 minor page faults (glibc
-    trims free heap above twice the largest block it has unmapped).  With
-    the bits first rather than last, verify12's peak RSS read 0.4 MB higher."""
-    slab = np.empty((4, n_bits, rows))
-    return slab[3].view(np.int64), slab[0], slab[1], slab[2].reshape(rows, n_bits)
+    They share one allocation.  As separate arrays, a capture's reused
+    working set still left a 65,536-point capture about 4,700 minor page
+    faults (glibc trims free heap above twice the largest block it has
+    unmapped).  With the bits first rather than last, verify12's peak RSS
+    read 0.4 MB higher."""
+    slab = np.empty((3, n_bits, rows))
+    return slab[2].view(np.int64), slab[0], slab[1]
 
 
 def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
@@ -209,7 +213,10 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
 
     With owner=None every row converts on designs[0].  cmp_draws holds
     one standard-normal comparator draw per row and bit; None disables
-    noise.  The designs are not checked here (see ``check_designs``).
+    noise.  Its columns are read one per decision, so a column-contiguous
+    (Fortran-ordered) cmp_draws reads fastest.  The designs are not
+    checked here (see ``check_designs``); v_sampled and cmp_draws are
+    never written.
 
     Bit 1 compares the sampled voltage directly (top-plate sampling).
     Each later decision i sees the previous residue minus/plus a step of
@@ -221,57 +228,83 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
     the first bit cycle would allow; it never enters a residue but is what
     the step-ratio measurement reads.
 
-    Timing failures are never exceptions: once the elapsed time passes the
-    conversion period, remaining bits resolve to 0 and timing_ok is False.
-    Charges and energies are a post-pass over the bits
-    (``conversion_energy``).  Every step is elementwise over rows, so a
-    row's result does not depend on the batch.
+    One clock per row, the sampling window plus the bit times added in bit
+    order, decides which decisions fire and is t_total.  Timing failures
+    are never exceptions: once it passes the conversion period, remaining
+    bits resolve to 0 and timing_ok is False.  Charges and energies are a
+    post-pass over the bits (``conversion_energy``).  Every step is
+    elementwise over rows, so a row's result does not depend on the batch.
 
     out, the arrays of ``kernel_out(n_bits, r)`` for any r >= rows, is
     used in place of new ones: bits, applied_step and t_bit then view it,
     so a later call with the same out overwrites them.
     """
     _, _, tau_step, t_cmp_max = derive(cfg, designs)
-    # Design constants per row, or scalars (numpy's faster path) for one design.
+    # Design constants per row, or scalars (numpy's faster path) for one
+    # design; the settling constants bit-major and negated.
     pick = 0 if owner is None else owner
-    consts, tau_step = np.column_stack([designs, t_cmp_max])[pick], tau_step[pick]
-    _, _, t_sample, sigma_cmp, t_d0, tau_reg, _, t_dff, t_cmp_max = consts.T
+    consts, neg_tau = np.vstack([designs.T, t_cmp_max])[:, pick], -tau_step.T[:, pick]
+    _, _, t_sample, sigma_cmp, t_d0, tau_reg, _, t_dff, t_cmp_max = consts
 
     def delay(mag: np.ndarray) -> np.ndarray:
-        """Regeneration delay per decision: grows as the residue shrinks."""
-        raw = t_d0 + tau_reg * np.log(cfg.v_dd / np.maximum(mag, cfg.v_floor))
-        return np.minimum(np.maximum(raw, t_d0), t_cmp_max)
+        """Regeneration delay per decision, in place of mag: grows as the
+        residue shrinks."""
+        np.maximum(mag, cfg.v_floor, out=mag)
+        np.divide(cfg.v_dd, mag, out=mag)
+        np.log(mag, out=mag)
+        np.multiply(tau_reg, mag, out=mag)
+        np.add(t_d0, mag, out=mag)
+        np.maximum(mag, t_d0, out=mag)
+        return np.minimum(mag, t_cmp_max, out=mag)
 
     n = cfg.n_bits
     amp = cfg.step_amp
-    residue = np.asarray(v_sampled, dtype=float)
+    residue = np.array(v_sampled, dtype=float)  # a copy: the loop writes it
     rows = len(residue)
     sign_prev = np.zeros(rows)  # 0 before bit 1, so its step is recorded, not applied
-    elapsed = t_sample + np.zeros(rows)
+    elapsed = t_sample + np.zeros(rows)  # the clock
     alive = np.ones(rows, dtype=bool)
     n_fired = np.zeros(rows, dtype=np.int64)
-    # Bit-major while filling: one contiguous row per decision.  Every
-    # entry of the first rows of out is written below.
-    bits, applied, t_bit, t_row = kernel_out(n, rows) if out is None else out
-    bits, applied, t_bit, t_row = bits[:, :rows], applied[:, :rows], t_bit[:, :rows], t_row[:rows]
+    live, work = np.empty(rows), np.empty(rows)
+    noisy = residue if cmp_draws is None else np.empty(rows)
+    flag = np.empty(rows, dtype=bool)
+    # Bit-major: one contiguous row per decision.  Every entry of the
+    # first rows of out is written below.
+    bits, applied, t_bit = kernel_out(n, rows) if out is None else out
+    bits, applied, t_bit = bits[:, :rows], applied[:, :rows], t_bit[:, :rows]
     for j in range(n):
-        alive &= elapsed < cfg.t_conv
-        live = alive.astype(float)  # masks a dead row's step and time to 0.0
-        t_est = delay(np.abs(residue - sign_prev * amp[j]))
-        step = live * amp[j] * (1.0 - np.exp(-(t_dff + t_est) / tau_step[..., j]))
-        residue = residue - sign_prev * step
-        noisy = residue if cmp_draws is None else residue + sigma_cmp * cmp_draws[:, j]
-        bits[j] = (noisy >= 0.0) & alive
-        t_bit[j] = live * (delay(np.abs(noisy)) + t_dff)
-        applied[j] = step
-        elapsed = elapsed + t_bit[j]
+        step = applied[j]
+        np.less(elapsed, cfg.t_conv, out=flag)
+        alive &= flag
+        np.copyto(live, alive)  # masks a dead row's step and time to 0.0
+        # The settled step: live * amp * (1 - exp(-(t_dff + t_est) / tau_step)),
+        # t_est the delay at the ideally-stepped residue.
+        np.multiply(sign_prev, amp[j], out=work)
+        np.subtract(residue, work, out=work)
+        delay(np.abs(work, out=work))
+        np.add(t_dff, work, out=work)
+        np.divide(work, neg_tau[j], out=work)
+        np.exp(work, out=work)
+        np.subtract(1.0, work, out=work)
+        np.multiply(live, amp[j], out=step)
+        np.multiply(step, work, out=step)
+        np.multiply(sign_prev, step, out=work)
+        np.subtract(residue, work, out=residue)
+        if cmp_draws is not None:
+            np.multiply(sigma_cmp, cmp_draws[:, j], out=noisy)
+            np.add(residue, noisy, out=noisy)
+        np.greater_equal(noisy, 0.0, out=flag)
+        np.logical_and(flag, alive, out=bits[j])
+        delay(np.abs(noisy, out=work))
+        np.add(work, t_dff, out=work)
+        np.multiply(live, work, out=t_bit[j])
+        elapsed += t_bit[j]
         n_fired += alive
-        sign_prev = 2.0 * bits[j] - 1.0
+        np.multiply(2.0, bits[j], out=sign_prev)
+        sign_prev -= 1.0
 
-    np.copyto(t_row, t_bit.T)  # rows sum in the order a lone row's would
-    t_total = t_sample + t_row.sum(axis=1)
-    return Conversions(bits.T, applied.T, t_row, t_total, n_fired,
-                       timing_ok=(n_fired == n) & (t_total <= cfg.t_conv))
+    return Conversions(bits.T, applied.T, t_bit.T, elapsed, n_fired,
+                       timing_ok=(n_fired == n) & (elapsed <= cfg.t_conv))
 
 
 def conversion_energy(cfg: AdcConfig, designs: np.ndarray, bits: np.ndarray,

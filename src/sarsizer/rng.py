@@ -12,7 +12,10 @@ first draws not on how many follow, so a capture drawn block by block gets
 exactly the noise of one draw over all its samples.  ``noise_matrix`` draws
 in passes of NOISE_PASS rows and writes into a caller's array if given
 one, so a capture fills one draw matrix block after block and its Philox
-state never exceeds one pass.
+state never exceeds one pass.  A pass's counters are block-major, so each
+column of the draws is written contiguously, and Box-Muller runs in the
+pass's own words; a new draw matrix is Fortran-ordered, because the
+conversion kernel reads one column per decision.
 """
 
 from __future__ import annotations
@@ -64,25 +67,41 @@ def noise_matrix(seed: int, indices: np.ndarray, n_bits: int,
     the indices are partitioned or ordered, so the rows are drawn in passes
     of NOISE_PASS.  With out (float64, shape (len(indices), n_bits + 1))
     the draws are written into it and out is returned; otherwise a new
-    array is.
+    Fortran-ordered array is.
     """
-    index = np.asarray(indices).astype(np.uint64)[:, None]
+    index = np.asarray(indices).astype(np.uint64)
     blocks, sines = -(-(n_bits + 1) // 2), (n_bits + 1) // 2  # block p: columns 2p, 2p + 1
     key = (seed & 0xFFFFFFFF, seed >> 32)
-    out = np.empty((len(index), n_bits + 1)) if out is None else out
+    out = np.empty((len(index), n_bits + 1), order="F") if out is None else out
+    # One counter buffer serves every pass, so two passes' counters are
+    # never held at once.
+    words = np.empty(4 * blocks * min(len(index), NOISE_PASS), dtype=np.uint64)
     for start in range(0, len(index), NOISE_PASS):
         part = index[start:start + NOISE_PASS]
-        x = np.zeros((4, len(part), blocks), dtype=np.uint64)
-        x[0], x[1], x[2] = part & 0xFFFFFFFF, part >> 32, np.arange(blocks)
+        rows = len(part)
+        x = words[:4 * blocks * rows].reshape(4, blocks, rows)  # block-major counters
+        np.bitwise_and(part, 0xFFFFFFFF, out=x[0])
+        np.right_shift(part, 32, out=x[1])
+        x[2], x[3] = np.arange(blocks)[:, None], 0
         hi, lo = philox4x32(x.reshape(4, -1), key).swapaxes(0, 1)
-        hi <<= 21  # (hi << 32 | lo) >> 11
-        hi |= lo >> 11
-        u = (hi + 0.5).reshape(2, len(part), blocks) * 2.0**-53  # in (0, 1]
+        lo >>= 11
+        hi <<= 21
+        hi |= lo  # (hi << 32 | lo) >> 11
+        # Box-Muller in the pass's words: the uniforms overwrite lo, the
+        # float32 angle and its cos or sin the first row of hi.
+        u = lo.view(np.float64)
+        np.add(hi, 0.5, out=u)
+        u *= 2.0**-53  # in (0, 1]
+        radius, angle = u.reshape(2, blocks, rows)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
         # The angle is rounded to float32 for numpy's SIMD cos/sin (float64
         # runs scalar libm); the radius stays float64, so the tails do not
         # change.
-        radius, angle = np.sqrt(-2.0 * np.log(u[0])), (2.0 * math.pi * u[1]).astype(np.float32)
-        draws = out[start:start + len(part)]
-        np.multiply(np.cos(angle), radius, out=draws[:, 0::2])
-        np.multiply(np.sin(angle[:, :sines]), radius[:, :sines], out=draws[:, 1::2])
+        angle32, trig = hi[0].view(np.float32).reshape(2, blocks, rows)
+        np.multiply(angle, 2.0 * math.pi, out=angle32)
+        draws = out[start:start + rows].T  # one row per column of out
+        np.multiply(np.cos(angle32, out=trig), radius, out=draws[0::2])
+        np.multiply(np.sin(angle32[:sines], out=trig[:sines]), radius[:sines], out=draws[1::2])
     return out

@@ -133,7 +133,8 @@ def block_stimulus(
     # kT/C, columns 1..n the comparator.
     draws = None
     if noise and out is None:
-        draws = np.concatenate([noise_matrix(plan.seed, idx, n), np.zeros((len(grid), n + 1))])
+        draws = np.concatenate([noise_matrix(plan.seed, idx, n),
+                                np.zeros((len(grid), n + 1), order="F")])
     elif noise:
         draws = out[:rows + len(grid)]
         noise_matrix(plan.seed, idx, n, out=draws[:rows])
@@ -174,7 +175,9 @@ def sine_test(cfg: AdcConfig, row: np.ndarray, plan: TestPlan, noise: bool = Tru
     n, several = cfg.n_bits, plan.k_points > CAPTURE_BLOCK
     rows = CAPTURE_BLOCK + POWER_GRID_POINTS  # the most a block converts
     _, (kt_c_sigma,) = sampling_constants(cfg, row)
-    draw_buf = np.empty((rows, n + 1)) if several and noise and stimuli is None else None
+    # Draws Fortran-ordered, as noise_matrix's own: the kernel reads a column per decision.
+    draw_buf = (np.empty((rows, n + 1), order="F") if several and noise and stimuli is None
+                else None)
     kernel_buf = kernel_out(n, rows) if several else None
     codes = np.zeros(plan.k_points, dtype=np.int64)
     ok = np.zeros(plan.k_points, dtype=bool)

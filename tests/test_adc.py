@@ -11,6 +11,7 @@ from sarsizer.adc import AdcConfig, DesignPoint, build_model, convert_rows, samp
 from sarsizer.adc import _switch_charge
 from sarsizer.coarse import POWER_GRID_POINTS
 from sarsizer.errors import BoundsError, ConfigError
+from sarsizer.pipeline import load_config
 from sarsizer.rng import noise_matrix
 
 from conftest import (
@@ -88,6 +89,14 @@ class TestBuildModel:
     def test_config_rejects_nonfinite_and_out_of_range(self, name, value):
         with pytest.raises(ConfigError, match=name):
             AdcConfig(**{"n_bits": 8, "f_s": 1e6, "v_dd": 1.0, name: value})
+
+    @pytest.mark.parametrize("v_floor", [1.0, 2.0, math.nan], ids=["v_dd", "twice_v_dd", "nan"])
+    def test_config_rejects_v_floor_not_below_v_dd(self, v_floor):
+        # At or above v_dd the delay clamp falls below t_d0 and bit times go negative.
+        with pytest.raises(ConfigError, match=r"v_floor must be in \(0, v_dd = 1.0\)"):
+            AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0, v_floor=v_floor)
+        with pytest.raises(ConfigError, match="v_floor"):
+            load_config(f"{{N: 8, fs: 1.0e6, V_DD: 1.0, v_floor: {v_floor}}}", is_text=True)
 
 
 class TestSampleInput:
@@ -210,11 +219,22 @@ class TestConvert:
         assert np.all(trace.bits[trace.n_fired:] == 0)
         assert np.all(trace.t_bit[trace.n_fired:] == 0.0)
 
-    def test_time_accounting_identity(self, sane_model_12):
-        trace = convert_one(sane_model_12, 0.21)
-        assert trace.t_total == design_of(sane_model_12).t_sample + trace.t_bit.sum()
-        if trace.timing_ok:
-            assert trace.t_total <= sane_model_12.cfg.t_conv
+    def test_time_accounting_identity(self):
+        """t_total is the kernel's clock: the sampling window plus each bit
+        time, added in bit order, and timing_ok reads it."""
+        cfg = AdcConfig(n_bits=12, f_s=20e6, v_dd=1.0)
+        designs = np.vstack([build_model(d, cfg).row for d in
+                             (sane_design(), design_with(t_d0=4e-9, tau_reg=2e-9, t_dff=4e-9))])
+        owner = np.repeat([0, 1], 50)
+        v = np.tile(np.linspace(-0.55, 0.55, 50), 2)
+        conv = convert_rows(cfg, designs, v, noise_matrix(3, np.arange(100), 12)[:, 1:], owner)
+        assert conv.timing_ok[:50].all() and not conv.timing_ok[50:].any()
+        for m in range(100):
+            clock = designs[owner[m], 2]  # t_sample
+            for t in conv.t_bit[m].tolist():
+                clock += t
+            assert conv.t_total[m] == clock
+            assert conv.timing_ok[m] == (conv.n_fired[m] == 12 and clock <= cfg.t_conv)
 
     def test_determinism_bit_identical(self, sane_model_12):
         a = convert_one(sane_model_12, 0.123, (5, 77))
@@ -439,11 +459,44 @@ class TestKernel:
         reused = with_charges(cfg, designs,
                               convert_rows(cfg, designs, v, draws, owner=owner, out=buf), owner)
         assert not fresh.timing_ok.all() and fresh.timing_ok.any()
-        for name, array in zip(("bits", "applied_step", "t_bit"), (buf[0], buf[1], buf[3])):
+        assert len(buf) == 3
+        for name, array in zip(("bits", "applied_step", "t_bit"), buf):
             assert np.shares_memory(getattr(reused, name), array), name
         for name in ("bits", "applied_step", "t_bit", "t_total", "n_fired", "timing_ok",
                      "delta_q", "e_total", "codes"):
             np.testing.assert_array_equal(getattr(reused, name), getattr(fresh, name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_bits=st.sampled_from([8, 12]), noisy=st.booleans(), owned=st.booleans(),
+       use_out=st.booleans(), data=st.data())
+def test_draw_layout_changes_no_conversion(n_bits, noisy, owned, use_out, data):
+    """Row-major and column-contiguous cmp_draws convert alike, and neither
+    they nor v_sampled are written, with or without owners and out, on
+    designs around the sane one (some dead before their last bit)."""
+    cfg = AdcConfig(n_bits=n_bits, f_s=20e6, v_dd=1.0)
+    scale = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+    designs = np.vstack([
+        build_model(sane_design(), cfg).row * 10.0 ** np.array(data.draw(scale))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ] + [build_model(design_with(t_d0=4e-9, tau_reg=2e-9, t_dff=4e-9), cfg).row])
+    designs = designs[data.draw(st.permutations(range(len(designs))))]
+    rows = data.draw(st.integers(1, 40))
+    v = np.array(data.draw(st.lists(st.floats(-0.6, 0.6), min_size=rows, max_size=rows)))
+    owner = (np.array(data.draw(st.lists(st.integers(0, len(designs) - 1),
+                                         min_size=rows, max_size=rows))) if owned else None)
+    columns = noise_matrix(data.draw(st.integers(0, 2**64 - 1)), np.arange(rows), n_bits)[:, 1:]
+    layouts = (np.ascontiguousarray(columns), columns) if noisy else (None, None)
+    inputs = [a for a in (v, *layouts) if a is not None]
+    before = [a.copy() for a in inputs]
+    results = []
+    for draws in layouts:
+        out = adc.kernel_out(n_bits, rows + data.draw(st.integers(0, 5))) if use_out else None
+        results.append(convert_rows(cfg, designs, v, draws, owner=owner, out=out))
+    for name in ("bits", "applied_step", "t_bit", "t_total", "n_fired", "timing_ok"):
+        np.testing.assert_array_equal(getattr(results[0], name), getattr(results[1], name))
+    for a, b in zip(inputs, before):
+        np.testing.assert_array_equal(a, b)
 
 
 def with_charges(cfg, designs, conv, owner=None):

@@ -142,6 +142,21 @@ def test_out_receives_the_allocating_draws(n_bits):
     assert np.isnan(buf[len(idx):]).all()
 
 
+@pytest.mark.parametrize("n_bits", [0, 7, 12])
+def test_out_order_changes_no_draw(n_bits):
+    idx = np.arange(300, 2800)  # more than one pass
+    row_major = noise_matrix(5, idx, n_bits, out=np.empty((len(idx), n_bits + 1)))
+    column_major = noise_matrix(5, idx, n_bits, out=np.empty((len(idx), n_bits + 1), order="F"))
+    assert row_major.flags.c_contiguous and column_major.flags.f_contiguous
+    np.testing.assert_array_equal(row_major, column_major)
+
+
+def test_default_result_has_contiguous_columns():
+    # The kernel reads one column per decision.
+    draws = noise_matrix(5, np.arange(3000), 12)
+    assert draws.flags.f_contiguous and draws[:, 7].flags.c_contiguous
+
+
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 8192])
 @pytest.mark.parametrize("noise_pass", [1, 3, 2048])
 def test_draws_independent_of_noise_pass(monkeypatch, rows, noise_pass):

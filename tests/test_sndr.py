@@ -479,6 +479,19 @@ class TestCaptureBlocks:
         run_segments(sane_model_12, make_plan(k_points=256, m_segments=4, seed=3), noise=noise)
         assert kernel_outs == [None] and draw_outs == [None] * noise
 
+    @pytest.mark.parametrize("k_points", [256, 1024], ids=["one_block", "several_blocks"])
+    def test_kernel_reads_contiguous_draw_columns(self, sane_model_12, monkeypatch, k_points):
+        layouts = []
+
+        def converting(cfg, designs, v_sampled, cmp_draws, *args, **kwargs):
+            layouts.append(cmp_draws.strides[0] == cmp_draws.itemsize)
+            return convert_rows(cfg, designs, v_sampled, cmp_draws, *args, **kwargs)
+
+        monkeypatch.setattr(sarsizer.sndr, "convert_rows", converting)
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 256)
+        run_segments(sane_model_12, make_plan(k_points=k_points, m_segments=4, seed=3))
+        assert layouts == [True] * (k_points // 256)
+
     def test_objective_stimuli_own_their_draws(self, monkeypatch):
         # The objective keeps every block's draws, so no two may share memory.
         monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 64)
