@@ -28,7 +28,6 @@ from .specs import DerivedSpecs
 SSRE_INVALID = 1e9
 
 POWER_GRID_POINTS = 8
-ROWS = 1 + POWER_GRID_POINTS  # kernel rows per candidate: single point + grid
 
 
 @dataclass
@@ -75,9 +74,9 @@ def _inputs(cfg: AdcConfig) -> np.ndarray:
 
 def _measure(cfg: AdcConfig, designs: np.ndarray):
     """Per-candidate sampling error, step-ratio errors, rms noise, average
-    power and timing flag, from one noise-free kernel call over ROWS rows
-    per candidate (``_inputs``) held from rest: every supply row, then each
-    candidate's power grid.  The noise total stays a per-row Python float
+    power and timing flag, from one noise-free kernel call over
+    1 + POWER_GRID_POINTS rows per candidate (``_inputs``) held from rest:
+    every supply row, then each candidate's power grid.  The noise total stays a per-row Python float
     expression, as a lone candidate's: ``**`` is libm pow, unlike numpy's x*x."""
     n = len(designs)
     v_in = _inputs(cfg)

@@ -102,6 +102,9 @@ class RunConfig:
                 raise ConfigError(f"unknown design variable {key!r} in bounds")
             if not 0 < lo < hi:
                 raise ConfigError(f"bounds for {key} need 0 < lo < hi")
+        # A sampling window of a whole period leaves no design a bit cycle.
+        t_conv, lo = self.adc.t_conv, self.bounds["t_sample"][0]
+        require(lo < t_conv, "t_sample's lower bound", f"below 1/fs = {t_conv:g} s", lo)
         require(is_seed(self.seed), "seed", "an integer in [0, 2**64)", self.seed)
         self.seed = int(self.seed)  # a numpy integer would not serialize
 
@@ -333,7 +336,12 @@ def optimization_plan(f_s: float, v_dd: float, h: HarnessConfig, seed: int):
 
 
 def verification_plan(f_s: float, v_dd: float, h: HarnessConfig, seed: int):
-    """Final reporting plan: the optimization tone at a longer capture."""
+    """Final reporting plan: K * verify_scale samples at the odd cycle
+    count nearest verify_scale * J, ties to the smaller.  With verify_scale
+    1 that is J, the optimization tone; any other verify_scale that keeps
+    K a power of two is even, and the count is verify_scale * J - 1, a tone
+    just below: at 1 MHz, K 512 and J 49 (95,703 Hz) verify at K 2048 and
+    J 195 (95,215 Hz)."""
     base = optimization_plan(f_s, v_dd, h, seed)
     return plan_test(
         f_s,
@@ -503,7 +511,7 @@ def summary_from_record(record: dict, cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def emit_report(record: dict, cfg: RunConfig, out: Path) -> dict[str, str]:
+def emit_report(record: dict, cfg: RunConfig, out: Path) -> None:
     """Write the human-readable summary and the flat metrics table; a
     record that lacks a figure they print raises before either is written."""
     summary = summary_from_record(record, cfg)
@@ -514,7 +522,6 @@ def emit_report(record: dict, cfg: RunConfig, out: Path) -> dict[str, str]:
     out.mkdir(parents=True, exist_ok=True)
     (out / REPORT_FILES["summary"]).write_text(summary)
     write_csv(out / REPORT_FILES["metrics"], ["metric", "value"], rows)
-    return dict(REPORT_FILES)
 
 
 def read_json(path: str | Path):

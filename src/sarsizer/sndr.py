@@ -124,19 +124,17 @@ def block_stimulus(
     and comparator draws, so they convert as ``coarse`` converts them and
     take no draw from the stream.  It depends on (cfg, plan, start, noise)
     only, so callers that run one plan on many designs may build it once.
-    With out (float64, n_bits + 1 columns, at least the block's rows) the
-    draws are a view of its first rows."""
+    The draws are the first rows of out (float64, Fortran-ordered, n_bits + 1
+    columns, at least the block's rows) if given, else of a new array."""
     n, idx = cfg.n_bits, np.arange(start, min(start + CAPTURE_BLOCK, plan.k_points))
     rows, grid = len(idx), power_grid(cfg) if idx[-1] == plan.k_points - 1 else np.empty(0)
     # The draws come first: a capture's memory peaks inside noise_matrix,
     # and the sine and the concatenations are not built yet.  Column 0 is
     # kT/C, columns 1..n the comparator.
     draws = None
-    if noise and out is None:
-        draws = np.concatenate([noise_matrix(plan.seed, idx, n),
-                                np.zeros((len(grid), n + 1), order="F")])
-    elif noise:
-        draws = out[:rows + len(grid)]
+    if noise:
+        draws = (np.empty((rows + len(grid), n + 1), order="F") if out is None
+                 else out[:rows + len(grid)])
         noise_matrix(plan.seed, idx, n, out=draws[:rows])
         draws[rows:] = 0.0
     # Hold history: the array last held the previous full-rate sample's
@@ -164,26 +162,26 @@ def sine_test(cfg: AdcConfig, row: np.ndarray, plan: TestPlan, noise: bool = Tru
     unless stimuli holds every block's (``sine_stimuli`` for this cfg,
     plan and noise; noise is then not read).
 
-    A capture of several blocks has one working set, sized for a block:
-    its noise draws and the kernel's per-decision arrays (``kernel_out``)
-    are allocated once, and every block overwrites them.  Freed and
-    allocated again per block, those few MB went back to the OS and were
-    faulted in again by the next block.  A capture of one block has nothing
-    to reuse and lets the calls allocate; a working set there only moved
-    the heap (desk8's peak RSS rose by 0.5 MB).
+    A capture has one working set, sized for its largest block: its noise
+    draws and the kernel's per-decision arrays (``kernel_out``) are
+    allocated once, and every block overwrites them.  Freed and allocated
+    again per block, those few MB went back to the OS and were faulted in
+    again by the next block.  The kernel's arrays are made after the first
+    block's draws: made before, they were alive at the peak inside
+    ``noise_matrix``, and an 8-bit 2,048-point capture's peak rose by 0.3 MB.
     """
-    n, several = cfg.n_bits, plan.k_points > CAPTURE_BLOCK
-    rows = CAPTURE_BLOCK + POWER_GRID_POINTS  # the most a block converts
+    n = cfg.n_bits
+    rows = min(plan.k_points, CAPTURE_BLOCK) + POWER_GRID_POINTS  # the most a block converts
     _, (kt_c_sigma,) = sampling_constants(cfg, row)
     # Draws Fortran-ordered, as noise_matrix's own: the kernel reads a column per decision.
-    draw_buf = (np.empty((rows, n + 1), order="F") if several and noise and stimuli is None
-                else None)
-    kernel_buf = kernel_out(n, rows) if several else None
+    draw_buf = np.empty((rows, n + 1), order="F") if noise and stimuli is None else None
+    kernel_buf = None
     codes = np.zeros(plan.k_points, dtype=np.int64)
     ok = np.zeros(plan.k_points, dtype=bool)
     for b, start in enumerate(range(0, plan.k_points, CAPTURE_BLOCK)):
         v_now, v_prev, draws = (stimuli[b] if stimuli is not None
                                 else block_stimulus(cfg, plan, start, noise, out=draw_buf))
+        kernel_buf = kernel_buf or kernel_out(n, rows)
         sampled = sample_input(cfg, row, v_now, v_prev)[0]
         if draws is not None:
             sampled = sampled + kt_c_sigma * draws[:, 0]

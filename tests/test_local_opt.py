@@ -518,7 +518,7 @@ class TestCheapObjectiveMemo:
         original = coarse.convert_rows
 
         def counted(cfg, designs, v_sampled, **kwargs):
-            calls.append(len(v_sampled) // coarse.ROWS)
+            calls.append(len(v_sampled) // (1 + coarse.POWER_GRID_POINTS))
             return original(cfg, designs, v_sampled, **kwargs)
 
         monkeypatch.setattr(coarse, "convert_rows", counted)

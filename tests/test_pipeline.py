@@ -25,14 +25,17 @@ from sarsizer.pipeline import (
     _KNOWN_TOP_KEYS,
     _config_from_record,
     _schema,
+    REPORT_FILES,
     SCHEMA_VERSION,
     TRACE_FILES,
+    HarnessConfig,
     RunConfig,
     audit_run,
     default_bounds,
     emit_report,
     load_config,
     load_design,
+    optimization_plan,
     run_pipeline,
     summary_from_record,
     verification_plan,
@@ -251,11 +254,22 @@ class TestLoadConfig:
         ({"global": {"max_evals": 0}}, "global.max_evals"),
         ({"local": {"max_iter": 0}}, "local.max_iter"),
         ({"N": 64}, "n_bits"),
+        ({"bounds": {"t_sample": [1.0e-6, 1.1e-6]}}, "t_sample.*fs"),
     ])
     def test_malformed_values_rejected(self, override, name):
         text = yaml.safe_dump({"N": 8, "fs": 1e6, "V_DD": 1.0, **override})
         with pytest.raises(ConfigError, match=name):
             load_config(text, is_text=True)
+
+    def test_sampling_box_must_leave_a_bit_cycle(self):
+        # A sampling window of exactly 1/fs fires no bit; one a hair shorter
+        # fires the first, so a box starting there loads.
+        cfg = load_config("{N: 8, fs: 1.0e6, V_DD: 1.0}", is_text=True)
+        period = cfg.adc.t_conv
+        with pytest.raises(ConfigError, match="t_sample.*fs"):
+            dataclasses.replace(cfg, bounds={**cfg.bounds, "t_sample": (period, 2.0 * period)})
+        below = math.nextafter(period, 0.0)
+        dataclasses.replace(cfg, bounds={**cfg.bounds, "t_sample": (below, 2.0 * period)})
 
     def test_widest_resolution_loads(self):
         # 63 bits is the widest whose int64 code weights do not wrap
@@ -507,6 +521,20 @@ class TestRunPipeline:
         record = json.loads((out / "run_record.json").read_text())
         assert "defaults_applied" in record["config"]
 
+    @pytest.mark.parametrize("verify_scale", [1, 2, 4, 8])
+    def test_verify_tone_is_nearest_odd_multiple(self, verify_scale):
+        # The verify plan snaps verify_scale * J to an odd cycle count,
+        # ties to the smaller: only verify_scale 1 keeps the tone.
+        harness = HarnessConfig(k_points=512, verify_scale=verify_scale)
+        base = optimization_plan(1e6, 1.0, harness, 0)
+        plan = verification_plan(1e6, 1.0, harness, 0)
+        scaled = verify_scale * base.j_cycles
+        assert base.j_cycles == 49
+        assert plan.k_points == 512 * verify_scale
+        assert plan.j_cycles == (scaled if verify_scale == 1 else scaled - 1)
+        if verify_scale == 4:
+            assert (round(base.f_in), plan.j_cycles, round(plan.f_in)) == (95703, 195, 95215)
+
     def test_capture_matches_verification_plan_length(self, small_run):
         cfg, _, out = small_run
         plan = verification_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
@@ -624,13 +652,13 @@ class TestEmitReport:
 
     def test_summary_lists_published_foms(self, tmp_path):
         record = self.published_record()
-        files = emit_report(record, self.published_config(), tmp_path)
-        text = (tmp_path / files["summary"]).read_text()
+        emit_report(record, self.published_config(), tmp_path)
+        text = (tmp_path / REPORT_FILES["summary"]).read_text()
         assert "FoM_S = 177.31 dB" in text
         assert "FoM_W = 4.6" in text
         # ENOB identity recomputed and cross-checked in the same line
         assert "ENOB  = 11.701 bits (cross-check 11.701)" in text
-        metrics = (tmp_path / files["metrics"]).read_text()
+        metrics = (tmp_path / REPORT_FILES["metrics"]).read_text()
         assert "sndr_db,72.2" in metrics
 
     def test_summary_matches_record_based_formatter(self, small_run):

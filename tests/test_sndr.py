@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sarsizer.adc import (DESIGN_FIELDS, AdcConfig, DesignPoint, build_model, convert_rows,
-                          sample_input, sampling_constants)
+                          kernel_out, sample_input, sampling_constants)
 import sarsizer.coarse
 from sarsizer.coarse import POWER_GRID_POINTS, evaluate_coarse, power_estimate
 from sarsizer.errors import BoundsError, MetricsError, PlanError
@@ -475,9 +475,45 @@ class TestCaptureBlocks:
         assert all(out.base is draw_outs[0].base is not None for out in draw_outs)
         draw_outs.clear()
         kernel_outs.clear()
-        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 256)  # one block: nothing to reuse
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 512)  # one short block: sized to K
         run_segments(sane_model_12, make_plan(k_points=256, m_segments=4, seed=3), noise=noise)
-        assert kernel_outs == [None] and draw_outs == [None] * noise
+        [bits, _, _] = kernel_outs[0]
+        assert len(kernel_outs) == 1 and bits.shape == (12, 256 + POWER_GRID_POINTS)
+        assert len(draw_outs) == noise
+        assert all(out.base.shape == (256 + POWER_GRID_POINTS, 13) for out in draw_outs)
+
+    def test_kernel_arrays_follow_the_first_draws(self, sane_model_12, monkeypatch):
+        # Made before, the kernel's arrays would be alive at the peak
+        # inside the first block's noise_matrix.
+        events = []
+
+        def drawing(*args, **kwargs):
+            events.append("draws")
+            return noise_matrix(*args, **kwargs)
+
+        def allocating(*args):
+            events.append("kernel")
+            return kernel_out(*args)
+
+        monkeypatch.setattr(sarsizer.sndr, "noise_matrix", drawing)
+        monkeypatch.setattr(sarsizer.sndr, "kernel_out", allocating)
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 100)
+        run_segments(sane_model_12, make_plan(k_points=256, m_segments=4, seed=3))
+        assert events == ["draws", "kernel", "draws", "draws"]
+
+    def test_stale_out_gives_the_fresh_stimulus(self, cfg12, monkeypatch):
+        # A reused draw buffer holds the previous block's draws; every row
+        # the block reads, power-grid rows included, must be written.
+        monkeypatch.setattr(sarsizer.sndr, "CAPTURE_BLOCK", 100)
+        plan = make_plan(k_points=256, m_segments=4, seed=3)
+        stale = np.empty((100 + POWER_GRID_POINTS + 3, 13), order="F")
+        for start in (0, 100, 200):
+            stale.fill(np.nan)
+            fresh = block_stimulus(cfg12, plan, start, noise=True)
+            reused = block_stimulus(cfg12, plan, start, noise=True, out=stale)
+            assert reused[2].base is stale
+            for a, b in zip(fresh, reused):
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("k_points", [256, 1024], ids=["one_block", "several_blocks"])
     def test_kernel_reads_contiguous_draw_columns(self, sane_model_12, monkeypatch, k_points):
