@@ -61,8 +61,8 @@ class AdcConfig:
         for name in ("f_s", "v_dd", "temp_k", "r_drv_cap"):
             value = getattr(self, name)
             require(0.0 < value < math.inf, name, "finite and positive", value)
-        # At or above v_dd the delay clamp t_d0 + tau_reg*ln(v_dd/v_floor)
-        # falls below t_d0, and a bit time can go negative.
+        # At or above v_dd the delay law t_d0 + tau_reg*ln(v_dd/max(|v|, v_floor))
+        # is flat: every decision takes t_d0.
         require(0.0 < self.v_floor < self.v_dd, "v_floor", f"in (0, v_dd = {self.v_dd})",
                 self.v_floor)
         for name in ("kappa_cmp", "kappa_sw", "e_dff"):
@@ -126,16 +126,13 @@ def sampling_constants(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray,
 
 
 def derive(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """What the kernel needs per row of designs (DESIGN_FIELDS order): c_tot,
-    per-step driver resistance r_drv and settling constant tau_step (rows,
-    n), and the delay clamp t_cmp_max, the delay law at v_floor."""
-    _, _, _, _, t_d0, tau_reg, r_drv_msb, _ = designs.T
+    """What the kernel needs per row of designs (DESIGN_FIELDS order): c_tot, and the
+    per-step driver resistance r_drv and settling constant tau_step (rows, n)."""
     c_tot = 2.0 ** (cfg.n_bits - 1) * designs[:, 0]  # c_unit
-    # Driver strength halves per bit until the minimum-size device;
-    # its resistance is the growth limit for the geometric scaling.
-    r_drv = np.minimum(r_drv_msb[:, None] * 2.0 ** np.arange(cfg.n_bits), cfg.r_drv_cap)
-    t_cmp_max = t_d0 + tau_reg * math.log(cfg.v_dd / cfg.v_floor)
-    return c_tot, r_drv, r_drv * c_tot[:, None], t_cmp_max
+    # Driver strength halves per bit from r_drv_msb until the minimum-size
+    # device; its resistance is the growth limit for the geometric scaling.
+    r_drv = np.minimum(designs[:, 6, None] * 2.0 ** np.arange(cfg.n_bits), cfg.r_drv_cap)
+    return c_tot, r_drv, r_drv * c_tot[:, None]
 
 
 @dataclass(frozen=True)
@@ -239,23 +236,21 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
     used in place of new ones: bits, applied_step and t_bit then view it,
     so a later call with the same out overwrites them.
     """
-    _, _, tau_step, t_cmp_max = derive(cfg, designs)
     # Design constants per row, or scalars (numpy's faster path) for one
     # design; the settling constants bit-major and negated.
     pick = 0 if owner is None else owner
-    consts, neg_tau = np.vstack([designs.T, t_cmp_max])[:, pick], -tau_step.T[:, pick]
-    _, _, t_sample, sigma_cmp, t_d0, tau_reg, _, t_dff, t_cmp_max = consts
+    _, _, t_sample, sigma_cmp, t_d0, tau_reg, _, t_dff = designs.T[:, pick]
+    neg_tau = -derive(cfg, designs)[2].T[:, pick]
 
     def delay(mag: np.ndarray) -> np.ndarray:
         """Regeneration delay per decision, in place of mag: grows as the
-        residue shrinks."""
+        residue shrinks, to at most its value at v_floor."""
         np.maximum(mag, cfg.v_floor, out=mag)
         np.divide(cfg.v_dd, mag, out=mag)
         np.log(mag, out=mag)
         np.multiply(tau_reg, mag, out=mag)
         np.add(t_d0, mag, out=mag)
-        np.maximum(mag, t_d0, out=mag)
-        return np.minimum(mag, t_cmp_max, out=mag)
+        return np.maximum(mag, t_d0, out=mag)
 
     n = cfg.n_bits
     amp = cfg.step_amp

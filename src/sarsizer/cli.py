@@ -28,7 +28,7 @@ from .pipeline import (
     RunConfig,
     audit_run,
     load_config,
-    load_model,
+    load_design,
     optimization_plan,
     run_pipeline,
 )
@@ -65,9 +65,8 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    model = load_model(args.design, cfg)
     specs = DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha)
-    report = evaluate_coarse(cfg.adc, model.row, specs).row(0)
+    report = evaluate_coarse(cfg.adc, load_design(args.design, cfg), specs).row(0)
     labels = specs.constraint_labels()
     print(f"power           = {report.power:.6e} W")
     print(f"sampling error  = {report.sampling_error:.6e} V")
@@ -82,9 +81,8 @@ def cmd_eval(args) -> int:
 
 def cmd_sndr(args) -> int:
     cfg = _load(args)
-    model = load_model(args.design, cfg)
     plan = optimization_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
-    codes, ok, power = sine_test(cfg.adc, model.row, plan, cfg.harness.noise)
+    codes, ok, power = sine_test(cfg.adc, load_design(args.design, cfg), plan, cfg.harness.noise)
     report = spectrum_metrics(codes, plan, power, cfg.adc.n_bits)
     print(f"capture         = {plan.k_points} points, {plan.m_segments} segments")
     print(f"input frequency = {plan.f_in:.6e} Hz ({plan.j_cycles} cycles)")
@@ -107,7 +105,7 @@ def cmd_report(args) -> int:
     checks = audit_run(args.run_dir)  # regenerates the report files
     print(f"audit of {args.run_dir}: {len(checks)} checks passed")
     for name, (recorded, recomputed) in checks.items():
-        print(f"  {name:<16} recorded={recorded!r} recomputed={recomputed!r}")
+        print(f"  {name:<22} recorded={recorded!r} recomputed={recomputed!r}")
     print((Path(args.run_dir) / REPORT_FILES["summary"]).read_text())
     print(f"report files regenerated: {', '.join(sorted(REPORT_FILES.values()))}")
     return 0

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .adc import DESIGN_FIELDS, AdcConfig, AdcModel, DesignPoint, build_model
+from .adc import DESIGN_FIELDS, AdcConfig, DesignPoint, check_designs, design_box
 from .coarse import CoarseReport, evaluate_coarse
 from .csvio import write_csv
 from .errors import BoundsError, ConfigError, PlanError, require
@@ -300,13 +300,7 @@ class RunResult:
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.effective_dict(),
-            "design": self.design.to_dict(),
-            "specs": self.specs.to_dict(),
-            "coarse": {
-                **{k: np.asarray(v).tolist() for k, v in asdict(self.coarse).items()},
-                "feasible": self.coarse.feasible,
-            },
-            "spectrum": self.spectrum.to_dict(),
+            **measured_blocks(self.design, self.specs, self.coarse, self.spectrum),
             "global": {
                 "generations": self.global_state.generation,
                 "evals": self.global_state.evals,
@@ -322,6 +316,15 @@ class RunResult:
             "warning": self.warning,
             "trace_files": dict(TRACE_FILES),
         }
+
+
+def measured_blocks(design: DesignPoint, specs: DerivedSpecs, coarse: CoarseReport,
+                    spectrum: SpectrumReport) -> dict[str, dict]:
+    """The record's design, specs, coarse (every field, and the verdict) and
+    spectrum blocks: the run writes them, and ``audit_run`` rebuilds them, with this."""
+    coarse_block = {k: np.asarray(v).tolist() for k, v in asdict(coarse).items()}
+    return {"design": design.to_dict(), "specs": specs.to_dict(),
+            "coarse": {**coarse_block, "feasible": coarse.feasible}, "spectrum": spectrum.to_dict()}
 
 
 def optimization_plan(f_s: float, v_dd: float, h: HarnessConfig, seed: int):
@@ -518,8 +521,6 @@ def emit_report(record: dict, cfg: RunConfig, out: Path) -> None:
     rows = ([["power_w", record["coarse"]["power"]]]
             + [[key, record["spectrum"][key]] for key in SPECTRUM_FIGURES]
             + [["coarse_feasible", record["coarse"]["feasible"]]])
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / REPORT_FILES["summary"]).write_text(summary)
     write_csv(out / REPORT_FILES["metrics"], ["metric", "value"], rows)
 
@@ -533,21 +534,18 @@ def read_json(path: str | Path):
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
 
 
-def load_design(path: str | Path) -> DesignPoint:
+def load_design(path: str | Path, cfg: RunConfig) -> np.ndarray:
+    """A design file's point as a (1, d) row inside cfg's bounds; any fault is a
+    ConfigError naming the file."""
     raw = read_json(path)
-    missing = [name for name in DESIGN_FIELDS if not isinstance(raw, dict) or name not in raw]
-    if missing:
+    if missing := [name for name in DESIGN_FIELDS if not isinstance(raw, dict) or name not in raw]:
         raise ConfigError(f"{path}: design file missing fields: {missing}")
-    return DesignPoint(**{name: _number(raw[name], name, str(path)) for name in DESIGN_FIELDS})
-
-
-def load_model(path: str | Path, cfg: RunConfig) -> AdcModel:
-    """The model of a design file's point under cfg; a point outside
-    cfg's bounds is a ConfigError naming the file."""
+    row = np.array([[_number(raw[name], name, str(path)) for name in DESIGN_FIELDS]])
     try:
-        return build_model(load_design(path), cfg.adc, cfg.bounds)
+        check_designs(row, design_box(cfg.bounds))
     except BoundsError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return row
 
 
 def _config_from_record(record: dict, where: str) -> RunConfig:
@@ -574,15 +572,26 @@ def _config_from_record(record: dict, where: str) -> RunConfig:
         raise ConfigError(f"{where}: config: {exc}") from exc
 
 
-def audit_run(run_dir: str | Path) -> dict:
-    """Recompute every summary number from the persisted raw artifacts,
-    then regenerate the report files from the record.
+def _agrees(recorded, rebuilt) -> bool:
+    """A boolean matches exactly, a number or list of numbers in shape and to rtol 1e-12."""
+    if isinstance(rebuilt, bool):
+        return recorded is rebuilt
+    with contextlib.suppress(ValueError):  # a ragged list
+        value = np.asarray(recorded)
+        return (value.dtype.kind in "iuf" and value.shape == np.shape(rebuilt)
+                and bool(np.isclose(value, rebuilt, rtol=1e-12, atol=0).all()))
+    return False
 
-    Returns a dict of checks, each mapping to (recorded, recomputed).
-    Raises ConfigError, and writes nothing, when any check disagrees, or
-    when the record is of another schema version, or its config, trace
-    files, design, capture rows or any figure its summary prints do not
-    read back.
+
+def audit_run(run_dir: str | Path) -> dict:
+    """Rebuild the record's ``measured_blocks`` from the persisted design
+    and capture, compare every field, then regenerate the report files.
+
+    Returns the checks, each ``<block>.<field>`` mapping to (recorded,
+    recomputed).  Raises ConfigError, and writes nothing, when a field
+    disagrees, is missing or is unknown, or when the record is of another
+    schema version, or its config, trace files, design, capture rows or any
+    other figure its summary prints do not read back.
     """
     run_dir = Path(run_dir)
     path = run_dir / RECORD_NAME
@@ -596,9 +605,9 @@ def audit_run(run_dir: str | Path) -> dict:
                                      for k in ("design", "capture"))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: cannot rebuild the recorded run: {exc!r}") from exc
-    model = load_model(design_path, cfg)
+    row = load_design(design_path, cfg)
     specs = DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha)
-    coarse = evaluate_coarse(cfg.adc, model.row, specs).row(0)
+    coarse = evaluate_coarse(cfg.adc, row, specs).row(0)
 
     try:
         codes = np.array([int(r.split(",")[2]) for r in capture_path.read_text().splitlines()[1:]])
@@ -613,20 +622,17 @@ def audit_run(run_dir: str | Path) -> dict:
                           f"verify plan has K = {verify_plan.k_points}")
     spectrum = spectrum_metrics(codes, verify_plan, coarse.power, cfg.adc.n_bits)
 
+    checks = {}
+    for block, figures in measured_blocks(DesignPoint.from_vector(row[0]), specs, coarse,
+                                          spectrum).items():
+        recorded = record[block] if isinstance(record.get(block), dict) else {}
+        if odd := sorted(recorded.keys() ^ figures.keys()):
+            raise ConfigError(f"{path}: missing or unknown fields {[f'{block}.{k}' for k in odd]}")
+        checks.update({f"{block}.{k}": (recorded[k], v) for k, v in figures.items()})
+    if bad := [f"{name} recorded {old!r}, recomputed {new!r}"
+               for name, (old, new) in checks.items() if not _agrees(old, new)]:
+        raise ConfigError(f"{path}: audit mismatches: {'; '.join(bad)}")
     try:
-        checks = {
-            **{k: (record["coarse"][k], getattr(coarse, k))
-               for k in ("power", "sampling_error", "noise_rms")},
-            **{k: (record["spectrum"][k], v) for k, v in spectrum.to_dict().items()},
-            "enob_identity": (
-                record["spectrum"]["enob"],
-                enob_from_sndr(record["spectrum"]["sndr_db"]),
-            ),
-        }
-        bad = {name: pair for name, pair in checks.items()
-               if not np.isclose(pair[0], pair[1], rtol=1e-12, atol=0)}
-        if bad:
-            raise ConfigError(f"audit mismatches: {bad}")
         emit_report(record, cfg, run_dir)  # reads every other figure the summary prints
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: a misformatted figure
         raise ConfigError(f"{path}: missing recorded figure: {exc!r}") from exc

@@ -53,7 +53,7 @@ class TestBuildModel:
     def test_driver_resistance_capped(self):
         cfg = AdcConfig(n_bits=12, f_s=1e6, v_dd=1.0, r_drv_cap=8e3)
         m = build_model(design_with(r_drv_msb=1e3), cfg)
-        _, r_drv, tau_step, _ = (v[0] for v in adc.derive(cfg, m.row))
+        _, r_drv, tau_step = (v[0] for v in adc.derive(cfg, m.row))
         assert r_drv.max() == 8e3
         # settling constants nondecreasing, flat once the cap engages
         assert np.all(np.diff(tau_step) >= 0)
@@ -92,7 +92,7 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("v_floor", [1.0, 2.0, math.nan], ids=["v_dd", "twice_v_dd", "nan"])
     def test_config_rejects_v_floor_not_below_v_dd(self, v_floor):
-        # At or above v_dd the delay clamp falls below t_d0 and bit times go negative.
+        # At or above v_dd the delay law is flat: every decision takes t_d0.
         with pytest.raises(ConfigError, match=r"v_floor must be in \(0, v_dd = 1.0\)"):
             AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0, v_floor=v_floor)
         with pytest.raises(ConfigError, match="v_floor"):
@@ -352,6 +352,8 @@ def reference_convert(model, v, cmp_draws):
     delta_q, e_total, timing_ok), written out from the model equations."""
     n, d, cfg = model.cfg.n_bits, design_of(model), model.cfg
     c_tot = 2 ** (n - 1) * d.c_unit
+    # The kernel has no such cap: its v_floor floor keeps the delay below
+    # it, which the kernel-against-oracle tests pin.
     t_cmp_max = d.t_d0 + d.tau_reg * math.log(cfg.v_dd / cfg.v_floor)
 
     def delay(mag):

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import sarsizer
 from sarsizer.adc import DESIGN_FIELDS, AdcConfig, DesignPoint
 from sarsizer.cli import console_main, main as cli_main
+from sarsizer.coarse import CoarseReport
 from sarsizer.errors import ConfigError, PlanError
 from sarsizer.local_opt import LocalResult
 from sarsizer.pipeline import (
@@ -25,6 +26,7 @@ from sarsizer.pipeline import (
     _KNOWN_TOP_KEYS,
     _config_from_record,
     _schema,
+    RECORD_NAME,
     REPORT_FILES,
     SCHEMA_VERSION,
     TRACE_FILES,
@@ -35,11 +37,14 @@ from sarsizer.pipeline import (
     emit_report,
     load_config,
     load_design,
+    measured_blocks,
     optimization_plan,
     run_pipeline,
     summary_from_record,
     verification_plan,
 )
+from sarsizer.sndr import SPECTRUM_FIGURES
+from sarsizer.specs import DerivedSpecs
 
 from conftest import no_sine_test
 
@@ -65,6 +70,15 @@ def _drop_last_row(capture):
     """Cut the last data row off a capture.csv."""
     lines = capture.read_text().splitlines()
     capture.write_text("\n".join(lines[:-1]) + "\n")
+
+
+# (block, field) of every field of the record's measured blocks, from the
+# dataclasses that hold them.
+MEASURED_FIELDS = ([("design", name) for name in DESIGN_FIELDS]
+                   + [("specs", f.name) for f in dataclasses.fields(DerivedSpecs)]
+                   + [("coarse", f.name) for f in dataclasses.fields(CoarseReport)]
+                   + [("coarse", "feasible")]
+                   + [("spectrum", name) for name in SPECTRUM_FIGURES])
 
 
 @pytest.fixture(scope="module")
@@ -383,10 +397,11 @@ class TestRunPipeline:
         assert len(checks) >= 9
 
     def test_audit_check_names_and_order(self, small_run):
-        assert list(audit_run(small_run[2])) == [
-            "power", "sampling_error", "noise_rms", "sndr_db", "sfdr_db", "enob", "fom_w",
-            "fom_s", "enob_identity",
-        ]
+        """The audit checks every field of the builder's blocks, in order."""
+        _, result, out = small_run
+        blocks = measured_blocks(result.design, result.specs, result.coarse, result.spectrum)
+        names = [f"{block}.{name}" for block, figures in blocks.items() for name in figures]
+        assert list(audit_run(out)) == names == [f"{b}.{k}" for b, k in MEASURED_FIELDS]
 
     @pytest.mark.parametrize("block, key", [("adc", "n_bits"), ("harness", "k_points")])
     def test_audit_reads_integral_floats_as_integers(self, small_run, tmp_path, block, key):
@@ -437,6 +452,25 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=key):
             audit_run(run_dir)
 
+    @pytest.mark.parametrize("block, key", MEASURED_FIELDS,
+                             ids=[f"{b}.{k}" for b, k in MEASURED_FIELDS])
+    def test_audit_catches_any_edited_field(self, small_run, tmp_path, block, key):
+        """A flipped boolean, or a number or list scaled by 1.5 (a zero set
+        to 1.5), fails the audit naming the field, and no report is written."""
+        run_dir = shutil.copytree(small_run[2], tmp_path / "run")
+        for name in REPORT_FILES.values():
+            (run_dir / name).unlink()
+        path = run_dir / RECORD_NAME
+        record = json.loads(path.read_text())
+        value = record[block][key]
+        record[block][key] = (not value if isinstance(value, bool)
+                              else [1.5 * v for v in value] if isinstance(value, list)
+                              else 1.5 * value or 1.5)
+        path.write_text(json.dumps(record))
+        with pytest.raises(ConfigError, match=rf"audit mismatches: {block}\.{key} recorded"):
+            audit_run(run_dir)
+        assert not any((run_dir / name).exists() for name in REPORT_FILES.values())
+
     @pytest.mark.parametrize("tamper, named", [
         (lambda record, run_dir: record.update(schema_version=99), "run_record.json"),
         (lambda record, run_dir: record["config"]["adc"].update(frobnicate=1.0),
@@ -473,6 +507,10 @@ class TestRunPipeline:
         (lambda record, run_dir: record["config"].update(harness=[]), "run_record.json"),
         (lambda record, run_dir: record.update(local=None), "run_record.json"),
         (lambda record, run_dir: _drop_last_row(run_dir / "capture.csv"), "capture.csv"),
+        (lambda record, run_dir: record["coarse"].update(margin=1.0), r"coarse\.margin"),
+        (lambda record, run_dir: record["spectrum"].pop("enob"), r"spectrum\.enob"),
+        (lambda record, run_dir: record["coarse"].update(ssre=[0.0]), r"coarse\.ssre"),
+        (lambda record, run_dir: record["specs"].update(n_bits=True), r"specs\.n_bits"),
     ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
             "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
             "short_capture_row", "missing_global", "missing_local", "missing_warning",
@@ -480,7 +518,8 @@ class TestRunPipeline:
             "string_design_value", "string_noise", "unplannable_harness", "negative_seed",
             "bounds_triple", "bounds_string", "negative_alpha", "design_outside_bounds",
             "missing_n_bits", "aliased_n_bits", "harness_list", "null_local",
-            "truncated_capture"])
+            "truncated_capture", "unknown_coarse_field", "missing_enob", "short_ssre",
+            "boolean_n_bits"])
     def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
@@ -670,23 +709,30 @@ class TestEmitReport:
 
 class TestDesignFiles:
     def test_round_trip(self, tmp_path, small_run):
-        _, result, _ = small_run
+        cfg, result, _ = small_run
         path = tmp_path / "design.json"
         path.write_text(json.dumps(result.design.to_dict()))
-        loaded = load_design(path)
-        assert loaded == result.design
+        loaded = load_design(path, cfg)
+        assert loaded.shape == (1, len(DESIGN_FIELDS))
+        assert DesignPoint.from_vector(loaded[0]) == result.design
 
-    def test_missing_field_rejected(self, tmp_path):
+    def test_missing_field_rejected(self, tmp_path, small_run):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"c_unit": 1e-15}))
         with pytest.raises(ConfigError, match="missing"):
-            load_design(path)
+            load_design(path, small_run[0])
 
     def test_string_value_rejected(self, tmp_path, small_run):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**small_run[1].design.to_dict(), "r_sw": "abc"}))
         with pytest.raises(ConfigError, match="r_sw"):
-            load_design(path)
+            load_design(path, small_run[0])
+
+    def test_out_of_bounds_rejected(self, tmp_path, small_run):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**small_run[1].design.to_dict(), "c_unit": 1e-9}))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: c_unit=1e-09 outside"):
+            load_design(path, small_run[0])
 
 
 # Violates a coarse constraint under SMALL_RUN's config.
