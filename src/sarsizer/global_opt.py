@@ -37,15 +37,12 @@ STALL_RTOL = 1e-6  # relative improvement over STALL_GENERATIONS that counts as 
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """One truly evaluated candidate; its violation is computed once."""
+    """One archive row of ``OptimizerState``, as ``archive`` reads it."""
 
     x: np.ndarray
     objective: float
     slack: np.ndarray
-
-    @cached_property
-    def violation(self) -> float:
-        return float(np.sum(np.maximum(0.0, -self.slack)))
+    violation: float  # total constraint violation, sum(max(0, -slack))
 
 
 @dataclass
@@ -175,13 +172,14 @@ class GlobalParams:
 
 @dataclass
 class OptimizerState:
-    """Result and final state of the global phase.  The archive is three arrays, row i the
+    """Result and final state of the global phase.  The archive is four arrays, row i the
     i-th evaluated candidate; ``archive`` reads them as EvalRecords on first use."""
 
     x: np.ndarray             # (evals, d)
     objective: np.ndarray     # (evals,)
     slack: np.ndarray         # (evals, m)
-    best: EvalRecord          # the best archive row under Deb's rules (``pick_best``)
+    violation: np.ndarray     # (evals,) total violation, sum(max(0, -slack))
+    best: int                 # the best archive row under Deb's rules (``pick_best``)
     mask: np.ndarray          # True where a variable has converged
     generation: int
     evals: int
@@ -191,7 +189,8 @@ class OptimizerState:
 
     @cached_property
     def archive(self) -> list[EvalRecord]:
-        return [EvalRecord(*row) for row in zip(self.x, self.objective.tolist(), self.slack)]
+        return [EvalRecord(*row) for row in zip(self.x, self.objective.tolist(), self.slack,
+                                                self.violation.tolist())]
 
 
 def init_population(bounds: np.ndarray, pop_size: int, seed: int) -> np.ndarray:
@@ -400,6 +399,5 @@ def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerSt
         log_generation()
 
     warning = "no feasible point found; returning least-violating" if violation[best] else None
-    return OptimizerState(x[:evals], objective[:evals], slack[:evals],
-                          EvalRecord(x[best], objective[best].item(), slack[best]), mask,
-                          generation, evals, reason, warning, history)
+    return OptimizerState(x[:evals], objective[:evals], slack[:evals], violation[:evals],
+                          int(best), mask, generation, evals, reason, warning, history)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import reprlib
 import time
 import warnings
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields
@@ -31,6 +32,7 @@ from .rng import is_seed
 from .sndr import (
     SPECTRUM_FIGURES,
     SpectrumReport,
+    capture_inputs,
     enob_from_sndr,
     plan_test,
     sine_test,
@@ -109,11 +111,14 @@ class RunConfig:
         self.seed = int(self.seed)  # a numpy integer would not serialize
 
     def effective_dict(self) -> dict:
+        """The config as the record holds it; lambda = inf (never) is null."""
+        blocks = {name: asdict(getattr(self, attr)) for name, (attr, _) in _BLOCKS.items()}
+        blocks["local"]["expensive_every"] = _finite_or_none(self.local_params.expensive_every)
         return {
             "adc": asdict(self.adc),
             "alpha": self.alpha,
             "bounds": {k: list(v) for k, v in self.bounds.items()},
-            **{name: asdict(getattr(self, attr)) for name, (attr, _) in _BLOCKS.items()},
+            **blocks,
             "seed": self.seed,
             "defaults_applied": self.defaults_applied,
         }
@@ -139,6 +144,11 @@ def _schema(cls) -> list[tuple[Field, tuple[str, ...]]]:
 _KNOWN_TOP_KEYS = {k for _, keys in _schema(AdcConfig) for k in keys} | {
     "alpha", "bounds", "seed", "out", *_BLOCKS
 }
+
+
+def _finite_or_none(value: float | None) -> float | None:
+    """A number strict JSON can hold: a non-finite one (or None) is None."""
+    return value if value is not None and math.isfinite(value) else None
 
 
 def _integer(value, name: str, where: str, minimum: int = 0) -> int:
@@ -310,8 +320,10 @@ class RunResult:
                 "warning": self.global_state.warning,
             },
             "local": {  # the scalar results; the trajectory has its own CSV
-                k: v for k, v in asdict(self.local_result).items()
-                if k not in ("x_best", "history")
+                **{k: v for k, v in asdict(self.local_result).items()
+                   if k not in ("x_best", "history")},
+                # a failed sine test scores +inf; n_expensive_failed counts those
+                "f_expensive": _finite_or_none(self.local_result.f_expensive),
             },
             "warning": self.warning,
             "trace_files": dict(TRACE_FILES),
@@ -383,7 +395,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
     timings["global"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    x_start = gstate.best.x.copy()
+    x_start = gstate.x[gstate.best]
     cheap = CheapObjective.anchored_at(coarse_problem, x_start)
     expensive = ExpensiveObjective(
         cfg=cfg.adc, plan=plan, bounds=cfg.bounds, noise=cfg.harness.noise
@@ -399,8 +411,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
     x_final = local_result.x_best
     final_coarse = coarse_problem.report(x_final)
     if not final_coarse.feasible:
-        if cheap.best_feasible_x is not None:
-            x_final = cheap.best_feasible_x
+        if (x_feasible := cheap.best_feasible()) is not None:
+            x_final = x_feasible
             final_coarse = coarse_problem.report(x_final)
             warning_parts.append(
                 "local: end point violated a coarse constraint; "
@@ -453,7 +465,8 @@ def persist_run(result: RunResult, out: Path, plan, codes) -> None:
     for name, content in [(path["design"], record["design"]), (path["specs"], record["specs"]),
                           (out / RECORD_NAME, record),
                           (out / "timings.json", result.phase_timings)]:
-        Path(name).write_text(json.dumps(content, sort_keys=True, indent=2) + "\n")
+        Path(name).write_text(json.dumps(content, sort_keys=True, indent=2, allow_nan=False)
+                              + "\n")
     emit_report(record, result.config, out)
 
 
@@ -525,13 +538,27 @@ def emit_report(record: dict, cfg: RunConfig, out: Path) -> None:
     write_csv(out / REPORT_FILES["metrics"], ["metric", "value"], rows)
 
 
+def _no_constant(token: str):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 def read_json(path: str | Path):
-    """A JSON file's content; malformed JSON (or text that is not UTF-8) is
-    a ConfigError naming the file."""
+    """A JSON file's content; malformed or non-strict JSON (a NaN or
+    Infinity token) or text that is not UTF-8 is a ConfigError naming the
+    file."""
     try:
-        return json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        return json.loads(Path(path).read_text(), parse_constant=_no_constant)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, a constant
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
+
+
+def _csv_column(path: Path, column: int, kind) -> list:
+    """A run CSV's column, header skipped, each value read by kind; a short
+    row, a bad value or text that is not UTF-8 is a ConfigError naming the file."""
+    try:
+        return [kind(line.split(",")[column]) for line in path.read_text().splitlines()[1:]]
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed row: {exc!r}") from exc
 
 
 def load_design(path: str | Path, cfg: RunConfig) -> np.ndarray:
@@ -585,13 +612,16 @@ def _agrees(recorded, rebuilt) -> bool:
 
 def audit_run(run_dir: str | Path) -> dict:
     """Rebuild the record's ``measured_blocks`` from the persisted design
-    and capture, compare every field, then regenerate the report files.
+    and capture codes, compare every field, and the files the run wrote
+    from them (``specs.json``, ``spectrum.csv``'s bin powers and
+    ``capture.csv``'s inputs), then regenerate the report files.
 
-    Returns the checks, each ``<block>.<field>`` mapping to (recorded,
-    recomputed).  Raises ConfigError, and writes nothing, when a field
-    disagrees, is missing or is unknown, or when the record is of another
-    schema version, or its config, trace files, design, capture rows or any
-    other figure its summary prints do not read back.
+    Returns the checks, each ``<block>.<field>`` or ``<file>.<field>``
+    mapping to (recorded, recomputed).  Raises ConfigError, and writes
+    nothing, when a field disagrees, is missing or is unknown, or when the
+    record is of another schema version, or its config, trace files,
+    design, CSV rows or any other figure its summary prints do not read
+    back.
     """
     run_dir = Path(run_dir)
     path = run_dir / RECORD_NAME
@@ -601,18 +631,15 @@ def audit_run(run_dir: str | Path) -> dict:
         raise ConfigError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")
     cfg = _config_from_record(record, str(path))
     try:
-        design_path, capture_path = (run_dir / record["trace_files"][k]
-                                     for k in ("design", "capture"))
+        design_path, capture_path, specs_path, spectrum_path = (
+            run_dir / record["trace_files"][k] for k in ("design", "capture", "specs", "spectrum"))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: cannot rebuild the recorded run: {exc!r}") from exc
     row = load_design(design_path, cfg)
     specs = DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha)
     coarse = evaluate_coarse(cfg.adc, row, specs).row(0)
 
-    try:
-        codes = np.array([int(r.split(",")[2]) for r in capture_path.read_text().splitlines()[1:]])
-    except (IndexError, ValueError) as exc:  # short row, bad code, text not UTF-8
-        raise ConfigError(f"{capture_path}: malformed capture row: {exc!r}") from exc
+    codes = np.array(_csv_column(capture_path, 2, int))
     try:
         verify_plan = verification_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
     except PlanError as exc:
@@ -622,14 +649,20 @@ def audit_run(run_dir: str | Path) -> dict:
                           f"verify plan has K = {verify_plan.k_points}")
     spectrum = spectrum_metrics(codes, verify_plan, coarse.power, cfg.adc.n_bits)
 
+    rebuilt = measured_blocks(DesignPoint.from_vector(row[0]), specs, coarse, spectrum)
+    sources = {block: (record.get(block), figures) for block, figures in rebuilt.items()}
+    sources[specs_path.name] = (read_json(specs_path), rebuilt["specs"])
+    sources[spectrum_path.name] = ({"power_db": _csv_column(spectrum_path, 1, float)},
+                                   {"power_db": spectrum.bin_power_db.tolist()})
+    sources[capture_path.name] = ({"input": _csv_column(capture_path, 1, float)},
+                                  {"input": capture_inputs(verify_plan).tolist()})
     checks = {}
-    for block, figures in measured_blocks(DesignPoint.from_vector(row[0]), specs, coarse,
-                                          spectrum).items():
-        recorded = record[block] if isinstance(record.get(block), dict) else {}
+    for source, (recorded, figures) in sources.items():
+        recorded = recorded if isinstance(recorded, dict) else {}
         if odd := sorted(recorded.keys() ^ figures.keys()):
-            raise ConfigError(f"{path}: missing or unknown fields {[f'{block}.{k}' for k in odd]}")
-        checks.update({f"{block}.{k}": (recorded[k], v) for k, v in figures.items()})
-    if bad := [f"{name} recorded {old!r}, recomputed {new!r}"
+            raise ConfigError(f"{path}: missing or unknown fields {[f'{source}.{k}' for k in odd]}")
+        checks.update({f"{source}.{k}": (recorded[k], v) for k, v in figures.items()})
+    if bad := [f"{name} recorded {reprlib.repr(old)}, recomputed {reprlib.repr(new)}"
                for name, (old, new) in checks.items() if not _agrees(old, new)]:
         raise ConfigError(f"{path}: audit mismatches: {'; '.join(bad)}")
     try:

@@ -2,10 +2,10 @@
 
 Each value an adapter returns depends only on its constructor state and
 the point scored.  ``CheapObjective`` also keeps state of its own, a memo
-of the rows it has scored and its best feasible point, so one instance
-serves one local run; ``ExpensiveObjective`` caches the stimulus, power
-grid included, and the bounds box that its constructor state fixes, so a
-call is a bounds check and one ``sine_test``.  Both read their bounds as
+of the rows it has scored, so one instance serves one local run;
+``ExpensiveObjective`` caches the stimulus, power grid included, and the
+bounds box that its constructor state fixes, so a call is a bounds check
+and one ``sine_test``.  Both read their bounds as
 ``bounds_array`` (``adc.design_box``) does: a field the bounds omit is
 unbounded, and ``global_opt.Problem`` rejects such a box, so a search
 never runs on a partial one.
@@ -58,18 +58,15 @@ class CheapObjective:
 
     Power normalized by the phase's starting power plus a weighted sum of
     normalized constraint violations; zero only for a feasible zero-power
-    design, so the rollback comparison stays meaningful.  Remembers the
-    lowest-valued coarse-feasible point it scores, taking a batch's rows in
-    order, and every row's power and slacks, so no row (by its bytes) goes
-    to the kernel twice: one instance per local run.
+    design, so the rollback comparison stays meaningful.  Remembers every
+    row's power and slacks, in the order rows were first scored, so no row
+    (by its bytes) goes to the kernel twice: one instance per local run.
     """
 
     problem: CoarseProblem
     power_scale: float
     slack_scale: np.ndarray
-    best_feasible_x: np.ndarray | None = field(default=None, init=False)
-    best_feasible_value: float = field(default=np.inf, init=False)
-    scored: dict = field(default_factory=dict, init=False, repr=False)
+    scored: dict = field(default_factory=dict, init=False, repr=False)  # bytes -> (power, slacks)
 
     @classmethod
     def anchored_at(cls, problem: CoarseProblem, x0: np.ndarray) -> "CheapObjective":
@@ -95,12 +92,15 @@ class CheapObjective:
         """Values (n,) of the rows of xs, from at most one kernel call."""
         powers, slacks = self._score(np.asarray(xs, dtype=float))
         violation = np.maximum(0.0, -slacks) / self.slack_scale
-        values = powers / self.power_scale + VIOLATION_WEIGHT * violation.sum(axis=1)
-        for x, value, feasible in zip(xs, values, np.all(slacks >= 0.0, axis=1)):
-            if value < self.best_feasible_value and feasible:
-                self.best_feasible_value = value
-                self.best_feasible_x = np.asarray(x, dtype=float).copy()
-        return values
+        return powers / self.power_scale + VIOLATION_WEIGHT * violation.sum(axis=1)
+
+    def best_feasible(self) -> np.ndarray | None:
+        """The first-scored row of least value among the scored rows whose
+        slacks are all >= 0, or None.  Such a row's value is its power over
+        power_scale, bit for bit: its violation term is zero."""
+        values = {key: power / self.power_scale for key, (power, slack) in self.scored.items()
+                  if np.all(slack >= 0.0) and power / self.power_scale < np.inf}
+        return np.frombuffer(min(values, key=values.get)).copy() if values else None
 
 
 @dataclass(frozen=True)

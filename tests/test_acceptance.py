@@ -144,8 +144,8 @@ def test_criterion_7_global_optimizer():
         for seed in range(10):
             state = run_global(problem, GlobalParams(max_evals=3000), seed)
             assert state.evals <= 3000
-            objectives.append(state.best.objective)
-            violations.append(state.best.violation)
+            objectives.append(state.objective[state.best])
+            violations.append(state.violation[state.best])
         assert float(np.median(violations)) == 0.0
         assert float(np.median(objectives)) <= 0.25 * 1.05
 
@@ -189,7 +189,7 @@ def test_criterion_8_end_to_end_desk_run(tmp_path, monkeypatch):
         monkeypatch.setattr(global_opt, "STALL_GENERATIONS", 246)
         full = run_pipeline(load_config(DESK_CONFIG, is_text=True)).global_state
         assert g.stop_reason == "stalled" and g.evals < full.evals
-        assert g.best.objective == pytest.approx(full.best.objective, rel=1e-6)
+        assert g.objective[g.best] == pytest.approx(full.objective[full.best], rel=1e-6)
         assert json.loads(main_rec)["global"]["stop_reason"] == "stalled"
 
 

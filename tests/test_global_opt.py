@@ -22,8 +22,9 @@ UNIT3 = np.array([[0.0, 1.0]] * 3)
 
 
 def record(x, obj, slack):
-    return EvalRecord(x=np.atleast_1d(np.asarray(x, float)), objective=obj,
-                      slack=np.atleast_1d(np.asarray(slack, float)))
+    slack = np.atleast_1d(np.asarray(slack, float))
+    return EvalRecord(x=np.atleast_1d(np.asarray(x, float)), objective=obj, slack=slack,
+                      violation=float(np.sum(np.maximum(0.0, -slack))))
 
 
 def better(a, b):
@@ -451,9 +452,31 @@ class TestSurrogate:
 class TestRunGlobal:
     def test_constrained_sphere_converges(self):
         state = run_global(sphere_problem(), GlobalParams(max_evals=2500), 1)
-        assert state.best.violation == 0.0
-        assert state.best.objective < 0.25 * 1.10
-        assert abs(state.best.x[0] - 0.5) < 0.05
+        assert state.violation[state.best] == 0.0
+        assert state.objective[state.best] < 0.25 * 1.10
+        assert abs(state.x[state.best, 0] - 0.5) < 0.05
+
+    @pytest.mark.parametrize("seed, max_evals", [(1, 400), (6, 800), (3, 137)])
+    def test_best_is_the_archive_row_pick_best_finds(self, seed, max_evals):
+        state = run_global(sphere_problem(), GlobalParams(max_evals=max_evals), seed)
+        assert type(state.best) is int
+        assert state.best == pick_best(state.objective, state.violation)
+
+    def test_violation_array_is_each_row_summed_alone(self):
+        """The archive's violation array equals, bit for bit, each row's
+        violation summed on its own, as an EvalRecord holds it."""
+        def evaluate_batch(xs):  # three slacks, often several negative
+            return np.sum(xs**2, axis=1), np.stack([xs[:, 0] - 0.5, 0.3 - xs[:, 1],
+                                                    xs[:, 2] - xs[:, 0]], axis=1)
+
+        problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
+        state = run_global(problem, GlobalParams(max_evals=300), 4)
+        assert state.violation.shape == (state.evals,)
+        assert np.count_nonzero(state.violation) > 0
+        for i, rec in enumerate(state.archive):
+            own = float(np.sum(np.maximum(0.0, -state.slack[i])))
+            assert rec.violation == state.violation[i] == own
+            assert (rec.x.tobytes(), rec.objective) == (state.x[i].tobytes(), state.objective[i])
 
     def test_archive_deterministic_in_seed(self):
         p = GlobalParams(max_evals=600)
@@ -495,8 +518,8 @@ class TestRunGlobal:
             pair = (rec.objective, rec.slack)
             if best is None or scalar_better(pair, (best.objective, best.slack)):
                 best = rec
-        assert best.objective == state.best.objective
-        np.testing.assert_array_equal(best.x, state.best.x)
+        assert best.objective == state.objective[state.best]
+        np.testing.assert_array_equal(best.x, state.x[state.best])
         viols = [h["best_violation"] for h in state.history]
         assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
 
@@ -562,7 +585,8 @@ class TestRunGlobal:
         problem = Problem(bounds=UNIT3.copy(), evaluate_batch=evaluate_batch)
         state = run_global(problem, GlobalParams(max_evals=90, n_conv_target=4), 3)
         assert state.generation > 0
-        assert state.best.x.tobytes() == state.archive[0].x.tobytes()
+        assert state.best == 0
+        assert state.x[state.best].tobytes() == state.archive[0].x.tobytes()
 
     def test_infeasible_everywhere_never_stalls(self, monkeypatch):
         monkeypatch.setattr(global_opt, "STALL_GENERATIONS", 1)

@@ -463,17 +463,40 @@ class TestCheapObjective:
         assert values[1] == 1.0
         assert values[2] == pytest.approx(0.2)
         assert values[3] == 3.0
-        np.testing.assert_array_equal(f.best_feasible_x, [1.0, 0.5])
+        np.testing.assert_array_equal(f.best_feasible(), [1.0, 0.5])
 
     def test_none_when_nothing_feasible_scored(self):
         f = self.objective()
+        assert f.best_feasible() is None  # nothing scored yet
         f(np.array([[0.1, -0.01]]))
-        assert f.best_feasible_x is None
+        assert f.best_feasible() is None
 
     def test_equal_values_keep_the_first_row(self):
         f = self.objective()
         f(np.array([[1.0, 0.5], [1.0, 0.25]]))
-        np.testing.assert_array_equal(f.best_feasible_x, [1.0, 0.5])
+        np.testing.assert_array_equal(f.best_feasible(), [1.0, 0.5])
+
+    # Few distinct values: rows repeat, values tie, and some rows are infeasible.
+    toy_rows = st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0]),
+                                  st.sampled_from([-0.5, -0.0, 0.0, 0.25])),
+                        min_size=1, max_size=6)
+
+    @given(st.lists(toy_rows, min_size=1, max_size=4))
+    def test_best_feasible_is_the_scan_over_requested_rows(self, batches):
+        """The memo's answer is the row a walk over every requested row, in
+        order, keeps when it moves only to a strictly lower-valued feasible
+        row."""
+        f = self.objective()
+        best, best_value = None, np.inf
+        for batch in batches:
+            xs = np.array(batch)
+            for x, value in zip(xs, f(xs)):
+                if value < best_value and x[1] >= 0.0:
+                    best, best_value = x, value
+        got = f.best_feasible()
+        assert (got is None) == (best is None)
+        if best is not None:
+            assert got.tobytes() == best.tobytes()
 
 
 DESK8 = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
@@ -498,10 +521,10 @@ def test_cheap_objective_batch_equals_rows_alone(rows):
     values = batched(xs)
     one_by_one = np.concatenate([alone(x[None]) for x in xs])
     assert values.tobytes() == one_by_one.tobytes()
-    if alone.best_feasible_x is None:
-        assert batched.best_feasible_x is None
+    if alone.best_feasible() is None:
+        assert batched.best_feasible() is None
     else:
-        assert batched.best_feasible_x.tobytes() == alone.best_feasible_x.tobytes()
+        assert batched.best_feasible().tobytes() == alone.best_feasible().tobytes()
 
 
 def test_cheap_objective_anchor_is_feasible():
@@ -569,8 +592,8 @@ class TestCheapObjectiveMemo:
                 if value < best_value and DESK8_PROBLEM.report(x).feasible:
                     best, best_value = x, value
         assert best is not None
-        assert cheap.best_feasible_x.tobytes() == best.tobytes()
-        assert cheap.best_feasible_value == best_value
+        assert cheap.best_feasible().tobytes() == best.tobytes()
+        assert cheap(best[None])[0] == best_value
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,7 +19,8 @@ import sarsizer
 from sarsizer.adc import DESIGN_FIELDS, AdcConfig, DesignPoint
 from sarsizer.cli import console_main, main as cli_main
 from sarsizer.coarse import CoarseReport
-from sarsizer.errors import ConfigError, PlanError
+from sarsizer.errors import ConfigError, MetricsError, PlanError
+from sarsizer.global_opt import run_global
 from sarsizer.local_opt import LocalResult
 from sarsizer.pipeline import (
     _BLOCKS,
@@ -70,6 +71,31 @@ def _drop_last_row(capture):
     """Cut the last data row off a capture.csv."""
     lines = capture.read_text().splitlines()
     capture.write_text("\n".join(lines[:-1]) + "\n")
+
+
+def _set_csv_value(path, index, column, value):
+    """Set one field of a run CSV's data row `index` (its first column)."""
+    lines = path.read_text().splitlines()
+    fields = lines[1 + index].split(",")
+    assert int(fields[0]) == index
+    fields[column] = repr(value)
+    lines[1 + index] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _scale_json_field(path, key, factor):
+    content = json.loads(path.read_text())
+    content[key] *= factor
+    path.write_text(json.dumps(content))
+
+
+def _no_constant(token):
+    raise AssertionError(f"{token} in a run record")
+
+
+def strict_json(path):
+    """A JSON file parsed as RFC 8259 JSON: NaN and Infinity fail."""
+    return json.loads(Path(path).read_text(), parse_constant=_no_constant)
 
 
 # (block, field) of every field of the record's measured blocks, from the
@@ -397,11 +423,15 @@ class TestRunPipeline:
         assert len(checks) >= 9
 
     def test_audit_check_names_and_order(self, small_run):
-        """The audit checks every field of the builder's blocks, in order."""
+        """The audit checks every field of the builder's blocks, in order,
+        then the files the run wrote from them."""
         _, result, out = small_run
         blocks = measured_blocks(result.design, result.specs, result.coarse, result.spectrum)
         names = [f"{block}.{name}" for block, figures in blocks.items() for name in figures]
-        assert list(audit_run(out)) == names == [f"{b}.{k}" for b, k in MEASURED_FIELDS]
+        files = ([f"specs.json.{name}" for name in blocks["specs"]]
+                 + ["spectrum.csv.power_db", "capture.csv.input"])
+        assert list(audit_run(out)) == names + files
+        assert names == [f"{b}.{k}" for b, k in MEASURED_FIELDS]
 
     @pytest.mark.parametrize("block, key", [("adc", "n_bits"), ("harness", "k_points")])
     def test_audit_reads_integral_floats_as_integers(self, small_run, tmp_path, block, key):
@@ -511,6 +541,16 @@ class TestRunPipeline:
         (lambda record, run_dir: record["spectrum"].pop("enob"), r"spectrum\.enob"),
         (lambda record, run_dir: record["coarse"].update(ssre=[0.0]), r"coarse\.ssre"),
         (lambda record, run_dir: record["specs"].update(n_bits=True), r"specs\.n_bits"),
+        (lambda record, run_dir: _scale_json_field(run_dir / "specs.json", "sndr_ceiling", 1.5),
+         r"specs\.json\.sndr_ceiling recorded"),
+        (lambda record, run_dir: _set_csv_value(run_dir / "spectrum.csv", 1, 1, 99.0),
+         r"spectrum\.csv\.power_db recorded"),
+        (lambda record, run_dir: _set_csv_value(run_dir / "capture.csv", 1, 1, 5.0),
+         r"capture\.csv\.input recorded"),
+        (lambda record, run_dir: (run_dir / "specs.json").write_text("[]"),
+         r"specs\.json\.n_bits"),
+        (lambda record, run_dir: _set_csv_value(run_dir / "spectrum.csv", 1, 1, "x"),
+         "spectrum.csv: malformed row"),
     ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
             "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
             "short_capture_row", "missing_global", "missing_local", "missing_warning",
@@ -519,7 +559,8 @@ class TestRunPipeline:
             "bounds_triple", "bounds_string", "negative_alpha", "design_outside_bounds",
             "missing_n_bits", "aliased_n_bits", "harness_list", "null_local",
             "truncated_capture", "unknown_coarse_field", "missing_enob", "short_ssre",
-            "boolean_n_bits"])
+            "boolean_n_bits", "edited_specs_file", "edited_spectrum_bin", "edited_capture_input",
+            "specs_file_not_a_mapping", "malformed_spectrum_row"])
     def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
@@ -606,6 +647,40 @@ class TestRunPipeline:
         run_pipeline(cfg, out_dir=tmp_path / "run")
         local = json.loads((tmp_path / "run" / "run_record.json").read_text())["local"]
         assert (local["n_expensive"], local["f_expensive"]) == (0, None)
+
+    def test_infinite_lambda_record_is_strict_json(self, tmp_path, monkeypatch):
+        """lambda = inf is recorded as null, which the audit reads back as never."""
+        monkeypatch.setattr("sarsizer.pipeline.ExpensiveObjective", lambda **_: no_sine_test)
+        cfg = load_config(SMALL_RUN.replace("local: {max_iter: 25}",
+                                            "local: {max_iter: 25, lambda: inf}"), is_text=True)
+        run_pipeline(cfg, out_dir=tmp_path / "run")
+        record = strict_json(tmp_path / "run" / RECORD_NAME)
+        assert record["config"]["local"]["expensive_every"] is None
+        audit_run(tmp_path / "run")
+        rebuilt = _config_from_record(record, RECORD_NAME)
+        assert math.isinf(rebuilt.local_params.expensive_every)
+
+    def test_failed_final_sine_test_record_is_strict_json(self, tmp_path, monkeypatch):
+        """A sine test that fails scores +inf; the record holds null and
+        counts the failures."""
+        def unusable(x):
+            raise MetricsError("every conversion timing-dead")
+
+        monkeypatch.setattr("sarsizer.pipeline.ExpensiveObjective", lambda **_: unusable)
+        result = run_pipeline(load_config(SMALL_RUN, is_text=True), out_dir=tmp_path / "run")
+        assert result.local_result.f_expensive == math.inf
+        local = strict_json(tmp_path / "run" / RECORD_NAME)["local"]
+        assert local["f_expensive"] is None
+        assert local["n_expensive_failed"] == local["n_expensive"] >= 1
+
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+    def test_non_strict_record_rejected(self, small_run, tmp_path, token):
+        run_dir = shutil.copytree(small_run[2], tmp_path / "run")
+        path = run_dir / RECORD_NAME
+        text = path.read_text()
+        path.write_text(text.replace('"f_cheap": ', f'"f_cheap": {token}, "x": ', 1))
+        with pytest.raises(ConfigError, match=rf"run_record\.json: malformed JSON: {token}"):
+            audit_run(run_dir)
 
     def test_history_csvs_are_the_history_rows(self, small_run):
         """Each history file's header is its rows' keys in order, with one
@@ -750,15 +825,24 @@ class TestLocalFallback:
     """The final design when the local end point violates a coarse constraint."""
 
     def run_with_local_scoring(self, small_run, monkeypatch, scored):
-        """run_pipeline whose local phase scores the designs `scored` through
-        the cheap objective it is given, then ends on INFEASIBLE."""
+        """run_pipeline whose local phase starts at INFEASIBLE (the global
+        phase's best row: the cheap objective has scored it), scores the
+        designs `scored` through the cheap objective it is given, then ends
+        on INFEASIBLE."""
+
+        def global_best_infeasible(problem, params, seed):
+            state = run_global(problem, params, seed)
+            state.x[state.best] = design_x(INFEASIBLE)
+            return state
 
         def fake_run_local(x0, mask, f_cheap, f_expensive, params, bounds):
+            assert x0.tobytes() == design_x(INFEASIBLE).tobytes()
             f_cheap(np.array([design_x(design) for design in scored]))
             return LocalResult(x_best=design_x(INFEASIBLE), f_cheap=0.0, f_expensive=None,
                                iterations=1, rollbacks=0, n_cheap=len(scored),
                                n_expensive=0, n_expensive_failed=0)
 
+        monkeypatch.setattr("sarsizer.pipeline.run_global", global_best_infeasible)
         monkeypatch.setattr("sarsizer.pipeline.run_local", fake_run_local)
         return run_pipeline(small_run[0])
 
