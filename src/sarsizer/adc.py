@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,12 +128,19 @@ def sampling_constants(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray,
 
 def derive(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, ...]:
     """What the kernel needs per row of designs (DESIGN_FIELDS order): c_tot, and the
-    per-step driver resistance r_drv and settling constant tau_step (rows, n)."""
+    per-step driver resistance r_drv and settling constant tau_step (rows, n), each
+    the transpose of a bit-major array."""
     c_tot = 2.0 ** (cfg.n_bits - 1) * designs[:, 0]  # c_unit
     # Driver strength halves per bit from r_drv_msb until the minimum-size
     # device; its resistance is the growth limit for the geometric scaling.
-    r_drv = np.minimum(designs[:, 6, None] * 2.0 ** np.arange(cfg.n_bits), cfg.r_drv_cap)
-    return c_tot, r_drv, r_drv * c_tot[:, None]
+    r_drv = np.multiply.outer(2.0 ** np.arange(cfg.n_bits), designs[:, 6])
+    np.minimum(r_drv, cfg.r_drv_cap, out=r_drv)
+    return c_tot, r_drv.T, (r_drv * c_tot).T
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -159,16 +167,19 @@ def build_model(design: DesignPoint, cfg: AdcConfig,
 
 
 def sample_input(cfg: AdcConfig, designs: np.ndarray, v_in: float | np.ndarray,
-                 v_prev: float | np.ndarray = 0.0) -> np.ndarray:
+                 v_prev: float | np.ndarray = 0.0, tau_smp: np.ndarray | None = None
+                 ) -> np.ndarray:
     """The track-and-hold: each row of the (n, d) designs holds v_in, noise
     free, shape (n, len(v_in)), or (n, 1) for a scalar v_in.
 
     The held voltage settles from v_prev toward v_in with time constant
-    tau_smp = r_sw * c_tot over the sampling window; exp is libm's, per row
+    tau_smp = r_sw * c_tot over the sampling window (a caller that already
+    has ``sampling_constants`` may pass its tau_smp); exp is libm's, per row
     on Python floats, so a row's result does not depend on the batch.
     Overrange inputs are allowed (they clip later, in the conversion).
     """
-    tau_smp, _ = sampling_constants(cfg, designs)
+    if tau_smp is None:
+        tau_smp, _ = sampling_constants(cfg, designs)
     settle = np.array([math.exp(r) for r in (-designs[:, 2] / tau_smp).tolist()])  # t_sample
     return v_in - (v_in - v_prev) * settle[:, None]
 
@@ -202,6 +213,31 @@ def kernel_out(n_bits: int, rows: int) -> tuple[np.ndarray, ...]:
     return slab[2].view(np.int64), slab[0], slab[1]
 
 
+def _loop_arrays(n_bits: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The decision loop's own arrays, in one allocation made per call:
+    five float rows (residue, signed step, live mask, the two-row delay
+    pair) and 2 n_bits bool rows (each bit's comparison, then each bit's
+    alive flag).  Inside a capture's kernel_out they were alive at
+    noise_matrix's peak in every later block, and verify12's peak RSS read
+    0.5 MB higher; made per call they fault no page once glibc's mmap
+    threshold has risen to their size."""
+    raw = np.empty(5 * rows * 8 + 2 * n_bits * rows, dtype=np.uint8)
+    return (raw[:5 * rows * 8].view(np.float64).reshape(5, rows),
+            raw[5 * rows * 8:].view(bool).reshape(2 * n_bits, rows))
+
+
+@lru_cache(maxsize=16)
+def _constants(cfg: AdcConfig) -> tuple:
+    """cfg's kernel constants as read-only 0-d arrays, numpy's cheapest
+    operand for a small ufunc call: (t_conv, v_floor, v_dd, one per step
+    amplitude)."""
+    values = (cfg.t_conv, cfg.v_floor, cfg.v_dd, *cfg.step_amp.tolist())
+    return tuple(_frozen(np.array(v)) for v in values)
+
+
+_ONE, _ZERO = _frozen(np.array(1.0)), _frozen(np.array(0.0))
+
+
 def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
                  cmp_draws: np.ndarray | None = None, owner: np.ndarray | None = None,
                  out: tuple[np.ndarray, ...] | None = None) -> Conversions:
@@ -212,8 +248,9 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
     one standard-normal comparator draw per row and bit; None disables
     noise.  Its columns are read one per decision, so a column-contiguous
     (Fortran-ordered) cmp_draws reads fastest.  The designs are not
-    checked here (see ``check_designs``); v_sampled and cmp_draws are
-    never written.
+    checked here (see ``check_designs``), and a design it would reject (a
+    zero, negative or NaN field) converts to meaningless values;
+    v_sampled and cmp_draws are never written.
 
     Bit 1 compares the sampled voltage directly (top-plate sampling).
     Each later decision i sees the previous residue minus/plus a step of
@@ -232,74 +269,102 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
     post-pass over the bits (``conversion_energy``).  Every step is
     elementwise over rows, so a row's result does not depend on the batch.
 
-    out, the arrays of ``kernel_out(n_bits, r)`` for any r >= rows, is
-    used in place of new ones: bits, applied_step and t_bit then view it,
-    so a later call with the same out overwrites them.
+    A small call costs its ufunc dispatches, not its arithmetic, so the
+    loop makes few, and cheap ones: every constant is a 0-d array (a
+    Python float or a numpy scalar operand costs about half as much again
+    per call); bit j's decision delay and bit j + 1's estimate, which both
+    wait on bit j's result, run as one delay pass over two rows; the
+    comparisons and the alive flags are kept as bools, and are masked,
+    cast to the int64 bits and counted into n_fired once, after the loop;
+    and outputs are passed positionally (a keyword out costs about 30 ns
+    more per call), except np.maximum's, whose positional out is
+    deprecated.
+
+    out, a ``kernel_out(n_bits, r)`` for any r >= rows, is used in place
+    of new arrays: bits, applied_step and t_bit then view it, so a later
+    call with the same out overwrites them.
     """
-    # Design constants per row, or scalars (numpy's faster path) for one
-    # design; the settling constants bit-major and negated.
-    pick = 0 if owner is None else owner
-    _, _, t_sample, sigma_cmp, t_d0, tau_reg, _, t_dff = designs.T[:, pick]
-    neg_tau = -derive(cfg, designs)[2].T[:, pick]
+    n, rows = cfg.n_bits, len(v_sampled)
+    t_conv, v_floor, v_dd, *amp = _constants(cfg)
+    # Design constants: 0-d for one design.  Per row, the delay constants
+    # are (2, rows), the rows twice, so that the paired delay pass below
+    # reads same-shape operands (a broadcast one costs about twice as
+    # much).  The settling constants are bit-major and negated.
+    if owner is None:
+        t_sample, sigma_cmp, t_d0, tau_reg, t_dff = (designs[0, k, ...] for k in (2, 3, 4, 5, 7))
+        neg_tau = np.negative(derive(cfg, designs[:1])[2][0])
+    else:
+        cols = np.ascontiguousarray(designs.T)[:, np.concatenate([owner, owner])]
+        cols = cols.reshape(len(cols), 2, rows)
+        t_sample, sigma_cmp, t_d0, tau_reg, t_dff = cols[2, 0], cols[3, 0], cols[4], cols[5], cols[7]
+        neg_tau = np.negative(derive(cfg, cols[:, 0].T)[2].T)
 
     def delay(mag: np.ndarray) -> np.ndarray:
         """Regeneration delay per decision, in place of mag: grows as the
         residue shrinks, to at most its value at v_floor."""
-        np.maximum(mag, cfg.v_floor, out=mag)
-        np.divide(cfg.v_dd, mag, out=mag)
-        np.log(mag, out=mag)
-        np.multiply(tau_reg, mag, out=mag)
-        np.add(t_d0, mag, out=mag)
+        np.maximum(mag, v_floor, out=mag)
+        np.divide(v_dd, mag, mag)
+        np.log(mag, mag)
+        np.multiply(tau_reg, mag, mag)
+        np.add(t_d0, mag, mag)
         return np.maximum(mag, t_d0, out=mag)
 
-    n = cfg.n_bits
-    amp = cfg.step_amp
-    residue = np.array(v_sampled, dtype=float)  # a copy: the loop writes it
-    rows = len(residue)
-    sign_prev = np.zeros(rows)  # 0 before bit 1, so its step is recorded, not applied
-    elapsed = t_sample + np.zeros(rows)  # the clock
-    alive = np.ones(rows, dtype=bool)
-    n_fired = np.zeros(rows, dtype=np.int64)
-    live, work = np.empty(rows), np.empty(rows)
-    noisy = residue if cmp_draws is None else np.empty(rows)
-    flag = np.empty(rows, dtype=bool)
     # Bit-major: one contiguous row per decision.  Every entry of the
-    # first rows of out is written below.
-    bits, applied, t_bit = kernel_out(n, rows) if out is None else out
-    bits, applied, t_bit = bits[:, :rows], applied[:, :rows], t_bit[:, :rows]
+    # first rows of the outputs is written below.
+    bits, applied, t_bit = (a[:, :rows] for a in (kernel_out(n, rows) if out is None else out))
+    floats, flags = _loop_arrays(n, rows)
+    residue, signed, live, pair = floats[0], floats[1], floats[2], floats[3:]
+    decided, fired = flags[:n], flags[n:]
+    # pair: decision j's compared voltage and bit j + 1's ideally-stepped
+    # residue, each turned into its delay plus t_dff by one pass.
+    noisy, est = pair
+    np.copyto(residue, v_sampled)  # the loop writes residue, never v_sampled
+    elapsed = np.full(rows, t_sample)  # the clock
+    np.abs(residue, pair)  # bit 1's estimate sees the sampled voltage
+    delay(pair)
+    np.add(pair, t_dff, pair)
     for j in range(n):
-        step = applied[j]
-        np.less(elapsed, cfg.t_conv, out=flag)
-        alive &= flag
-        np.copyto(live, alive)  # masks a dead row's step and time to 0.0
-        # The settled step: live * amp * (1 - exp(-(t_dff + t_est) / tau_step)),
-        # t_est the delay at the ideally-stepped residue.
-        np.multiply(sign_prev, amp[j], out=work)
-        np.subtract(residue, work, out=work)
-        delay(np.abs(work, out=work))
-        np.add(t_dff, work, out=work)
-        np.divide(work, neg_tau[j], out=work)
-        np.exp(work, out=work)
-        np.subtract(1.0, work, out=work)
-        np.multiply(live, amp[j], out=step)
-        np.multiply(step, work, out=step)
-        np.multiply(sign_prev, step, out=work)
-        np.subtract(residue, work, out=residue)
-        if cmp_draws is not None:
-            np.multiply(sigma_cmp, cmp_draws[:, j], out=noisy)
-            np.add(residue, noisy, out=noisy)
-        np.greater_equal(noisy, 0.0, out=flag)
-        np.logical_and(flag, alive, out=bits[j])
-        delay(np.abs(noisy, out=work))
-        np.add(work, t_dff, out=work)
-        np.multiply(live, work, out=t_bit[j])
-        elapsed += t_bit[j]
-        n_fired += alive
-        np.multiply(2.0, bits[j], out=sign_prev)
-        sign_prev -= 1.0
+        # A dead row's bit time is 0 (or NaN), so its clock never comes
+        # back inside the period: a row stays dead.
+        np.less(elapsed, t_conv, fired[j])
+        np.copyto(live, fired[j])  # masks a dead row's step and time to 0.0
+        # The settled fraction 1 - exp(-(t_dff + t_est) / tau_step); the
+        # step is live * amp times it.
+        np.divide(est, neg_tau[j, ...], est)
+        np.exp(est, est)
+        np.subtract(_ONE, est, est)
+        if j:
+            # signed holds +-amp[j], the sign of bit j - 1's comparison: the
+            # step, signed, moves the residue (applied keeps |step|, below).
+            np.multiply(signed, live, signed)
+            np.multiply(signed, est, applied[j])
+            np.subtract(residue, applied[j], residue)
+        else:  # bit 1's step is recorded, not applied
+            np.multiply(live, amp[0], applied[0])
+            np.multiply(applied[0], est, applied[0])
+        if cmp_draws is None:
+            np.copyto(noisy, residue)
+        else:
+            np.multiply(sigma_cmp, cmp_draws[:, j], noisy)
+            np.add(residue, noisy, noisy)
+        # The comparison; a dead row's is masked to 0 after the loop.  Its
+        # sign steers only that row's masked steps and times.
+        np.greater_equal(noisy, _ZERO, decided[j])
+        if j < n - 1:
+            # amp[j] is exactly 2 * amp[j + 1], so this is +-amp[j + 1].
+            np.multiply(decided[j], amp[j], signed)
+            np.subtract(signed, amp[j + 1], signed)
+            np.subtract(residue, signed, est)
+        # After the last bit est holds a finite stale value; its pass is unread.
+        delay(np.abs(pair, pair))
+        np.add(pair, t_dff, pair)
+        np.multiply(live, noisy, t_bit[j])
+        np.add(elapsed, t_bit[j], elapsed)
 
-    return Conversions(bits.T, applied.T, t_bit.T, elapsed, n_fired,
-                       timing_ok=(n_fired == n) & (elapsed <= cfg.t_conv))
+    np.abs(applied, applied)
+    np.copyto(bits, np.logical_and(decided, fired, decided))
+    return Conversions(bits.T, applied.T, t_bit.T, elapsed, np.add.reduce(fired, axis=0),
+                       timing_ok=fired[n - 1] & (elapsed <= t_conv))
 
 
 def conversion_energy(cfg: AdcConfig, designs: np.ndarray, bits: np.ndarray,
@@ -314,6 +379,13 @@ def conversion_energy(cfg: AdcConfig, designs: np.ndarray, bits: np.ndarray,
     return delta_q, _energy(cfg, sigma_cmp, r_sw, delta_q.sum(axis=1), n_fired)
 
 
+@lru_cache(maxsize=64)
+def _event_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per switch event j < n - 1 (read-only): its capacitor's weight
+    2**(n-2-j) in unit caps, and j."""
+    return _frozen(2.0 ** np.arange(n - 2, -1, -1)), _frozen(np.arange(n - 1))
+
+
 def _switch_charge(v_dd: float, c_unit: np.ndarray, c_tot: np.ndarray,
                    bits: np.ndarray, n_fired: np.ndarray) -> np.ndarray:
     """Reference charge drawn by the switch event after each fired decision.
@@ -321,25 +393,38 @@ def _switch_charge(v_dd: float, c_unit: np.ndarray, c_tot: np.ndarray,
     Common-mode-referenced switching: after decision j the cap weighted
     2**(n-1-j) units moves from mid-rail to a rail on each side, in
     opposite directions (a 1 takes the n side's cap to the supply, a 0
-    the p side's).  c_vdd_* is the capacitance each side already ties to
-    the supply rail.
+    the p side's).  tied holds the capacitance each side (n, then p)
+    already ties to the supply rail.
     """
     rows, n = bits.shape
+    weight, event = _event_tables(n)
     half_rail = v_dd / 2.0
-    # (rows or 1, n-1): column j is the switch event after decision j.
-    c_sw = np.reshape(c_unit, (-1, 1)) * 2.0 ** np.arange(n - 2, -1, -1)
-    dv_top = half_rail * c_sw / np.reshape(c_tot, (-1, 1))
+    # (rows, n-1), or (n-1,) for one c_unit: column j is the switch event
+    # after decision j.
+    c_sw = c_unit[..., None] * weight
+    dv_top = half_rail * c_sw / c_tot[..., None]
     up = bits[:, :-1] == 1
-    fired = n_fired[:, None] > np.arange(n - 1)
+    fired = n_fired[:, None] > event
+    # The side each fired event ties to the rail: n (a 1), then p (fired
+    # and not up).
+    joins = np.empty((2, rows, n - 1), dtype=bool)
+    np.logical_and(fired, up, out=joins[0])
+    np.greater(fired, up, out=joins[1])
     # Supply-tied capacitance before each event: exclusive running sums,
     # added in event order (accumulate is sequential, like a loop).
-    before = np.zeros((rows, 1))
-    c_vdd_n = np.cumsum(np.hstack([before, (c_sw * (fired & up))[:, :-1]]), axis=1)
-    c_vdd_p = np.cumsum(np.hstack([before, (c_sw * (fired & ~up))[:, :-1]]), axis=1)
-    c_rising = np.where(up, c_vdd_n, c_vdd_p)  # side whose cap joins the rail
-    c_other = np.where(up, c_vdd_p, c_vdd_n)
-    dq = (c_sw * (half_rail - dv_top) - c_rising * dv_top) + c_other * dv_top
-    return np.hstack([dq * fired, np.zeros((rows, 1))])
+    tied = np.empty((2, rows, n - 1))
+    tied[:, :, 0] = 0.0
+    np.add.accumulate(c_sw[..., :-1] * joins[:, :, :-1], axis=2, out=tied[:, :, 1:])
+    # Per event: the side whose cap joins the rail, then the other side.
+    sides = np.where(up, tied, tied[::-1])
+    np.multiply(sides, dv_top, out=sides)
+    delta_q = np.empty((rows, n))
+    delta_q[:, -1] = 0.0
+    dq = delta_q[:, :-1]
+    np.subtract(c_sw * (half_rail - dv_top), sides[0], out=dq)
+    np.add(dq, sides[1], out=dq)
+    np.multiply(dq, fired, out=dq)
+    return delta_q
 
 
 def _energy(cfg: AdcConfig, sigma_cmp: np.ndarray, r_sw: np.ndarray,

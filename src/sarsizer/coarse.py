@@ -59,9 +59,13 @@ def step_ratio_errors(steps: np.ndarray) -> np.ndarray:
     finite SSRE_INVALID sentinel instead of inf/nan.
     """
     steps = np.asarray(steps, dtype=float)
-    valid = (steps[..., :-1] > 0) & (steps[..., 1:] > 0)
-    ratio = np.divide(steps[..., :-1], steps[..., 1:], out=np.full(valid.shape, 2.0), where=valid)
-    return np.where(valid, np.abs(ratio - 2.0), SSRE_INVALID)
+    upper, lower = steps[..., :-1], steps[..., 1:]
+    valid = upper > 0.0
+    valid &= lower > 0.0
+    errors = np.full(valid.shape, SSRE_INVALID)
+    np.divide(upper, lower, out=errors, where=valid)
+    np.subtract(errors, 2.0, out=errors, where=valid)
+    return np.abs(errors, out=errors, where=valid)
 
 
 @lru_cache(maxsize=16)
@@ -72,6 +76,15 @@ def _inputs(cfg: AdcConfig) -> np.ndarray:
     return v_in
 
 
+@lru_cache(maxsize=64)
+def _owner(n: int) -> np.ndarray:
+    """The kernel rows' candidates in a batch of n (shared, so read-only):
+    every supply row, then each candidate's power grid."""
+    owner = np.concatenate([np.arange(n), np.repeat(np.arange(n), POWER_GRID_POINTS)])
+    owner.flags.writeable = False
+    return owner
+
+
 def _measure(cfg: AdcConfig, designs: np.ndarray):
     """Per-candidate sampling error, step-ratio errors, rms noise, average
     power and timing flag, from one noise-free kernel call over
@@ -79,14 +92,14 @@ def _measure(cfg: AdcConfig, designs: np.ndarray):
     every supply row, then each candidate's power grid.  The noise total stays a per-row Python float
     expression, as a lone candidate's: ``**`` is libm pow, unlike numpy's x*x."""
     n = len(designs)
-    v_in = _inputs(cfg)
-    sampled = sample_input(cfg, designs, v_in)
-    owner = np.concatenate([np.arange(n), np.repeat(np.arange(n), POWER_GRID_POINTS)])
+    v_in, owner = _inputs(cfg), _owner(n)
+    tau_smp, kt_c_sigma = sampling_constants(cfg, designs)
+    sampled = sample_input(cfg, designs, v_in, tau_smp=tau_smp)
     conv = convert_rows(cfg, designs, np.concatenate([sampled[:, 0], sampled[:, 1:].ravel()]),
                         owner=owner)
     single, grid = slice(None, n), slice(n, None)
     power = grid_power(cfg, designs, conv.bits[grid], conv.n_fired[grid], owner[grid])
-    kt_c_sigma, sigma_cmp = sampling_constants(cfg, designs)[1], designs[:, 3]
+    sigma_cmp = designs[:, 3]
     noise = [math.sqrt(k**2 + s**2) for k, s in zip(kt_c_sigma.tolist(), sigma_cmp.tolist())]
     return (np.abs(v_in[0] - sampled[:, 0]), step_ratio_errors(conv.applied_step[single]),
             np.array(noise), power, conv.timing_ok[single])
@@ -128,6 +141,9 @@ def evaluate_coarse(cfg: AdcConfig, designs: np.ndarray, specs: DerivedSpecs,
     if box is not None:
         check_designs(designs, box)
     error, ssre, noise, power, timing_ok = _measure(cfg, designs)
-    slack = np.column_stack([specs.ssre_bound - ssre, specs.sampling_bound - error,
-                             specs.noise_bound - noise, np.where(timing_ok, 1.0, -1.0)])
+    slack = np.empty((len(designs), cfg.n_bits + 2))
+    np.subtract(specs.ssre_bound, ssre, out=slack[:, :-3])
+    np.subtract(specs.sampling_bound, error, out=slack[:, -3])
+    np.subtract(specs.noise_bound, noise, out=slack[:, -2])
+    slack[:, -1] = np.where(timing_ok, 1.0, -1.0)
     return CoarseReport(error, ssre, noise, power, timing_ok, slack)

@@ -33,6 +33,8 @@ PREDICT_ENTRIES = 8192  # (query, archive) distances per pass of IdwSurrogate.pr
 IDW_NEIGHBOURS = 5  # archive points each IdwSurrogate prediction weighs
 STALL_GENERATIONS = 20  # generations the stall test looks back
 STALL_RTOL = 1e-6  # relative improvement over STALL_GENERATIONS that counts as none
+# The keys of a history row, in order: global_history.csv's columns.
+HISTORY_FIELDS = ("generation", "evals", "best_objective", "best_violation", "n_converged")
 
 
 @dataclass(frozen=True)
@@ -365,9 +367,8 @@ def run_global(problem: Problem, params: GlobalParams, seed: int) -> OptimizerSt
     surrogate = IdwSurrogate(bounds)
 
     def log_generation() -> None:
-        history.append({"generation": generation, "evals": evals,
-                        "best_objective": objective[best].item(),
-                        "best_violation": violation[best].item(), "n_converged": int(mask.sum())})
+        history.append(dict(zip(HISTORY_FIELDS, (generation, evals, objective[best].item(),
+                                                 violation[best].item(), int(mask.sum())))))
 
     def stop_reason() -> str | None:
         if violation[best] == 0.0 and int(mask.sum()) >= params.n_conv_target:

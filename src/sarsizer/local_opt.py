@@ -20,6 +20,8 @@ from .errors import ConfigError, SarSizerError, require
 
 SHRINK = 0.5
 MAX_EXTRAPOLATIONS = 8
+# The keys of a history row, in order: local_history.csv's columns.
+HISTORY_FIELDS = ("iteration", "f_cheap", "f_expensive", "w", "delta_norm", "rollback")
 
 
 @dataclass(frozen=True)
@@ -100,25 +102,29 @@ def exploratory_search(
     sweep's.  Returns the improved point and its value, or None if no probe
     improved.
     """
-    span = bounds[:, 1] - bounds[:, 0]
+    # Per-coordinate arithmetic on Python floats: the same IEEE doubles as
+    # numpy's scalars, without their per-operation overhead.
+    lo, hi = bounds[:, 0].tolist(), bounds[:, 1].tolist()
+    remaining = np.flatnonzero(~mask).tolist()
+    span = bounds[remaining, 1] - bounds[remaining, 0]
+    steps = dict(zip(remaining, (delta[remaining] * span).tolist()))
     current, f_cur = np.asarray(x, dtype=float).copy(), f_at_x
     improved = False
-    remaining = list(np.flatnonzero(~mask))
     while remaining:
-        probes, dims = [], []
+        base, dims, values = current.tolist(), [], []
         for j in remaining:
-            step = delta[j] * span[j]
             for direction in (1.0, -1.0):
-                cand = current.copy()
-                cand[j] = min(max(current[j] + direction * step, bounds[j, 0]), bounds[j, 1])
-                if cand[j] != current[j]:
-                    probes.append(cand)
+                value = min(max(base[j] + direction * steps[j], lo[j]), hi[j])
+                if value != base[j]:
                     dims.append(j)
-        if not probes:
+                    values.append(value)
+        if not dims:
             break
-        for cand, j, f_cand in zip(probes, dims, f_cheap(np.array(probes))):
+        probes = np.repeat(current[None], len(dims), axis=0)
+        probes[np.arange(len(dims)), dims] = values
+        for cand, j, f_cand in zip(probes, dims, f_cheap(probes)):
             if f_cand < f_cur:
-                current, f_cur = cand, f_cand
+                current, f_cur = cand.copy(), f_cand
                 improved = True
                 remaining = remaining[remaining.index(j) + 1:]
                 break
@@ -139,10 +145,14 @@ def run_local(
 
     f_cheap scores a batch: (n, d) rows in, (n,) values out; n_cheap counts
     rows.  The cheap objective should be normalized nonnegative, otherwise the
-    rollback test degenerates.  f_expensive runs at the start point, every
-    params.expensive_every accepted moves and at the end point; at
-    expensive_every = inf it never runs, and the result's f_expensive is
-    None.  An expensive evaluator that raises a
+    rollback test degenerates.  The expensive value is read at the start
+    point, every params.expensive_every accepted moves and at the end
+    point; at expensive_every = inf never, and the result's f_expensive is
+    None.  f_expensive must be deterministic in the point: it runs at most
+    once per distinct point (by its bytes) of the run, and n_expensive
+    counts those runs.  After a rollback the pattern chain can clip onto
+    the same rejected point on a bound again, and its check is then read
+    back.  An expensive evaluator that raises a
     SarSizerError or FloatingPointError, or returns a non-finite value,
     counts as +inf, which forces the rollback path rather than aborting
     the run.  Any other exception is a bug and propagates.
@@ -156,19 +166,23 @@ def run_local(
         raise ConfigError("bounds shape must match x0")
 
     counts = {"cheap": 0, "expensive": 0, "failed": 0}
+    checked: dict[bytes, float] = {}  # each point's sine-test value, by its bytes
 
     def cheap(xs: np.ndarray) -> list[float]:
         counts["cheap"] += len(xs)
         return np.asarray(f_cheap(xs), dtype=float).tolist()
 
     def expensive(x: np.ndarray) -> float:
-        counts["expensive"] += 1
-        try:
-            val = float(f_expensive(x))
-        except (SarSizerError, FloatingPointError):
-            counts["failed"] += 1
-            return math.inf
-        return val if math.isfinite(val) else math.inf
+        key = x.tobytes()
+        if key not in checked:
+            counts["expensive"] += 1
+            try:
+                val = float(f_expensive(x))
+            except (SarSizerError, FloatingPointError):
+                counts["failed"] += 1
+                val = math.inf
+            checked[key] = val if math.isfinite(val) else math.inf
+        return checked[key]
 
     delta = np.where(free, params.delta_init, 0.0)
     x_best = x0.copy()
@@ -197,8 +211,8 @@ def run_local(
             step = x_new - x_best
             chain = [x_new]
             for _ in range(MAX_EXTRAPOLATIONS):
-                x_try = np.clip(chain[-1] + step, bounds[:, 0], bounds[:, 1])
-                if np.array_equal(x_try, chain[-1]):
+                x_try = np.minimum(np.maximum(chain[-1] + step, bounds[:, 0]), bounds[:, 1])
+                if (x_try == chain[-1]).all():
                     break
                 chain.append(x_try)
                 step = step * 2.0
@@ -230,22 +244,12 @@ def run_local(
             delta[free] *= SHRINK
 
         norm = float(np.linalg.norm(delta[free])) if free.any() else 0.0
-        history.append(
-            {
-                "iteration": iteration,
-                "f_cheap": f_cheap_best,
-                "f_expensive": sampled_exp,
-                "w": w,
-                "delta_norm": norm,
-                "rollback": int(rolled),
-            }
-        )
+        history.append(dict(zip(HISTORY_FIELDS, (iteration, f_cheap_best, sampled_exp, w, norm,
+                                                 int(rolled)))))
         if norm < params.eps:
             break
 
-    f_exp_best = None
-    if math.isfinite(lam):
-        f_exp_best = f_backup if np.array_equal(x_backup, x_best) else expensive(x_best)
+    f_exp_best = expensive(x_best) if math.isfinite(lam) else None
 
     return LocalResult(
         x_best=x_best,

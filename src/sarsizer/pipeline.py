@@ -25,7 +25,9 @@ from .adc import DESIGN_FIELDS, AdcConfig, DesignPoint, check_designs, design_bo
 from .coarse import CoarseReport, evaluate_coarse
 from .csvio import write_csv
 from .errors import BoundsError, ConfigError, PlanError, require
+from .global_opt import HISTORY_FIELDS as GLOBAL_HISTORY_FIELDS
 from .global_opt import GlobalParams, OptimizerState, Problem, run_global
+from .local_opt import HISTORY_FIELDS as LOCAL_HISTORY_FIELDS
 from .local_opt import LocalParams, LocalResult, run_local
 from .problem import CheapObjective, CoarseProblem, ExpensiveObjective
 from .rng import is_seed
@@ -444,12 +446,15 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
     return result
 
 
+def eval_log_columns(n_slacks: int) -> list[str]:
+    return ["candidate", *DESIGN_FIELDS, *(f"slack_{i}" for i in range(n_slacks)), "power"]
+
+
 def write_eval_log_csv(state: OptimizerState, path: str) -> None:
     """Per-candidate log of the global phase: id, variables, slacks, power."""
-    header = ["candidate", *DESIGN_FIELDS, *(f"slack_{i}" for i in range(state.slack.shape[1])),
-              "power"]
     rows = np.hstack([state.x, state.slack, state.objective[:, None]]).tolist()
-    write_csv(path, header, ([cid, *row] for cid, row in enumerate(rows)))
+    write_csv(path, eval_log_columns(state.slack.shape[1]),
+              ([cid, *row] for cid, row in enumerate(rows)))
 
 
 def persist_run(result: RunResult, out: Path, plan, codes) -> None:
@@ -552,6 +557,16 @@ def read_json(path: str | Path):
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
 
 
+def _csv_shape(path: Path) -> dict:
+    """A run CSV's header line and its number of data rows; text that is
+    not UTF-8 is a ConfigError naming the file."""
+    try:
+        lines = path.read_text().splitlines()
+    except ValueError as exc:  # UnicodeDecodeError
+        raise ConfigError(f"{path}: malformed CSV: {exc!r}") from exc
+    return {"header": lines[0] if lines else "", "rows": max(len(lines) - 1, 0)}
+
+
 def _csv_column(path: Path, column: int, kind) -> list:
     """A run CSV's column, header skipped, each value read by kind; a short
     row, a bad value or text that is not UTF-8 is a ConfigError naming the file."""
@@ -600,9 +615,12 @@ def _config_from_record(record: dict, where: str) -> RunConfig:
 
 
 def _agrees(recorded, rebuilt) -> bool:
-    """A boolean matches exactly, a number or list of numbers in shape and to rtol 1e-12."""
+    """A boolean or a string matches exactly, a number or list of numbers in shape and
+    to rtol 1e-12."""
     if isinstance(rebuilt, bool):
         return recorded is rebuilt
+    if isinstance(rebuilt, str):
+        return recorded == rebuilt
     with contextlib.suppress(ValueError):  # a ragged list
         value = np.asarray(recorded)
         return (value.dtype.kind in "iuf" and value.shape == np.shape(rebuilt)
@@ -614,7 +632,11 @@ def audit_run(run_dir: str | Path) -> dict:
     """Rebuild the record's ``measured_blocks`` from the persisted design
     and capture codes, compare every field, and the files the run wrote
     from them (``specs.json``, ``spectrum.csv``'s bin powers and
-    ``capture.csv``'s inputs), then regenerate the report files.
+    ``capture.csv``'s inputs), and the trace CSVs' shapes with the
+    record's counts (each file's header, and its rows: ``eval_log.csv``
+    one per global evaluation, ``global_history.csv`` one per generation
+    and one for the initial population, ``local_history.csv`` one per
+    local iteration), then regenerate the report files.
 
     Returns the checks, each ``<block>.<field>`` or ``<file>.<field>``
     mapping to (recorded, recomputed).  Raises ConfigError, and writes
@@ -633,6 +655,10 @@ def audit_run(run_dir: str | Path) -> dict:
     try:
         design_path, capture_path, specs_path, spectrum_path = (
             run_dir / record["trace_files"][k] for k in ("design", "capture", "specs", "spectrum"))
+        trace_rows = {"eval_log": record["global"]["evals"],
+                      "global_history": record["global"]["generations"] + 1,
+                      "local_history": record["local"]["iterations"]}
+        trace_paths = {key: run_dir / record["trace_files"][key] for key in trace_rows}
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: cannot rebuild the recorded run: {exc!r}") from exc
     row = load_design(design_path, cfg)
@@ -656,6 +682,11 @@ def audit_run(run_dir: str | Path) -> dict:
                                    {"power_db": spectrum.bin_power_db.tolist()})
     sources[capture_path.name] = ({"input": _csv_column(capture_path, 1, float)},
                                   {"input": capture_inputs(verify_plan).tolist()})
+    columns = {"eval_log": eval_log_columns(len(specs.constraint_labels())),
+               "global_history": GLOBAL_HISTORY_FIELDS, "local_history": LOCAL_HISTORY_FIELDS}
+    for key, rows in trace_rows.items():
+        sources[trace_paths[key].name] = (_csv_shape(trace_paths[key]),
+                                          {"header": ",".join(columns[key]), "rows": rows})
     checks = {}
     for source, (recorded, figures) in sources.items():
         recorded = recorded if isinstance(recorded, dict) else {}

@@ -18,10 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .adc import AdcConfig, check_designs
+from .adc import AdcConfig, check_designs, kernel_out
 from .adc import design_box as bounds_array  # bounds dict -> (d, 2) box, DESIGN_FIELDS order
 from .coarse import CoarseReport, evaluate_coarse
-from .sndr import TestPlan, sine_stimuli, sine_test, spectrum_metrics
+from .sndr import TestPlan, largest_block, sine_stimuli, sine_test, spectrum_metrics
 from .specs import DerivedSpecs
 
 # Fallback anchor when the starting design draws no power at all.
@@ -85,6 +85,8 @@ class CheapObjective:
         if new:
             powers, slacks = self.problem.evaluate_batch(np.array(list(new.values())))
             self.scored.update(zip(new, zip(powers, slacks)))
+            if len(new) == len(keys):  # every row new and distinct: the batch is xs
+                return powers, slacks
         return (np.array([self.scored[key][0] for key in keys]),
                 np.array([self.scored[key][1] for key in keys]))
 
@@ -133,8 +135,15 @@ class ExpensiveObjective:
         this objective reuses it."""
         return sine_stimuli(self.cfg, self.plan, self.noise)
 
+    @cached_property
+    def kernel_arrays(self) -> tuple[np.ndarray, ...]:
+        """The kernel's arrays, made on the first call; every capture
+        overwrites them."""
+        return kernel_out(self.cfg.n_bits, largest_block(self.plan))
+
     def __call__(self, x: np.ndarray) -> float:
         row = np.asarray(x, dtype=float)[None]
         check_designs(row, self.box)
-        codes, _, power = sine_test(self.cfg, row, self.plan, stimuli=self.stimuli)
+        codes, _, power = sine_test(self.cfg, row, self.plan, stimuli=self.stimuli,
+                                    out=self.kernel_arrays)
         return -spectrum_metrics(codes, self.plan, power, self.cfg.n_bits).fom_s

@@ -151,8 +151,14 @@ def sine_stimuli(cfg: AdcConfig, plan: TestPlan, noise: bool) -> tuple:
                  for start in range(0, plan.k_points, CAPTURE_BLOCK))
 
 
+def largest_block(plan: TestPlan) -> int:
+    """The most conversions one of plan's blocks makes: the power grid's rows included."""
+    return min(plan.k_points, CAPTURE_BLOCK) + POWER_GRID_POINTS
+
+
 def sine_test(cfg: AdcConfig, row: np.ndarray, plan: TestPlan, noise: bool = True,
-              stimuli: Sequence | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+              stimuli: Sequence | None = None, out: tuple[np.ndarray, ...] | None = None
+              ) -> tuple[np.ndarray, np.ndarray, float]:
     """(codes, timing_ok, average power) of the capture of the (1, d)
     design row: codes index m holds conversion m of the schedule, and
     per-sample timing failures are recorded, never fatal.  The power grid
@@ -169,20 +175,23 @@ def sine_test(cfg: AdcConfig, row: np.ndarray, plan: TestPlan, noise: bool = Tru
     again by the next block.  The kernel's arrays are made after the first
     block's draws: made before, they were alive at the peak inside
     ``noise_matrix``, and an 8-bit 2,048-point capture's peak rose by 0.3 MB.
+    A caller that runs many captures of one plan may pass the kernel's
+    arrays as out, a ``kernel_out(cfg.n_bits, r)`` with r at least
+    ``largest_block(plan)``; each capture then overwrites them.
     """
     n = cfg.n_bits
-    rows = min(plan.k_points, CAPTURE_BLOCK) + POWER_GRID_POINTS  # the most a block converts
-    _, (kt_c_sigma,) = sampling_constants(cfg, row)
+    rows = largest_block(plan)
+    tau_smp, (kt_c_sigma,) = sampling_constants(cfg, row)
     # Draws Fortran-ordered, as noise_matrix's own: the kernel reads a column per decision.
     draw_buf = np.empty((rows, n + 1), order="F") if noise and stimuli is None else None
-    kernel_buf = None
+    kernel_buf = out
     codes = np.zeros(plan.k_points, dtype=np.int64)
     ok = np.zeros(plan.k_points, dtype=bool)
     for b, start in enumerate(range(0, plan.k_points, CAPTURE_BLOCK)):
         v_now, v_prev, draws = (stimuli[b] if stimuli is not None
                                 else block_stimulus(cfg, plan, start, noise, out=draw_buf))
         kernel_buf = kernel_buf or kernel_out(n, rows)
-        sampled = sample_input(cfg, row, v_now, v_prev)[0]
+        sampled = sample_input(cfg, row, v_now, v_prev, tau_smp)[0]
         if draws is not None:
             sampled = sampled + kt_c_sigma * draws[:, 0]
         conv = convert_rows(cfg, row, sampled,

@@ -501,6 +501,57 @@ def test_draw_layout_changes_no_conversion(n_bits, noisy, owned, use_out, data):
         np.testing.assert_array_equal(a, b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n_bits=st.sampled_from([8, 12]), noisy=st.booleans(), slow=st.booleans(),
+       use_out=st.booleans(), data=st.data())
+def test_one_design_converts_as_owned_rows(n_bits, noisy, slow, use_out, data):
+    """owner=None (0-d design constants) and owner=zeros (a constant per
+    row) convert bit for bit alike, rows that die before their last bit
+    included (slow: every row of that design does)."""
+    cfg = AdcConfig(n_bits=n_bits, f_s=20e6, v_dd=1.0)
+    scale = 10.0 ** np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+    first = (design_with(t_d0=4e-9, tau_reg=2e-9, t_dff=4e-9) if slow
+             else DesignPoint.from_vector(build_model(sane_design(), cfg).row[0] * scale))
+    designs = np.vstack([build_model(first, cfg).row, build_model(sane_design(), cfg).row])
+    rows = data.draw(st.integers(1, 40))
+    v = np.array(data.draw(st.lists(st.floats(-0.6, 0.6), min_size=rows, max_size=rows)))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    draws = noise_matrix(seed, np.arange(rows), n_bits)[:, 1:] if noisy else None
+    spare = data.draw(st.integers(0, 5))
+    one, owned = (convert_rows(cfg, designs, v, draws, owner=owner,
+                               out=adc.kernel_out(n_bits, rows + spare) if use_out else None)
+                  for owner in (None, np.zeros(rows, dtype=np.int64)))
+    if slow:
+        assert not one.timing_ok.any()
+    for name in ("bits", "applied_step", "t_bit", "t_total", "n_fired", "timing_ok"):
+        a, b = getattr(one, name), getattr(owned, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+
+
+def test_n_fired_counts_the_bits_each_row_was_alive_for():
+    """A row is alive at bit j while its clock (the sampling window plus the
+    earlier bit times, in order) is inside the conversion period; n_fired
+    counts those bits, and a dead bit decides 0 in no time with no step."""
+    cfg = AdcConfig(n_bits=12, f_s=20e6, v_dd=1.0)
+    designs = np.vstack([build_model(d, cfg).row for d in
+                         (sane_design(), design_with(t_d0=4e-9, tau_reg=2e-9, t_dff=4e-9),
+                          design_with(t_d0=1e-9, tau_reg=1e-9, t_dff=1.5e-9))])
+    owner = np.repeat([0, 1, 2], 40)
+    v = np.tile(np.linspace(-0.55, 0.55, 40), 3)
+    conv = convert_rows(cfg, designs, v, noise_matrix(6, np.arange(120), 12)[:, 1:], owner)
+    assert len(set(conv.n_fired.tolist())) > 2
+    for m in range(120):
+        clock, alive = designs[owner[m], 2], []  # t_sample
+        for t in conv.t_bit[m].tolist():
+            alive.append(clock < cfg.t_conv)
+            clock += t if alive[-1] else 0.0
+        assert conv.n_fired[m] == sum(alive)
+        dead = ~np.array(alive)
+        assert (conv.bits[m][dead] == 0).all() and (conv.t_bit[m][dead] == 0.0).all()
+        assert (conv.applied_step[m][dead] == 0.0).all()
+
+
 def with_charges(cfg, designs, conv, owner=None):
     """conv's fields plus the post-pass's delta_q and e_total (``conversion_energy``)."""
     delta_q, e_total = adc.conversion_energy(cfg, designs, conv.bits, conv.n_fired, owner)

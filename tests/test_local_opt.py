@@ -420,6 +420,55 @@ class TestRunLocal:
         with pytest.raises(ConfigError):
             LocalParams(w0=7)
 
+    def test_rejected_bound_point_runs_one_sine_test(self):
+        """The cheap objective pulls toward the upper bound and every sine
+        test but the start's says no: after each rollback the shrunk step's
+        pattern chain clips onto the same bound point again (until its
+        eight doublings fall short of the bound), and that point's check is
+        read back instead of run again."""
+        x0, bounds = np.array([0.5]), np.array([[0.0, 1.0]])
+        calls = []
+
+        def hostile(x):
+            calls.append(x.copy())
+            return 0.0 if np.array_equal(x, x0) else 1e6
+
+        res = run_local(x0, np.zeros(1, bool), rowwise(lambda x: 1.0 - x[0]), hostile,
+                        LocalParams(expensive_every=1), bounds)
+        checks = 2 + sum(row["f_expensive"] is not None for row in res.history)
+        assert [x.tolist() for x in calls[:2]] == [[0.5], [1.0]]
+        assert res.n_expensive == len(calls) == 3 < checks == 9
+        # The trajectory is the one without the memo: seven rollbacks to x0.
+        np.testing.assert_array_equal(res.x_best, x0)
+        w = 0.5
+        for k, row in enumerate(res.history, start=1):
+            w = min(w + 0.1, 1.0)
+            assert row == {"iteration": k, "f_cheap": 0.5, "f_expensive": 1e6, "w": w,
+                           "delta_norm": pytest.approx(0.1 * 0.5**k), "rollback": 1}
+        assert len(res.history) == res.rollbacks == 7
+        assert (res.f_cheap, res.f_expensive) == (0.5, 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), failing=st.booleans())
+    def test_each_point_runs_at_most_one_sine_test(self, seed, failing):
+        """n_expensive counts the calls made, one per distinct point, and
+        n_expensive_failed the calls that raised."""
+        rng = np.random.default_rng(seed)
+        cheap_target, exp_target = rng.random(3), rng.random(3)
+        calls = []
+
+        def expensive(x):
+            calls.append(x.tobytes())
+            if failing and x[0] > 0.5:
+                raise MetricsError("unusable capture")
+            return quad(exp_target)(x)
+
+        res = run_local(rng.random(3), np.zeros(3, bool), rowwise(quad(cheap_target)), expensive,
+                        LocalParams(expensive_every=1, max_iter=40), np.array([[0.0, 1.0]] * 3))
+        checks = 2 + sum(row["f_expensive"] is not None for row in res.history)
+        assert res.n_expensive == len(calls) == len(set(calls)) <= checks
+        assert res.n_expensive_failed == sum(np.frombuffer(c)[0] > 0.5 for c in calls) * failing
+
     def test_sine_test_metrics_error_counted_as_failed(self, monkeypatch):
         """A real sine-test objective lets MetricsError reach run_local,
         which counts it in n_expensive_failed."""

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import sarsizer
 from sarsizer.adc import DESIGN_FIELDS, AdcConfig, DesignPoint
 from sarsizer.cli import console_main, main as cli_main
+from sarsizer.csvio import write_csv
 from sarsizer.coarse import CoarseReport
 from sarsizer.errors import ConfigError, MetricsError, PlanError
 from sarsizer.global_opt import run_global
@@ -67,10 +69,19 @@ def _drop_first_code(capture):
     capture.write_text("\n".join(lines) + "\n")
 
 
-def _drop_last_row(capture):
-    """Cut the last data row off a capture.csv."""
-    lines = capture.read_text().splitlines()
-    capture.write_text("\n".join(lines[:-1]) + "\n")
+def _drop_last_row(path):
+    """Cut the last data row off a run CSV."""
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+
+
+def _rename_column(path, column, name):
+    """Rename one column in a run CSV's header."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    header[column] = name
+    lines[0] = ",".join(header)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _set_csv_value(path, index, column, value):
@@ -424,12 +435,15 @@ class TestRunPipeline:
 
     def test_audit_check_names_and_order(self, small_run):
         """The audit checks every field of the builder's blocks, in order,
-        then the files the run wrote from them."""
+        then the files the run wrote from them, then the trace CSVs' shapes."""
         _, result, out = small_run
         blocks = measured_blocks(result.design, result.specs, result.coarse, result.spectrum)
         names = [f"{block}.{name}" for block, figures in blocks.items() for name in figures]
         files = ([f"specs.json.{name}" for name in blocks["specs"]]
-                 + ["spectrum.csv.power_db", "capture.csv.input"])
+                 + ["spectrum.csv.power_db", "capture.csv.input"]
+                 + [f"{trace}.csv.{shape}" for trace in ("eval_log", "global_history",
+                                                          "local_history")
+                    for shape in ("header", "rows")])
         assert list(audit_run(out)) == names + files
         assert names == [f"{b}.{k}" for b, k in MEASURED_FIELDS]
 
@@ -551,6 +565,22 @@ class TestRunPipeline:
          r"specs\.json\.n_bits"),
         (lambda record, run_dir: _set_csv_value(run_dir / "spectrum.csv", 1, 1, "x"),
          "spectrum.csv: malformed row"),
+        (lambda record, run_dir: _drop_last_row(run_dir / "eval_log.csv"),
+         r"eval_log\.csv\.rows recorded"),
+        (lambda record, run_dir: _drop_last_row(run_dir / "global_history.csv"),
+         r"global_history\.csv\.rows recorded"),
+        (lambda record, run_dir: _drop_last_row(run_dir / "local_history.csv"),
+         r"local_history\.csv\.rows recorded"),
+        (lambda record, run_dir: record["local"].update(iterations=record["local"]["iterations"] + 1),
+         r"local_history\.csv\.rows recorded"),
+        (lambda record, run_dir: _rename_column(run_dir / "eval_log.csv", 1, "c"),
+         r"eval_log\.csv\.header recorded"),
+        (lambda record, run_dir: _rename_column(run_dir / "global_history.csv", 2, "best"),
+         r"global_history\.csv\.header recorded"),
+        (lambda record, run_dir: _rename_column(run_dir / "local_history.csv", 5, "rolled"),
+         r"local_history\.csv\.header recorded"),
+        (lambda record, run_dir: (run_dir / "local_history.csv").write_bytes(b"\xff\xfe"),
+         "local_history.csv: malformed CSV"),
     ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
             "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
             "short_capture_row", "missing_global", "missing_local", "missing_warning",
@@ -560,7 +590,10 @@ class TestRunPipeline:
             "missing_n_bits", "aliased_n_bits", "harness_list", "null_local",
             "truncated_capture", "unknown_coarse_field", "missing_enob", "short_ssre",
             "boolean_n_bits", "edited_specs_file", "edited_spectrum_bin", "edited_capture_input",
-            "specs_file_not_a_mapping", "malformed_spectrum_row"])
+            "specs_file_not_a_mapping", "malformed_spectrum_row", "short_eval_log",
+            "short_global_history", "short_local_history", "local_iterations_edited",
+            "eval_log_header", "global_history_header", "local_history_header",
+            "local_history_not_text"])
     def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
@@ -780,6 +813,26 @@ class TestEmitReport:
         assert (out / "summary.txt").read_text() == summary_from_record(
             json.loads((out / "run_record.json").read_text()), result.config
         )
+
+
+class TestWriteCsv:
+    def test_writes_csv_writers_bytes_and_reads_back(self, tmp_path):
+        header = ["i", "none", "inf", "flag", "x", "y", "text"]
+        rows = [[0, None, -math.inf, True, 1.5e-15, np.float64(0.1), "budget"],
+                [1, 2, math.nan, False, 3, -0.0, ""]]
+        write_csv(tmp_path / "t.csv", header, iter(rows))
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([header, *rows])
+        assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode()
+        with open(tmp_path / "t.csv", newline="") as buf:
+            back = list(csv.reader(buf))
+        assert back[1] == ["0", "", "-inf", "True", "1.5e-15", "0.1", "budget"]
+        assert float(back[1][2]) == -math.inf and back[1][1] == "" and back[1][3] == "True"
+
+    @pytest.mark.parametrize("field", ["a,b", 'say "x"', "a\nb", "a\rb"])
+    def test_rejects_a_field_csv_writer_would_quote(self, tmp_path, field):
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1, field]])
 
 
 class TestDesignFiles:
