@@ -15,8 +15,14 @@ module draws nothing itself.
 Energy is tallied per conversion from event-level charge accounting on a
 common-mode-referenced switched capacitor array, a comparator term that
 scales inversely with its noise power, per-cycle logic energy, and a
-sampling-switch driver term: ``conversion_energy``, a post-pass over the
-rows a caller prices (the power grid's).
+sampling-switch driver term.  Two post-passes over the rows a caller
+prices (the power grid's): ``reference_charge``, which reads the bits and
+c_unit, then ``conversion_energy``, which prices that charge and the fired
+decisions.
+
+sigma_cmp scales the comparator draws and the comparator energy, nothing
+else: a noise-free conversion and its charge never read it, so a caller
+may convert once per ``conversion_keys`` key.
 
 One kernel, ``convert_rows``, runs every conversion and returns one
 ``Conversions`` row per input.  It takes the designs as an (n, d) matrix
@@ -126,6 +132,12 @@ def sampling_constants(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray,
     return designs[:, 1] * c_tot, np.sqrt(2.0 * BOLTZMANN * cfg.temp_k / c_tot)  # r_sw
 
 
+@lru_cache(maxsize=64)
+def _doublings(n: int) -> np.ndarray:
+    """2**i for i < n (read-only): made per call, they cost a kernel call about 1 us."""
+    return _frozen(2.0 ** np.arange(n))
+
+
 def derive(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, ...]:
     """What the kernel needs per row of designs (DESIGN_FIELDS order): c_tot, and the
     per-step driver resistance r_drv and settling constant tau_step (rows, n), each
@@ -133,7 +145,7 @@ def derive(cfg: AdcConfig, designs: np.ndarray) -> tuple[np.ndarray, ...]:
     c_tot = 2.0 ** (cfg.n_bits - 1) * designs[:, 0]  # c_unit
     # Driver strength halves per bit from r_drv_msb until the minimum-size
     # device; its resistance is the growth limit for the geometric scaling.
-    r_drv = np.multiply.outer(2.0 ** np.arange(cfg.n_bits), designs[:, 6])
+    r_drv = np.multiply.outer(_doublings(cfg.n_bits), designs[:, 6])
     np.minimum(r_drv, cfg.r_drv_cap, out=r_drv)
     return c_tot, r_drv.T, (r_drv * c_tot).T
 
@@ -244,10 +256,13 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
     """The conversion kernel: row m converts v_sampled[m] on design
     designs[owner[m]] of the (n, d) matrix designs (DESIGN_FIELDS order).
 
-    With owner=None every row converts on designs[0].  cmp_draws holds
-    one standard-normal comparator draw per row and bit; None disables
-    noise.  Its columns are read one per decision, so a column-contiguous
-    (Fortran-ordered) cmp_draws reads fastest.  The designs are not
+    With owner=None every row converts on designs[0]; a one-design
+    matrix takes the same 0-d constants whatever owner says.  cmp_draws
+    holds one standard-normal comparator draw per row and bit; None
+    disables noise, and sigma_cmp, which only scales the draws, is then
+    not read (``conversion_keys``).  Its columns are read one per
+    decision, so a column-contiguous (Fortran-ordered) cmp_draws reads
+    fastest.  The designs are not
     checked here (see ``check_designs``), and a design it would reject (a
     zero, negative or NaN field) converts to meaningless values;
     v_sampled and cmp_draws are never written.
@@ -290,7 +305,7 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
     # are (2, rows), the rows twice, so that the paired delay pass below
     # reads same-shape operands (a broadcast one costs about twice as
     # much).  The settling constants are bit-major and negated.
-    if owner is None:
+    if owner is None or len(designs) == 1:
         t_sample, sigma_cmp, t_d0, tau_reg, t_dff = (designs[0, k, ...] for k in (2, 3, 4, 5, 7))
         neg_tau = np.negative(derive(cfg, designs[:1])[2][0])
     else:
@@ -367,16 +382,29 @@ def convert_rows(cfg: AdcConfig, designs: np.ndarray, v_sampled: np.ndarray,
                        timing_ok=fired[n - 1] & (elapsed <= t_conv))
 
 
-def conversion_energy(cfg: AdcConfig, designs: np.ndarray, bits: np.ndarray,
-                      n_fired: np.ndarray, owner: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The charge post-pass over converted rows: (reference charge per
-    switch event (rows, n), conversion energy (rows,)) of each row of bits
-    with n_fired fired decisions, on designs[owner[m]] as in convert_rows.
-    Rows are independent, so a caller may pass only the rows it prices."""
-    c_unit, r_sw, _, sigma_cmp = designs[0 if owner is None else owner, :4].T
-    delta_q = _switch_charge(cfg.v_dd, c_unit, 2.0 ** (cfg.n_bits - 1) * c_unit, bits, n_fired)
-    return delta_q, _energy(cfg, sigma_cmp, r_sw, delta_q.sum(axis=1), n_fired)
+# Every field but sigma_cmp, in DESIGN_FIELDS order: what a noise-free
+# conversion reads.
+_NOISE_FREE = np.array([j for j, name in enumerate(DESIGN_FIELDS) if name != "sigma_cmp"])
+
+
+def conversion_keys(designs: np.ndarray) -> list[bytes]:
+    """Per row of the (n, d) designs, the bytes of every field but
+    sigma_cmp: its conversion key.  sigma_cmp enters ``convert_rows`` only
+    through cmp_draws and ``reference_charge`` not at all, so rows with
+    one key convert alike without noise, bit for bit, and draw equal
+    charges; only ``conversion_energy`` tells them apart."""
+    return [row.tobytes() for row in designs[:, _NOISE_FREE]]
+
+
+def reference_charge(cfg: AdcConfig, designs: np.ndarray, bits: np.ndarray,
+                     n_fired: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
+    """The charge post-pass over converted rows: the reference charge per
+    switch event (rows, n) of each row of bits with n_fired fired
+    decisions, on designs[owner[m]] as in convert_rows (one design's
+    c_unit is 0-d, whatever owner says).  Rows are independent, so a
+    caller may pass only the rows it prices (``conversion_energy``)."""
+    c_unit = designs[0, 0, ...] if owner is None or len(designs) == 1 else designs[owner, 0]
+    return _switch_charge(cfg.v_dd, c_unit, 2.0 ** (cfg.n_bits - 1) * c_unit, bits, n_fired)
 
 
 @lru_cache(maxsize=64)
@@ -427,9 +455,11 @@ def _switch_charge(v_dd: float, c_unit: np.ndarray, c_tot: np.ndarray,
     return delta_q
 
 
-def _energy(cfg: AdcConfig, sigma_cmp: np.ndarray, r_sw: np.ndarray,
-            q_ref: np.ndarray, n_fired: np.ndarray) -> np.ndarray:
-    """Conversion energy per row.
+def conversion_energy(cfg: AdcConfig, sigma_cmp: np.ndarray, r_sw: np.ndarray,
+                      q_ref: np.ndarray, n_fired: np.ndarray) -> np.ndarray:
+    """Conversion energy per conversion whose switch events drew q_ref in
+    all (``reference_charge``) over n_fired fired decisions, on designs
+    whose sigma_cmp and r_sw broadcast against them.
 
     DAC term: supply voltage times the reference charge of every switch
     event.  Comparator term: kappa_cmp / sigma_cmp^2 per firing, coupling

@@ -1,14 +1,16 @@
 """Adapters exposing the behavioral ADC as optimization objectives.
 
 Each value an adapter returns depends only on its constructor state and
-the point scored.  ``CheapObjective`` also keeps state of its own, a memo
-of the rows it has scored, so one instance serves one local run;
-``ExpensiveObjective`` caches the stimulus, power grid included, and the
-bounds box that its constructor state fixes, so a call is a bounds check
-and one ``sine_test``.  Both read their bounds as
-``bounds_array`` (``adc.design_box``) does: a field the bounds omit is
-unbounded, and ``global_opt.Problem`` rejects such a box, so a search
-never runs on a partial one.
+the point scored.  ``CheapObjective`` also keeps state of its own, two
+memos (the rows it has scored, and their noise-free conversions keyed by
+every field but sigma_cmp), so one instance serves one local run;
+``CoarseProblem``, which the global phase and repeated runs share, keeps
+none.  ``ExpensiveObjective`` caches the stimulus, power grid included,
+and the bounds box that its constructor state fixes, so a call is a
+bounds check and one ``sine_test``.  It and ``CoarseProblem`` read
+their bounds as ``bounds_array`` (``adc.design_box``) does: a field the
+bounds omit is unbounded, and ``global_opt.Problem`` rejects such a box,
+so a search never runs on a partial one.
 """
 
 from __future__ import annotations
@@ -45,10 +47,13 @@ class CoarseProblem:
     def report(self, x: np.ndarray) -> CoarseReport:
         return evaluate_coarse(self.cfg, np.array([x], dtype=float), self.specs, self.box).row(0)
 
-    def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Powers (n,) and slacks (n, m) of the rows of xs, from one
-        kernel call; each row's result equals its own report's."""
-        batch = evaluate_coarse(self.cfg, np.asarray(xs, dtype=float), self.specs, self.box)
+    def evaluate_batch(self, xs: np.ndarray, memo: dict | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Powers (n,) and slacks (n, m) of the rows of xs, from at most
+        one kernel call, which skips the rows whose conversions the
+        caller's memo holds (``evaluate_coarse``); each row's result
+        equals its own report's."""
+        batch = evaluate_coarse(self.cfg, np.asarray(xs, dtype=float), self.specs, self.box, memo)
         return batch.power, batch.slack
 
 
@@ -58,15 +63,22 @@ class CheapObjective:
 
     Power normalized by the phase's starting power plus a weighted sum of
     normalized constraint violations; zero only for a feasible zero-power
-    design, so the rollback comparison stays meaningful.  Remembers every
-    row's power and slacks, in the order rows were first scored, so no row
-    (by its bytes) goes to the kernel twice: one instance per local run.
+    design, so the rollback comparison stays meaningful.
+
+    Two memos, which live as long as the instance: one instance per local
+    run.  scored keeps every row's power and slacks, in the order rows
+    were first scored, so no row (by its bytes) is scored twice.
+    converted keeps every noise-free conversion (``coarse.convert``) by
+    its key, every field but sigma_cmp (``adc.conversion_keys``), so a
+    probe that moves only sigma_cmp is checked and priced, but makes no
+    kernel call.
     """
 
     problem: CoarseProblem
     power_scale: float
     slack_scale: np.ndarray
     scored: dict = field(default_factory=dict, init=False, repr=False)  # bytes -> (power, slacks)
+    converted: dict = field(default_factory=dict, init=False, repr=False)  # key -> conversion row
 
     @classmethod
     def anchored_at(cls, problem: CoarseProblem, x0: np.ndarray) -> "CheapObjective":
@@ -79,11 +91,13 @@ class CheapObjective:
 
     def _score(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Powers (n,) and slacks (n, m) of the rows of xs; the rows not
-        scored before go to the kernel in one call."""
+        scored before are priced together, and those whose conversions
+        are new go to the kernel in one call."""
         keys = [x.tobytes() for x in xs]
         new = {key: x for key, x in zip(keys, xs) if key not in self.scored}
         if new:
-            powers, slacks = self.problem.evaluate_batch(np.array(list(new.values())))
+            powers, slacks = self.problem.evaluate_batch(np.array(list(new.values())),
+                                                         self.converted)
             self.scored.update(zip(new, zip(powers, slacks)))
             if len(new) == len(keys):  # every row new and distinct: the batch is xs
                 return powers, slacks

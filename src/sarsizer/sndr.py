@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adc import AdcConfig, AdcModel, convert_rows, kernel_out, sample_input, sampling_constants
+from .adc import (AdcConfig, AdcModel, convert_rows, kernel_out, reference_charge, sample_input,
+                  sampling_constants)
 from .coarse import POWER_GRID_POINTS, grid_power, power_grid
 from .csvio import write_csv
 from .errors import MetricsError, PlanError
@@ -201,7 +202,9 @@ def sine_test(cfg: AdcConfig, row: np.ndarray, plan: TestPlan, noise: bool = Tru
         ok[start:stop] = conv.timing_ok[:stop - start]
         if stop == plan.k_points:
             grid = slice(stop - start, None)
-            [power] = grid_power(cfg, row, conv.bits[grid], conv.n_fired[grid])
+            fired = conv.n_fired[grid]
+            q_ref = reference_charge(cfg, row, conv.bits[grid], fired).sum(axis=1)
+            [power] = grid_power(cfg, row, q_ref, fired)
             return codes, ok, float(power)
         del v_now, v_prev, draws, sampled, conv  # freed before the next block is built
 

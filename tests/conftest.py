@@ -3,7 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sarsizer.adc import AdcConfig, DesignPoint, build_model, conversion_energy, convert_rows
+from sarsizer.adc import (AdcConfig, DesignPoint, build_model, conversion_energy, convert_rows,
+                         reference_charge)
 from sarsizer.rng import noise_matrix
 
 
@@ -78,7 +79,9 @@ def convert_one(model, v, key=None):
     and energy (e_total) from the post-pass; key = (seed, index) adds noise."""
     draws = None if key is None else noise_matrix(key[0], [key[1]], model.cfg.n_bits)[:, 1:]
     c = convert_rows(model.cfg, model.row, np.array([v], dtype=float), draws)
-    delta_q, e_total = conversion_energy(model.cfg, model.row, c.bits, c.n_fired)
+    delta_q = reference_charge(model.cfg, model.row, c.bits, c.n_fired)
+    _, r_sw, _, sigma_cmp = model.row[0, :4]
+    e_total = conversion_energy(model.cfg, sigma_cmp, r_sw, delta_q.sum(axis=1), c.n_fired)
     return SimpleNamespace(code=int(c.codes[0]), delta_q=delta_q[0], e_total=e_total[0],
                            **{k: col[0] for k, col in vars(c).items()})
 

@@ -527,6 +527,49 @@ def test_one_design_converts_as_owned_rows(n_bits, noisy, slow, use_out, data):
         a, b = getattr(one, name), getattr(owned, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+    # The charge post-pass too; and a one-design matrix takes the 0-d
+    # constants whatever owner says.
+    zeros = np.zeros(rows, dtype=np.int64)
+    charges = [adc.reference_charge(cfg, designs, one.bits, one.n_fired),
+               adc.reference_charge(cfg, designs, one.bits, one.n_fired, zeros),
+               adc.reference_charge(cfg, designs[:1], one.bits, one.n_fired, zeros)]
+    assert charges[0].tobytes() == charges[1].tobytes() == charges[2].tobytes()
+    alone = convert_rows(cfg, designs[:1], v, draws, owner=zeros)
+    for name in ("bits", "applied_step", "t_bit", "t_total", "n_fired", "timing_ok"):
+        a, b = getattr(one, name), getattr(alone, name)
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_bits=st.sampled_from([8, 12]), owned=st.booleans(), data=st.data())
+def test_sigma_cmp_reaches_no_noise_free_conversion(n_bits, owned, data):
+    """Replacing sigma_cmp changes no field of a noise-free conversion and
+    no reference charge, bit for bit, on designs around the sane one (some
+    dead before their last bit): the rule ``conversion_keys`` stands on."""
+    cfg = AdcConfig(n_bits=n_bits, f_s=20e6, v_dd=1.0)
+    scale = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+    designs = np.vstack([
+        build_model(sane_design(), cfg).row * 10.0 ** np.array(data.draw(scale))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ] + [build_model(design_with(t_d0=4e-9, tau_reg=2e-9, t_dff=4e-9), cfg).row])
+    rows = data.draw(st.integers(1, 64))
+    # Inputs near the decision levels, where a shifted comparison shows.
+    codes = np.array(data.draw(st.lists(st.integers(0, 2**n_bits), min_size=rows, max_size=rows)))
+    jitter = np.array(data.draw(st.lists(st.floats(-2e-3, 2e-3), min_size=rows, max_size=rows)))
+    v = (codes / 2**n_bits - 0.5) * cfg.v_dd + jitter
+    owner = (np.array(data.draw(st.lists(st.integers(0, len(designs) - 1),
+                                         min_size=rows, max_size=rows))) if owned else None)
+    other = designs.copy()
+    other[:, 3] = data.draw(st.lists(st.floats(1e-9, 1.0), min_size=len(designs),
+                                     max_size=len(designs)))
+    assert adc.conversion_keys(designs) == adc.conversion_keys(other)
+    results = [convert_rows(cfg, d, v, None, owner=owner) for d in (designs, other)]
+    for name in ("bits", "applied_step", "t_bit", "t_total", "n_fired", "timing_ok"):
+        a, b = (np.ascontiguousarray(getattr(r, name)) for r in results)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    charges = [adc.reference_charge(cfg, d, r.bits, r.n_fired, owner)
+               for d, r in zip((designs, other), results)]
+    assert charges[0].tobytes() == charges[1].tobytes()
 
 
 def test_n_fired_counts_the_bits_each_row_was_alive_for():
@@ -553,8 +596,11 @@ def test_n_fired_counts_the_bits_each_row_was_alive_for():
 
 
 def with_charges(cfg, designs, conv, owner=None):
-    """conv's fields plus the post-pass's delta_q and e_total (``conversion_energy``)."""
-    delta_q, e_total = adc.conversion_energy(cfg, designs, conv.bits, conv.n_fired, owner)
+    """conv's fields plus the post-pass's delta_q (``reference_charge``) and
+    e_total (``conversion_energy``)."""
+    delta_q = adc.reference_charge(cfg, designs, conv.bits, conv.n_fired, owner)
+    _, r_sw, _, sigma_cmp = designs[0 if owner is None else owner, :4].T
+    e_total = adc.conversion_energy(cfg, sigma_cmp, r_sw, delta_q.sum(axis=1), conv.n_fired)
     return SimpleNamespace(**vars(conv), codes=conv.codes, delta_q=delta_q, e_total=e_total)
 
 

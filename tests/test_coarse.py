@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sarsizer import coarse
-from sarsizer.adc import AdcConfig, DesignPoint, build_model, sample_input, sampling_constants
+from sarsizer.adc import (AdcConfig, DesignPoint, build_model, conversion_keys, sample_input,
+                         sampling_constants)
 from sarsizer.coarse import (
     POWER_GRID_POINTS,
     evaluate_coarse,
@@ -280,3 +281,103 @@ class TestBatchBoundsCheck:
         assert calls == []
         problem.evaluate_batch(xs[:2])  # the rows before it pass
         assert calls == [2]
+
+    def test_memo_hit_still_checked(self, monkeypatch):
+        """A row whose conversion the memo holds, but whose sigma_cmp is out
+        of bounds, still fails before any kernel call."""
+        cfg = AdcConfig(n_bits=8, f_s=1e6, v_dd=1.0)
+        bounds = default_bounds(cfg)
+        box = bounds_array(bounds)
+        specs = DerivedSpecs.derive(8, 1.0, 1.0)
+        x = box.mean(axis=1)
+        memo = {}
+        evaluate_coarse(cfg, x[None], specs, box, memo)
+        calls, original = [], coarse.convert_rows
+        monkeypatch.setattr(coarse, "convert_rows",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        loud = np.vstack([x, x])
+        loud[1, 3] = 10.0 * box[3, 1]  # sigma_cmp
+        assert conversion_keys(loud[1:]) == list(memo)
+        with pytest.raises(BoundsError, match=r"^row 1: sigma_cmp=.* outside bounds \["):
+            evaluate_coarse(cfg, loud, specs, box, memo)
+        assert calls == [] and len(memo) == 1
+
+
+def report_fields(rep):
+    """Each field of a CoarseReport as (dtype, shape, bytes)."""
+    return {name: (a.dtype, a.shape, np.ascontiguousarray(a).tobytes())
+            for name, a in vars(rep).items()}
+
+
+class TestConversionMemo:
+    """evaluate_coarse with a caller's memo reports what the memo-free call
+    reports, bit for bit, and converts each distinct key once."""
+
+    CONFIGS = TestBatchedEvaluation.CONFIGS
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_bits=st.sampled_from([8, 12]), data=st.data())
+    def test_memo_equals_memo_free_call(self, n_bits, data):
+        cfg = self.CONFIGS[n_bits]
+        bounds = default_bounds(cfg)
+        box = bounds_array(bounds)
+        lo, hi = box[:, 0], box[:, 1]
+        specs = DerivedSpecs.derive(n_bits, cfg.v_dd, 1.0)
+        unit = st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8)
+        pool = lo * (hi / lo) ** np.array(data.draw(st.lists(unit, min_size=1, max_size=4)))
+        # A batch row: a pool design, one field (mostly sigma_cmp) kept or
+        # replaced in bounds.  Rows repeat, within a batch and across them.
+        picks = st.tuples(st.integers(0, len(pool) - 1), st.just(3) | st.integers(0, 7),
+                          st.none() | st.floats(0.0, 1.0))
+        memo, seen = {}, set()
+        for batch in data.draw(st.lists(st.lists(picks, min_size=1, max_size=6),
+                                        min_size=1, max_size=4)):
+            xs = pool[[c for c, _, _ in batch]]
+            for row, (_, j, u) in zip(xs, batch):
+                if u is not None:
+                    row[j] = lo[j] * (hi[j] / lo[j]) ** u
+            seen.update(conversion_keys(xs))
+            got = evaluate_coarse(cfg, xs, specs, box, memo)
+            assert report_fields(got) == report_fields(evaluate_coarse(cfg, xs, specs, box))
+            assert set(memo) == seen  # each distinct key stored once
+            assert all(row.shape == (n_bits + 2 + 2 * POWER_GRID_POINTS,)
+                       and row.dtype == np.float64 for row in memo.values())
+
+    def test_known_keys_make_no_kernel_call(self, monkeypatch):
+        cfg = self.CONFIGS[8]
+        box = bounds_array(default_bounds(cfg))
+        specs = DerivedSpecs.derive(8, cfg.v_dd, 1.0)
+        xs = np.tile(box.mean(axis=1), (6, 1))
+        xs[:, 3] = np.linspace(box[3, 0], box[3, 1], 6)  # sigma_cmp only
+        xs[5, 0] = box[0, 0]  # a second key
+        calls, original = [], coarse.convert_rows
+
+        def counted(cfg, designs, v_sampled, **kwargs):
+            calls.append(len(v_sampled) // (1 + POWER_GRID_POINTS))
+            return original(cfg, designs, v_sampled, **kwargs)
+
+        monkeypatch.setattr(coarse, "convert_rows", counted)
+        memo = {}
+        evaluate_coarse(cfg, xs, specs, box, memo)
+        assert calls == [2] and len(memo) == 2
+        evaluate_coarse(cfg, xs[::-1], specs, box, memo)
+        assert calls == [2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_bits=st.sampled_from([8, 12]),
+       unit=st.lists(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8), min_size=2,
+                     max_size=5))
+def test_one_design_grid_power_equals_its_batch_row(n_bits, unit):
+    """grid_power of one design (0-d sigma_cmp and r_sw) equals its row of
+    a many-design call (a column per design), bit for bit."""
+    cfg = TestBatchedEvaluation.CONFIGS[n_bits]
+    box = bounds_array(default_bounds(cfg))
+    lo, hi = box[:, 0], box[:, 1]
+    designs = lo * (hi / lo) ** np.array(unit)
+    conv = coarse.convert(cfg, designs)
+    many = coarse.grid_power(cfg, designs, conv.q_ref, conv.n_fired)
+    for c in range(len(designs)):
+        one = coarse.convert(cfg, designs[c:c + 1])
+        alone = coarse.grid_power(cfg, designs[c:c + 1], one.q_ref, one.n_fired)
+        assert alone.tobytes() == many[c:c + 1].tobytes()

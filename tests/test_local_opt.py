@@ -495,7 +495,7 @@ class TestCheapObjective:
     class ToyProblem:
         """evaluate_batch(xs): power x[0], one slack x[1], per row."""
 
-        def evaluate_batch(self, xs):
+        def evaluate_batch(self, xs, memo=None):
             return xs[:, 0].copy(), xs[:, 1:2].copy()
 
     def objective(self):
@@ -627,6 +627,24 @@ class TestCheapObjectiveMemo:
         kernel_rows.clear()
         cheap(mixed[::-1])
         assert kernel_rows == []  # nothing unseen: no kernel call at all
+
+    def test_sigma_only_sweep_makes_no_kernel_call(self, kernel_rows):
+        """Probes that move only sigma_cmp around a scored point reuse its
+        conversions: each is checked and priced with its own sigma_cmp, and
+        scores as an objective that converts it would."""
+        cheap = CheapObjective.anchored_at(DESK8_PROBLEM, DESK8_FEASIBLE)
+        sweep = np.tile(DESK8_FEASIBLE, (9, 1))
+        sweep[:, 3] = np.linspace(*DESK8_BOX[3], 10)[1:]  # sigma_cmp, the anchor's excluded
+        kernel_rows.clear()
+        values = cheap(sweep)
+        assert kernel_rows == []
+        assert len(cheap.converted) == 1 and len(cheap.scored) == 10
+        kernel_rows.clear()
+        fresh = [CheapObjective(DESK8_PROBLEM, cheap.power_scale, cheap.slack_scale)(x[None])
+                 for x in sweep]
+        assert kernel_rows == [1] * 9  # each fresh objective converts its row
+        assert values.tobytes() == np.concatenate(fresh).tobytes()
+        assert len(set(values.tolist())) > 1  # sigma_cmp still moves power and noise
 
     def test_best_feasible_x_unchanged(self):
         """The best feasible row over several overlapping batches is the
