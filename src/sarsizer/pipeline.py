@@ -13,6 +13,8 @@ import contextlib
 import json
 import math
 import reprlib
+import shutil
+import tempfile
 import time
 import warnings
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields
@@ -22,19 +24,16 @@ import numpy as np
 import yaml
 
 from .adc import DESIGN_FIELDS, AdcConfig, DesignPoint, check_designs, design_box
-from .coarse import CoarseReport, evaluate_coarse
+from .coarse import CoarseReport
 from .csvio import write_csv
-from .errors import BoundsError, ConfigError, PlanError, require
-from .global_opt import HISTORY_FIELDS as GLOBAL_HISTORY_FIELDS
+from .errors import BoundsError, ConfigError, PlanError, SarSizerError, require
 from .global_opt import GlobalParams, OptimizerState, Problem, run_global
-from .local_opt import HISTORY_FIELDS as LOCAL_HISTORY_FIELDS
 from .local_opt import LocalParams, LocalResult, run_local
 from .problem import CheapObjective, CoarseProblem, ExpensiveObjective
 from .rng import is_seed
 from .sndr import (
     SPECTRUM_FIGURES,
     SpectrumReport,
-    capture_inputs,
     enob_from_sndr,
     plan_test,
     sine_test,
@@ -309,10 +308,14 @@ class RunResult:
 
     def record_dict(self) -> dict:
         """Deterministic summary: reproducible from (config, seed) alone."""
+        coarse = {k: np.asarray(v).tolist() for k, v in asdict(self.coarse).items()}
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.effective_dict(),
-            **measured_blocks(self.design, self.specs, self.coarse, self.spectrum),
+            "design": self.design.to_dict(),
+            "specs": self.specs.to_dict(),
+            "coarse": {**coarse, "feasible": self.coarse.feasible},
+            "spectrum": self.spectrum.to_dict(),
             "global": {
                 "generations": self.global_state.generation,
                 "evals": self.global_state.evals,
@@ -330,15 +333,6 @@ class RunResult:
             "warning": self.warning,
             "trace_files": dict(TRACE_FILES),
         }
-
-
-def measured_blocks(design: DesignPoint, specs: DerivedSpecs, coarse: CoarseReport,
-                    spectrum: SpectrumReport) -> dict[str, dict]:
-    """The record's design, specs, coarse (every field, and the verdict) and
-    spectrum blocks: the run writes them, and ``audit_run`` rebuilds them, with this."""
-    coarse_block = {k: np.asarray(v).tolist() for k, v in asdict(coarse).items()}
-    return {"design": design.to_dict(), "specs": specs.to_dict(),
-            "coarse": {**coarse_block, "feasible": coarse.feasible}, "spectrum": spectrum.to_dict()}
 
 
 def optimization_plan(f_s: float, v_dd: float, h: HarnessConfig, seed: int):
@@ -446,14 +440,11 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path | None = None) -> RunResult
     return result
 
 
-def eval_log_columns(n_slacks: int) -> list[str]:
-    return ["candidate", *DESIGN_FIELDS, *(f"slack_{i}" for i in range(n_slacks)), "power"]
-
-
 def write_eval_log_csv(state: OptimizerState, path: str) -> None:
     """Per-candidate log of the global phase: id, variables, slacks, power."""
+    slacks = [f"slack_{i}" for i in range(state.slack.shape[1])]
     rows = np.hstack([state.x, state.slack, state.objective[:, None]]).tolist()
-    write_csv(path, eval_log_columns(state.slack.shape[1]),
+    write_csv(path, ["candidate", *DESIGN_FIELDS, *slacks, "power"],
               ([cid, *row] for cid, row in enumerate(rows)))
 
 
@@ -470,9 +461,14 @@ def persist_run(result: RunResult, out: Path, plan, codes) -> None:
     for name, content in [(path["design"], record["design"]), (path["specs"], record["specs"]),
                           (out / RECORD_NAME, record),
                           (out / "timings.json", result.phase_timings)]:
-        Path(name).write_text(json.dumps(content, sort_keys=True, indent=2, allow_nan=False)
-                              + "\n")
+        write_json(name, content)
     emit_report(record, result.config, out)
+
+
+def write_json(path: str | Path, content) -> None:
+    """A JSON file as a run writes it: strict, keys sorted, indented, one
+    final newline."""
+    Path(path).write_text(json.dumps(content, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def summary_from_record(record: dict, cfg: RunConfig) -> str:
@@ -557,25 +553,6 @@ def read_json(path: str | Path):
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
 
 
-def _csv_shape(path: Path) -> dict:
-    """A run CSV's header line and its number of data rows; text that is
-    not UTF-8 is a ConfigError naming the file."""
-    try:
-        lines = path.read_text().splitlines()
-    except ValueError as exc:  # UnicodeDecodeError
-        raise ConfigError(f"{path}: malformed CSV: {exc!r}") from exc
-    return {"header": lines[0] if lines else "", "rows": max(len(lines) - 1, 0)}
-
-
-def _csv_column(path: Path, column: int, kind) -> list:
-    """A run CSV's column, header skipped, each value read by kind; a short
-    row, a bad value or text that is not UTF-8 is a ConfigError naming the file."""
-    try:
-        return [kind(line.split(",")[column]) for line in path.read_text().splitlines()[1:]]
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed row: {exc!r}") from exc
-
-
 def load_design(path: str | Path, cfg: RunConfig) -> np.ndarray:
     """A design file's point as a (1, d) row inside cfg's bounds; any fault is a
     ConfigError naming the file."""
@@ -605,7 +582,11 @@ def _config_from_record(record: dict, where: str) -> RunConfig:
                 raise ConfigError(f"{where}: unknown config.{name} keys {unknown}")
             parts[attr] = _from_mapping(cls, block, where, f"config.{name}")
         parts.update(alpha=_number(raw["alpha"], "config.alpha", where),
-                     bounds=_bounds(raw["bounds"], where, "config."), seed=raw["seed"])
+                     bounds=_bounds(raw["bounds"], where, "config."), seed=raw["seed"],
+                     defaults_applied=raw["defaults_applied"])
+        if not isinstance(parts["defaults_applied"], dict):
+            raise ConfigError(f"{where}: config.defaults_applied must be a mapping, "
+                              f"got {parts['defaults_applied']!r}")
     except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{where}: cannot rebuild the recorded run: {exc!r}") from exc
     try:
@@ -614,36 +595,34 @@ def _config_from_record(record: dict, where: str) -> RunConfig:
         raise ConfigError(f"{where}: config: {exc}") from exc
 
 
-def _agrees(recorded, rebuilt) -> bool:
-    """A boolean or a string matches exactly, a number or list of numbers in shape and
-    to rtol 1e-12."""
-    if isinstance(rebuilt, bool):
-        return recorded is rebuilt
-    if isinstance(rebuilt, str):
-        return recorded == rebuilt
-    with contextlib.suppress(ValueError):  # a ragged list
-        value = np.asarray(recorded)
-        return (value.dtype.kind in "iuf" and value.shape == np.shape(rebuilt)
-                and bool(np.isclose(value, rebuilt, rtol=1e-12, atol=0).all()))
-    return False
+# A replay's wall clock differs, and the audit regenerates the report files.
+_NOT_REPLAYED = {"timings.json", *REPORT_FILES.values()}
+_SHORT = reprlib.Repr()
+_SHORT.maxstring = 60  # room for a record line's key and value
 
 
-def audit_run(run_dir: str | Path) -> dict:
-    """Rebuild the record's ``measured_blocks`` from the persisted design
-    and capture codes, compare every field, and the files the run wrote
-    from them (``specs.json``, ``spectrum.csv``'s bin powers and
-    ``capture.csv``'s inputs), and the trace CSVs' shapes with the
-    record's counts (each file's header, and its rows: ``eval_log.csv``
-    one per global evaluation, ``global_history.csv`` one per generation
-    and one for the initial population, ``local_history.csv`` one per
-    local iteration), then regenerate the report files.
+def _first_difference(recorded: bytes, replayed: bytes) -> str:
+    """Two different files' first differing line: its number and both
+    lines, shortened."""
+    old, new = recorded.splitlines(keepends=True), replayed.splitlines(keepends=True)
+    n = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    shown = [_SHORT.repr(lines[n].decode(errors="replace")) if n < len(lines) else "end of file"
+             for lines in (old, new)]
+    return f"line {n + 1}: recorded {shown[0]}, replayed {shown[1]}"
 
-    Returns the checks, each ``<block>.<field>`` or ``<file>.<field>``
-    mapping to (recorded, recomputed).  Raises ConfigError, and writes
-    nothing, when a field disagrees, is missing or is unknown, or when the
-    record is of another schema version, or its config, trace files,
-    design, CSV rows or any other figure its summary prints do not read
-    back.
+
+def audit_run(run_dir: str | Path) -> list[str]:
+    """Replay a finished run from its record's config and seed into a
+    temporary directory, compare every file the replay writes but
+    ``timings.json`` and the report files byte for byte with the run
+    directory's, then copy the replay's report files into it.
+
+    Returns the names of the compared files.  Raises ConfigError naming
+    the record, and writes nothing in run_dir, when the record is of
+    another schema version, its config does not rebuild or does not
+    replay, or a file is missing, differs (its first differing line is
+    named) or is not one the run writes.  A run replays byte for byte only
+    on the numpy build and SIMD target that wrote it.
     """
     run_dir = Path(run_dir)
     path = run_dir / RECORD_NAME
@@ -652,52 +631,23 @@ def audit_run(run_dir: str | Path) -> dict:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")
     cfg = _config_from_record(record, str(path))
-    try:
-        design_path, capture_path, specs_path, spectrum_path = (
-            run_dir / record["trace_files"][k] for k in ("design", "capture", "specs", "spectrum"))
-        trace_rows = {"eval_log": record["global"]["evals"],
-                      "global_history": record["global"]["generations"] + 1,
-                      "local_history": record["local"]["iterations"]}
-        trace_paths = {key: run_dir / record["trace_files"][key] for key in trace_rows}
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: cannot rebuild the recorded run: {exc!r}") from exc
-    row = load_design(design_path, cfg)
-    specs = DerivedSpecs.derive(cfg.adc.n_bits, cfg.adc.v_dd, cfg.alpha)
-    coarse = evaluate_coarse(cfg.adc, row, specs).row(0)
-
-    codes = np.array(_csv_column(capture_path, 2, int))
-    try:
-        verify_plan = verification_plan(cfg.adc.f_s, cfg.adc.v_dd, cfg.harness, cfg.seed)
-    except PlanError as exc:
-        raise ConfigError(f"{path}: cannot plan the recorded capture: {exc}") from exc
-    if len(codes) != verify_plan.k_points:
-        raise ConfigError(f"{capture_path}: {len(codes)} capture rows, the recorded "
-                          f"verify plan has K = {verify_plan.k_points}")
-    spectrum = spectrum_metrics(codes, verify_plan, coarse.power, cfg.adc.n_bits)
-
-    rebuilt = measured_blocks(DesignPoint.from_vector(row[0]), specs, coarse, spectrum)
-    sources = {block: (record.get(block), figures) for block, figures in rebuilt.items()}
-    sources[specs_path.name] = (read_json(specs_path), rebuilt["specs"])
-    sources[spectrum_path.name] = ({"power_db": _csv_column(spectrum_path, 1, float)},
-                                   {"power_db": spectrum.bin_power_db.tolist()})
-    sources[capture_path.name] = ({"input": _csv_column(capture_path, 1, float)},
-                                  {"input": capture_inputs(verify_plan).tolist()})
-    columns = {"eval_log": eval_log_columns(len(specs.constraint_labels())),
-               "global_history": GLOBAL_HISTORY_FIELDS, "local_history": LOCAL_HISTORY_FIELDS}
-    for key, rows in trace_rows.items():
-        sources[trace_paths[key].name] = (_csv_shape(trace_paths[key]),
-                                          {"header": ",".join(columns[key]), "rows": rows})
-    checks = {}
-    for source, (recorded, figures) in sources.items():
-        recorded = recorded if isinstance(recorded, dict) else {}
-        if odd := sorted(recorded.keys() ^ figures.keys()):
-            raise ConfigError(f"{path}: missing or unknown fields {[f'{source}.{k}' for k in odd]}")
-        checks.update({f"{source}.{k}": (recorded[k], v) for k, v in figures.items()})
-    if bad := [f"{name} recorded {reprlib.repr(old)}, recomputed {reprlib.repr(new)}"
-               for name, (old, new) in checks.items() if not _agrees(old, new)]:
-        raise ConfigError(f"{path}: audit mismatches: {'; '.join(bad)}")
-    try:
-        emit_report(record, cfg, run_dir)  # reads every other figure the summary prints
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: a misformatted figure
-        raise ConfigError(f"{path}: missing recorded figure: {exc!r}") from exc
-    return checks
+    with tempfile.TemporaryDirectory() as tmp:
+        replay = Path(tmp)
+        try:
+            run_pipeline(cfg, out_dir=replay)
+        except SarSizerError as exc:
+            raise ConfigError(f"{path}: the recorded run does not replay: {exc}") from exc
+        written = {p.name for p in replay.iterdir()}
+        compared = sorted(written - _NOT_REPLAYED)
+        bad = [f"{name} is not a file the run writes"
+               for name in sorted({p.name for p in run_dir.iterdir()} - written)]
+        for name in compared:
+            if not (run_dir / name).is_file():
+                bad.append(f"{name} is missing")
+            elif (old := (run_dir / name).read_bytes()) != (new := (replay / name).read_bytes()):
+                bad.append(f"{name} {_first_difference(old, new)}")
+        if bad:
+            raise ConfigError(f"{path}: the replay of the recorded run differs: {'; '.join(bad)}")
+        for name in REPORT_FILES.values():
+            shutil.copyfile(replay / name, run_dir / name)
+    return compared

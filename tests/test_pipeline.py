@@ -40,11 +40,11 @@ from sarsizer.pipeline import (
     emit_report,
     load_config,
     load_design,
-    measured_blocks,
     optimization_plan,
     run_pipeline,
     summary_from_record,
     verification_plan,
+    write_json,
 )
 from sarsizer.sndr import SPECTRUM_FIGURES
 from sarsizer.specs import DerivedSpecs
@@ -84,20 +84,20 @@ def _rename_column(path, column, name):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _set_csv_value(path, index, column, value):
-    """Set one field of a run CSV's data row `index` (its first column)."""
+def _set_csv_value(path, key, column, value):
+    """Set one field of the run CSV's data row whose first column is `key`."""
     lines = path.read_text().splitlines()
-    fields = lines[1 + index].split(",")
-    assert int(fields[0]) == index
+    index = next(i for i, line in enumerate(lines) if line.split(",")[0] == str(key))
+    fields = lines[index].split(",")
     fields[column] = repr(value)
-    lines[1 + index] = ",".join(fields)
+    lines[index] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
 
 
 def _scale_json_field(path, key, factor):
     content = json.loads(path.read_text())
     content[key] *= factor
-    path.write_text(json.dumps(content))
+    write_json(path, content)
 
 
 def _no_constant(token):
@@ -116,6 +116,12 @@ MEASURED_FIELDS = ([("design", name) for name in DESIGN_FIELDS]
                    + [("coarse", f.name) for f in dataclasses.fields(CoarseReport)]
                    + [("coarse", "feasible")]
                    + [("spectrum", name) for name in SPECTRUM_FIGURES])
+
+
+# The files an audit of a run compares, in name order.
+RUN_FILES = sorted([*TRACE_FILES.values(), RECORD_NAME])
+# A replay mismatch in the record itself: its line number and recorded line.
+EDITED_RECORD = r"run_record\.json line \d+: recorded"
 
 
 @pytest.fixture(scope="module")
@@ -428,34 +434,47 @@ class TestRunPipeline:
         record = json.loads((out / "run_record.json").read_text())
         assert record["config"]["adc"] == dataclasses.asdict(cfg.adc)
 
-    def test_audit_recomputes_identically(self, small_run):
-        _, _, out = small_run
-        checks = audit_run(out)
-        assert len(checks) >= 9
+    def test_audit_recomputes_identically(self, small_run, tmp_path):
+        """An unedited run passes, and its regenerated report files are the
+        ones the run wrote."""
+        run_dir = shutil.copytree(small_run[2], tmp_path / "run")
+        assert audit_run(run_dir) == RUN_FILES
+        for name in REPORT_FILES.values():
+            assert (run_dir / name).read_bytes() == (small_run[2] / name).read_bytes(), name
 
     def test_audit_check_names_and_order(self, small_run):
-        """The audit checks every field of the builder's blocks, in order,
-        then the files the run wrote from them, then the trace CSVs' shapes."""
+        """The audit compares every file the run writes but timings.json
+        and the report files, in name order; the record's measured blocks
+        hold every field of their dataclasses, in order."""
         _, result, out = small_run
-        blocks = measured_blocks(result.design, result.specs, result.coarse, result.spectrum)
-        names = [f"{block}.{name}" for block, figures in blocks.items() for name in figures]
-        files = ([f"specs.json.{name}" for name in blocks["specs"]]
-                 + ["spectrum.csv.power_db", "capture.csv.input"]
-                 + [f"{trace}.csv.{shape}" for trace in ("eval_log", "global_history",
-                                                          "local_history")
-                    for shape in ("header", "rows")])
-        assert list(audit_run(out)) == names + files
-        assert names == [f"{b}.{k}" for b, k in MEASURED_FIELDS]
+        record = result.record_dict()
+        assert audit_run(out) == RUN_FILES
+        assert [(b, k) for b in ("design", "specs", "coarse", "spectrum")
+                for k in record[b]] == MEASURED_FIELDS
+
+    def test_audit_passes_a_record_rewritten_unedited(self, small_run, tmp_path):
+        """The tests' writer is the run's: a record and specs file written
+        back through it, unedited, still replay byte for byte."""
+        run_dir = shutil.copytree(small_run[2], tmp_path / "run")
+        for name in (RECORD_NAME, "specs.json"):
+            write_json(run_dir / name, json.loads((run_dir / name).read_text()))
+        assert audit_run(run_dir) == RUN_FILES
 
     @pytest.mark.parametrize("block, key", [("adc", "n_bits"), ("harness", "k_points")])
     def test_audit_reads_integral_floats_as_integers(self, small_run, tmp_path, block, key):
-        """A record's 8.0 rebuilds as 8, as it does from a config file."""
+        """A record's 8.0 rebuilds as 8, as it does from a config file; a
+        run never writes 8.0, so the replay names it as an edit."""
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
         record = json.loads(path.read_text())
-        record["config"][block][key] = float(record["config"][block][key])
-        path.write_text(json.dumps(record))
-        assert audit_run(run_dir) == audit_run(small_run[2])
+        value = record["config"][block][key]
+        record["config"][block][key] = float(value)
+        write_json(path, record)
+        rebuilt = getattr(getattr(_config_from_record(record, str(path)), block), key)
+        assert rebuilt == value and type(rebuilt) is int
+        with pytest.raises(ConfigError, match=rf'run_record\.json line \d+: recorded '
+                                              rf'\'\s*"{key}": {value}\.0,'):
+            audit_run(run_dir)
 
     @pytest.mark.parametrize("block, key, value", [
         ("adc", "n_bits", 1), ("harness", "amplitude_frac", 1.5),
@@ -466,18 +485,21 @@ class TestRunPipeline:
         path = run_dir / "run_record.json"
         record = json.loads(path.read_text())
         record["config"][block][key] = value
-        path.write_text(json.dumps(record))
+        write_json(path, record)
         with pytest.raises(ConfigError, match=rf"run_record\.json: config\.{block}\.{key} must be"):
             audit_run(run_dir)
 
     def test_summary_prints_the_rebuilt_config(self, small_run, tmp_path):
-        """A record's 8.0 bits print as the 8 the audit rebuilds."""
+        """A record's 8.0 bits print as the 8 the record's config rebuilds
+        as, though the audit names the 8.0 as an edit."""
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
         record = json.loads(path.read_text())
         record["config"]["adc"]["n_bits"] = 8.0
-        path.write_text(json.dumps(record))
-        audit_run(run_dir)
+        write_json(path, record)
+        with pytest.raises(ConfigError, match=r'run_record\.json line \d+: recorded '
+                                              r'\'\s*"n_bits": 8\.0,'):
+            audit_run(run_dir)
         text = summary_from_record(record, _config_from_record(record, str(path)))
         assert "resolution      : 8 bits\n" in text
         assert text == summary_from_record(small_run[1].record_dict(), small_run[1].config)
@@ -492,15 +514,17 @@ class TestRunPipeline:
         path = run_dir / "run_record.json"
         record = json.loads(path.read_text())
         record[block][key] *= factor
-        path.write_text(json.dumps(record))
-        with pytest.raises(ConfigError, match=key):
+        write_json(path, record)
+        with pytest.raises(ConfigError, match=rf'run_record\.json line \d+: recorded '
+                                              rf'\'\s*"{key}": '):
             audit_run(run_dir)
 
     @pytest.mark.parametrize("block, key", MEASURED_FIELDS,
                              ids=[f"{b}.{k}" for b, k in MEASURED_FIELDS])
     def test_audit_catches_any_edited_field(self, small_run, tmp_path, block, key):
         """A flipped boolean, or a number or list scaled by 1.5 (a zero set
-        to 1.5), fails the audit naming the field, and no report is written."""
+        to 1.5), fails the audit naming the record's line (the field's key,
+        or for a list its first edited element), and no report is written."""
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         for name in REPORT_FILES.values():
             (run_dir / name).unlink()
@@ -510,8 +534,9 @@ class TestRunPipeline:
         record[block][key] = (not value if isinstance(value, bool)
                               else [1.5 * v for v in value] if isinstance(value, list)
                               else 1.5 * value or 1.5)
-        path.write_text(json.dumps(record))
-        with pytest.raises(ConfigError, match=rf"audit mismatches: {block}\.{key} recorded"):
+        write_json(path, record)
+        shown = r"\s*-?\d" if isinstance(value, list) else rf'\s*"{key}": '
+        with pytest.raises(ConfigError, match=rf"run_record\.json line \d+: recorded '{shown}"):
             audit_run(run_dir)
         assert not any((run_dir / name).exists() for name in REPORT_FILES.values())
 
@@ -523,20 +548,22 @@ class TestRunPipeline:
         (lambda record, run_dir: record["config"].pop("alpha"), "run_record.json"),
         (lambda record, run_dir: record["config"].pop("bounds"), "run_record.json"),
         (lambda record, run_dir: record["config"].pop("seed"), "run_record.json"),
-        (lambda record, run_dir: record.pop("trace_files"), "run_record.json"),
-        (lambda record, run_dir: record.pop("coarse"), "run_record.json"),
-        (lambda record, run_dir: _drop_first_code(run_dir / "capture.csv"), "capture.csv"),
-        (lambda record, run_dir: record.pop("global"), "run_record.json"),
-        (lambda record, run_dir: record.pop("local"), "run_record.json"),
-        (lambda record, run_dir: record.pop("warning"), "run_record.json"),
-        (lambda record, run_dir: record["global"].pop("stop_reason"), "run_record.json"),
-        (lambda record, run_dir: record["design"].pop("r_sw"), "run_record.json"),
-        (lambda record, run_dir: record["specs"].pop("sndr_ceiling"), "run_record.json"),
-        (lambda record, run_dir: record["design"].update(r_sw="small"), "run_record.json"),
+        (lambda record, run_dir: record.pop("trace_files"), EDITED_RECORD),
+        (lambda record, run_dir: record.pop("coarse"), EDITED_RECORD),
+        (lambda record, run_dir: _drop_first_code(run_dir / "capture.csv"),
+         r"capture\.csv line 2: recorded"),
+        (lambda record, run_dir: record.pop("global"), EDITED_RECORD),
+        (lambda record, run_dir: record.pop("local"), EDITED_RECORD),
+        (lambda record, run_dir: record.pop("warning"), EDITED_RECORD),
+        (lambda record, run_dir: record["global"].pop("stop_reason"), EDITED_RECORD),
+        (lambda record, run_dir: record["design"].pop("r_sw"), EDITED_RECORD),
+        (lambda record, run_dir: record["specs"].pop("sndr_ceiling"), EDITED_RECORD),
+        (lambda record, run_dir: record["design"].update(r_sw="small"),
+         rf'{EDITED_RECORD} \'\s*"r_sw": "small",'),
         (lambda record, run_dir: record["config"]["harness"].update(noise="yes"),
          "run_record.json"),
         (lambda record, run_dir: record["config"]["harness"].update(m_segments=3),
-         "run_record.json"),
+         r"run_record\.json: the recorded run does not replay: "),
         (lambda record, run_dir: record["config"].update(seed=-1), "run_record.json"),
         (lambda record, run_dir: record["config"]["bounds"].update(c_unit=[1e-16, 1e-13, 2e-13]),
          "run_record.json"),
@@ -544,43 +571,57 @@ class TestRunPipeline:
          "run_record.json"),
         (lambda record, run_dir: record["config"].update(alpha=-1), "run_record.json"),
         (lambda record, run_dir: record["config"]["bounds"].update(c_unit=[1e-12, 2e-12]),
-         "design.json"),
+         r"design\.json line \d+: recorded"),
         (lambda record, run_dir: record["config"]["adc"].pop("n_bits"), "run_record.json"),
         (lambda record, run_dir: record["config"]["adc"].update(
             N=record["config"]["adc"].pop("n_bits")), "run_record.json"),
         (lambda record, run_dir: record["config"].update(harness=[]), "run_record.json"),
-        (lambda record, run_dir: record.update(local=None), "run_record.json"),
-        (lambda record, run_dir: _drop_last_row(run_dir / "capture.csv"), "capture.csv"),
-        (lambda record, run_dir: record["coarse"].update(margin=1.0), r"coarse\.margin"),
-        (lambda record, run_dir: record["spectrum"].pop("enob"), r"spectrum\.enob"),
-        (lambda record, run_dir: record["coarse"].update(ssre=[0.0]), r"coarse\.ssre"),
-        (lambda record, run_dir: record["specs"].update(n_bits=True), r"specs\.n_bits"),
+        (lambda record, run_dir: record.update(local=None), EDITED_RECORD),
+        (lambda record, run_dir: _drop_last_row(run_dir / "capture.csv"),
+         r"capture\.csv line 1025: recorded end of file"),
+        (lambda record, run_dir: record["coarse"].update(margin=1.0),
+         rf'{EDITED_RECORD} \'\s*"margin": 1\.0,'),
+        (lambda record, run_dir: record["spectrum"].pop("enob"), EDITED_RECORD),
+        (lambda record, run_dir: record["coarse"].update(ssre=[0.0]), EDITED_RECORD),
+        (lambda record, run_dir: record["specs"].update(n_bits=True),
+         rf'{EDITED_RECORD} \'\s*"n_bits": true,'),
         (lambda record, run_dir: _scale_json_field(run_dir / "specs.json", "sndr_ceiling", 1.5),
-         r"specs\.json\.sndr_ceiling recorded"),
+         r'specs\.json line \d+: recorded \'\s*"sndr_ceiling": '),
         (lambda record, run_dir: _set_csv_value(run_dir / "spectrum.csv", 1, 1, 99.0),
-         r"spectrum\.csv\.power_db recorded"),
+         r"spectrum\.csv line 3: recorded '1,99\.0"),
         (lambda record, run_dir: _set_csv_value(run_dir / "capture.csv", 1, 1, 5.0),
-         r"capture\.csv\.input recorded"),
+         r"capture\.csv line 3: recorded '1,5\.0,"),
         (lambda record, run_dir: (run_dir / "specs.json").write_text("[]"),
-         r"specs\.json\.n_bits"),
+         r"specs\.json line 1: recorded '\[\]'"),
         (lambda record, run_dir: _set_csv_value(run_dir / "spectrum.csv", 1, 1, "x"),
-         "spectrum.csv: malformed row"),
+         r"spectrum\.csv line 3: recorded \"1,'x'"),
         (lambda record, run_dir: _drop_last_row(run_dir / "eval_log.csv"),
-         r"eval_log\.csv\.rows recorded"),
+         r"eval_log\.csv line \d+: recorded end of file"),
         (lambda record, run_dir: _drop_last_row(run_dir / "global_history.csv"),
-         r"global_history\.csv\.rows recorded"),
+         r"global_history\.csv line \d+: recorded end of file"),
         (lambda record, run_dir: _drop_last_row(run_dir / "local_history.csv"),
-         r"local_history\.csv\.rows recorded"),
+         r"local_history\.csv line \d+: recorded end of file"),
         (lambda record, run_dir: record["local"].update(iterations=record["local"]["iterations"] + 1),
-         r"local_history\.csv\.rows recorded"),
+         rf'{EDITED_RECORD} \'\s*"iterations": '),
         (lambda record, run_dir: _rename_column(run_dir / "eval_log.csv", 1, "c"),
-         r"eval_log\.csv\.header recorded"),
+         r"eval_log\.csv line 1: recorded 'candidate,c,r_sw"),
         (lambda record, run_dir: _rename_column(run_dir / "global_history.csv", 2, "best"),
-         r"global_history\.csv\.header recorded"),
+         r"global_history\.csv line 1: recorded 'generation,evals,best,"),
         (lambda record, run_dir: _rename_column(run_dir / "local_history.csv", 5, "rolled"),
-         r"local_history\.csv\.header recorded"),
+         r"local_history\.csv line 1: recorded 'iteration,.*,rolled\\n'"),
         (lambda record, run_dir: (run_dir / "local_history.csv").write_bytes(b"\xff\xfe"),
-         "local_history.csv: malformed CSV"),
+         r"local_history\.csv line 1: recorded '��'"),
+        (lambda record, run_dir: record["config"].update(defaults_applied=[]),
+         r"run_record\.json: config\.defaults_applied must be a mapping, got \[\]"),
+        (lambda record, run_dir: _set_csv_value(run_dir / "eval_log.csv", 0, 1, 7.0),
+         r"eval_log\.csv line 2: recorded '0,7\.0,"),
+        (lambda record, run_dir: _set_csv_value(run_dir / "global_history.csv", 0, 4, 99.0),
+         r"global_history\.csv line 2: recorded '0,\d+,.*,99\.0\\n'"),
+        (lambda record, run_dir: _set_csv_value(run_dir / "local_history.csv", 1, 4, 0.25),
+         r"local_history\.csv line 2: recorded '1,.*,0\.25,"),
+        (lambda record, run_dir: (run_dir / "notes.txt").write_text("edited by hand\n"),
+         r"notes\.txt is not a file the run writes"),
+        (lambda record, run_dir: (run_dir / "design.json").unlink(), r"design\.json is missing"),
     ], ids=["schema_version", "unknown_adc_key", "missing_harness", "missing_alpha",
             "missing_bounds", "missing_seed", "missing_trace_files", "missing_coarse",
             "short_capture_row", "missing_global", "missing_local", "missing_warning",
@@ -593,15 +634,18 @@ class TestRunPipeline:
             "specs_file_not_a_mapping", "malformed_spectrum_row", "short_eval_log",
             "short_global_history", "short_local_history", "local_iterations_edited",
             "eval_log_header", "global_history_header", "local_history_header",
-            "local_history_not_text"])
+            "local_history_not_text", "defaults_applied_not_a_mapping", "edited_eval_log_value",
+            "edited_global_history_value", "edited_local_history_value", "extra_file",
+            "missing_design_file"])
     def test_audit_rejects_unreadable_record(self, small_run, tmp_path, tamper, named):
         run_dir = shutil.copytree(small_run[2], tmp_path / "run")
         path = run_dir / "run_record.json"
         record = json.loads(path.read_text())
         tamper(record, run_dir)
-        path.write_text(json.dumps(record))
-        with pytest.raises(ConfigError, match=named):
+        write_json(path, record)
+        with pytest.raises(ConfigError, match=named) as exc:
             audit_run(run_dir)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_audit_regenerates_the_report_files(self, small_run, tmp_path):
         """A passing audit rewrites summary.txt and metrics.csv as the run
@@ -617,7 +661,7 @@ class TestRunPipeline:
         path = run_dir / "run_record.json"
         record = json.loads(path.read_text())
         record["coarse"]["power"] *= 1.0 + 1e-9
-        path.write_text(json.dumps(record))
+        write_json(path, record)
         with pytest.raises(ConfigError, match="power"):
             audit_run(run_dir)
         assert not any((run_dir / name).exists() for name in names)
@@ -663,7 +707,6 @@ class TestRunPipeline:
             raise AssertionError("evaluation started")
 
         monkeypatch.setattr("sarsizer.pipeline.run_global", no_eval)
-        monkeypatch.setattr("sarsizer.pipeline.evaluate_coarse", no_eval)
         monkeypatch.setattr("sarsizer.problem.evaluate_coarse", no_eval)
         with pytest.raises(ConfigError, match="harness"):
             load_config(f"{{N: 8, fs: 1e6, V_DD: 1, harness: {harness}}}", is_text=True)
@@ -929,7 +972,8 @@ class TestCli:
         assert "sizing run summary" in printed
         rc = cli_main(["report", str(out)])
         assert rc == 0
-        assert "checks passed" in capsys.readouterr().out
+        assert f"audit of {out}: the replay wrote the same {', '.join(RUN_FILES)}\n" in (
+            capsys.readouterr().out)
 
     def test_run_exit_code_on_infeasible(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg12.yaml"
@@ -1006,11 +1050,11 @@ class TestCli:
             run_dir = shutil.copytree(small_run[2], tmp_path / f"no-{block}-run")
             record = json.loads((run_dir / "run_record.json").read_text())
             del record[block]
-            (run_dir / "run_record.json").write_text(json.dumps(record))
+            write_json(run_dir / "run_record.json", record)
         run_dir = shutil.copytree(small_run[2], tmp_path / "bounds-triple-run")
         record = json.loads((run_dir / "run_record.json").read_text())
         record["config"]["bounds"]["c_unit"] = [1e-16, 1e-13, 2e-13]
-        (run_dir / "run_record.json").write_text(json.dumps(record))
+        write_json(run_dir / "run_record.json", record)
         argv = [a.format(cfg=cfg_file, tmp=tmp_path) for a in args]
         env = {**os.environ, "PYTHONPATH": str(Path(sarsizer.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "sarsizer.cli", *argv],
